@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import math
 import os
+import random
+import time
 from pathlib import Path
 
 from repro.core.estimates import DurabilityEstimate
 from repro.core.quality import (ConfidenceIntervalTarget,
                                 RelativeErrorTarget)
+from repro.core.value_functions import TARGET_VALUE
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 RNN_CACHE_DIR = str(Path(__file__).resolve().parent / "_cache")
@@ -121,3 +124,34 @@ def speedup(baseline: float, improved: float) -> float:
     if improved <= 0:
         return math.inf
     return baseline / improved
+
+
+def per_path_srs(query, max_roots: int, seed: int) -> dict:
+    """Time SRS as a per-path loop over the model's ``Process.step``.
+
+    The reference the batched samplers are measured against: one
+    Python ``step`` call per path per time step, each path stopping at
+    its first hit, so cost is counted exactly as the samplers count it.
+    Returns the same record shape as the batched measurements.
+    """
+    rng = random.Random(seed)
+    process = query.process
+    value_fn = query.value_function
+    hits = steps = 0
+    started = time.perf_counter()
+    for _ in range(max_roots):
+        state = process.initial_state()
+        for t in range(1, query.horizon + 1):
+            state = process.step(state, t, rng)
+            steps += 1
+            if value_fn(state, t) >= TARGET_VALUE:
+                hits += 1
+                break
+    seconds = time.perf_counter() - started
+    return {
+        "steps": steps,
+        "seconds": round(seconds, 4),
+        "steps_per_second": round(steps / seconds, 1),
+        "probability": hits / max_roots,
+        "n_roots": max_roots,
+    }

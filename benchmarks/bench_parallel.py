@@ -17,7 +17,7 @@ all running the full vectorized/fused substrate *inside every worker*:
    (``adaptive_greedy_partition(pool=...)``).
 
 Every pooled point runs under **both process (fork) and thread
-backends**; the per-workload speedup is the best 4-worker rate over
+modes**; the per-workload speedup is the best 4-worker rate over
 the 1-worker (inline) rate, and both modes feed the determinism check.
 
 Besides throughput, the machine-independent contracts are *gated* (the
@@ -66,7 +66,7 @@ RESULT_JSON = REPO_ROOT / "BENCH_parallel.json"
 
 WORKER_GRID = (1, 2, 4)
 #: (mode, n_workers) measurement points: the inline baseline plus the
-#: worker grid under both the process and thread backends.
+#: worker grid under both the process and thread pool modes.
 POOL_GRID = (("inline", 1), ("fork", 2), ("fork", 4),
              ("thread", 2), ("thread", 4))
 SPEEDUP_TARGET = 3.0
@@ -124,16 +124,14 @@ def run_srs_workload(quick):
         horizon=64 if quick else 96, name="gbm-srs")
     max_roots = 150_000 if quick else 400_000
 
-    sequential = SRSSampler(backend="vectorized").run(
-        query, max_roots=max_roots, seed=5)
+    sequential = SRSSampler().run(query, max_roots=max_roots, seed=5)
     rows, signatures = [], []
     for mode, n_workers in POOL_GRID:
         with WorkerPool(n_workers=n_workers, pool=mode) as pool:
             # Large tasks (~30ms of simulation each) so per-task IPC
             # stays negligible next to the work it ships.
             estimate, seconds = timed(lambda: SRSSampler(
-                backend="vectorized", pool=pool,
-                roots_per_task=4096).run(
+                pool=pool, roots_per_task=4096).run(
                 query, max_roots=max_roots, seed=5))
         rows.append({"mode": mode, "n_workers": n_workers,
                      "seconds": round(seconds, 4),
@@ -270,12 +268,10 @@ def run_plan_search_workload(quick):
     pilot_paths = 2_000 if quick else 6_000
 
     parent, parent_seconds = timed(lambda: adaptive_greedy_partition(
-        query, ratio=3, trial_steps=trial_steps, seed=17,
-        backend="vectorized"))
+        query, ratio=3, trial_steps=trial_steps, seed=17))
     parent_pilot, parent_pilot_seconds = timed(
         lambda: balanced_growth_partition(
-            query, 4, pilot_paths=pilot_paths, seed=19,
-            backend="vectorized"))
+            query, 4, pilot_paths=pilot_paths, seed=19))
 
     rows = [{"mode": "parent", "n_workers": 1,
              "seconds": round(parent_seconds, 4),
@@ -286,11 +282,11 @@ def run_plan_search_workload(quick):
         with WorkerPool(n_workers=max(WORKER_GRID), pool=mode) as pool:
             pooled, seconds = timed(lambda: adaptive_greedy_partition(
                 query, ratio=3, trial_steps=trial_steps, seed=17,
-                backend="vectorized", pool=pool))
+                pool=pool))
             pooled_pilot, pilot_seconds = timed(
                 lambda: balanced_growth_partition(
                     query, 4, pilot_paths=pilot_paths, seed=19,
-                    backend="vectorized", pool=pool))
+                    pool=pool))
         rows.append({"mode": mode, "n_workers": max(WORKER_GRID),
                      "seconds": round(seconds, 4),
                      "pilot_seconds": round(pilot_seconds, 4),

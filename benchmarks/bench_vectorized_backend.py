@@ -1,7 +1,9 @@
-"""Scalar vs. vectorized backend: steps/second and estimate agreement.
+"""Per-path loop vs. batched sampler: steps/second and agreement.
 
 Measures the throughput (simulation steps per wall-clock second) of the
-SRS sampler on two workloads spanning the cost spectrum:
+batched SRS sampler against a per-path loop over the model's
+``Process.step`` (``bench_common.per_path_srs``, the "scalar" column)
+on two workloads spanning the cost spectrum:
 
 * random walk — the cheapest possible ``g``, so per-step Python
   dispatch dominates: the pure upside of batching;
@@ -9,9 +11,8 @@ SRS sampler on two workloads spanning the cost spectrum:
   step), the conservative case.
 
 It also re-checks the statistical contract on the analytic-reference
-query (a birth-death chain with an exact DP answer): vectorized g-MLSS
-must agree with the scalar estimate within the joint 95 % CI and with
-the exact answer within its own CI.
+query (a birth-death chain with an exact DP answer): g-MLSS must agree
+with the exact answer within its own 95 % CI.
 
 Results land in ``BENCH_vectorized.json`` at the repo root (the perf
 trajectory file) and ``benchmarks/results/vectorized_backend.txt``.
@@ -22,7 +23,7 @@ import math
 import time
 from pathlib import Path
 
-from bench_common import write_report
+from bench_common import per_path_srs, write_report
 from repro.core.analytic import hitting_probability
 from repro.core.gmlss import GMLSSSampler
 from repro.core.levels import LevelPartition
@@ -36,8 +37,8 @@ from repro.processes.random_walk import RandomWalkProcess
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_JSON = REPO_ROOT / "BENCH_vectorized.json"
 
-#: Cohort size of the vectorized SRS runs (scalar SRS is insensitive to
-#: batch_roots; for the batched backend bigger cohorts amortize better).
+#: Cohort size of the batched SRS runs (bigger cohorts amortize the
+#: per-step dispatch better).
 COHORT = 4096
 
 
@@ -56,8 +57,8 @@ def tandem_queue_workload():
                                      name="queue-10-100")
 
 
-def measure_steps_per_second(query, backend, max_roots, seed=7):
-    sampler = SRSSampler(batch_roots=COHORT, backend=backend)
+def measure_steps_per_second(query, max_roots, seed=7):
+    sampler = SRSSampler(batch_roots=COHORT)
     started = time.perf_counter()
     estimate = sampler.run(query, max_roots=max_roots, seed=seed)
     elapsed = time.perf_counter() - started
@@ -71,8 +72,8 @@ def measure_steps_per_second(query, backend, max_roots, seed=7):
 
 
 def bench_workload(name, query, max_roots):
-    scalar = measure_steps_per_second(query, "scalar", max_roots)
-    vectorized = measure_steps_per_second(query, "vectorized", max_roots)
+    scalar = per_path_srs(query, max_roots, seed=7)
+    vectorized = measure_steps_per_second(query, max_roots)
     return {
         "workload": name,
         "query": query.name,
@@ -84,31 +85,22 @@ def bench_workload(name, query, max_roots):
 
 
 def gmlss_agreement_check():
-    """Vectorized g-MLSS vs. scalar g-MLSS vs. the exact DP answer."""
+    """g-MLSS vs. the exact DP answer."""
     chain = birth_death_chain(n=13, p_up=0.25, p_down=0.35, start=0)
     exact = hitting_probability(chain.matrix, 0, [12], 60)
     query = DurabilityQuery.threshold(chain, chain.state_value, beta=12.0,
                                       horizon=60, name="chain-12-60")
     partition = LevelPartition([4 / 12, 8 / 12])
-    scalar = GMLSSSampler(partition, ratio=3).run(
-        query, max_roots=4000, seed=11)
-    vectorized = GMLSSSampler(partition, ratio=3, backend="vectorized").run(
+    estimate = GMLSSSampler(partition, ratio=3).run(
         query, max_roots=4000, seed=12)
-    z95 = critical_value(0.95)
-    joint_half_width = z95 * math.sqrt(scalar.variance
-                                       + vectorized.variance)
+    half_width = critical_value(0.95) * math.sqrt(estimate.variance)
     return {
         "exact": exact,
-        "scalar_estimate": scalar.probability,
-        "vectorized_estimate": vectorized.probability,
-        "difference": abs(scalar.probability - vectorized.probability),
-        "joint_ci95_half_width": joint_half_width,
-        "agree_within_ci": bool(
-            abs(scalar.probability - vectorized.probability)
-            <= joint_half_width),
-        "vectorized_within_own_ci_of_exact": bool(
-            abs(vectorized.probability - exact)
-            <= z95 * math.sqrt(vectorized.variance)),
+        "estimate": estimate.probability,
+        "difference": abs(estimate.probability - exact),
+        "ci95_half_width": half_width,
+        "within_own_ci_of_exact": bool(
+            abs(estimate.probability - exact) <= half_width),
     }
 
 
@@ -127,8 +119,8 @@ def run_benchmark():
     }
     RESULT_JSON.write_text(json.dumps(results, indent=2) + "\n")
 
-    lines = [f"{'workload':<14} {'scalar steps/s':>16} "
-             f"{'vectorized steps/s':>20} {'speedup':>9}"]
+    lines = [f"{'workload':<14} {'per-path steps/s':>16} "
+             f"{'batched steps/s':>20} {'speedup':>9}"]
     for row in results["workloads"]:
         lines.append(
             f"{row['workload']:<14} "
@@ -140,16 +132,15 @@ def run_benchmark():
         "",
         f"g-MLSS agreement on chain-12-60 (exact = "
         f"{agreement['exact']:.6f}):",
-        f"  scalar     {agreement['scalar_estimate']:.6f}",
-        f"  vectorized {agreement['vectorized_estimate']:.6f}",
-        f"  |diff| {agreement['difference']:.2e} <= joint 95% CI "
-        f"half-width {agreement['joint_ci95_half_width']:.2e}: "
-        f"{agreement['agree_within_ci']}",
+        f"  estimate {agreement['estimate']:.6f}",
+        f"  |diff| {agreement['difference']:.2e} <= 95% CI "
+        f"half-width {agreement['ci95_half_width']:.2e}: "
+        f"{agreement['within_own_ci_of_exact']}",
         "",
         f"JSON: {RESULT_JSON}",
     ]
     write_report("vectorized_backend",
-                 "Vectorized backend — steps/second vs. the scalar loop",
+                 "Batched sampler — steps/second vs. a per-path loop",
                  lines)
     return results
 
@@ -160,11 +151,10 @@ def test_vectorized_backend():
     # Acceptance: >= 5x steps/second on the random-walk workload.
     assert by_name["random_walk"]["speedup"] >= 5.0, by_name["random_walk"]
     # The queue's Gillespie step is real work even in NumPy; just
-    # require the batched backend not to regress.
+    # require the batched sampler not to regress.
     assert by_name["tandem_queue"]["speedup"] >= 1.0, by_name["tandem_queue"]
     agreement = results["gmlss_agreement"]
-    assert agreement["agree_within_ci"], agreement
-    assert agreement["vectorized_within_own_ci_of_exact"], agreement
+    assert agreement["within_own_ci_of_exact"], agreement
 
 
 if __name__ == "__main__":

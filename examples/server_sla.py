@@ -10,8 +10,8 @@ A capacity planner never asks this once: they screen *several candidate
 configurations* against *several backlog thresholds*.  That is exactly
 the shape :meth:`repro.DurabilityEngine.answer_batch` is built for —
 per configuration, the three threshold queries form a cohort answered
-by **one** shared simulation pass (running path maxima over the
-vectorized backend) instead of one run each, and the execution policy
+by **one** shared simulation pass (running path maxima over one
+batched frontier) instead of one run each, and the execution policy
 that drives the whole screen is a single serializable object.
 
 Run:  python examples/server_sla.py
@@ -69,8 +69,7 @@ def main() -> None:
                       if threshold == THRESHOLDS[0])
     print(f"\n{len(queries)} queries answered with {len(CONFIGS)} "
           f"simulation passes ({total_steps:,} steps total): each "
-          f"configuration's thresholds share one pass through the "
-          f"vectorized backend.")
+          f"configuration's thresholds share one batched pass.")
 
     worst = max(zip(labels, estimates), key=lambda it: it[1].probability)
     safest = min(zip(labels, estimates), key=lambda it: it[1].probability)

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import bisect
 import math
-import random
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..processes.base import as_vectorized, resolve_backend
+from ..processes.base import as_vectorized
 from .levels import LevelPartition
 from .pool import PlanSearchWork, derive_task_seed
 from .value_functions import TARGET_VALUE, DurabilityQuery, batch_values
@@ -39,8 +38,7 @@ DEFAULT_PILOT_PATHS_PER_TASK = 512
 
 
 def pilot_max_values(query: DurabilityQuery, n_paths: int = 2000,
-                     seed: Optional[int] = None,
-                     backend: str = "scalar", pool=None,
+                     seed: Optional[int] = None, pool=None,
                      paths_per_task: Optional[int] = None) -> list:
     """Max value-function score per SRS pilot path (sorted ascending).
 
@@ -67,7 +65,7 @@ def pilot_max_values(query: DurabilityQuery, n_paths: int = 2000,
         index += 1
         remaining -= count
     if pool is not None and len(chunks) > 1:
-        handle = pool.register(PlanSearchWork(query=query, backend=backend))
+        handle = pool.register(PlanSearchWork(query=query))
         try:
             results = pool.run_tasks(
                 handle, [("pilot", count, chunk_seed)
@@ -75,8 +73,7 @@ def pilot_max_values(query: DurabilityQuery, n_paths: int = 2000,
         finally:
             pool.unregister(handle)
     else:
-        results = [pilot_chunk_max_values(query, count, seed=chunk_seed,
-                                          backend=backend)
+        results = [pilot_chunk_max_values(query, count, seed=chunk_seed)
                    for count, chunk_seed in chunks]
     maxima = [value for chunk in results for value in chunk]
     maxima.sort()
@@ -84,38 +81,15 @@ def pilot_max_values(query: DurabilityQuery, n_paths: int = 2000,
 
 
 def pilot_chunk_max_values(query: DurabilityQuery, n_paths: int,
-                           seed: Optional[int] = None,
-                           backend: str = "scalar") -> list:
+                           seed: Optional[int] = None) -> list:
     """One pilot chunk's per-path maxima (unsorted; the pooled task
-    primitive behind :func:`pilot_max_values`)."""
+    primitive behind :func:`pilot_max_values`).
+
+    The chunk's paths advance as one batch, each tracking its running
+    maximum score until it hits the target or the horizon.
+    """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if resolve_backend(backend, query.process) == "vectorized":
-        return _pilot_max_values_vectorized(query, n_paths, seed)
-    rng = random.Random(seed)
-    process = query.process
-    value_fn = query.value_function
-    horizon = query.horizon
-    maxima = []
-    for _ in range(n_paths):
-        state = process.initial_state()
-        best = value_fn(state, 0)
-        t = 0
-        while t < horizon:
-            t += 1
-            state = process.step(state, t, rng)
-            value = value_fn(state, t)
-            if value > best:
-                best = value
-                if best >= TARGET_VALUE:
-                    break
-        maxima.append(min(best, TARGET_VALUE))
-    return maxima
-
-
-def _pilot_max_values_vectorized(query: DurabilityQuery, n_paths: int,
-                                 seed: Optional[int]) -> list:
-    """Batched pilot chunk: running max score of every live path."""
     rng = np.random.default_rng(seed)
     process = as_vectorized(query.process)
     value_fn = query.value_function
@@ -219,7 +193,6 @@ def hybrid_survival(maxima: Sequence[float],
 def balanced_growth_partition(query: DurabilityQuery, num_levels: int,
                               pilot_paths: int = 2000,
                               seed: Optional[int] = None,
-                              backend: str = "scalar",
                               plan_cache=None,
                               pool=None,
                               grid=None,
@@ -264,7 +237,7 @@ def balanced_growth_partition(query: DurabilityQuery, num_levels: int,
         if entry is not None:
             return entry.partition
     maxima = pilot_max_values(query, n_paths=pilot_paths, seed=seed,
-                              backend=backend, pool=pool)
+                              pool=pool)
     survival = hybrid_survival(maxima)
     tau = survival(TARGET_VALUE)
     if tau >= 1.0:

@@ -136,7 +136,7 @@ class DurabilityCurve:
         Shared-pass totals (``steps`` is the paper's cost measure for
         the whole grid).
     details:
-        Method-specific extras (backend, level-reach counts, ...).
+        Method-specific extras (plan provenance, level-reach counts, ...).
     """
 
     thresholds: Tuple[float, ...]

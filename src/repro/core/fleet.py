@@ -283,7 +283,7 @@ def screen_fleet(fused: FusedBatch, z, betas: Sequence[float], horizon: int,
         The stopping rule, applied **per member** exactly as a separate
         :class:`~repro.core.srs.SRSSampler` run would apply it (budgets
         are per-entity, not fleet-wide); at least one must be given.
-        As in the vectorized SRS backend, budgets are enforced at
+        As in the SRS sampler, budgets are enforced at
         cohort granularity — every started path runs to its hit or the
         horizon — so ``max_steps`` can overshoot by at most one cohort
         per member.

@@ -20,30 +20,22 @@ Bookkeeping per path (born at level ``b``):
   parent split's crossing counter (the numerator of ``mu(h)``).
 * reaches the horizon without leaving level ``b``: nothing to record.
 
-The simulation is iterative (explicit stack), so deep level hierarchies
-cannot overflow Python's recursion limit.
+:class:`VectorizedForestRunner` simulates a whole cohort of root trees
+breadth-first in time: every live path (roots and offspring alike)
+steps through one ``step_batch`` call per time index, and a process
+without ``step_batch`` runs inside a
+:class:`~repro.processes.base.ScalarFallback`.  Splitting events are
+processed per event — rare next to steps — so the hot loop stays
+NumPy-level.  Per-root counters are collected into
+:class:`RootRecord` objects for the estimators and the bootstrap.
 
-Two runners produce identical bookkeeping:
-
-* :class:`ForestRunner` — the scalar reference: one path at a time,
-  depth-first over the splitting tree.
-* :class:`VectorizedForestRunner` — the batched backend: a whole cohort
-  of root trees advances breadth-first in time, every live path (roots
-  and offspring alike) stepping through one ``step_batch`` call per time
-  index.  Splitting events are processed per event — rare next to steps
-  — so the hot loop stays NumPy-level.  Per-root counters are collected
-  into the same :class:`RootRecord` objects, so the estimators and the
-  bootstrap cannot tell the backends apart.
-
-The vectorized runner keeps its live frontier in preallocated,
+The runner keeps its live frontier in preallocated,
 geometrically-grown buffers (:class:`_Frontier`) and steps processes
 that support it in place (``step_batch(..., out=...)``), so huge
 cohorts churn almost no allocations per time step.
 """
 
 from __future__ import annotations
-
-import random
 
 import numpy as np
 
@@ -170,13 +162,21 @@ def validate_plan(query: DurabilityQuery,
         )
 
 
-class ForestRunner:
-    """Simulates splitting trees for one (query, partition, ratios) setup.
+class VectorizedForestRunner:
+    """Batched splitting-forest simulation over a vectorized process.
+
+    Simulates whole *cohorts* of root trees in lock-step: at each time
+    index every live path — root segments and all spawned offspring —
+    advances through one :meth:`VectorizedProcess.step_batch` call.
+    Offspring spawned at time ``t`` join the frontier and take their
+    first step at ``t + 1``.
 
     Parameters
     ----------
     query:
         The durability query (process, value function, horizon).
+        Non-vectorized processes are wrapped in a
+        :class:`~repro.processes.base.ScalarFallback` automatically.
     partition:
         Level partition plan ``B``.  Every boundary must exceed the
         initial state's value; use ``partition.pruned_above(...)`` or
@@ -185,124 +185,7 @@ class ForestRunner:
         Fixed splitting ratio ``r`` (int) or per-level ratios for
         ``L_1 .. L_{m-1}``.
     rng:
-        Random source driving all simulation.
-    """
-
-    def __init__(self, query: DurabilityQuery, partition: LevelPartition,
-                 ratios, rng: random.Random):
-        validate_plan(query, partition)
-        self.query = query
-        self.partition = partition
-        self.ratios = normalize_ratios(ratios, partition.num_levels)
-        self.rng = rng
-
-    def run_root(self) -> RootRecord:
-        """Simulate one root path and its full splitting tree."""
-        query = self.query
-        process = query.process
-        step = process.step
-        copy_state = process.copy_state
-        value_fn = query.value_function
-        level_of = self.partition.level_of
-        ratios = self.ratios
-        horizon = query.horizon
-        num_levels = self.partition.num_levels
-        rng = self.rng
-
-        record = RootRecord(num_levels)
-        landings = record.landings
-        skips = record.skips
-        max_level = 0
-        # Per-split crossing counters: splits[k] = [level, crossed].
-        splits = []
-        # Work stack of pending path segments.
-        stack = [(process.initial_state(), 0, 0, -1)]
-        steps = 0
-        hits = 0
-
-        while stack:
-            state, t, born, parent = stack.pop()
-            crossed = False
-            while t < horizon:
-                t += 1
-                state = step(state, t, rng)
-                steps += 1
-                value = value_fn(state, t)
-                if value >= TARGET_VALUE:
-                    hits += 1
-                    max_level = num_levels
-                    for k in range(born + 1, num_levels):
-                        skips[k] += 1
-                    crossed = True
-                    break
-                level = level_of(value)
-                if level > born:
-                    if level > max_level:
-                        max_level = level
-                    for k in range(born + 1, level):
-                        skips[k] += 1
-                    landings[level] += 1
-                    ratio = ratios[level]
-                    split_slot = len(splits)
-                    splits.append([level, 0])
-                    if t < horizon:
-                        for _ in range(ratio):
-                            stack.append(
-                                (copy_state(state), t, level, split_slot)
-                            )
-                    # Landing exactly at the horizon leaves the offspring
-                    # no time: mu(h) = 0, recorded implicitly by the
-                    # split having zero crossings.
-                    crossed = True
-                    break
-            if crossed and parent >= 0:
-                splits[parent][1] += 1
-
-        crossings = record.crossings
-        for level, n_crossed in splits:
-            crossings[level] += n_crossed
-        record.hits = hits
-        record.steps = steps
-        record.max_level = max_level
-        return record
-
-    def run_roots(self, n_roots: int) -> list:
-        """Simulate ``n_roots`` independent root trees."""
-        if n_roots < 0:
-            raise ValueError(f"n_roots must be >= 0, got {n_roots}")
-        return [self.run_root() for _ in range(n_roots)]
-
-    def accumulate(self, aggregate, batch_roots: int,
-                   max_steps=None, max_roots=None) -> bool:
-        """Fold up to ``batch_roots`` more trees into ``aggregate``.
-
-        Budgets are checked before every tree; returns True once a
-        budget is exhausted (the sampler's signal to stop).
-        """
-        for _ in range(batch_roots):
-            if max_roots is not None and aggregate.n_roots >= max_roots:
-                return True
-            if max_steps is not None and aggregate.steps >= max_steps:
-                return True
-            aggregate.add(self.run_root())
-        return False
-
-
-class VectorizedForestRunner:
-    """Batched splitting-forest simulation over a vectorized process.
-
-    Simulates whole *cohorts* of root trees in lock-step: at each time
-    index every live path — root segments and all spawned offspring —
-    advances through one :meth:`VectorizedProcess.step_batch` call.
-    Offspring spawned at time ``t`` join the frontier and take their
-    first step at ``t + 1``, exactly as in the scalar runner; only the
-    interleaving of independent random draws differs, so all counter
-    distributions are unchanged.
-
-    Parameters match :class:`ForestRunner` except that ``rng`` is a
-    :class:`numpy.random.Generator`.  Non-vectorized processes are
-    wrapped in a :class:`~repro.processes.base.ScalarFallback`
-    automatically, which keeps results correct (if not faster).
+        The :class:`numpy.random.Generator` driving all simulation.
     """
 
     def __init__(self, query: DurabilityQuery, partition: LevelPartition,

@@ -235,9 +235,6 @@ class GMLSSSampler:
         ``check_growth`` — the "conservative bootstrapping" policy.
     record_trace:
         Record convergence snapshots (taken at bootstrap evaluations).
-    backend:
-        ``"scalar"`` (default), ``"vectorized"``, or ``"auto"``
-        (vectorized exactly when the process supports batching).
     pool / roots_per_task / tasks_per_round:
         With a :class:`~repro.core.pool.WorkerPool`, root trees shard
         over its workers in fixed-size tasks (results are invariant
@@ -254,7 +251,7 @@ class GMLSSSampler:
     def __init__(self, partition: LevelPartition, ratio=3,
                  batch_roots: int = 100, bootstrap_rounds: int = 200,
                  first_check_roots: int = 200, check_growth: float = 1.5,
-                 record_trace: bool = False, backend: str = "scalar",
+                 record_trace: bool = False,
                  pool=None, roots_per_task: Optional[int] = None,
                  tasks_per_round: Optional[int] = None,
                  streamed: bool = True):
@@ -275,17 +272,14 @@ class GMLSSSampler:
         self.first_check_roots = first_check_roots
         self.check_growth = check_growth
         self.record_trace = record_trace
-        self.backend = backend
         self.pool = pool
         self.roots_per_task = roots_per_task
         self.tasks_per_round = tasks_per_round
         self.streamed = streamed
 
-    def _make_runner(self, query: DurabilityQuery, seed,
-                     scalar_rng=None):
+    def _make_runner(self, query: DurabilityQuery, seed):
         return make_forest_runner(
-            self.backend, query, self.partition, self.ratios, seed,
-            scalar_rng=scalar_rng, pool=self.pool,
+            query, self.partition, self.ratios, seed, pool=self.pool,
             roots_per_task=self.roots_per_task,
             tasks_per_round=self.tasks_per_round,
             streamed=self.streamed)
@@ -300,9 +294,8 @@ class GMLSSSampler:
                 "provide a quality target, max_steps or max_roots; "
                 "otherwise the sampler would never stop"
             )
-        rng = random.Random(seed)
-        boot_seed = rng.randrange(2 ** 31)
-        runner = self._make_runner(query, seed, scalar_rng=rng)
+        boot_seed = random.Random(seed).randrange(2 ** 31)
+        runner = self._make_runner(query, seed)
         aggregate = ForestAggregate(self.partition.num_levels)
         trace = []
         bootstrap_seconds = 0.0
@@ -411,9 +404,8 @@ class GMLSSSampler:
         levels, thresholds = prepare_curve_grid(
             self.partition.boundaries + (1.0,), thresholds, quality,
             max_steps, max_roots)
-        rng = random.Random(seed)
-        boot_seed = rng.randrange(2 ** 31)
-        runner = self._make_runner(query, seed, scalar_rng=rng)
+        boot_seed = random.Random(seed).randrange(2 ** 31)
+        runner = self._make_runner(query, seed)
         aggregate = ForestAggregate(self.partition.num_levels)
         bootstrap_evals = 0
         next_check = self.first_check_roots

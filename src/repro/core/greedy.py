@@ -90,7 +90,6 @@ def adaptive_greedy_partition(query: DurabilityQuery, ratio=3,
                               candidates_per_round: int = 5,
                               max_rounds: int = 10,
                               seed: Optional[int] = None,
-                              backend: str = "scalar",
                               plan_cache=None,
                               pool=None,
                               grid=None,
@@ -111,10 +110,6 @@ def adaptive_greedy_partition(query: DurabilityQuery, ratio=3,
         Number of candidate boundaries generated per round.
     max_rounds:
         Hard cap on rounds (each successful round adds one boundary).
-    backend:
-        Simulation backend for the candidate trials — ``"scalar"``,
-        ``"vectorized"``, or ``"auto"`` (see
-        :func:`repro.processes.base.resolve_backend`).
     plan_cache:
         Optional :class:`repro.engine.PlanCache` (or anything with its
         ``get``/``put`` interface).  On a hit the cached plan is
@@ -165,8 +160,7 @@ def adaptive_greedy_partition(query: DurabilityQuery, ratio=3,
     handle = None
     if pool is not None:
         handle = pool.register(PlanSearchWork(
-            query=query, ratio=ratio, trial_steps=trial_steps,
-            backend=backend))
+            query=query, ratio=ratio, trial_steps=trial_steps))
     try:
         if plan.boundaries:
             # Baseline trial: score the mandatory grid-only plan so a
@@ -181,7 +175,7 @@ def adaptive_greedy_partition(query: DurabilityQuery, ratio=3,
             else:
                 baseline = evaluate_partition(
                     query, plan, ratio=ratio, trial_steps=trial_steps,
-                    seed=baseline_seed, backend=backend)
+                    seed=baseline_seed)
             search_steps += baseline.steps
             best_score = baseline.eval_score
             rounds.append(GreedyRound(
@@ -210,8 +204,7 @@ def adaptive_greedy_partition(query: DurabilityQuery, ratio=3,
             else:
                 trials = [evaluate_partition(
                     query, candidate, ratio=ratio,
-                    trial_steps=trial_steps, seed=trial_seed,
-                    backend=backend)
+                    trial_steps=trial_steps, seed=trial_seed)
                     for candidate, trial_seed in zip(plans, seeds)]
             for trial in trials:
                 search_steps += trial.steps

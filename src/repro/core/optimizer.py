@@ -25,8 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..processes.base import resolve_backend
-from .forest import ForestRunner, VectorizedForestRunner
+from .forest import VectorizedForestRunner
 from .gmlss import gmlss_pi_hats, gmlss_point_estimate
 from .levels import LevelPartition, normalize_ratios
 from .records import ForestAggregate
@@ -76,14 +75,12 @@ def eval_score(var_per_root: float, cost_per_root: float,
 def evaluate_partition(query: DurabilityQuery, partition: LevelPartition,
                        ratio=3, trial_steps: int = 20000,
                        seed: Optional[int] = None,
-                       rng: Optional[random.Random] = None,
-                       backend: str = "scalar") -> PlanTrial:
+                       rng: Optional[random.Random] = None) -> PlanTrial:
     """Run MLSS with plan ``B`` for a fixed step budget and score it.
 
-    Either ``seed`` or an existing ``rng`` may be supplied; passing the
-    same ``rng`` across evaluations lets the greedy search reuse one
-    random stream (with the vectorized backend it seeds one NumPy
-    generator per trial, so searches stay reproducible).
+    Either ``seed`` or an existing ``rng`` may be supplied; the trial
+    seeds one NumPy generator from it, so passing the same ``rng``
+    across evaluations continues one reproducible stream of trials.
     """
     if trial_steps < 1:
         raise ValueError(f"trial_steps must be >= 1, got {trial_steps}")
@@ -91,26 +88,21 @@ def evaluate_partition(query: DurabilityQuery, partition: LevelPartition,
         rng = random.Random(seed)
     ratios = normalize_ratios(ratio, partition.num_levels)
     aggregate = ForestAggregate(partition.num_levels)
-    if resolve_backend(backend, query.process) == "vectorized":
-        runner = VectorizedForestRunner(
-            query, partition, ratios,
-            np.random.default_rng(rng.randrange(2 ** 31)))
-        while aggregate.steps < trial_steps:
-            # Size each cohort from the measured cost per root so the
-            # budget overshoot stays at roughly one cohort; before any
-            # measurement, assume a root tree costs about two horizons
-            # (splitting roughly doubles the root path's own cost).
-            if aggregate.n_roots:
-                cost = aggregate.steps / aggregate.n_roots
-            else:
-                cost = 2.0 * query.horizon
-            cohort = int((trial_steps - aggregate.steps) / cost) + 1
-            cohort = max(1, min(cohort, 1024))
-            aggregate.extend(runner.run_cohort(cohort))
-    else:
-        runner = ForestRunner(query, partition, ratios, rng)
-        while aggregate.steps < trial_steps:
-            aggregate.add(runner.run_root())
+    runner = VectorizedForestRunner(
+        query, partition, ratios,
+        np.random.default_rng(rng.randrange(2 ** 31)))
+    while aggregate.steps < trial_steps:
+        # Size each cohort from the measured cost per root so the
+        # budget overshoot stays at roughly one cohort; before any
+        # measurement, assume a root tree costs about two horizons
+        # (splitting roughly doubles the root path's own cost).
+        if aggregate.n_roots:
+            cost = aggregate.steps / aggregate.n_roots
+        else:
+            cost = 2.0 * query.horizon
+        cohort = int((trial_steps - aggregate.steps) / cost) + 1
+        cohort = max(1, min(cohort, 1024))
+        aggregate.extend(runner.run_cohort(cohort))
 
     var_per_root = aggregate.hit_count_variance()
     cost_per_root = aggregate.steps / aggregate.n_roots

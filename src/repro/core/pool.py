@@ -1,13 +1,11 @@
-"""Persistent worker pool (Section 3.1, "Parallel Computations" —
-scaled to every backend).
+"""Persistent worker pool (Section 3.1, "Parallel Computations").
 
 Root trees, SRS paths, fleet members and plan-search trials are all
 independent, so every sampler in the library parallelizes by *sharding
-work over workers*.  The original ``run_parallel_mlss`` did this with a
-throwaway ``multiprocessing.Pool`` of scalar ``ForestRunner`` shards:
-every call paid process startup, every shard pickled its closure, and
-none of the vectorized / fused wins reached a second core.  This module
-replaces that with a persistent execution layer:
+work over workers*.  Each worker runs the same batched (vectorized or
+fused) loops as a single-process run, so adding workers multiplies
+that throughput rather than replacing it.  The execution layer is
+persistent:
 
 * :class:`WorkerPool` — long-lived workers.  ``"fork"`` / ``"spawn"``
   start worker *processes*; ``"thread"`` starts worker *threads* that
@@ -15,7 +13,7 @@ replaces that with a persistent execution layer:
   shared-memory segments — the NumPy hot kernels release the GIL, so
   threads scale on real simulation work and are the automatic fallback
   where fork is unavailable); ``"inline"`` runs the identical code path
-  in the caller.  A *work* — query, partition, fleet, backend — is
+  in the caller.  A *work* — query, partition, fleet — is
   registered **once** (one pickle per process worker, a shared
   reference per thread worker); subsequent rounds send only tiny *work
   descriptors* (task id, root budget, derived seed).
@@ -41,10 +39,10 @@ replaces that with a persistent execution layer:
   and results merge in task order, speculation changes wall-clock
   only, never results.
 * :class:`PooledForestRunner` — a drop-in implementation of the
-  ``accumulate`` contract shared by :class:`~repro.core.forest.
-  ForestRunner` and :class:`~repro.core.forest.VectorizedForestRunner`,
-  so the g-MLSS / s-MLSS samplers (point *and* curve passes) run pooled
-  without changing a line of their stopping logic.
+  ``accumulate`` contract of :class:`~repro.core.forest.
+  VectorizedForestRunner`, so the g-MLSS / s-MLSS samplers (point
+  *and* curve passes) run pooled without changing a line of their
+  stopping logic.
 
 Determinism
 -----------
@@ -57,8 +55,7 @@ pooled results are **byte-identical across ``n_workers``, pool modes
 and the streamed/barrier scheduling paths** for a fixed seed:
 ``n_workers`` changes how fast the answer arrives, not what it is.
 (Pooled and single-pass sequential runs draw different stream layouts,
-so they agree in distribution, not bytes — exactly like the
-scalar-vs-vectorized backends.)
+so they agree in distribution, not bytes.)
 
 Budgets
 -------
@@ -118,11 +115,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .forest import validate_plan
+from .forest import VectorizedForestRunner, validate_plan
 from .levels import normalize_ratios
 
 #: Pool execution modes: process start methods (``"fork"``/``"spawn"``),
-#: the shared-address-space thread backend (``"thread"``) and the
+#: the shared-address-space thread mode (``"thread"``) and the
 #: in-caller fallback used when ``n_workers == 1`` (or on request).
 POOL_MODES = ("fork", "spawn", "thread", "inline")
 
@@ -212,7 +209,6 @@ class ForestWork:
     query: object
     partition: object
     ratios: tuple
-    backend: str
     capacity: int
 
 
@@ -222,7 +218,6 @@ class PathWork:
     results are ``(n_paths, hits, steps)`` scalars."""
 
     query: object
-    backend: str
 
 
 @dataclass(frozen=True)
@@ -232,7 +227,6 @@ class CurveWork:
 
     query: object
     levels: tuple
-    backend: str
 
 
 @dataclass(frozen=True)
@@ -282,7 +276,6 @@ class PlanSearchWork:
     query: object
     ratio: object = 3
     trial_steps: int = 20000
-    backend: str = "scalar"
 
 
 # ----------------------------------------------------------------------
@@ -402,12 +395,10 @@ def _run_forest_task(spec: ForestWork, payload, block: CounterBlock):
         (n_roots, seed), step_cap = payload, None
     else:
         n_roots, seed, step_cap = payload
-    from .smlss import make_forest_runner  # circular-import guard
-    runner = make_forest_runner(spec.backend, spec.query, spec.partition,
-                                spec.ratios, seed)
-    run_batch = getattr(runner, "run_cohort", None) or runner.run_roots
+    runner = VectorizedForestRunner(spec.query, spec.partition,
+                                    spec.ratios, np.random.default_rng(seed))
     if step_cap is None:
-        records = run_batch(n_roots)
+        records = runner.run_cohort(n_roots)
     else:
         # Strict budget: only start roots whose worst-case tree cost
         # still fits under the cap.  The chunk sequence depends only on
@@ -419,7 +410,7 @@ def _run_forest_task(spec: ForestWork, payload, block: CounterBlock):
         remaining = n_roots
         while remaining > 0 and used + worst <= step_cap:
             affordable = max(int((step_cap - used) // worst), 1)
-            chunk = run_batch(min(remaining, affordable))
+            chunk = runner.run_cohort(min(remaining, affordable))
             records.extend(chunk)
             used += sum(record.steps for record in chunk)
             remaining -= len(chunk)
@@ -429,7 +420,7 @@ def _run_forest_task(spec: ForestWork, payload, block: CounterBlock):
 def _run_path_task(spec: PathWork, payload):
     n_paths, seed = payload
     from .srs import SRSSampler  # circular-import guard
-    estimate = SRSSampler(batch_roots=n_paths, backend=spec.backend).run(
+    estimate = SRSSampler(batch_roots=n_paths).run(
         spec.query, max_roots=n_paths, seed=seed)
     return (estimate.n_roots, estimate.hits, estimate.steps)
 
@@ -437,7 +428,7 @@ def _run_path_task(spec: PathWork, payload):
 def _run_curve_task(spec: CurveWork, payload):
     n_paths, seed = payload
     from .srs import SRSSampler  # circular-import guard
-    curve = SRSSampler(batch_roots=n_paths, backend=spec.backend).run_curve(
+    curve = SRSSampler(batch_roots=n_paths).run_curve(
         spec.query, spec.levels, max_roots=n_paths, seed=seed)
     counts = tuple(estimate.hits for estimate in curve.estimates)
     return (counts, curve.n_roots, curve.steps)
@@ -482,12 +473,11 @@ def _run_plan_task(spec: PlanSearchWork, payload):
         from .optimizer import evaluate_partition  # circular-import guard
         return evaluate_partition(
             spec.query, LevelPartition(boundaries), ratio=spec.ratio,
-            trial_steps=spec.trial_steps, seed=seed, backend=spec.backend)
+            trial_steps=spec.trial_steps, seed=seed)
     if kind == "pilot":
         _, n_paths, seed = payload
         from .balanced import pilot_chunk_max_values  # circular-import guard
-        return pilot_chunk_max_values(spec.query, n_paths, seed=seed,
-                                      backend=spec.backend)
+        return pilot_chunk_max_values(spec.query, n_paths, seed=seed)
     raise ValueError(f"unknown plan-search task kind {kind!r}")
 
 
@@ -1402,10 +1392,9 @@ class PooledForestRunner:
     """Splitting-forest simulation sharded over a :class:`WorkerPool`.
 
     Implements the same ``accumulate(aggregate, batch_roots, ...)``
-    contract as :class:`~repro.core.forest.ForestRunner` and
-    :class:`~repro.core.forest.VectorizedForestRunner`, so the MLSS
-    samplers' stopping rules, bootstrap schedules and curve folds run
-    unmodified on top of it.  Each round expands to at least
+    contract as :class:`~repro.core.forest.VectorizedForestRunner`, so
+    the MLSS samplers' stopping rules, bootstrap schedules and curve
+    folds run unmodified on top of it.  Each round expands to at least
     ``tasks_per_round`` tasks of ``roots_per_task`` root trees; task
     seeds derive from the task index (:func:`derive_task_seed`) and
     results merge in task order, making pooled aggregates invariant
@@ -1431,7 +1420,7 @@ class PooledForestRunner:
     """
 
     def __init__(self, pool: WorkerPool, query, partition, ratios,
-                 backend: str, seed: Optional[int],
+                 seed: Optional[int],
                  roots_per_task: int = DEFAULT_ROOTS_PER_TASK,
                  tasks_per_round: int = DEFAULT_TASKS_PER_ROUND,
                  streamed: bool = True):
@@ -1454,7 +1443,7 @@ class PooledForestRunner:
         self._rounds: Optional[RoundPipeline] = None
         self._handle = pool.register(ForestWork(
             query=query, partition=partition, ratios=self.ratios,
-            backend=backend, capacity=roots_per_task))
+            capacity=roots_per_task))
 
     def _base_cohort(self, batch_roots: int) -> int:
         return max(batch_roots, self.roots_per_task * self.tasks_per_round)

@@ -16,20 +16,22 @@ underlying process *does* skip levels, the same formulas silently
 produce biased answers — this is the "blind application" the paper
 demonstrates in Table 6, and :class:`SMLSSSampler` flags it via
 ``details["skipping_detected"]``.
+
+Both MLSS samplers get their forest from :func:`make_forest_runner`:
+one batched :class:`~repro.core.forest.VectorizedForestRunner`, or its
+pooled counterpart when a worker pool is given.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import time
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..processes.base import resolve_backend
 from .estimates import DurabilityCurve, DurabilityEstimate, TracePoint
-from .forest import ForestRunner, VectorizedForestRunner
+from .forest import VectorizedForestRunner
 from .levels import LevelPartition, normalize_ratios
 from .quality import QualityTarget
 from .records import ForestAggregate
@@ -37,45 +39,36 @@ from .srs import prepare_curve_grid
 from .value_functions import DurabilityQuery
 
 
-def make_forest_runner(backend: str, query: DurabilityQuery,
+def make_forest_runner(query: DurabilityQuery,
                        partition: LevelPartition, ratios,
                        seed: Optional[int],
-                       scalar_rng: Optional[random.Random] = None,
                        pool=None,
                        roots_per_task: Optional[int] = None,
                        tasks_per_round: Optional[int] = None,
                        streamed: bool = True):
-    """Build the forest runner for a resolved backend.
+    """Build the forest runner for one sampler run.
 
-    ``"vectorized"`` drives whole cohorts through
-    :class:`VectorizedForestRunner` (with a NumPy generator, buffered
+    Without a pool, whole cohorts run through
+    :class:`VectorizedForestRunner` (a NumPy generator, buffered
     frontiers, and in-place stepping for processes that support
-    ``out=``); ``"scalar"`` keeps the original per-path runner, reusing
-    ``scalar_rng`` when the caller already owns a stream (so scalar
-    results stay bit-identical to the pre-backend code).  With a
-    :class:`~repro.core.pool.WorkerPool`, cohorts shard over the pool's
-    workers instead (:class:`~repro.core.pool.PooledForestRunner`, on
-    the same backend per worker; ``streamed`` selects its pipelined
-    round scheduling).  All runners expose the same ``accumulate``
-    interface, so samplers are backend- and parallelism-agnostic past
+    ``out=``).  With a :class:`~repro.core.pool.WorkerPool`, cohorts
+    shard over the pool's workers instead
+    (:class:`~repro.core.pool.PooledForestRunner`; ``streamed`` selects
+    its pipelined round scheduling).  Both runners expose the same
+    ``accumulate`` interface, so samplers are parallelism-agnostic past
     this point; pooled runners additionally expose ``close()``, which
     samplers call when a run finishes.
     """
-    backend = resolve_backend(backend, query.process)
     if pool is not None:
         from .pool import (DEFAULT_ROOTS_PER_TASK, DEFAULT_TASKS_PER_ROUND,
                            PooledForestRunner)
         return PooledForestRunner(
-            pool, query, partition, ratios, backend, seed,
+            pool, query, partition, ratios, seed,
             roots_per_task=roots_per_task or DEFAULT_ROOTS_PER_TASK,
             tasks_per_round=tasks_per_round or DEFAULT_TASKS_PER_ROUND,
             streamed=streamed)
-    if backend == "vectorized":
-        return VectorizedForestRunner(query, partition, ratios,
-                                      np.random.default_rng(seed))
-    return ForestRunner(query, partition, ratios,
-                        scalar_rng if scalar_rng is not None
-                        else random.Random(seed))
+    return VectorizedForestRunner(query, partition, ratios,
+                                  np.random.default_rng(seed))
 
 
 def close_runner(runner) -> None:
@@ -166,13 +159,10 @@ class SMLSSSampler:
         Fixed splitting ratio ``r`` (paper default 3) or per-level
         ratios.
     batch_roots:
-        Root trees between stopping-rule checks (and the cohort size of
-        the vectorized backend).
+        Cohort size: root trees simulated as one batch between
+        stopping-rule checks.
     record_trace:
         Record convergence snapshots in ``details["trace"]``.
-    backend:
-        ``"scalar"`` (default), ``"vectorized"``, or ``"auto"``
-        (vectorized exactly when the process supports batching).
     pool / roots_per_task / tasks_per_round:
         With a :class:`~repro.core.pool.WorkerPool`, root trees shard
         over its workers in fixed-size tasks (results are invariant
@@ -188,7 +178,7 @@ class SMLSSSampler:
 
     def __init__(self, partition: LevelPartition, ratio=3,
                  batch_roots: int = 100, record_trace: bool = False,
-                 backend: str = "scalar", pool=None,
+                 pool=None,
                  roots_per_task: Optional[int] = None,
                  tasks_per_round: Optional[int] = None,
                  streamed: bool = True):
@@ -198,17 +188,14 @@ class SMLSSSampler:
         self.ratios = normalize_ratios(ratio, partition.num_levels)
         self.batch_roots = batch_roots
         self.record_trace = record_trace
-        self.backend = backend
         self.pool = pool
         self.roots_per_task = roots_per_task
         self.tasks_per_round = tasks_per_round
         self.streamed = streamed
 
-    def _make_runner(self, query: DurabilityQuery, seed: Optional[int],
-                     scalar_rng: Optional[random.Random] = None):
+    def _make_runner(self, query: DurabilityQuery, seed: Optional[int]):
         return make_forest_runner(
-            self.backend, query, self.partition, self.ratios, seed,
-            scalar_rng=scalar_rng, pool=self.pool,
+            query, self.partition, self.ratios, seed, pool=self.pool,
             roots_per_task=self.roots_per_task,
             tasks_per_round=self.tasks_per_round,
             streamed=self.streamed)

@@ -10,18 +10,13 @@ A path stops as soon as it hits the target (the durability query only
 asks about the *first* hitting time), so the cost of a successful path
 is its hitting time, not the full horizon.
 
-Two interchangeable backends run the simulation:
-
-* ``"scalar"`` — the original per-path Python loop (works for any
-  process);
-* ``"vectorized"`` — whole cohorts of paths advance through
-  :meth:`VectorizedProcess.step_batch` array operations; paths that hit
-  the target drop out of the batch, so early stopping is preserved.
-
-Both count cost identically (one ``g`` invocation per live path per
-step) and sample the same distribution — batching merely reorders
-independent draws — so estimates from either backend are exchangeable.
-The vectorized loops step through :func:`repro.processes.base.
+Whole cohorts of paths advance through
+:meth:`VectorizedProcess.step_batch` array operations; paths that hit
+the target drop out of the batch, so early stopping is preserved.  A
+process without ``step_batch`` runs the same loop inside a
+:class:`~repro.processes.base.ScalarFallback`, which calls its ``step``
+row by row.  Cost is one ``g`` invocation per live path per step
+either way.  The loops step through :func:`repro.processes.base.
 step_into`, so processes with the in-place ``step_batch(..., out=...)``
 fast path overwrite their cohort buffer instead of allocating a fresh
 state array every time step.
@@ -35,14 +30,12 @@ so the hit indicator for every grid level is read off the same paths
 
 from __future__ import annotations
 
-import bisect
-import random
 import time
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..processes.base import as_vectorized, resolve_backend, step_into
+from ..processes.base import as_vectorized, step_into
 from .estimates import DurabilityCurve, DurabilityEstimate, TracePoint
 from .pool import (CurveWork, DEFAULT_ROOTS_PER_TASK,
                    DEFAULT_TASKS_PER_ROUND, PathWork, RoundPipeline,
@@ -140,17 +133,12 @@ class SRSSampler:
     Parameters
     ----------
     batch_roots:
-        Number of paths to simulate between stopping-rule checks (and
-        the cohort size of the vectorized backend).
+        Cohort size: paths simulated as one batch between
+        stopping-rule checks.
     record_trace:
         When True, a :class:`TracePoint` is recorded at every check;
         the trace lands in ``estimate.details["trace"]`` (used for the
         convergence study, Figure 8).
-    backend:
-        ``"scalar"`` (default), ``"vectorized"``, or ``"auto"``
-        (vectorized exactly when the process natively supports
-        batching).  The engine resolves ``"auto"`` before constructing
-        samplers.
     pool / roots_per_task / tasks_per_round:
         With a :class:`~repro.core.pool.WorkerPool`, paths shard over
         its workers in fixed-size tasks whose seeds derive from the
@@ -170,7 +158,7 @@ class SRSSampler:
     method_name = "srs"
 
     def __init__(self, batch_roots: int = 500, record_trace: bool = False,
-                 backend: str = "scalar", pool=None,
+                 pool=None,
                  roots_per_task: Optional[int] = None,
                  tasks_per_round: Optional[int] = None,
                  streamed: bool = True):
@@ -178,7 +166,6 @@ class SRSSampler:
             raise ValueError(f"batch_roots must be >= 1, got {batch_roots}")
         self.batch_roots = batch_roots
         self.record_trace = record_trace
-        self.backend = backend
         self.pool = pool
         self.roots_per_task = roots_per_task or DEFAULT_ROOTS_PER_TASK
         self.tasks_per_round = tasks_per_round or DEFAULT_TASKS_PER_ROUND
@@ -199,68 +186,9 @@ class SRSSampler:
             return self._run_pooled(query, quality=quality,
                                     max_steps=max_steps,
                                     max_roots=max_roots, seed=seed)
-        if resolve_backend(self.backend, query.process) == "vectorized":
-            return self._run_vectorized(query, quality=quality,
-                                        max_steps=max_steps,
-                                        max_roots=max_roots, seed=seed)
-        rng = random.Random(seed)
-        process = query.process
-        step = process.step
-        value_fn = query.value_function
-        horizon = query.horizon
-
-        n_paths = 0
-        hits = 0
-        steps = 0
-        trace = []
-        started = time.perf_counter()
-
-        def make_estimate() -> DurabilityEstimate:
-            probability = hits / n_paths if n_paths else 0.0
-            return DurabilityEstimate(
-                probability=probability,
-                variance=srs_variance(probability, n_paths),
-                n_roots=n_paths, hits=hits, steps=steps,
-                method=self.method_name,
-                elapsed_seconds=time.perf_counter() - started,
-                details={"trace": trace} if self.record_trace else {},
-            )
-
-        done = False
-        while not done:
-            for _ in range(self.batch_roots):
-                if max_roots is not None and n_paths >= max_roots:
-                    done = True
-                    break
-                if max_steps is not None and steps >= max_steps:
-                    done = True
-                    break
-                state = process.initial_state()
-                t = 0
-                while t < horizon:
-                    t += 1
-                    state = step(state, t, rng)
-                    steps += 1
-                    if value_fn(state, t) >= TARGET_VALUE:
-                        hits += 1
-                        break
-                n_paths += 1
-            if done or n_paths == 0:
-                break
-            probability = hits / n_paths
-            variance = srs_variance(probability, n_paths)
-            if self.record_trace:
-                trace.append(TracePoint(
-                    steps=steps,
-                    elapsed_seconds=time.perf_counter() - started,
-                    probability=probability, variance=variance,
-                    n_roots=n_paths, hits=hits,
-                ))
-            if quality is not None and quality.is_met(
-                    probability, variance, hits, n_paths):
-                break
-
-        return make_estimate()
+        return self._run_vectorized(query, quality=quality,
+                                    max_steps=max_steps,
+                                    max_roots=max_roots, seed=seed)
 
     def run_curve(self, query: DurabilityQuery, levels: Sequence[float],
                   thresholds: Optional[Sequence[float]] = None,
@@ -302,61 +230,11 @@ class SRSSampler:
         if self.pool is not None:
             counts, n_paths, steps, elapsed = self._curve_pass_pooled(
                 query, levels, quality, max_steps, max_roots, seed)
-        elif resolve_backend(self.backend, query.process) == "vectorized":
-            counts, n_paths, steps, elapsed = self._curve_pass_vectorized(
-                query, levels, quality, max_steps, max_roots, seed)
         else:
-            counts, n_paths, steps, elapsed = self._curve_pass_scalar(
+            counts, n_paths, steps, elapsed = self._curve_pass_vectorized(
                 query, levels, quality, max_steps, max_roots, seed)
         return build_srs_curve(thresholds, levels, counts, n_paths, steps,
                                elapsed)
-
-    def _curve_pass_scalar(self, query, levels, quality, max_steps,
-                           max_roots, seed):
-        """Per-path loop recording running maxima against the grid."""
-        rng = random.Random(seed)
-        process = query.process
-        step = process.step
-        value_fn = query.value_function
-        horizon = query.horizon
-        top = levels[-1]
-
-        counts = [0] * len(levels)
-        n_paths = 0
-        steps = 0
-        started = time.perf_counter()
-
-        done = False
-        while not done:
-            for _ in range(self.batch_roots):
-                if max_roots is not None and n_paths >= max_roots:
-                    done = True
-                    break
-                if max_steps is not None and steps >= max_steps:
-                    done = True
-                    break
-                state = process.initial_state()
-                best = 0.0
-                t = 0
-                while t < horizon:
-                    t += 1
-                    state = step(state, t, rng)
-                    steps += 1
-                    value = value_fn(state, t)
-                    if value > best:
-                        best = value
-                        if best >= top:
-                            break
-                # levels[j] <= best  <=>  the path hit threshold j.
-                for j in range(bisect.bisect_right(levels, best)):
-                    counts[j] += 1
-                n_paths += 1
-            if done or n_paths == 0:
-                break
-            if quality is not None and curve_quality_met(
-                    quality, counts, n_paths):
-                break
-        return counts, n_paths, steps, time.perf_counter() - started
 
     def _curve_pass_vectorized(self, query, levels, quality, max_steps,
                                max_roots, seed):
@@ -452,8 +330,7 @@ class SRSSampler:
         paths.
         """
         pool = self.pool
-        backend = resolve_backend(self.backend, query.process)
-        handle = pool.register(PathWork(query=query, backend=backend))
+        handle = pool.register(PathWork(query=query))
         rounds = RoundPipeline(pool, handle) if self.streamed else None
         horizon = query.horizon
         n_paths = 0
@@ -525,9 +402,7 @@ class SRSSampler:
                            max_roots, seed):
         """Pooled running-maxima pass: per-level counts merge per task."""
         pool = self.pool
-        backend = resolve_backend(self.backend, query.process)
-        handle = pool.register(CurveWork(
-            query=query, levels=tuple(levels), backend=backend))
+        handle = pool.register(CurveWork(query=query, levels=tuple(levels)))
         rounds = RoundPipeline(pool, handle) if self.streamed else None
         horizon = query.horizon
         counts = np.zeros(len(levels), dtype=np.int64)

@@ -14,14 +14,13 @@ from __future__ import annotations
 import json
 import random
 import sqlite3
-import time
 from typing import Optional
 
-from ..core.engine import answer_durability_query
 from ..core.estimates import DurabilityEstimate
 from ..core.levels import LevelPartition
 from ..core.quality import QualityTarget
 from ..core.value_functions import DurabilityQuery
+from ..engine import DurabilityEngine, ExecutionPolicy
 from .factory import build_process, default_z
 from .paths import materialize_paths
 from .schema import create_schema
@@ -154,10 +153,14 @@ class DurabilityDB:
         ratio = 3
         if plan_id is not None:
             partition, ratio = self.load_plan(plan_id)
-        estimate = answer_durability_query(
-            query, method=method, partition=partition, ratio=ratio,
-            num_levels=num_levels, quality=quality, max_steps=max_steps,
-            max_roots=max_roots, seed=seed)
+        # Each call answers from scratch: a fresh engine's plan cache
+        # could never hit, so skip its lookups.
+        policy = ExecutionPolicy(
+            method=method, ratio=ratio, num_levels=num_levels,
+            quality=quality, max_steps=max_steps, max_roots=max_roots,
+            seed=seed, use_plan_cache=False)
+        estimate = DurabilityEngine(policy).answer(query,
+                                                   partition=partition)
         run_id = self._record_estimate(query_id, estimate, seed)
         estimate.details["run_id"] = run_id
         if materialize > 0:

@@ -5,17 +5,17 @@ subpackage wraps it in a stateful service API built for multi-query
 workloads:
 
 * :class:`DurabilityEngine` — ``answer`` / ``answer_batch`` /
-  ``durability_curve`` over a shared plan cache and the vectorized
-  simulation backend;
+  ``durability_curve`` / ``durability_curves`` over a shared plan
+  cache; every call runs the samplers' batched simulation loops;
 * :class:`ExecutionPolicy` — an immutable, serializable "how to run
-  it" object (method, backend, ratio, budgets, quality target, seed
-  policy), reusable across thousands of queries;
+  it" object (method, ratio, budgets, quality target, seed policy),
+  reusable across thousands of queries;
 * :class:`PlanCache` — memoized level plans keyed by (process family,
   horizon, initial value, threshold bucket), so repeated query shapes
   skip the greedy plan search.
 
-``repro.answer_durability_query`` remains as a thin one-shot wrapper
-over a private engine instance.
+The engine is the one entry point: a one-off answer is
+``DurabilityEngine(policy).answer(query, use_plan_cache=False)``.
 """
 
 from .cache import CachedPlan, PlanCache, grid_plan_kind, process_family

@@ -2,13 +2,12 @@
 
 A :class:`repro.core.value_functions.DurabilityQuery` says what to ask —
 process, condition, horizon.  An :class:`ExecutionPolicy` says how to
-run it — estimation method, simulation backend, splitting ratio,
-stopping rule (quality target and/or budgets), plan-search knobs and
-seed policy.  Separating the two makes policies reusable (one policy
-drives thousands of screening queries), comparable (swap methods on the
-same queries) and serializable (ship a policy in a job spec or config
-file via :meth:`ExecutionPolicy.to_dict` /
-:meth:`ExecutionPolicy.from_dict`).
+run it — estimation method, splitting ratio, stopping rule (quality
+target and/or budgets), plan-search knobs and seed policy.  Separating
+the two makes policies reusable (one policy drives thousands of
+screening queries), comparable (swap methods on the same queries) and
+serializable (ship a policy in a job spec or config file via
+:meth:`ExecutionPolicy.to_dict` / :meth:`ExecutionPolicy.from_dict`).
 
 Policies are immutable; derive variants with
 :meth:`ExecutionPolicy.replace`.
@@ -18,6 +17,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,8 +30,35 @@ from ..core.quality import (ConfidenceIntervalTarget, NeverTarget,
 POLICY_SCHEMA_VERSION = 1
 
 METHODS = ("srs", "smlss", "gmlss", "auto")
-BACKENDS = ("scalar", "vectorized", "auto")
 POOL_MODES = ("fork", "spawn", "thread", "inline")
+
+
+def _is_int(value) -> bool:
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool))
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+#: The ``sampler_options`` keys: what each value must be, and its check.
+#: They tune one sampler or fleet pass and have no policy field of their
+#: own; each pass reads only the keys it takes.
+SAMPLER_OPTIONS = {
+    "batch_roots": ("an integer >= 1",
+                    lambda value: _is_int(value) and value >= 1),
+    "bootstrap_rounds": ("an integer >= 2",
+                         lambda value: _is_int(value) and value >= 2),
+    "first_check_roots": ("an integer >= 1",
+                          lambda value: _is_int(value) and value >= 1),
+    "check_growth": ("a number > 1",
+                     lambda value: _is_number(value) and value > 1),
+    "adaptive": ("a boolean", lambda value: isinstance(value, bool)),
+    "cluster_tolerance": ("a number >= 0",
+                          lambda value: _is_number(value) and value >= 0),
+}
 
 #: Stride between derived per-query seeds in batch runs (a prime, so
 #: derived streams never collide for realistic batch sizes).
@@ -202,9 +231,6 @@ class ExecutionPolicy:
     method:
         ``"srs"``, ``"smlss"``, ``"gmlss"`` or ``"auto"`` (g-MLSS with
         an automatically searched plan).
-    backend:
-        Simulation backend: ``"auto"``, ``"vectorized"`` or
-        ``"scalar"`` (see :func:`repro.processes.base.resolve_backend`).
     ratio:
         Splitting ratio ``r`` — an int, or a per-level sequence.
     num_levels:
@@ -235,11 +261,13 @@ class ExecutionPolicy:
         single-process execution.  Parallel results are invariant
         under the worker count.
     sampler_options:
-        Extra keyword arguments for the sampler constructor.
+        Tunables of the sampler or fleet pass, keyed by the names in
+        :data:`SAMPLER_OPTIONS` (for example ``batch_roots``, or
+        ``adaptive`` for fused g-MLSS fleets).  Each pass reads only
+        the keys it takes.
     """
 
     method: str = "auto"
-    backend: str = "auto"
     ratio: object = 3
     num_levels: Optional[int] = None
     trial_steps: int = 20000
@@ -260,19 +288,17 @@ class ExecutionPolicy:
     def validate(self) -> "ExecutionPolicy":
         """Check the policy is runnable; returns self for chaining.
 
-        Raises a ``ValueError`` for unknown methods/backends and — the
-        documented stopping-rule contract — when ``quality``,
-        ``max_steps`` and ``max_roots`` are all ``None`` (the sampler
-        would never stop).  The engine validates *before* any plan
-        search, so a bad policy fails fast instead of after an
-        expensive search.
+        Raises a ``ValueError`` for unknown methods, for malformed or
+        unknown ``sampler_options`` and — the documented stopping-rule
+        contract — when ``quality``, ``max_steps`` and ``max_roots``
+        are all ``None`` (the sampler would never stop).  The engine
+        validates *before* any plan search, so a bad policy fails fast
+        instead of after an expensive search.
         """
         if self.method not in METHODS:
             raise ValueError(
                 f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}")
+        self._validate_sampler_options()
         if (self.quality is None and self.max_steps is None
                 and self.max_roots is None):
             raise ValueError(
@@ -289,6 +315,25 @@ class ExecutionPolicy:
         if self.parallel is not None:
             self.parallel.validate()
         return self
+
+    def _validate_sampler_options(self) -> None:
+        options = self.sampler_options
+        if options is None:
+            return
+        if not isinstance(options, Mapping):
+            raise ValueError(
+                f"sampler_options must be a mapping, got "
+                f"{type(options).__name__}")
+        for key, value in options.items():
+            if key not in SAMPLER_OPTIONS:
+                raise ValueError(
+                    f"unknown sampler option {key!r}; choose from "
+                    f"{sorted(SAMPLER_OPTIONS)}")
+            expected, check = SAMPLER_OPTIONS[key]
+            if not check(value):
+                raise ValueError(
+                    f"sampler option {key!r} must be {expected}, got "
+                    f"{value!r}")
 
     def replace(self, **overrides) -> "ExecutionPolicy":
         """A copy of this policy with some fields overridden."""
@@ -340,7 +385,6 @@ class ExecutionPolicy:
         return {
             "v": POLICY_SCHEMA_VERSION,
             "method": self.method,
-            "backend": self.backend,
             "ratio": ratio,
             "num_levels": self.num_levels,
             "trial_steps": self.trial_steps,

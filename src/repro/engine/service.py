@@ -1,24 +1,23 @@
 """The stateful query-answering service: :class:`DurabilityEngine`.
 
-``answer_durability_query`` answers one query from scratch: plan search,
-simulation, estimate.  The engine keeps the same pipeline but amortizes
-work across queries, which is what the paper's headline scenarios
-(ranking durable stocks, screening server fleets against SLA
-thresholds, charting ``Pr[hit <= horizon]`` against a threshold grid)
-actually need:
+Answering one query is plan search, simulation, estimate.  The engine
+runs that pipeline and amortizes work across queries, which is what
+the paper's headline scenarios (ranking durable stocks, screening
+server fleets against SLA thresholds, charting ``Pr[hit <= horizon]``
+against a threshold grid) actually need:
 
 * :meth:`DurabilityEngine.answer` — one query, with level plans
   memoized in a :class:`~repro.engine.cache.PlanCache` so repeated
   query shapes skip the greedy search entirely;
 * :meth:`DurabilityEngine.answer_batch` — many queries; compatible ones
   (same horizon and state evaluation, different thresholds) are grouped
-  into *cohorts* that share a single simulation pass through the
-  vectorized backend.  Grouping is **structural**: queries over the
-  same process object share a curve pass, and queries over *different
-  processes of one fusible family* (a fleet with per-entity
-  parameters) share a fused SRS screening pass — the whole fleet
-  advances as one :class:`~repro.processes.base.FusedBatch` frontier,
-  one ``step_batch`` per time step (see
+  into *cohorts* that share a single simulation pass.  Grouping is
+  **structural**: queries over the same process object share a curve
+  pass, and queries over *different processes of one fusible family*
+  (a fleet with per-entity parameters) share a fused SRS screening
+  pass — the whole fleet advances as one
+  :class:`~repro.processes.base.FusedBatch` frontier, one
+  ``step_batch`` per time step (see
   :func:`repro.core.fleet.screen_fleet`).  The rest run individually
   (with plan caching).  Cost accounting is unchanged throughout: a
   shared or fused pass still counts one invocation of ``g`` per live
@@ -62,9 +61,24 @@ from ..core.smlss import SMLSSSampler
 from ..core.srs import SRSSampler
 from ..core.value_functions import (DurabilityQuery, ThresholdValueFunction,
                                     threshold_grid)
-from ..processes.base import FusedBatch, StochasticProcess, resolve_backend
+from ..processes.base import FusedBatch, StochasticProcess
 from .cache import PlanCache, _callable_identity, grid_plan_kind
 from .policy import ExecutionPolicy
+
+#: The ``sampler_options`` keys each sampler class takes (see
+#: :data:`repro.engine.policy.SAMPLER_OPTIONS`).
+_SAMPLER_OPTION_KEYS = {
+    SRSSampler: ("batch_roots",),
+    SMLSSSampler: ("batch_roots",),
+    GMLSSSampler: ("batch_roots", "bootstrap_rounds", "first_check_roots",
+                   "check_growth"),
+}
+
+
+def _sampler_options(policy: ExecutionPolicy, keys) -> dict:
+    """The policy's ``sampler_options`` restricted to ``keys``."""
+    options = policy.sampler_options or {}
+    return {key: options[key] for key in keys if key in options}
 
 
 class UnservableGridError(ValueError):
@@ -97,24 +111,21 @@ def resolve_plan(query: DurabilityQuery,
                  num_levels: Optional[int],
                  ratio, trial_steps: int,
                  seed: Optional[int],
-                 backend: str = "scalar",
                  plan_cache: Optional[PlanCache] = None,
                  pool=None,
                  grid=None):
     """Choose the level plan: explicit > cached > balanced pilot > greedy.
 
-    The single source of truth for plan precedence (also behind the
-    stateless ``repro.core.engine.resolve_partition``).  Returns
+    The single source of truth for plan precedence.  Returns
     ``(partition, search_details_or_None, cache_status_or_None,
     cache_origin_or_None)``; ``cache_status`` is ``"hit"``/``"miss"``
     when a plan cache participated, and ``cache_origin`` reports where
     a hit entry came from (``"search"``, ``"store"``, ``"warmed"`` —
-    see :attr:`~repro.engine.cache.CachedPlan.origin`).  Pilot
-    simulations (balanced-growth pilots and greedy candidate trials)
-    run on the requested backend; with ``pool`` (a
-    :class:`~repro.core.pool.WorkerPool`) they shard over its workers
-    and — because trial and pilot seeds are structural — return exactly
-    the plan the parent-only search would.
+    see :attr:`~repro.engine.cache.CachedPlan.origin`).  With ``pool``
+    (a :class:`~repro.core.pool.WorkerPool`), pilot simulations
+    (balanced-growth pilots and greedy candidate trials) shard over its
+    workers and — because trial and pilot seeds are structural — return
+    exactly the plan the parent-only search would.
 
     ``grid`` makes the resolution *curve-aware*: a strictly ascending
     tuple of normalized threshold levels that must appear verbatim in
@@ -135,15 +146,14 @@ def resolve_plan(query: DurabilityQuery,
         plan = balanced_growth_partition(
             query, num_levels,
             pilot_paths=max(trial_steps // query.horizon, 200),
-            seed=seed, backend=backend, plan_cache=plan_cache,
-            pool=pool, grid=grid,
+            seed=seed, plan_cache=plan_cache, pool=pool, grid=grid,
             cache_kind=(grid_plan_kind(("balanced", num_levels), grid)
                         if grid else None))
         search_details = None
     else:
         result = adaptive_greedy_partition(
             query, ratio=ratio, trial_steps=trial_steps, seed=seed,
-            backend=backend, plan_cache=plan_cache, pool=pool, grid=grid,
+            plan_cache=plan_cache, pool=pool, grid=grid,
             cache_kind=(grid_plan_kind("greedy", grid)
                         if grid else None))
         plan = result.partition
@@ -354,12 +364,10 @@ class DurabilityEngine:
         policy = self._resolve_policy(policy, overrides)
         recording = self._record_start()
         try:
-            sampler, sampler_backend, extra = self._build_sampler(
-                query, policy, partition)
+            sampler, extra = self._build_sampler(query, policy, partition)
             estimate = sampler.run(
                 query, quality=policy.quality, max_steps=policy.max_steps,
                 max_roots=policy.max_roots, seed=policy.seed)
-            estimate.details["backend"] = sampler_backend
             estimate.details.update(extra)
             if recording:
                 self._record_arrival(query, details=estimate.details)
@@ -368,29 +376,24 @@ class DurabilityEngine:
             if recording:
                 self._record_end()
 
-    def _sampler_options(self, query: DurabilityQuery,
-                         policy: ExecutionPolicy):
-        """Resolve backend and sampler constructor options once.
+    def _make_sampler(self, sampler_class, policy: ExecutionPolicy,
+                      *args, **kwargs):
+        """Construct a sampler with the policy's options and pool.
 
-        Returns ``(options, backend, sampler_backend)``; the single
-        place `answer` and `durability_curve` share, so sampler
-        construction cannot drift between entry points.
+        The single place `answer` and `durability_curve` build
+        samplers, so construction cannot drift between entry points.
+        Of ``sampler_options`` the class gets only the keys it takes.
         """
-        backend = resolve_backend(policy.backend, query.process)
-        options = dict(policy.sampler_options or {})
-        options.setdefault("record_trace", policy.record_trace)
-        options.setdefault("backend", backend)
+        kwargs.update(_sampler_options(
+            policy, _SAMPLER_OPTION_KEYS[sampler_class]))
+        kwargs["record_trace"] = policy.record_trace
         parallel = policy.parallel
         if parallel is not None:
-            options.setdefault("pool", self._get_pool(policy))
-            options.setdefault("roots_per_task", parallel.roots_per_task)
-            options.setdefault("tasks_per_round",
-                               parallel.tasks_per_round)
-            options.setdefault("streamed", parallel.streamed)
-        # A sampler_options override may pick a different backend than
-        # the policy; report what the sampler actually ran.
-        sampler_backend = resolve_backend(options["backend"], query.process)
-        return options, backend, sampler_backend
+            kwargs.update(pool=self._get_pool(policy),
+                          roots_per_task=parallel.roots_per_task,
+                          tasks_per_round=parallel.tasks_per_round,
+                          streamed=parallel.streamed)
+        return sampler_class(*args, **kwargs)
 
     @staticmethod
     def _mlss_class(method: str):
@@ -399,19 +402,17 @@ class DurabilityEngine:
     def _build_sampler(self, query: DurabilityQuery,
                        policy: ExecutionPolicy,
                        partition: Optional[LevelPartition]):
-        """One construction path for every method and backend.
+        """One construction path for every method.
 
-        Returns ``(sampler, resolved_backend, extra_details)`` — builds
-        options, resolves the plan and picks the sampler class, so no
-        per-method branch repeats the boilerplate.
+        Returns ``(sampler, extra_details)`` — resolves the plan and
+        picks the sampler class, so no per-method branch repeats the
+        boilerplate.
         """
-        options, backend, sampler_backend = self._sampler_options(
-            query, policy)
         if policy.method == "srs":
-            return SRSSampler(**options), sampler_backend, {}
+            return self._make_sampler(SRSSampler, policy), {}
 
         plan, search_details, cache_status, cache_origin = \
-            self._resolve_plan(query, partition, policy, backend)
+            self._resolve_plan(query, partition, policy)
         extra = {}
         if search_details is not None:
             extra["plan_search"] = search_details
@@ -428,13 +429,13 @@ class DurabilityEngine:
             extra["plan_origin"] = cache_origin
         else:
             extra["plan_source"] = "search"
-        sampler = self._mlss_class(policy.method)(
-            plan, ratio=policy.ratio, **options)
-        return sampler, sampler_backend, extra
+        sampler = self._make_sampler(self._mlss_class(policy.method),
+                                     policy, plan, ratio=policy.ratio)
+        return sampler, extra
 
     def _resolve_plan(self, query: DurabilityQuery,
                       partition: Optional[LevelPartition],
-                      policy: ExecutionPolicy, backend: str):
+                      policy: ExecutionPolicy):
         """Plan precedence from :func:`resolve_plan`, plus the cache.
 
         With :attr:`ExecutionPolicy.parallel` set, plan search (greedy
@@ -445,8 +446,8 @@ class DurabilityEngine:
         cache = self.plan_cache if policy.use_plan_cache else None
         return resolve_plan(
             query, partition, policy.num_levels, policy.ratio,
-            policy.trial_steps, policy.seed, backend=backend,
-            plan_cache=cache, pool=self._get_pool(policy))
+            policy.trial_steps, policy.seed, plan_cache=cache,
+            pool=self._get_pool(policy))
 
     def warm_plan(self, query: DurabilityQuery,
                   policy: Optional[ExecutionPolicy] = None,
@@ -491,13 +492,11 @@ class DurabilityEngine:
                 return {"warmable": False, "reason": "grid_is_plan",
                         "search_steps": 0}
             grid = interior
-        backend = resolve_backend(policy.backend, target.process)
         kind = plan_kind(policy.num_levels, grid)
         _, search_details, cache_status, origin = resolve_plan(
             target, None, policy.num_levels, policy.ratio,
-            policy.trial_steps, policy.seed, backend=backend,
-            plan_cache=self.plan_cache, pool=self._get_pool(policy),
-            grid=grid)
+            policy.trial_steps, policy.seed, plan_cache=self.plan_cache,
+            pool=self._get_pool(policy), grid=grid)
         search_steps = (search_details or {}).get("search_steps", 0)
         if cache_status == "miss":
             self.plan_cache.retag(target, kind, "warmed")
@@ -560,11 +559,9 @@ class DurabilityEngine:
             )
         betas, levels = threshold_grid(thresholds)
         base_query = query.with_threshold(betas[-1])
-        options, backend, sampler_backend = self._sampler_options(
-            query, policy)
 
         if policy.method == "srs":
-            curve = SRSSampler(**options).run_curve(
+            curve = self._make_sampler(SRSSampler, policy).run_curve(
                 base_query, levels, thresholds=betas,
                 quality=policy.quality, max_steps=policy.max_steps,
                 max_roots=policy.max_roots, seed=policy.seed)
@@ -595,12 +592,12 @@ class DurabilityEngine:
                 cache = self.plan_cache if policy.use_plan_cache else None
                 partition, _, cache_status, cache_origin = resolve_plan(
                     base_query, None, policy.num_levels, policy.ratio,
-                    policy.trial_steps, policy.seed, backend=backend,
-                    plan_cache=cache, pool=self._get_pool(policy),
-                    grid=interior)
+                    policy.trial_steps, policy.seed, plan_cache=cache,
+                    pool=self._get_pool(policy), grid=interior)
                 plan_source = "curve_aware"
-            sampler = self._mlss_class(policy.method)(
-                partition, ratio=policy.ratio, **options)
+            sampler = self._make_sampler(self._mlss_class(policy.method),
+                                         policy, partition,
+                                         ratio=policy.ratio)
             if partition.boundaries != interior:
                 curve = self._run_refined_curve(sampler, base_query,
                                                 betas, levels, policy)
@@ -614,7 +611,6 @@ class DurabilityEngine:
                 curve.details["plan_cache"] = cache_status
             if cache_status == "hit" and cache_origin is not None:
                 curve.details["plan_origin"] = cache_origin
-        curve.details["backend"] = sampler_backend
         return curve
 
     def _run_refined_curve(self, sampler, base_query, betas, levels,
@@ -747,8 +743,7 @@ class DurabilityEngine:
         thresholds free to differ — form *cohorts*:
 
         * members over the **same process object** are answered by one
-          :meth:`durability_curve` pass (one shared simulation through
-          the vectorized backend);
+          :meth:`durability_curve` pass (one shared simulation);
         * members over **different processes of one fusible family**
           (``policy.fuse``, SRS screening) are answered by one *fused*
           pass — the whole fleet advances through a single
@@ -807,7 +802,7 @@ class DurabilityEngine:
             if len(distinct) == 1:
                 self._answer_cohort(queries, results, members, policy,
                                     next(cohort_ids))
-            elif self._can_fuse(queries, members, policy):
+            elif self._can_fuse(policy):
                 self._answer_fleet(queries, results, members, policy,
                                    next(cohort_ids))
             elif self._can_fuse_mlss(policy):
@@ -827,17 +822,14 @@ class DurabilityEngine:
         results[index] = self.answer(query, policy=member_policy)
 
     @staticmethod
-    def _can_fuse(queries, members, policy: ExecutionPolicy) -> bool:
-        """Fused screening applies to SRS passes on batched backends.
+    def _can_fuse(policy: ExecutionPolicy) -> bool:
+        """Fused screening applies to SRS passes.
 
         The fused frontier is an SRS pass (per-entity plans for MLSS
-        over *different* initial values are out of scope), and an
-        explicit ``backend="scalar"`` request is honoured by not
-        fusing.  The cohort key already guarantees the members share a
-        non-None fusion key.
+        over *different* initial values are out of scope).  The cohort
+        key already guarantees the members share a non-None fusion key.
         """
-        return (policy.fuse and policy.method == "srs"
-                and policy.backend != "scalar")
+        return policy.fuse and policy.method == "srs"
 
     @staticmethod
     def _can_fuse_mlss(policy: ExecutionPolicy) -> bool:
@@ -850,7 +842,6 @@ class DurabilityEngine:
         guarantees).
         """
         return (policy.fuse and policy.method == "gmlss"
-                and policy.backend != "scalar"
                 and policy.num_levels is not None)
 
     def _answer_by_process(self, queries, results, members, policy,
@@ -901,7 +892,6 @@ class DurabilityEngine:
                 # details schema matches individually-answered queries.
                 estimate = dataclasses.replace(
                     shared, details=dict(shared.details))
-                estimate.details["backend"] = curve.details["backend"]
                 estimate.details["cohort_size"] = len(members)
                 estimate.details["cohort_id"] = cohort_id
                 results[index] = estimate
@@ -925,15 +915,13 @@ class DurabilityEngine:
             (fused.key, fleet[0].horizon,
              self._z_identity(fleet[0].value_function.z),
              tuple(sorted(betas))))
-        options = dict(policy.sampler_options or {})
         estimates = screen_fleet(
             fused, fleet[0].value_function.z, betas, fleet[0].horizon,
             quality=policy.quality, max_steps=policy.max_steps,
-            max_roots=policy.max_roots,
-            batch_roots=options.get("batch_roots", 500), seed=seed,
+            max_roots=policy.max_roots, seed=seed,
+            **_sampler_options(policy, ("batch_roots",)),
             **self._fleet_pool_options(policy))
         for index, estimate in zip(members, estimates):
-            estimate.details["backend"] = "vectorized"
             estimate.details["cohort_size"] = len(members)
             estimate.details["cohort_id"] = cohort_id
             results[index] = estimate
@@ -961,10 +949,10 @@ class DurabilityEngine:
         fused_all = FusedBatch([query.process for query in fleet])
         rows = fused_all.initial_states(fused_all.n_members)
         scores = FleetThresholdValue(z, betas).batch(rows, 0)
-        options = dict(policy.sampler_options or {})
+        options = policy.sampler_options or {}
         clusters = cluster_members_by_initial(
-            scores.tolist(), tolerance=options.get("cluster_tolerance",
-                                                   0.1))
+            scores.tolist(),
+            tolerance=options.get("cluster_tolerance", 0.1))
         for cluster_index, local in enumerate(clusters):
             cluster_members = [members[i] for i in local]
             cluster_fleet = [fleet[i] for i in local]
@@ -986,10 +974,10 @@ class DurabilityEngine:
                     cluster_fleet[0].horizon,
                     ratio=policy.ratio, quality=policy.quality,
                     max_steps=policy.max_steps,
-                    max_roots=policy.max_roots,
-                    batch_roots=options.get("batch_roots", 100),
-                    bootstrap_rounds=options.get("bootstrap_rounds", 200),
-                    seed=seed, adaptive=options.get("adaptive", True),
+                    max_roots=policy.max_roots, seed=seed,
+                    **_sampler_options(policy, ("batch_roots",
+                                                "bootstrap_rounds",
+                                                "adaptive")),
                     **self._fleet_pool_options(policy))
             except LevelPlanError:
                 self._answer_by_process(queries, results,
@@ -998,7 +986,6 @@ class DurabilityEngine:
                 continue
             cohort_id = next(cohort_ids)
             for index, estimate in zip(cluster_members, estimates):
-                estimate.details["backend"] = "vectorized"
                 estimate.details["cohort_size"] = len(cluster_members)
                 estimate.details["cohort_id"] = cohort_id
                 estimate.details["fleet_cluster"] = cluster_index
@@ -1035,7 +1022,7 @@ class DurabilityEngine:
         ``thresholds`` is either one ascending raw grid shared by every
         query or a sequence of per-query grids (one per query; lengths
         may differ).  Queries over *different processes of one fusible
-        family* (SRS method, batched backend, ``policy.fuse``) are
+        family* (SRS method, ``policy.fuse``) are
         answered by a single fused running-maxima pass —
         :func:`repro.core.fleet.screen_fleet_curves` — in which every
         member's whole grid rides the shared frontier; everything else
@@ -1083,7 +1070,7 @@ class DurabilityEngine:
         for members in groups.values():
             distinct = {id(queries[index].process) for index in members}
             if (len(members) >= 2 and len(distinct) == len(members)
-                    and self._can_fuse(queries, members, policy)):
+                    and self._can_fuse(policy)):
                 self._curves_fleet(queries, grids, results, members,
                                    policy, next(cohort_ids))
             else:
@@ -1111,15 +1098,13 @@ class DurabilityEngine:
         seed = policy.derive_seed(
             (fused.key, fleet[0].horizon, self._z_identity(z),
              tuple(member_grids), "curves"))
-        options = dict(policy.sampler_options or {})
         curves = screen_fleet_curves(
             fused, z, member_grids, fleet[0].horizon,
             quality=policy.quality, max_steps=policy.max_steps,
-            max_roots=policy.max_roots,
-            batch_roots=options.get("batch_roots", 500), seed=seed,
+            max_roots=policy.max_roots, seed=seed,
+            **_sampler_options(policy, ("batch_roots",)),
             **self._fleet_pool_options(policy))
         for index, curve in zip(members, curves):
-            curve.details["backend"] = "vectorized"
             curve.details["cohort_size"] = len(members)
             curve.details["cohort_id"] = cohort_id
             results[index] = curve

@@ -4,8 +4,7 @@ from .ar import ARProcess
 from .base import (FusedBatch, ImmutableStateProcess, ScalarFallback,
                    StochasticProcess, VectorizedProcess, as_vectorized,
                    batch_z_values, fuse_processes, register_batch_z,
-                   resolve_backend, scalar_state_column, simulate_path,
-                   step_into, supports_batch)
+                   scalar_state_column, simulate_path, step_into)
 from .cpp import CompoundPoissonProcess, poisson_variate
 from .gbm import GBMProcess, log_returns, synthetic_stock_series
 from .markov_chain import MarkovChainProcess, birth_death_chain
@@ -20,7 +19,6 @@ __all__ = [
     "StochasticProcess", "TandemQueueProcess", "VectorizedProcess",
     "as_vectorized", "batch_z_values", "birth_death_chain",
     "fuse_processes", "log_returns", "poisson_variate", "register_batch_z",
-    "resolve_backend", "scalar_state_column", "simulate_path", "step_into",
-    "supports_batch", "synthetic_stock_series", "volatile_cpp",
-    "volatile_queue",
+    "scalar_state_column", "simulate_path", "step_into",
+    "synthetic_stock_series", "volatile_cpp", "volatile_queue",
 ]

@@ -92,30 +92,32 @@ Because the owner column rides inside the state array, row selection,
 unchanged, and registered batch-``z`` evaluations read their value from
 the leading columns (the owner column is always last).
 
-Backend coverage matrix
------------------------
+Coverage matrix
+---------------
 
-========================  ========  =====================  ======
-process                   scalar    vectorized             fused
-========================  ========  =====================  ======
-RandomWalkProcess         yes       native                 yes
-GaussianWalkProcess       yes       native                 yes
-GBMProcess                yes       native                 yes
-ARProcess                 yes       native                 yes (per order)
-MarkovChainProcess        yes       native                 yes (per state-
-                                                           space size)
-TandemQueueProcess        yes       native (Gillespie)     yes
-CompoundPoissonProcess    yes       native (Poisson sums)  yes
-ImpulseProcess            yes       native over any        yes (fusible
-                                    vectorized base        base family)
-StockRNNProcess           yes       native (packed LSTM    no
-                                    state, batched MDN)
-anything else             yes       ScalarFallback         no
-========================  ========  =====================  ======
+``step`` is the model definition every process provides.  Samplers
+always run their batched loop: through the process's own
+``step_batch`` where the row says *native*, otherwise through
+:class:`ScalarFallback`, which calls ``step`` row by row.  Either way
+cost is one ``g`` invocation per path per step.
 
-``backend="auto"`` resolves to ``"vectorized"`` exactly when the row
-above says *native* (a :class:`ScalarFallback` would add overhead, not
-remove it), so no listed substrate silently degrades to a scalar loop.
+========================  ==========  =====================  ======
+process                   definition  batched                fused
+========================  ==========  =====================  ======
+RandomWalkProcess         ``step``    native                 yes
+GaussianWalkProcess       ``step``    native                 yes
+GBMProcess                ``step``    native                 yes
+ARProcess                 ``step``    native                 yes (per order)
+MarkovChainProcess        ``step``    native                 yes (per state-
+                                                             space size)
+TandemQueueProcess        ``step``    native (Gillespie)     yes
+CompoundPoissonProcess    ``step``    native (Poisson sums)  yes
+ImpulseProcess            ``step``    native over any        yes (fusible
+                                      vectorized base        base family)
+StockRNNProcess           ``step``    native (packed LSTM    no
+                                      state, batched MDN)
+anything else             ``step``    ScalarFallback         no
+========================  ==========  =====================  ======
 """
 
 from __future__ import annotations
@@ -128,9 +130,6 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 State = Any
-
-#: Concrete simulation backends (``"auto"`` resolves to one of these).
-BACKENDS = ("scalar", "vectorized")
 
 
 class StochasticProcess(abc.ABC):
@@ -289,15 +288,6 @@ class VectorizedProcess(abc.ABC):
         return np.repeat(states[np.asarray(indices)],
                          np.asarray(counts), axis=0)
 
-    def batch_native(self) -> bool:
-        """True when batching is genuinely array-level for this instance.
-
-        Wrappers whose batched speed depends on what they wrap (e.g.
-        :class:`repro.processes.volatile.ImpulseProcess`) override this;
-        ``backend="auto"`` consults it through :func:`supports_batch`.
-        """
-        return True
-
     def apply_impulse_batch(self, states: np.ndarray, rows,
                             magnitudes) -> None:
         """Apply impulses to selected rows of a state array, in place.
@@ -351,17 +341,19 @@ class ScalarFallback(VectorizedProcess, StochasticProcess):
     :func:`as_vectorized` to prefer a native implementation.
 
     Randomness: ``step_batch`` draws from a :class:`random.Random`
-    seeded once from the caller's NumPy generator, so runs remain
-    reproducible under a fixed seed.
+    seeded from the caller's NumPy generator the first time that
+    generator is seen, so runs remain reproducible under a fixed seed
+    even when one adapter serves several runs.
     """
 
     def __init__(self, process: StochasticProcess):
-        if supports_batch(process):
+        if isinstance(process, VectorizedProcess):
             raise TypeError(
                 f"{type(process).__name__} is already vectorized; "
                 f"wrapping it in ScalarFallback would only slow it down"
             )
         self.process = process
+        self._rng_source: np.random.Generator | None = None
         self._scalar_rng: random.Random | None = None
 
     # -- scalar contract: delegate straight through --------------------
@@ -390,7 +382,8 @@ class ScalarFallback(VectorizedProcess, StochasticProcess):
         return out
 
     def _rng_for(self, rng: np.random.Generator) -> random.Random:
-        if self._scalar_rng is None:
+        if rng is not self._rng_source:
+            self._rng_source = rng
             self._scalar_rng = random.Random(int(rng.integers(1 << 62)))
         return self._scalar_rng
 
@@ -550,44 +543,11 @@ def fuse_processes(processes: Sequence[StochasticProcess]) -> FusedBatch:
     return FusedBatch(processes)
 
 
-def supports_batch(process) -> bool:
-    """True when the process natively implements the batched contract.
-
-    Wrapper processes (e.g. an :class:`~repro.processes.volatile.
-    ImpulseProcess` over a scalar base) may implement the interface yet
-    still loop path-by-path underneath; ``batch_native`` lets them say
-    so, and ``"auto"`` backend resolution treats them as scalar.
-    """
-    return isinstance(process, VectorizedProcess) and process.batch_native()
-
-
 def as_vectorized(process: StochasticProcess) -> VectorizedProcess:
     """The process itself if vectorized, else a :class:`ScalarFallback`."""
-    if supports_batch(process):
-        return process
     if isinstance(process, VectorizedProcess):
-        # A wrapper that is only as batched as its (scalar) base: its
-        # step_batch is correct, merely loop-speed; use it directly
-        # rather than double-wrapping.
         return process
     return ScalarFallback(process)
-
-
-def resolve_backend(backend: str, process: StochasticProcess) -> str:
-    """Resolve a backend request to a concrete ``"scalar"``/``"vectorized"``.
-
-    ``"auto"`` picks ``"vectorized"`` exactly when the process natively
-    supports batching (a :class:`ScalarFallback` would add overhead, not
-    remove it); explicit requests are honoured as-is.
-    """
-    if backend == "auto":
-        return "vectorized" if supports_batch(process) else "scalar"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from "
-            f"{('auto',) + BACKENDS}"
-        )
-    return backend
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,10 @@ Batched simulation: the wrapper is itself a
 whole batch through the base's ``step_batch`` and then applies impulses
 to a uniform-masked subset of rows via ``apply_impulse_batch``, so a
 vectorized base never degrades to a scalar loop just because it is
-volatile (``batch_native`` reports whether the base is natively
-batched, which is what ``backend="auto"`` consults).  Wrappers over
-fusible bases are fusible themselves: a fleet of volatile CPPs with
-per-member impulse parameters advances as one fused ``step_batch``.
+volatile, and a scalar-only base runs inside a
+:class:`~repro.processes.base.ScalarFallback`.  Wrappers over fusible
+bases are fusible themselves: a fleet of volatile CPPs with per-member
+impulse parameters advances as one fused ``step_batch``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import random
 
 import numpy as np
 
-from .base import State, StochasticProcess, VectorizedProcess, as_vectorized, supports_batch
+from .base import State, StochasticProcess, VectorizedProcess, as_vectorized
 
 
 class ImpulseProcess(StochasticProcess, VectorizedProcess):
@@ -61,8 +61,7 @@ class ImpulseProcess(StochasticProcess, VectorizedProcess):
         self.probability = probability
         self.active_after = active_after
         # The batched face delegates to the base (or a fallback adapter
-        # when the base is scalar-only, keeping step_batch universally
-        # correct; "auto" still resolves such wrappers to scalar).
+        # when the base is scalar-only).
         self._batch_base = as_vectorized(base)
 
     def initial_state(self) -> State:
@@ -85,10 +84,6 @@ class ImpulseProcess(StochasticProcess, VectorizedProcess):
     @property
     def supports_out(self) -> bool:
         return self._batch_base.supports_out
-
-    def batch_native(self) -> bool:
-        """Batched exactly as fast as the base: native iff the base is."""
-        return supports_batch(self.base)
 
     def initial_states(self, n: int) -> np.ndarray:
         return self._batch_base.initial_states(n)

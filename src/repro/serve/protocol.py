@@ -302,7 +302,7 @@ def strip_plan_provenance(doc: dict) -> dict:
     The warm-start byte-identity contract says a cold-searched, a
     store-loaded and a pre-warmed answer to one query are the same
     *answer*: every sampled quantity (probability, variance, roots,
-    hits, steps, backend) is byte-identical.  Their provenance
+    hits, steps) is byte-identical.  Their provenance
     legitimately differs — that is the whole point of warming — so
     comparisons quantify over the encoded document with the
     :data:`PLAN_PROVENANCE_KEYS` removed.  Recursive, so curve

@@ -2,16 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.balanced import (balanced_growth_partition,
                                  empirical_survival, fit_exponential_tail,
                                  hybrid_survival, pilot_max_values)
-from repro.core.forest import ForestRunner
+from repro.core.forest import VectorizedForestRunner
 from repro.core.gmlss import gmlss_pi_hats
 from repro.core.levels import normalize_ratios
 from repro.core.records import ForestAggregate
-import random
 
 
 class TestPilotMaxValues:
@@ -81,10 +81,10 @@ class TestBalancedGrowthPartition:
         plan = balanced_growth_partition(small_chain_query, 4,
                                          pilot_paths=4000, seed=7)
         ratios = normalize_ratios(3, plan.num_levels)
-        runner = ForestRunner(small_chain_query, plan, ratios,
-                              random.Random(11))
+        runner = VectorizedForestRunner(small_chain_query, plan, ratios,
+                                        np.random.default_rng(11))
         aggregate = ForestAggregate(plan.num_levels)
-        aggregate.extend(runner.run_roots(2000))
+        aggregate.extend(runner.run_cohort(2000))
         pis = gmlss_pi_hats(aggregate, ratios)
         positive = [p for p in pis if p > 0]
         assert len(positive) == len(pis)

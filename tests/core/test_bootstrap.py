@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.bootstrap import BootstrapResult, bootstrap_variance
-from repro.core.forest import ForestRunner
+from repro.core.forest import VectorizedForestRunner
 from repro.core.gmlss import gmlss_point_estimate
 from repro.core.levels import LevelPartition, normalize_ratios
 from repro.core.records import ForestAggregate, RootRecord
@@ -24,9 +24,10 @@ def srs_like_aggregate(hit_flags):
 
 def chain_aggregate(query, partition, n_roots, seed):
     ratios = normalize_ratios(3, partition.num_levels)
-    runner = ForestRunner(query, partition, ratios, random.Random(seed))
+    runner = VectorizedForestRunner(query, partition, ratios,
+                                    np.random.default_rng(seed))
     aggregate = ForestAggregate(partition.num_levels)
-    aggregate.extend(runner.run_roots(n_roots))
+    aggregate.extend(runner.run_cohort(n_roots))
     return aggregate, ratios
 
 

@@ -3,16 +3,16 @@
 Covers the pieces under ``repro.engine.DurabilityEngine.durability_curve``:
 SRS running-maxima passes, the MLSS prefix estimators, the shared
 bootstrap, and the per-level max bookkeeping in the splitting forest.
+Statistical checks run on the walk's native kernel and on its ``step``
+definition (inside a ``ScalarFallback``), against the exact DP oracle.
 """
-
-import random
 
 import numpy as np
 import pytest
 
 from repro.core.analytic import random_walk_hitting_probability
 from repro.core.bootstrap import bootstrap_curve_variances
-from repro.core.forest import ForestRunner, VectorizedForestRunner
+from repro.core.forest import VectorizedForestRunner
 from repro.core.gmlss import (GMLSSSampler, gmlss_point_estimate,
                               gmlss_prefix_estimates)
 from repro.core.levels import LevelPartition, normalize_ratios
@@ -23,7 +23,7 @@ from repro.core.srs import SRSSampler, validate_curve_levels
 from repro.core.value_functions import DurabilityQuery, threshold_grid
 from repro.processes.random_walk import RandomWalkProcess
 
-from ..helpers import ScriptedProcess, assert_close_to
+from ..helpers import ScriptedProcess, assert_close_to, scalar_only
 
 THRESHOLDS = (4.0, 6.0, 8.0, 10.0)
 HORIZON = 40
@@ -74,10 +74,11 @@ class TestValidateCurveLevels:
 
 class TestSRSCurve:
     def test_both_backends_match_the_oracle(self, walk_query):
+        """Native kernel and ``step`` definition alike."""
         betas, levels = threshold_grid(THRESHOLDS)
-        for backend in ("scalar", "vectorized"):
-            curve = SRSSampler(backend=backend).run_curve(
-                walk_query, levels, thresholds=betas, max_roots=15_000,
+        for query in (scalar_only(walk_query), walk_query):
+            curve = SRSSampler().run_curve(
+                query, levels, thresholds=betas, max_roots=15_000,
                 seed=3)
             assert curve.n_roots == 15_000
             for beta, estimate in curve:
@@ -113,26 +114,20 @@ class TestSRSCurve:
             assert estimate.relative_error() <= 0.25 + 1e-9
 
 
-class TestMLSSPrefixes:
-    def _aggregate(self, query, partition, n_roots=2000, seed=6,
-                   vectorized=False):
-        ratios = normalize_ratios(3, partition.num_levels)
-        if vectorized:
-            runner = VectorizedForestRunner(query, partition, ratios,
-                                            np.random.default_rng(seed))
-            records = runner.run_cohort(n_roots)
-        else:
-            runner = ForestRunner(query, partition, ratios,
-                                  random.Random(seed))
-            records = runner.run_roots(n_roots)
-        aggregate = ForestAggregate(partition.num_levels)
-        aggregate.extend(records)
-        return aggregate, ratios
+def forest_aggregate(query, partition, n_roots=2000, seed=6):
+    ratios = normalize_ratios(3, partition.num_levels)
+    runner = VectorizedForestRunner(query, partition, ratios,
+                                    np.random.default_rng(seed))
+    aggregate = ForestAggregate(partition.num_levels)
+    aggregate.extend(runner.run_cohort(n_roots))
+    return aggregate, ratios
 
+
+class TestMLSSPrefixes:
     def test_gmlss_prefix_tail_is_the_point_estimate(self, walk_query):
         _, levels = threshold_grid(THRESHOLDS)
         partition = LevelPartition(levels[:-1])
-        aggregate, ratios = self._aggregate(walk_query, partition)
+        aggregate, ratios = forest_aggregate(walk_query, partition)
         prefixes = gmlss_prefix_estimates(aggregate, ratios)
         assert len(prefixes) == partition.num_levels
         assert prefixes[-1] == pytest.approx(
@@ -141,8 +136,8 @@ class TestMLSSPrefixes:
     def test_gmlss_prefixes_estimate_boundary_crossings(self, walk_query):
         betas, levels = threshold_grid(THRESHOLDS)
         partition = LevelPartition(levels[:-1])
-        aggregate, ratios = self._aggregate(walk_query, partition,
-                                            n_roots=4000)
+        aggregate, ratios = forest_aggregate(walk_query, partition,
+                                             n_roots=4000)
         prefixes = gmlss_prefix_estimates(aggregate, ratios)
         variances = bootstrap_curve_variances(aggregate, ratios, seed=1)
         for beta, prefix, variance in zip(betas, prefixes, variances):
@@ -151,25 +146,25 @@ class TestMLSSPrefixes:
     def test_smlss_prefix_tail_is_the_point_estimate(self, walk_query):
         _, levels = threshold_grid(THRESHOLDS)
         partition = LevelPartition(levels[:-1])
-        aggregate, ratios = self._aggregate(walk_query, partition)
+        aggregate, ratios = forest_aggregate(walk_query, partition)
         prefixes = smlss_prefix_estimates(aggregate, ratios)
         assert prefixes[-1] == pytest.approx(
             smlss_point_estimate(aggregate, ratios))
 
     def test_prefixes_agree_across_backends(self, walk_query):
-        _, levels = threshold_grid(THRESHOLDS)
+        """Native kernel and ``step`` definition: every prefix matches
+        the exact crossing probability within its bootstrap error."""
+        betas, levels = threshold_grid(THRESHOLDS)
         partition = LevelPartition(levels[:-1])
-        scalar, ratios = self._aggregate(walk_query, partition,
-                                         n_roots=3000, seed=7)
-        batched, _ = self._aggregate(walk_query, partition, n_roots=3000,
-                                     seed=8, vectorized=True)
-        for p_scalar, p_batched, var_s, var_b in zip(
-                gmlss_prefix_estimates(scalar, ratios),
-                gmlss_prefix_estimates(batched, ratios),
-                bootstrap_curve_variances(scalar, ratios, seed=2),
-                bootstrap_curve_variances(batched, ratios, seed=3)):
-            joint = float(np.sqrt(var_s + var_b))
-            assert_close_to(p_scalar, p_batched, joint)
+        for query, seed in ((scalar_only(walk_query), 7), (walk_query, 8)):
+            aggregate, ratios = forest_aggregate(query, partition,
+                                                 n_roots=3000, seed=seed)
+            for beta, prefix, variance in zip(
+                    betas, gmlss_prefix_estimates(aggregate, ratios),
+                    bootstrap_curve_variances(aggregate, ratios,
+                                              seed=seed)):
+                assert_close_to(prefix, exact(beta),
+                                float(np.sqrt(variance)))
 
     def test_sampler_run_curve_matches_oracle(self, walk_query):
         betas, levels = threshold_grid(THRESHOLDS)
@@ -198,10 +193,10 @@ class TestMaxLevelBookkeeping:
         query = DurabilityQuery(process=process,
                                 value_function=lambda s, t: s, horizon=4)
         partition = LevelPartition([0.5, 0.9])
-        runner = ForestRunner(query, partition,
-                              normalize_ratios(2, partition.num_levels),
-                              random.Random(0))
-        record = runner.run_root()
+        runner = VectorizedForestRunner(
+            query, partition, normalize_ratios(2, partition.num_levels),
+            np.random.default_rng(0))
+        record = runner.run_cohort(1)[0]
         assert record.max_level == 1
 
     def test_hit_records_target_level(self):
@@ -209,31 +204,32 @@ class TestMaxLevelBookkeeping:
         query = DurabilityQuery(process=process,
                                 value_function=lambda s, t: s, horizon=2)
         partition = LevelPartition([0.5])
-        runner = ForestRunner(query, partition,
-                              normalize_ratios(2, partition.num_levels),
-                              random.Random(0))
-        record = runner.run_root()
+        runner = VectorizedForestRunner(
+            query, partition, normalize_ratios(2, partition.num_levels),
+            np.random.default_rng(0))
+        record = runner.run_cohort(1)[0]
         assert record.max_level == partition.num_levels
 
     def test_backends_agree_on_level_reach(self, walk_query):
-        _, levels = threshold_grid(THRESHOLDS)
+        """Native kernel vs ``step`` definition (ScalarFallback)."""
+        betas, levels = threshold_grid(THRESHOLDS)
         partition = LevelPartition(levels[:-1])
-        ratios = normalize_ratios(3, partition.num_levels)
         n_roots = 2000
-
-        scalar = ForestRunner(walk_query, partition, ratios,
-                              random.Random(10))
-        batched = VectorizedForestRunner(walk_query, partition, ratios,
-                                         np.random.default_rng(11))
-        agg_s = ForestAggregate(partition.num_levels)
-        agg_s.extend(scalar.run_roots(n_roots))
-        agg_b = ForestAggregate(partition.num_levels)
-        agg_b.extend(batched.run_cohort(n_roots))
+        agg_s, _ = forest_aggregate(scalar_only(walk_query), partition,
+                                    n_roots=n_roots, seed=10)
+        agg_b, _ = forest_aggregate(walk_query, partition,
+                                    n_roots=n_roots, seed=11)
 
         reach_s = agg_s.level_reach_counts()
         reach_b = agg_b.level_reach_counts()
         assert reach_s[0] == reach_b[0] == n_roots
-        # Reach fractions agree between backends within binomial noise.
+        # A tree reaches L1 exactly when its root path crosses the
+        # first boundary: the exact first-passage probability.
+        p = exact(betas[0])
+        sigma = float(np.sqrt(p * (1 - p) / n_roots))
+        for reach in (reach_s, reach_b):
+            assert_close_to(reach[1] / n_roots, p, sigma)
+        # Deeper reach fractions agree within binomial noise.
         for level in range(1, partition.num_levels + 1):
             p = reach_s[level] / n_roots
             sigma = np.sqrt(max(p * (1 - p), 1e-4) / n_roots)
@@ -242,10 +238,7 @@ class TestMaxLevelBookkeeping:
     def test_level_reach_counts_are_monotone(self, walk_query):
         _, levels = threshold_grid(THRESHOLDS)
         partition = LevelPartition(levels[:-1])
-        runner = ForestRunner(walk_query, partition,
-                              normalize_ratios(3, partition.num_levels),
-                              random.Random(12))
-        aggregate = ForestAggregate(partition.num_levels)
-        aggregate.extend(runner.run_roots(500))
+        aggregate, _ = forest_aggregate(walk_query, partition,
+                                        n_roots=500, seed=12)
         reach = aggregate.level_reach_counts()
         assert reach == sorted(reach, reverse=True)

@@ -51,7 +51,7 @@ class TestScreenFleet:
         for member, beta, estimate in zip(members, betas, fused):
             query = DurabilityQuery.threshold(
                 member, RandomWalkProcess.position, beta=beta, horizon=40)
-            independent = SRSSampler(backend="vectorized").run(
+            independent = SRSSampler().run(
                 query, max_roots=10_000, seed=3)
             joint = Z999 * math.sqrt(estimate.variance
                                      + independent.variance)
@@ -237,7 +237,7 @@ class TestScreenFleetCurves:
             query = DurabilityQuery.threshold(
                 member, RandomWalkProcess.position, beta=grid[-1],
                 horizon=30)
-            independent = SRSSampler(backend="vectorized").run_curve(
+            independent = SRSSampler().run_curve(
                 query, [b / grid[-1] for b in grid], thresholds=grid,
                 max_roots=8_000, seed=6)
             for f, i in zip(curve.estimates, independent.estimates):
@@ -318,8 +318,7 @@ class TestScreenFleetMlss:
             query = DurabilityQuery.threshold(
                 chain, MarkovChainProcess.state_index, beta=12.0,
                 horizon=60)
-            independent = GMLSSSampler(
-                partition, ratio=3, backend="vectorized").run(
+            independent = GMLSSSampler(partition, ratio=3).run(
                 query, max_roots=2_000, seed=3)
             joint = Z999 * math.sqrt(estimate.variance
                                      + independent.variance)

@@ -3,15 +3,16 @@
 Scripted (deterministic) processes make every counter predictable by
 hand; these scenarios pin down landings, skips, crossings, hits and
 step accounting exactly, including the paper's corner cases (level
-skipping, direct-to-target jumps, landings at the horizon).
+skipping, direct-to-target jumps, landings at the horizon).  The
+scripted processes define only ``step``, so they run inside a
+``ScalarFallback``; the hand-derived records are the oracle.
 """
 
-import random
-
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.forest import ForestRunner, LevelPlanError
+from repro.core.forest import LevelPlanError, VectorizedForestRunner
 from repro.core.levels import LevelPartition
 from repro.core.records import ForestAggregate
 from repro.core.value_functions import DurabilityQuery
@@ -26,10 +27,13 @@ def scripted_query(script, beta=1.0, horizon=None, initial=0.0):
                                      horizon=horizon or len(script))
 
 
+def make_runner(query, boundaries, ratio, seed=0):
+    return VectorizedForestRunner(query, LevelPartition(boundaries), ratio,
+                                  np.random.default_rng(seed))
+
+
 def run_single_root(query, boundaries, ratio):
-    runner = ForestRunner(query, LevelPartition(boundaries), ratio,
-                          random.Random(0))
-    return runner.run_root()
+    return make_runner(query, boundaries, ratio).run_cohort(1)[0]
 
 
 class TestScriptedScenarios:
@@ -108,34 +112,33 @@ class TestValidation:
     def test_rejects_boundary_below_initial_value(self):
         query = scripted_query([0.9], initial=0.5)
         with pytest.raises(LevelPlanError):
-            ForestRunner(query, LevelPartition([0.4]), 2, random.Random(0))
+            make_runner(query, [0.4], 2)
 
     def test_rejects_initially_satisfied_query(self):
         query = scripted_query([0.9], initial=1.5)
         with pytest.raises(LevelPlanError):
-            ForestRunner(query, LevelPartition([0.4]), 2, random.Random(0))
+            make_runner(query, [0.4], 2)
 
     def test_accepts_boundary_above_initial_value(self):
         query = scripted_query([0.9], initial=0.5)
-        runner = ForestRunner(query, LevelPartition([0.6]), 2,
-                              random.Random(0))
-        assert runner.run_root().landings == [0, 1]
+        record = make_runner(query, [0.6], 2).run_cohort(1)[0]
+        assert record.landings == [0, 1]
 
     def test_run_roots_rejects_negative(self):
         query = scripted_query([0.9])
-        runner = ForestRunner(query, LevelPartition(), 1, random.Random(0))
         with pytest.raises(ValueError):
-            runner.run_roots(-1)
+            make_runner(query, [], 1).run_cohort(-1)
 
 
 class TestReproducibility:
     def test_same_seed_same_records(self, small_chain_query,
                                     small_chain_partition):
         def run(seed):
-            runner = ForestRunner(small_chain_query, small_chain_partition,
-                                  3, random.Random(seed))
+            runner = VectorizedForestRunner(
+                small_chain_query, small_chain_partition, 3,
+                np.random.default_rng(seed))
             return [(r.hits, r.steps, r.landings, r.skips, r.crossings)
-                    for r in runner.run_roots(20)]
+                    for r in runner.run_cohort(20)]
 
         assert run(123) == run(123)
         assert run(123) != run(124)
@@ -157,9 +160,10 @@ def test_counter_invariants_hold_on_random_runs(p_up, bounds, ratio, seed):
     query = DurabilityQuery.threshold(chain, chain.state_value, beta=8.0,
                                       horizon=30)
     partition = LevelPartition(bounds)
-    runner = ForestRunner(query, partition, ratio, random.Random(seed))
+    runner = VectorizedForestRunner(query, partition, ratio,
+                                    np.random.default_rng(seed))
     aggregate = ForestAggregate(partition.num_levels)
-    aggregate.extend(runner.run_roots(15))
+    aggregate.extend(runner.run_cohort(15))
 
     for i in range(1, partition.num_levels):
         assert 0 <= aggregate.crossings[i] <= ratio * aggregate.landings[i]

@@ -1,10 +1,9 @@
 """Tests for the g-MLSS sampler and estimator (Eq. 9, 10)."""
 
-import random
-
+import numpy as np
 import pytest
 
-from repro.core.forest import ForestRunner
+from repro.core.forest import VectorizedForestRunner
 from repro.core.gmlss import (GMLSSSampler, gmlss_estimate_from_totals,
                               gmlss_pi_hats, gmlss_point_estimate)
 from repro.core.levels import LevelPartition, normalize_ratios
@@ -21,9 +20,10 @@ from ..helpers import ScriptedProcess, assert_close_to, identity_z
 
 def forest_aggregate(query, boundaries, ratio, n_roots, seed):
     partition = LevelPartition(boundaries)
-    runner = ForestRunner(query, partition, ratio, random.Random(seed))
+    runner = VectorizedForestRunner(query, partition, ratio,
+                                    np.random.default_rng(seed))
     aggregate = ForestAggregate(partition.num_levels)
-    aggregate.extend(runner.run_roots(n_roots))
+    aggregate.extend(runner.run_cohort(n_roots))
     return aggregate, normalize_ratios(ratio, partition.num_levels)
 
 

@@ -4,10 +4,10 @@ import math
 
 import pytest
 
+from repro.core.gmlss import GMLSSSampler
 from repro.core.greedy import (GreedyResult, adaptive_greedy_partition,
                                candidate_boundaries)
 from repro.core.levels import LevelPartition
-from repro.core.smlss import SMLSSSampler
 from repro.core.srs import SRSSampler
 
 from ..helpers import assert_close_to
@@ -89,21 +89,20 @@ class TestAdaptiveGreedySearch:
 
     def test_found_plan_beats_srs_on_rare_query(self, small_chain_query,
                                                 small_chain_exact):
-        """End-to-end: greedy plan + s-MLSS reaches lower RE than SRS at
+        """End-to-end: greedy plan + g-MLSS reaches lower RE than SRS at
         the same step budget (the point of the whole exercise).
 
-        The seed is chosen so the found plan is skip-free on the chain
-        (no two boundaries inside one value gap) — the documented
-        soundness precondition of s-MLSS; the explicit assertion below
-        keeps the check from going vacuous if the search changes.
+        g-MLSS, as in the engine's ``auto`` pipeline: the search scores
+        plans with g-MLSS trials and may place a boundary inside the
+        chain's last value gap, a level no path can land in, which only
+        g-MLSS reads without bias.
         """
         result = adaptive_greedy_partition(
             small_chain_query, ratio=3, trial_steps=12_000, seed=2)
         budget = 150_000
-        mlss = SMLSSSampler(result.partition, ratio=3).run(
+        mlss = GMLSSSampler(result.partition, ratio=3).run(
             small_chain_query, max_steps=budget, seed=23)
         srs = SRSSampler().run(small_chain_query, max_steps=budget, seed=23)
-        assert not mlss.details["skipping_detected"]
         assert_close_to(mlss.probability, small_chain_exact,
                         mlss.std_error)
         assert mlss.variance < srs.variance

@@ -66,7 +66,7 @@ class TestPooledGreedySearch:
                 small_chain_query, ratio=3, trial_steps=6_000, seed=3,
                 pool=pool)
             estimate = GMLSSSampler(
-                result.partition, ratio=3, backend="auto",
+                result.partition, ratio=3,
                 pool=pool).run(small_chain_query, max_roots=400, seed=4)
         assert estimate.n_roots == 400
 
@@ -114,7 +114,7 @@ class TestEnginePlanSearchRouting:
         from repro.engine.service import DurabilityEngine
 
         base = ExecutionPolicy(method="auto", max_roots=400, seed=3,
-                               trial_steps=6_000, backend="auto")
+                               trial_steps=6_000)
         with DurabilityEngine(base) as sequential_engine:
             sequential = sequential_engine.answer(small_chain_query)
         parallel = base.replace(parallel=ParallelPolicy(

@@ -9,8 +9,9 @@ Three contracts matter:
   counts and pool modes for a fixed seed (fixed task decomposition,
   task-index-derived seeds, task-order merging);
 * **agreement** — pooled estimates agree with single-process runs
-  within joint confidence intervals, for every estimator and backend
-  (pooling reorders independent streams; it must not change the law).
+  within joint confidence intervals and with the exact oracle, for
+  every estimator, on native and scalar-only processes (pooling
+  reorders independent streams; it must not change the law).
 """
 
 import math
@@ -26,18 +27,21 @@ from repro.core.smlss import SMLSSSampler
 from repro.core.srs import SRSSampler
 from repro.core.stats import critical_value
 
-from ..helpers import assert_close_to
+from ..helpers import assert_close_to, scalar_only
 
 Z999 = critical_value(0.999)
 
+#: How the chain is simulated: ``"vectorized"`` through its native
+#: ``step_batch``, ``"scalar"`` reduced to its ``step`` definition (so
+#: it runs inside a ``ScalarFallback``).
+SUBSTRATES = {"vectorized": lambda query: query, "scalar": scalar_only}
 
-def run_sampler(sampler_cls, query, partition, pool, seed, backend="auto",
-                **run_kwargs):
+
+def run_sampler(sampler_cls, query, partition, pool, seed, **run_kwargs):
     if sampler_cls is SRSSampler:
-        sampler = SRSSampler(backend=backend, pool=pool)
+        sampler = SRSSampler(pool=pool)
     else:
-        sampler = sampler_cls(partition, ratio=3, backend=backend,
-                              pool=pool)
+        sampler = sampler_cls(partition, ratio=3, pool=pool)
     return sampler.run(query, seed=seed, **run_kwargs)
 
 
@@ -110,14 +114,13 @@ class TestLifecycle:
         pool = WorkerPool(n_workers=1)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
-            pool.register(PathWork(query=small_chain_query,
-                                   backend="vectorized"))
+            pool.register(PathWork(query=small_chain_query))
 
     def test_pool_is_reused_across_runs(self, small_chain_query):
         with WorkerPool(n_workers=2) as pool:
-            first = SRSSampler(backend="auto", pool=pool).run(
+            first = SRSSampler(pool=pool).run(
                 small_chain_query, max_roots=500, seed=1)
-            second = SRSSampler(backend="auto", pool=pool).run(
+            second = SRSSampler(pool=pool).run(
                 small_chain_query, max_roots=500, seed=2)
         assert first.n_roots == second.n_roots == 500
         # Same long-lived workers served both runs.
@@ -141,7 +144,7 @@ class TestLifecycle:
         with WorkerPool(n_workers=2) as pool:
             handle = pool.register(ForestWork(
                 query=small_chain_query, partition=partition,
-                ratios=(1, 3, 3), backend="vectorized", capacity=16))
+                ratios=(1, 3, 3), capacity=16))
             with pytest.raises(RuntimeError, match="worker task failed"):
                 pool.run_tasks(handle, [(-5, 1)])
 
@@ -181,7 +184,7 @@ class TestDeterminism:
         outcomes = []
         for n_workers in (1, 3):
             with WorkerPool(n_workers=n_workers) as pool:
-                curve = SRSSampler(backend="auto", pool=pool).run_curve(
+                curve = SRSSampler(pool=pool).run_curve(
                     small_chain_query, levels, max_roots=900, seed=3)
             outcomes.append(tuple(e.probability for e in curve.estimates)
                             + (curve.steps,))
@@ -191,26 +194,27 @@ class TestDeterminism:
 class TestPooledAgreement:
     """Pooled estimates agree with sequential runs (and the oracle)."""
 
-    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
-    def test_pooled_srs_matches_exact(self, backend, small_chain_query,
+    @pytest.mark.parametrize("substrate", ["vectorized", "scalar"])
+    def test_pooled_srs_matches_exact(self, substrate, small_chain_query,
                                       small_chain_exact):
+        query = SUBSTRATES[substrate](small_chain_query)
         with WorkerPool(n_workers=2) as pool:
-            pooled = SRSSampler(backend=backend, pool=pool).run(
-                small_chain_query, max_roots=12_000, seed=21)
+            pooled = SRSSampler(pool=pool).run(
+                query, max_roots=12_000, seed=21)
         assert pooled.n_roots == 12_000
         assert_close_to(pooled.probability, small_chain_exact,
                         pooled.std_error)
 
     @pytest.mark.parametrize("sampler_cls", [SMLSSSampler, GMLSSSampler])
-    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
-    def test_pooled_mlss_matches_exact(self, sampler_cls, backend,
+    @pytest.mark.parametrize("substrate", ["vectorized", "scalar"])
+    def test_pooled_mlss_matches_exact(self, sampler_cls, substrate,
                                        small_chain_query,
                                        small_chain_partition,
                                        small_chain_exact):
         with WorkerPool(n_workers=2) as pool:
             pooled = run_sampler(
-                sampler_cls, small_chain_query, small_chain_partition,
-                pool, seed=22, backend=backend, max_roots=2_000)
+                sampler_cls, SUBSTRATES[substrate](small_chain_query),
+                small_chain_partition, pool, seed=22, max_roots=2_000)
         assert pooled.n_roots == 2_000
         assert_close_to(pooled.probability, small_chain_exact,
                         pooled.std_error)
@@ -235,7 +239,7 @@ class TestPooledAgreement:
     def test_pooled_quality_target_stops(self, small_chain_query):
         from repro.core.quality import RelativeErrorTarget
         with WorkerPool(n_workers=2) as pool:
-            estimate = SRSSampler(backend="auto", pool=pool).run(
+            estimate = SRSSampler(pool=pool).run(
                 small_chain_query,
                 quality=RelativeErrorTarget(target=0.3, min_hits=5),
                 max_roots=200_000, seed=41)
@@ -279,7 +283,7 @@ class TestThreadMode:
         with WorkerPool(n_workers=2, pool="thread") as pool:
             handle = pool.register(ForestWork(
                 query=small_chain_query, partition=small_chain_partition,
-                ratios=(1, 3, 3), backend="vectorized", capacity=16))
+                ratios=(1, 3, 3), capacity=16))
             try:
                 # Every registered block is a plain in-process
                 # CounterBlock — the shm slot stays empty.
@@ -314,7 +318,7 @@ class TestThreadMode:
         outcomes = []
         for mode in ("thread", "fork"):
             with WorkerPool(n_workers=2, pool=mode) as pool:
-                curve = SRSSampler(backend="auto", pool=pool).run_curve(
+                curve = SRSSampler(pool=pool).run_curve(
                     small_chain_query, levels, max_roots=900, seed=3)
             outcomes.append(tuple(e.probability for e in curve.estimates)
                             + (curve.steps,))
@@ -342,12 +346,12 @@ class TestStreamedScheduling:
             with WorkerPool(n_workers=2) as pool:
                 if sampler_cls is SRSSampler:
                     sampler = SRSSampler(
-                        backend="auto", pool=pool, roots_per_task=64,
+                        pool=pool, roots_per_task=64,
                         tasks_per_round=4, streamed=streamed)
                 else:
                     sampler = sampler_cls(
-                        small_chain_partition, ratio=3, backend="auto",
-                        pool=pool, roots_per_task=64, tasks_per_round=4,
+                        small_chain_partition, ratio=3, pool=pool,
+                        roots_per_task=64, tasks_per_round=4,
                         streamed=streamed)
                 estimate = sampler.run(small_chain_query, seed=5,
                                        max_roots=3_000)
@@ -360,7 +364,7 @@ class TestStreamedScheduling:
         for streamed in (False, True):
             with WorkerPool(n_workers=2) as pool:
                 estimate = SRSSampler(
-                    backend="auto", pool=pool, streamed=streamed).run(
+                    pool=pool, streamed=streamed).run(
                     small_chain_query, max_roots=500, seed=1)
             assert estimate.details["parallel"]["streamed"] is streamed
 
@@ -370,7 +374,7 @@ class TestStreamedScheduling:
         for streamed in (False, True):
             with WorkerPool(n_workers=2) as pool:
                 curve = SRSSampler(
-                    backend="auto", pool=pool, roots_per_task=64,
+                    pool=pool, roots_per_task=64,
                     tasks_per_round=4, streamed=streamed).run_curve(
                     small_chain_query, levels, max_roots=2_000, seed=3)
             outcomes.append(tuple(e.probability for e in curve.estimates)
@@ -387,13 +391,13 @@ class TestStreamedScheduling:
         for streamed in (False, True):
             with WorkerPool(n_workers=2) as pool:
                 estimate = SRSSampler(
-                    backend="auto", pool=pool, roots_per_task=64,
+                    pool=pool, roots_per_task=64,
                     tasks_per_round=4, streamed=streamed).run(
                     small_chain_query,
                     quality=RelativeErrorTarget(target=0.3, min_hits=5),
                     max_roots=200_000, seed=41)
                 # The pool must still be serviceable after a discard.
-                follow_up = SRSSampler(backend="auto", pool=pool).run(
+                follow_up = SRSSampler(pool=pool).run(
                     small_chain_query, max_roots=500, seed=2)
             assert follow_up.n_roots == 500
             outcomes.append((estimate.probability, estimate.n_roots,
@@ -413,13 +417,13 @@ class TestStrictStepBudget:
         for n_workers in (1, 2):
             with WorkerPool(n_workers=n_workers) as pool:
                 if sampler_cls is SRSSampler:
-                    sampler = SRSSampler(backend="auto", pool=pool,
+                    sampler = SRSSampler(pool=pool,
                                          roots_per_task=64,
                                          tasks_per_round=4)
                 else:
                     sampler = sampler_cls(
-                        small_chain_partition, ratio=3, backend="auto",
-                        pool=pool, roots_per_task=64, tasks_per_round=4)
+                        small_chain_partition, ratio=3, pool=pool,
+                        roots_per_task=64, tasks_per_round=4)
                 estimate = sampler.run(small_chain_query, seed=7,
                                        max_steps=budget)
             assert estimate.steps <= budget, (
@@ -465,7 +469,7 @@ class TestAbnormalTeardown:
         try:
             handle = pool.register(ForestWork(
                 query=small_chain_query, partition=partition,
-                ratios=(1, 3, 3), backend="vectorized", capacity=16))
+                ratios=(1, 3, 3), capacity=16))
             shm_names = [shm.name
                          for (shm, _) in pool._blocks.values()
                          if shm is not None]
@@ -497,7 +501,7 @@ class TestThreadSafety:
             def drive(name, seed):
                 try:
                     results[name] = SRSSampler(
-                        backend="auto", pool=pool).run(
+                        pool=pool).run(
                         small_chain_query, max_roots=2_000, seed=seed)
                 except Exception as exc:  # pragma: no cover - failure
                     errors.append(exc)
@@ -518,7 +522,7 @@ class TestThreadSafety:
         singles = []
         for i in range(4):
             single = SRSSampler(
-                backend="auto", pool=WorkerPool(1)).run(
+                pool=WorkerPool(1)).run(
                 small_chain_query, max_roots=2_000, seed=i)
             singles.append(single)
             assert results[f"t{i}"].probability == single.probability

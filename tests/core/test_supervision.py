@@ -44,13 +44,12 @@ def fingerprint(estimate) -> tuple:
 def run_pooled(sampler_cls, query, partition, pool, streamed=True):
     """Small tasks/rounds: many dispatch points for kills to land on."""
     if sampler_cls is SRSSampler:
-        sampler = SRSSampler(backend="auto", pool=pool,
-                             roots_per_task=64, tasks_per_round=4,
-                             streamed=streamed)
+        sampler = SRSSampler(pool=pool, roots_per_task=64,
+                             tasks_per_round=4, streamed=streamed)
     else:
-        sampler = sampler_cls(partition, ratio=3, backend="auto",
-                              pool=pool, roots_per_task=64,
-                              tasks_per_round=4, streamed=streamed)
+        sampler = sampler_cls(partition, ratio=3, pool=pool,
+                              roots_per_task=64, tasks_per_round=4,
+                              streamed=streamed)
     return sampler.run(query, seed=5, max_roots=700)
 
 
@@ -181,7 +180,7 @@ class TestBudgets:
         try:
             handle = pool.register(ForestWork(
                 query=small_chain_query, partition=small_chain_partition,
-                ratios=(1, 3, 3), backend="vectorized", capacity=16))
+                ratios=(1, 3, 3), capacity=16))
             shm_names = [shm.name
                          for (shm, _) in pool._blocks.values()
                          if shm is not None]
@@ -210,7 +209,7 @@ class TestBudgets:
         try:
             handle = pool.register(ForestWork(
                 query=small_chain_query, partition=small_chain_partition,
-                ratios=(1, 3, 3), backend="vectorized", capacity=16))
+                ratios=(1, 3, 3), capacity=16))
             with inject(plan):
                 with pytest.raises(RuntimeError, match="retry limit"):
                     pool.run_tasks(handle,

@@ -23,8 +23,13 @@ class TestValidate:
             ExecutionPolicy(method="magic", max_roots=1).validate()
 
     def test_unknown_backend_rejected(self):
+        """``backend`` is not a policy field: every policy runs the one
+        batched path, so a document that still names it fails loudly."""
         with pytest.raises(ValueError, match="backend"):
-            ExecutionPolicy(backend="gpu", max_roots=1).validate()
+            ExecutionPolicy.from_dict({"backend": "scalar", "max_roots": 1})
+        with pytest.raises(TypeError):
+            ExecutionPolicy(backend="gpu", max_roots=1)
+        assert "backend" not in ExecutionPolicy(max_roots=1).to_dict()
 
     def test_bad_trial_steps_rejected(self):
         with pytest.raises(ValueError, match="trial_steps"):
@@ -33,6 +38,31 @@ class TestValidate:
     def test_validate_returns_self(self):
         policy = ExecutionPolicy(max_roots=5)
         assert policy.validate() is policy
+
+
+class TestSamplerOptions:
+    def test_known_options_accepted(self):
+        import numpy as np
+
+        ExecutionPolicy(max_roots=1, sampler_options={
+            "batch_roots": 50, "bootstrap_rounds": np.int64(100),
+            "first_check_roots": 20, "check_growth": 2.0,
+            "adaptive": False, "cluster_tolerance": 0}).validate()
+
+    @pytest.mark.parametrize("options,message", [
+        ({"bogus": 1}, "unknown sampler option 'bogus'"),
+        (5, "sampler_options must be a mapping"),
+        ({"batch_roots": 0}, "'batch_roots' must be an integer >= 1"),
+        ({"batch_roots": True}, "'batch_roots' must be an integer >= 1"),
+        ({"bootstrap_rounds": 1}, "'bootstrap_rounds'"),
+        ({"check_growth": 1.0}, "'check_growth'"),
+        ({"adaptive": "no"}, "'adaptive' must be a boolean"),
+        ({"cluster_tolerance": -0.1}, "'cluster_tolerance'"),
+        ({"backend": "scalar"}, "unknown sampler option 'backend'"),
+    ])
+    def test_bad_options_rejected(self, options, message):
+        with pytest.raises(ValueError, match=message):
+            ExecutionPolicy(max_roots=1, sampler_options=options).validate()
 
 
 class TestReplaceAndSeeds:

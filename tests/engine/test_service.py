@@ -5,13 +5,15 @@ import math
 import pytest
 
 from repro.core.analytic import random_walk_hitting_probability
+from repro.core.levels import LevelPartition
 from repro.core.stats import critical_value
 from repro.core.value_functions import DurabilityQuery
 from repro.engine import (DurabilityEngine, ExecutionPolicy,
                           ParallelPolicy, PlanCache)
 from repro.processes.random_walk import RandomWalkProcess
 
-from ..helpers import assert_close_to
+from ..helpers import (ScriptedProcess, TwoBranchProcess, assert_close_to,
+                       identity_z)
 
 #: Generous confidence for oracle-agreement checks (seeded runs are
 #: deterministic; the wide interval guards against unlucky seeds when
@@ -315,7 +317,7 @@ class TestFusedBatch:
         for estimate in results:
             assert estimate.details["fused"]
             assert estimate.details["cohort_size"] == len(queries)
-            assert estimate.details["backend"] == "vectorized"
+            assert "backend" not in estimate.details
             assert estimate.details["cohort_id"] == 0
 
     def test_fused_answers_match_oracle(self):
@@ -363,15 +365,6 @@ class TestFusedBatch:
         results = engine.answer_batch(queries)
         for estimate in results:
             assert estimate.method == "gmlss"
-            assert "fused" not in estimate.details
-
-    def test_scalar_backend_is_honoured(self):
-        queries = self.fleet_queries(n=3)
-        engine = DurabilityEngine(ExecutionPolicy(
-            method="srs", backend="scalar", max_roots=300, seed=22))
-        results = engine.answer_batch(queries)
-        for estimate in results:
-            assert estimate.details["backend"] == "scalar"
             assert "fused" not in estimate.details
 
     def test_mixed_family_fleet_forms_one_cohort_per_family(self):
@@ -855,3 +848,107 @@ class TestCurveAwareParallelDeterminism:
                 (a.probability, a.variance, a.n_roots, a.hits, a.steps)
                 for a in answers))
         assert all(s == signatures[0] for s in signatures[1:])
+
+
+class TestSamplerOptions:
+    """Each sampler or fleet pass reads only the options it takes."""
+
+    def test_options_reach_the_sampler(self, walk_query):
+        estimate = DurabilityEngine().answer(
+            walk_query, method="srs", max_roots=300, seed=3,
+            record_trace=True, sampler_options={"batch_roots": 50})
+        assert [point.n_roots for point in estimate.details["trace"]] \
+            == [50, 100, 150, 200, 250, 300]
+
+    def test_fleet_option_is_ignored_by_plain_gmlss(self, walk_query):
+        """``adaptive`` tunes fused g-MLSS fleets; a single g-MLSS
+        answer takes no such keyword and answers as without it."""
+        engine = DurabilityEngine(ExecutionPolicy(
+            method="gmlss", max_roots=300, seed=4))
+        plan = LevelPartition([0.5])
+        plain = engine.answer(walk_query, partition=plan)
+        tuned = engine.answer(walk_query, partition=plan,
+                              sampler_options={"adaptive": False})
+        assert (tuned.probability, tuned.variance, tuned.steps) == \
+            (plain.probability, plain.variance, plain.steps)
+
+    @pytest.mark.parametrize("options", [
+        {"bogus": 1}, 5, {"batch_roots": 0}, {"backend": "scalar"},
+    ])
+    def test_bad_options_fail_before_simulating(self, walk_query, options):
+        with pytest.raises(ValueError, match="sampler"):
+            DurabilityEngine().answer(walk_query, method="srs",
+                                      max_roots=10, sampler_options=options)
+
+
+def scripted_query(script, beta=1.0):
+    return DurabilityQuery.threshold(ScriptedProcess(script), identity_z,
+                                     beta=beta, horizon=len(script))
+
+
+#: Scripts hitting the target (answer 1) and staying below it (answer 0).
+HIT = (0.2, 0.5, 0.9, 1.2)
+MISS = (0.2, 0.3, 0.2, 0.1)
+
+#: Entry-point policies: plain SRS, s-MLSS and g-MLSS on an explicit
+#: plan, greedy-searched ``auto``, and SRS / g-MLSS over an inline pool.
+INLINE = ParallelPolicy(n_workers=1, pool="inline")
+SCALAR_ONLY_CASES = [
+    ("srs", {"method": "srs"}, None),
+    ("smlss", {"method": "smlss"}, LevelPartition([0.4, 0.8])),
+    ("gmlss", {"method": "gmlss"}, LevelPartition([0.4, 0.8])),
+    ("auto", {"method": "auto", "trial_steps": 2_000}, None),
+    ("inline_srs", {"method": "srs", "parallel": INLINE}, None),
+    ("inline_gmlss", {"method": "gmlss", "parallel": INLINE},
+     LevelPartition([0.4, 0.8])),
+]
+
+
+class TestScalarOnlyProcesses:
+    """Processes that define only ``step`` answer on every entry point.
+
+    They run the samplers' batched loops inside a ``ScalarFallback``.
+    Deterministic scripts must answer exactly 0 or 1; the two-branch
+    process must land within 4 standard errors of ``p_first``.
+    """
+
+    @pytest.mark.parametrize("label,fields,plan", SCALAR_ONLY_CASES,
+                             ids=[case[0] for case in SCALAR_ONLY_CASES])
+    def test_answer(self, label, fields, plan):
+        engine = DurabilityEngine(ExecutionPolicy(max_roots=2_000, seed=5,
+                                                  **fields))
+        for script, expected in ((HIT, 1.0), (MISS, 0.0)):
+            estimate = engine.answer(scripted_query(script), partition=plan)
+            assert estimate.probability == expected, (label, script)
+        process = TwoBranchProcess(first=HIT, second=MISS, p_first=0.3)
+        query = DurabilityQuery.threshold(process, TwoBranchProcess.value,
+                                          beta=1.0, horizon=len(HIT))
+        estimate = engine.answer(query, partition=plan)
+        assert_close_to(estimate.probability, 0.3, estimate.std_error,
+                        z_bound=4.0)
+
+    @pytest.mark.parametrize("method", ["srs", "gmlss"])
+    def test_durability_curve(self, method):
+        engine = DurabilityEngine(ExecutionPolicy(method=method,
+                                                  max_roots=500, seed=6))
+        for script, expected in ((HIT, 1.0), (MISS, 0.0)):
+            curve = engine.durability_curve(scripted_query(script),
+                                            [0.5, 0.85, 1.0])
+            assert [e.probability for e in curve.estimates] \
+                == [expected] * 3, (method, script)
+
+    def test_answer_batch(self):
+        hit = scripted_query(HIT)
+        process = TwoBranchProcess(first=HIT, second=MISS, p_first=0.6)
+        branch = DurabilityQuery.threshold(process, TwoBranchProcess.value,
+                                           beta=1.0, horizon=len(HIT))
+        # The first two share a process object: one shared curve pass.
+        queries = [hit, hit.with_threshold(0.8), scripted_query(MISS),
+                   branch]
+        engine = DurabilityEngine(ExecutionPolicy(method="srs",
+                                                  max_roots=3_000, seed=7))
+        results = engine.answer_batch(queries)
+        assert [e.probability for e in results[:3]] == [1.0, 1.0, 0.0]
+        assert results[0].details["cohort_size"] == 2
+        assert_close_to(results[3].probability, 0.6,
+                        results[3].std_error, z_bound=4.0)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
-from repro.processes.base import ImmutableStateProcess
+from repro.processes.base import ImmutableStateProcess, StochasticProcess
 
 
 class ScriptedProcess(ImmutableStateProcess):
@@ -61,6 +62,33 @@ class TwoBranchProcess(ImmutableStateProcess):
     @staticmethod
     def value(state: tuple) -> float:
         return state[1]
+
+
+class ScalarOnly(StochasticProcess):
+    """A process reduced to its ``step`` definition.
+
+    Delegates the scalar contract to ``process`` but has no
+    ``step_batch``, so samplers run it inside a ``ScalarFallback`` —
+    the path every model without a batched kernel takes.  Picklable
+    whenever ``process`` is, so pooled runs can ship it to workers.
+    """
+
+    def __init__(self, process: StochasticProcess):
+        self.process = process
+
+    def initial_state(self):
+        return self.process.initial_state()
+
+    def step(self, state, t: int, rng: random.Random):
+        return self.process.step(state, t, rng)
+
+    def copy_state(self, state):
+        return self.process.copy_state(state)
+
+
+def scalar_only(query):
+    """``query`` with its process reduced to :class:`ScalarOnly`."""
+    return dataclasses.replace(query, process=ScalarOnly(query.process))
 
 
 def identity_z(state) -> float:

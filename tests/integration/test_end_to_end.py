@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import (DurabilityQuery, GMLSSSampler, SMLSSSampler, SRSSampler,
-                   answer_durability_query)
+from repro import (DurabilityEngine, DurabilityQuery, ExecutionPolicy,
+                   GMLSSSampler, SMLSSSampler, SRSSampler)
 from repro.db import DurabilityDB
 from repro.workloads import workload
 
@@ -43,9 +43,9 @@ class TestWorkloadQueries:
 
     def test_engine_auto_on_workload(self, queue_small):
         spec, query = queue_small
-        estimate = answer_durability_query(
-            query, method="auto", max_steps=200_000, seed=7,
-            trial_steps=10_000)
+        engine = DurabilityEngine(ExecutionPolicy(
+            method="auto", max_steps=200_000, seed=7, trial_steps=10_000))
+        estimate = engine.answer(query)
         assert_close_to(estimate.probability, spec.expected_probability,
                         estimate.std_error, z_bound=5.0)
         assert estimate.details["plan_search"]["search_rounds"] >= 1

@@ -19,7 +19,7 @@ from repro.core.srs import SRSSampler
 from repro.core.value_functions import DurabilityQuery
 from repro.processes.markov_chain import MarkovChainProcess, birth_death_chain
 
-from ..helpers import run_mean_estimate
+from ..helpers import run_mean_estimate, scalar_only
 
 
 def skipping_chain():
@@ -128,20 +128,21 @@ class TestVarianceCalibration:
 
 
 class TestVectorizedBackendAgreement:
-    """The batched backend is the same estimator, only reordered draws.
+    """The batched loop is one estimator on every process.
 
-    Both claims of the backend refactor are checked against the exact
-    DP oracle on a known-analytic query: (a) vectorized SRS and g-MLSS
-    are unbiased (mean over independent runs matches the exact answer
-    within the standard error of the mean), and (b) each vectorized
-    estimate agrees with its scalar twin within the joint 95 % CI
-    half-width implied by their reported variances.
+    A natively batched process steps through its own kernel; a process
+    that defines only ``step`` runs the same loop inside a
+    ``ScalarFallback``.  Both are checked against the exact DP oracle:
+    (a) the mean over independent runs matches the exact answer within
+    the standard error of the mean, and (b) single estimates straddle
+    it within their own 95 % CI and agree with each other within the
+    joint 95 % CI half-width.
     """
 
     def test_vectorized_srs_unbiased(self, small_chain_query,
                                      small_chain_exact):
         def run_once(seed):
-            return SRSSampler(backend="vectorized").run(
+            return SRSSampler().run(
                 small_chain_query, max_roots=2000, seed=seed).probability
 
         mean, std_error = run_mean_estimate(run_once, n_runs=40)
@@ -152,8 +153,7 @@ class TestVectorizedBackendAgreement:
         partition = LevelPartition([4 / 12, 8 / 12])
 
         def run_once(seed):
-            return GMLSSSampler(partition, ratio=3,
-                                backend="vectorized").run(
+            return GMLSSSampler(partition, ratio=3).run(
                 small_chain_query, max_roots=150, seed=seed).probability
 
         mean, std_error = run_mean_estimate(run_once, n_runs=50)
@@ -168,8 +168,7 @@ class TestVectorizedBackendAgreement:
         partition = LevelPartition([0.3, 0.6, 0.9])
 
         def run_once(seed):
-            return GMLSSSampler(partition, ratio=3,
-                                backend="vectorized").run(
+            return GMLSSSampler(partition, ratio=3).run(
                 query, max_roots=150, seed=seed).probability
 
         mean, std_error = run_mean_estimate(run_once, n_runs=50)
@@ -181,9 +180,8 @@ class TestVectorizedBackendAgreement:
 
         partition = LevelPartition([4 / 12, 8 / 12])
         scalar = GMLSSSampler(partition, ratio=3).run(
-            small_chain_query, max_roots=4000, seed=101)
-        batched = GMLSSSampler(partition, ratio=3,
-                               backend="vectorized").run(
+            scalar_only(small_chain_query), max_roots=4000, seed=101)
+        batched = GMLSSSampler(partition, ratio=3).run(
             small_chain_query, max_roots=4000, seed=202)
         z95 = critical_value(0.95)
         joint_half_width = z95 * math.sqrt(scalar.variance

@@ -1,10 +1,10 @@
 """Tests for the batched simulation protocol (VectorizedProcess).
 
-Each native ``step_batch`` is validated against its scalar ``step``
-under a shared-seed strategy: both backends simulate many paths from
-the same start, and the resulting state distributions must agree in
-mean/variance within standard-error tolerances (the draws themselves
-are necessarily different — batching reorders the stream).
+Each native ``step_batch`` is validated against its scalar ``step``,
+the model's definition: both simulate many paths from the same start,
+and the resulting state distributions must agree in mean/variance
+within standard-error tolerances (the draws themselves are necessarily
+different — batching reorders the stream).
 """
 
 import math
@@ -19,8 +19,8 @@ from repro.processes import (ARProcess, CompoundPoissonProcess,
                              RandomWalkProcess, ScalarFallback,
                              TandemQueueProcess, VectorizedProcess,
                              as_vectorized, batch_z_values,
-                             birth_death_chain, resolve_backend,
-                             supports_batch, volatile_cpp, volatile_queue)
+                             birth_death_chain, volatile_cpp,
+                             volatile_queue)
 from repro.processes.base import StochasticProcess
 
 from ..helpers import ScriptedProcess
@@ -181,10 +181,9 @@ class TestCompoundPoissonBatch:
         assert batched.var(ddof=1) == pytest.approx(30 * 0.8 * mean_sq,
                                                     rel=0.2)
 
-    def test_auto_backend_is_vectorized(self):
-        assert supports_batch(CompoundPoissonProcess())
-        assert resolve_backend("auto",
-                               CompoundPoissonProcess()) == "vectorized"
+    def test_batches_natively(self):
+        cpp = CompoundPoissonProcess()
+        assert as_vectorized(cpp) is cpp
 
     def test_zero_claims_step_is_pure_premium(self):
         cpp = CompoundPoissonProcess(jump_rate=1e-12)
@@ -226,11 +225,11 @@ class TestImpulseProcessBatch:
                                   30, seed=22)
         assert_means_agree(scalar, batched)
 
-    def test_auto_backend_follows_base(self):
+    def test_batches_like_its_base(self):
         vectorized_base = volatile_cpp(CompoundPoissonProcess(),
                                        horizon=10)
-        assert supports_batch(vectorized_base)
-        assert resolve_backend("auto", vectorized_base) == "vectorized"
+        assert as_vectorized(vectorized_base) is vectorized_base
+        assert not isinstance(vectorized_base._batch_base, ScalarFallback)
 
         class ScalarImpulsable(StochasticProcess):
             def initial_state(self):
@@ -244,13 +243,21 @@ class TestImpulseProcessBatch:
 
         scalar_base = ImpulseProcess(ScalarImpulsable(), impulse=1.0,
                                      probability=0.1, active_after=5)
-        assert not supports_batch(scalar_base)
-        assert resolve_backend("auto", scalar_base) == "scalar"
-        # The batched face still works (at loop speed) if forced.
-        states = scalar_base.initial_states(4)
-        stepped = scalar_base.step_batch(states, 6,
-                                         np.random.default_rng(0))
-        assert stepped.shape == (4,)
+        assert isinstance(scalar_base._batch_base, ScalarFallback)
+
+        # The batched face runs the base's step row by row; the adapter
+        # outlives one run, yet each fresh generator reseeds it, so
+        # repeated runs under one seed draw the same stream.
+        def run(seed):
+            rng = np.random.default_rng(seed)
+            states = scalar_base.initial_states(4)
+            for t in range(1, 9):
+                states = scalar_base.step_batch(states, t, rng)
+            return states.tolist()
+
+        assert len(run(0)) == 4
+        assert run(0) == run(0)
+        assert run(0) != run(1)
 
     def test_impulses_only_fire_after_activation(self):
         base = CompoundPoissonProcess(jump_rate=1e-12, premium_rate=0.0,
@@ -290,9 +297,8 @@ class TestStockRNNBatch:
             stock, lambda s: s[:, -1], 1500, 25, seed=24))
         assert_means_agree(scalar, batched)
 
-    def test_auto_backend_is_vectorized(self, stock):
-        assert supports_batch(stock)
-        assert resolve_backend("auto", stock) == "vectorized"
+    def test_batches_natively(self, stock):
+        assert as_vectorized(stock) is stock
 
     def test_packed_rows_replicate_independently(self, stock):
         states = stock.initial_states(3)
@@ -392,25 +398,6 @@ class TestScalarFallback:
         assert fallback.step(state, 1, random.Random(0)) == 0.5
 
 
-class TestBackendResolution:
-    def test_supports_batch(self):
-        assert supports_batch(RandomWalkProcess())
-        assert not supports_batch(ScriptedProcess([0.5]))
-
-    def test_auto_resolution(self):
-        assert resolve_backend("auto", RandomWalkProcess()) == "vectorized"
-        assert resolve_backend("auto", ScriptedProcess([0.5])) == "scalar"
-
-    def test_explicit_requests_honoured(self):
-        assert resolve_backend("scalar", RandomWalkProcess()) == "scalar"
-        assert (resolve_backend("vectorized", ScriptedProcess([0.5]))
-                == "vectorized")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("gpu", RandomWalkProcess())
-
-
 class TestBatchZRegistry:
     def test_static_z_variants(self):
         states = np.asarray([1, 2, 3], dtype=np.int64)
@@ -452,11 +439,10 @@ class TestBatchZRegistry:
         states = fallback.initial_states(4)
         assert batch_z_values(ARProcess.current_value,
                               states).tolist() == [0.0] * 4
-        # ... and end-to-end through the forced-vectorized sampler.
+        # ... and end-to-end through the sampler.
         query = DurabilityQuery.threshold(volatile, ARProcess.current_value,
                                           beta=5.0, horizon=20)
-        estimate = SRSSampler(backend="vectorized").run(query, max_roots=200,
-                                                        seed=1)
+        estimate = SRSSampler().run(query, max_roots=200, seed=1)
         assert 0.0 <= estimate.probability <= 1.0
 
         queue_states = as_vectorized(

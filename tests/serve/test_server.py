@@ -19,7 +19,8 @@ from repro.core.levels import LevelPartition
 from repro.engine import DurabilityEngine, ExecutionPolicy
 from repro.serve import ServerThread, ServeConfig
 from repro.serve.protocol import (dumps_canonical, encode_curve,
-                                  encode_estimate, parse_query)
+                                  encode_estimate, parse_query,
+                                  strip_plan_provenance)
 
 DEFAULT_POLICY = ExecutionPolicy(method="srs", max_roots=300, seed=11)
 
@@ -245,6 +246,42 @@ class TestProtocolErrors:
                               {"query": WALK_DOC,
                                "policy": {"max_rootz": 5}})
         assert status == 400
+
+    @pytest.mark.parametrize("options", [
+        {"bogus": 1}, 5, {"batch_roots": 0}, {"backend": "scalar"},
+    ])
+    def test_bad_sampler_options_are_400(self, server, options):
+        status, _, raw = call(server, "POST", "/answer",
+                              {"query": WALK_DOC,
+                               "policy": {"sampler_options": options}})
+        assert status == 400
+        error = json.loads(raw)["error"]
+        assert error["kind"] == "protocol"
+        assert "sampler" in error["message"]
+
+    def test_fleet_option_on_plain_gmlss_answers(self, server):
+        """``adaptive`` tunes fused fleets; a single g-MLSS answer
+        ignores it and answers as it does without it (the second call
+        finds the plan cached, so only the provenance differs)."""
+        policy = {"method": "gmlss", "trial_steps": 2_000}
+        plain = call(server, "POST", "/answer",
+                     {"query": WALK_DOC, "policy": policy})
+        tuned = call(server, "POST", "/answer", {
+            "query": WALK_DOC,
+            "policy": dict(policy, sampler_options={"adaptive": False})})
+        assert plain[0] == tuned[0] == 200
+        answers = [strip_plan_provenance(json.loads(raw)["result"])
+                   for _, _, raw in (plain, tuned)]
+        assert answers[0] == answers[1]
+
+    def test_policy_naming_backend_is_400(self, server):
+        status, _, raw = call(server, "POST", "/answer",
+                              {"query": WALK_DOC,
+                               "policy": {"backend": "scalar"}})
+        assert status == 400
+        error = json.loads(raw)["error"]
+        assert error["kind"] == "protocol"
+        assert "backend" in error["message"]
 
     def test_unknown_route_is_404(self, server):
         status, _, raw = call(server, "GET", "/nonsense")
