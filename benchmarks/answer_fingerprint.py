@@ -11,17 +11,22 @@ answer bytes (``OTHER`` is the other tree's ``src`` directory):
     diff old.txt new.txt
 
 Covers ``DurabilityEngine.answer`` (SRS, s-MLSS and g-MLSS on an
-explicit plan, balanced-pilot plans, greedy-searched ``auto``),
-``durability_curve`` (SRS and g-MLSS), fused ``answer_batch`` (SRS
-screening and clustered g-MLSS fleets), fused ``durability_curves``,
-and the same point answers over an inline worker pool.  Every process
-here batches natively.  Runs in about ten seconds.
+explicit plan, balanced-pilot plans, greedy-searched ``auto``; SRS
+point answers stopped by ``max_roots=250`` and by a quality target,
+and one ``record_trace`` answer printed as its trace length and last
+point), ``durability_curve`` (SRS and g-MLSS), fused ``answer_batch``
+(SRS screening under a budget and under a quality target, clustered
+g-MLSS fleets), fused ``durability_curves``, and all of it again over
+an inline pool and a 2-worker thread pool.  An answer that raises
+prints ``label raises ErrorType`` instead.  Every process here batches
+natively.  Runs in about fifteen seconds.
 """
 
 from __future__ import annotations
 
 from repro import DurabilityEngine, DurabilityQuery, ExecutionPolicy
 from repro.core.levels import LevelPartition
+from repro.core.quality import RelativeErrorTarget
 from repro.engine import ParallelPolicy
 from repro.processes import (GaussianWalkProcess, RandomWalkProcess,
                              birth_death_chain)
@@ -43,6 +48,13 @@ def walk_query(p_up: float, beta: float, horizon: int = 60):
         process, RandomWalkProcess.position, beta=beta, horizon=horizon)
 
 
+def trace_line(label: str, estimate) -> str:
+    trace = estimate.details["trace"]
+    last = trace[-1]
+    return (f"{label} {len(trace)} {last.probability!r} "
+            f"{last.variance!r} {last.n_roots} {last.hits} {last.steps}")
+
+
 def fingerprint() -> list:
     out = []
     walk = walk_query(0.35, 12.0)
@@ -51,21 +63,37 @@ def fingerprint() -> list:
         chain, chain.state_value, beta=12.0, horizon=60)
     plan = LevelPartition([4 / 12, 8 / 12])
     policy = ExecutionPolicy(max_steps=120_000, trial_steps=8_000)
+    target = RelativeErrorTarget(0.2)
 
-    for pool in (None, ParallelPolicy(n_workers=1, pool="inline")):
-        tag = "inline" if pool is not None else "direct"
+    pools = (("direct", None),
+             ("inline", ParallelPolicy(n_workers=1, pool="inline")),
+             ("thread", ParallelPolicy(n_workers=2, pool="thread")))
+    for tag, pool in pools:
         with DurabilityEngine(policy.replace(parallel=pool)) as engine:
+
+            def answer(label, query, **overrides):
+                try:
+                    out.append(line(label, engine.answer(query,
+                                                         **overrides)))
+                except ValueError as exc:
+                    out.append(f"{label} raises {type(exc).__name__}")
+
             for name, query in (("walk", walk), ("chain", chain_query)):
-                out.append(line(f"{tag}.{name}.srs", engine.answer(
-                    query, method="srs", seed=11)))
-                out.append(line(f"{tag}.{name}.smlss", engine.answer(
-                    query, method="smlss", partition=plan, seed=12)))
-                out.append(line(f"{tag}.{name}.gmlss", engine.answer(
-                    query, method="gmlss", partition=plan, seed=13)))
-                out.append(line(f"{tag}.{name}.balanced", engine.answer(
-                    query, method="gmlss", num_levels=3, seed=14)))
-                out.append(line(f"{tag}.{name}.auto", engine.answer(
-                    query, seed=15)))
+                answer(f"{tag}.{name}.srs", query, method="srs", seed=11)
+                answer(f"{tag}.{name}.smlss", query, method="smlss",
+                       partition=plan, seed=12)
+                answer(f"{tag}.{name}.gmlss", query, method="gmlss",
+                       partition=plan, seed=13)
+                answer(f"{tag}.{name}.balanced", query, method="gmlss",
+                       num_levels=3, seed=14)
+                answer(f"{tag}.{name}.auto", query, seed=15)
+                answer(f"{tag}.{name}.srs250", query, method="srs",
+                       max_steps=None, max_roots=250, seed=22)
+                answer(f"{tag}.{name}.srs_target", query, method="srs",
+                       max_steps=None, quality=target, seed=23)
+            out.append(trace_line(f"{tag}.walk.srs_trace", engine.answer(
+                walk, method="srs", max_steps=None, max_roots=1_800,
+                record_trace=True, seed=24)))
             out.extend(curve_lines(
                 f"{tag}.curve.srs", engine.durability_curve(
                     walk, [6, 9, 12], method="srs", seed=16)))
@@ -79,6 +107,10 @@ def fingerprint() -> list:
                     fleet, method="srs", seed=18)):
                 out.append(line(f"{tag}.batch.srs.{i}", estimate))
             for i, estimate in enumerate(engine.answer_batch(
+                    fleet, method="srs", max_steps=None, quality=target,
+                    seed=25)):
+                out.append(line(f"{tag}.batch.srs_target.{i}", estimate))
+            for i, estimate in enumerate(engine.answer_batch(
                     fleet, method="gmlss", num_levels=3, seed=19)):
                 out.append(line(f"{tag}.batch.gmlss.{i}", estimate))
             for i, curve in enumerate(engine.durability_curves(
@@ -88,8 +120,7 @@ def fingerprint() -> list:
             gauss = DurabilityQuery.threshold(
                 GaussianWalkProcess(drift=0.05, sigma=1.0),
                 GaussianWalkProcess.position, beta=14.0, horizon=50)
-            out.append(line(f"{tag}.gauss.auto", engine.answer(
-                gauss, seed=21)))
+            answer(f"{tag}.gauss.auto", gauss, seed=21)
     return out
 
 

@@ -20,7 +20,8 @@ from .greedy import GreedyResult, adaptive_greedy_partition
 from .importance import ISSampler, cross_entropy_tilt
 from .levels import LevelPartition, normalize_ratios, uniform_partition
 from .optimizer import PlanTrial, evaluate_partition, pool_trials
-from .pool import PooledForestRunner, WorkerPool, derive_task_seed
+from .pool import (PooledForestRunner, StepBudgetError, WorkerPool,
+                   derive_task_seed)
 from .quality import (ConfidenceIntervalTarget, NeverTarget, QualityTarget,
                       RelativeErrorTarget)
 from .records import ForestAggregate, RootRecord
@@ -44,7 +45,8 @@ __all__ = [
     "GreedyResult", "ISSampler", "LevelPartition", "LevelPlanError",
     "NeverTarget", "PlanTrial", "PooledForestRunner", "QualityTarget",
     "RelativeErrorTarget",
-    "RootRecord", "SMLSSSampler", "SRSSampler", "TARGET_VALUE",
+    "RootRecord", "SMLSSSampler", "SRSSampler", "StepBudgetError",
+    "TARGET_VALUE",
     "WorkerPool",
     "ThresholdValueFunction", "TracePoint", "VectorizedForestRunner",
     "adaptive_greedy_partition",

@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..processes.base import as_vectorized
+from .forest import LevelPlanError
 from .levels import LevelPartition
 from .pool import PlanSearchWork, derive_task_seed
 from .value_functions import TARGET_VALUE, DurabilityQuery, batch_values
@@ -224,6 +225,10 @@ def balanced_growth_partition(query: DurabilityQuery, num_levels: int,
     :class:`~repro.core.pool.WorkerPool`; the chunk decomposition is
     fixed, so the pooled pilot builds exactly the plan the sequential
     pilot would (see :func:`pilot_max_values`).
+
+    Raises :class:`~repro.core.forest.LevelPlanError` when the pilot
+    cannot support a plan: too few distinct tail maxima to fit, or a
+    query the pilot finds almost surely satisfied.
     """
     if num_levels < 1:
         raise ValueError(f"num_levels must be >= 1, got {num_levels}")
@@ -238,10 +243,13 @@ def balanced_growth_partition(query: DurabilityQuery, num_levels: int,
             return entry.partition
     maxima = pilot_max_values(query, n_paths=pilot_paths, seed=seed,
                               pool=pool)
-    survival = hybrid_survival(maxima)
+    try:
+        survival = hybrid_survival(maxima)
+    except ValueError as exc:
+        raise LevelPlanError(str(exc)) from None
     tau = survival(TARGET_VALUE)
     if tau >= 1.0:
-        raise ValueError(
+        raise LevelPlanError(
             "pilot suggests the query is almost surely satisfied; "
             "no useful level plan exists"
         )

@@ -11,14 +11,17 @@ of its own simulation loop at every time step.
 This module screens whole fleets through **one** frontier built on
 :class:`repro.processes.base.FusedBatch`, in three flavours:
 
-* :func:`screen_fleet` — one threshold per member, plain SRS: every
-  live path of every entity advances in a single ``step_batch`` per
-  time step, per-entity parameters broadcast by owner and per-entity
-  thresholds compared row-wise.
-* :func:`screen_fleet_curves` — one threshold *grid* per member: each
-  row additionally tracks its running-maximum score, so a single fused
-  pass answers every member's whole durability curve (a row retires
-  only once it clears its owner's top threshold).
+* :func:`screen_fleet_curves` — one threshold *grid* per member, plain
+  SRS: every live path of every entity advances in a single
+  ``step_batch`` per time step, per-entity parameters broadcast by
+  owner and per-entity top thresholds compared row-wise; rows track
+  their running-maximum score only when some grid has a level below
+  its top, so a single fused pass answers every member's whole
+  durability curve (a row retires once it clears its owner's top
+  threshold).
+* :func:`screen_fleet` — one threshold per member: the fused screen
+  *is* the curve pass on one-threshold grids (it draws the same random
+  numbers in the same order as any grids with those tops).
 * :func:`screen_fleet_mlss` — rare-event fleets: all members' splitting
   trees grow inside **one fused splitting forest** (a
   :class:`~repro.core.forest.VectorizedForestRunner` whose process is
@@ -69,6 +72,7 @@ distribution, like any two seedings).
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from typing import Optional, Sequence
@@ -174,188 +178,6 @@ def _run_fleet_pooled(pool, work: FleetWork, tasks: list):
 
 
 # ----------------------------------------------------------------------
-# SRS screening (one threshold per member)
-# ----------------------------------------------------------------------
-
-def _screen_members(fused: FusedBatch, z, betas, horizon: int,
-                    quality, max_steps, max_roots, batch_roots: int,
-                    adaptive: bool, max_round_roots: int, rng):
-    """Screen one fused frontier to completion; per-member counters.
-
-    The core loop shared by the unsharded pass and every pooled member
-    slice.  Returns ``(n_paths, hits, steps, rounds)`` arrays/int.
-    """
-    k = fused.n_members
-    betas = np.asarray(betas, dtype=np.float64)
-    n_paths = np.zeros(k, dtype=np.int64)
-    hits = np.zeros(k, dtype=np.int64)
-    steps = np.zeros(k, dtype=np.int64)
-    done = np.zeros(k, dtype=bool)
-    round_roots = np.full(k, batch_roots, dtype=np.int64)
-    rounds = 0
-    lead = fused.members[0]
-
-    while not done.all():
-        counts = _round_counts(done, round_roots, n_paths, steps,
-                               horizon, max_steps, max_roots)
-        done |= counts == 0
-        if done.all():
-            break
-        rounds += 1
-
-        # The frontier keeps owners, thresholds and member parameters
-        # row-aligned *outside* the state array (unlike the generic
-        # FusedBatch layout): parameters are gathered once per round —
-        # not once per step — the hot loop steps a contiguous core
-        # buffer in place, and per-member step accounting is a k-length
-        # add of live counts instead of a whole-frontier bincount per
-        # time step.  On hit events rows and their side arrays filter
-        # together.
-        owners = np.repeat(np.arange(k), counts)
-        states = fused.initial_core_rows(owners)
-        row_params = fused.row_params(owners)
-        row_betas = betas[owners]
-        live = counts.copy()
-        for t in range(1, horizon + 1):
-            if not len(states):
-                break
-            states = lead.fused_step_batch(row_params, states, t, rng,
-                                           out=states)
-            steps += live
-            values = batch_z_values(z, states)
-            hit = values >= row_betas
-            n_hit = int(np.count_nonzero(hit))
-            if n_hit:
-                hit_counts = np.bincount(owners[hit], minlength=k)
-                hits += hit_counts
-                live -= hit_counts
-                keep = ~hit
-                states = states[keep]
-                owners = owners[keep]
-                row_betas = row_betas[keep]
-                row_params = {name: values[keep]
-                              for name, values in row_params.items()}
-        n_paths += counts
-
-        if quality is not None:
-            alive = ~done & (n_paths > 0)
-            for member in np.nonzero(alive)[0]:
-                probability = hits[member] / n_paths[member]
-                if quality.is_met(probability,
-                                  srs_variance(probability,
-                                               int(n_paths[member])),
-                                  int(hits[member]), int(n_paths[member])):
-                    done[member] = True
-                else:
-                    _grow_round(adaptive, round_roots, member,
-                                quality.projected_roots(
-                                    probability, int(hits[member]),
-                                    int(n_paths[member])),
-                                int(n_paths[member]), batch_roots,
-                                max_round_roots)
-    return n_paths, hits, steps, rounds
-
-
-def screen_fleet(fused: FusedBatch, z, betas: Sequence[float], horizon: int,
-                 quality: Optional[QualityTarget] = None,
-                 max_steps: Optional[int] = None,
-                 max_roots: Optional[int] = None,
-                 batch_roots: int = 500,
-                 seed: Optional[int] = None,
-                 adaptive: bool = True,
-                 max_round_roots: int = DEFAULT_MAX_ROUND_ROOTS,
-                 pool=None,
-                 members_per_task: int = DEFAULT_MEMBERS_PER_TASK) -> list:
-    """SRS-answer ``Pr[z >= beta_i within horizon]`` for every member.
-
-    Parameters
-    ----------
-    fused:
-        The stacked fleet (one member per entity).
-    z:
-        The shared state evaluation; scored row-wise via the batch-``z``
-        registry, so fused rows evaluate in one call.
-    betas:
-        One threshold per member (raw ``z`` scale; per-member).
-    horizon:
-        Shared query horizon ``s``.
-    quality / max_steps / max_roots:
-        The stopping rule, applied **per member** exactly as a separate
-        :class:`~repro.core.srs.SRSSampler` run would apply it (budgets
-        are per-entity, not fleet-wide); at least one must be given.
-        As in the SRS sampler, budgets are enforced at
-        cohort granularity — every started path runs to its hit or the
-        horizon — so ``max_steps`` can overshoot by at most one cohort
-        per member.
-    batch_roots:
-        Baseline paths *per member* between stopping-rule checks (and
-        the floor of adaptive rounds).
-    seed:
-        Seed of the NumPy generator driving the fused frontier (pooled
-        runs derive one per member slice).
-    adaptive / max_round_roots:
-        Grow each unmet member's next round toward its quality target
-        (see the module docstring) instead of crawling in fixed
-        batches; ``max_round_roots`` caps a single round.
-    pool / members_per_task:
-        Shard the fleet into fixed member slices over a
-        :class:`~repro.core.pool.WorkerPool`; results are invariant
-        under the pool's worker count.
-
-    Returns one :class:`DurabilityEstimate` per member, in member
-    order, each tagged with ``details["fused"]`` and the fleet size.
-    """
-    _require_stopping_rule(quality, max_steps, max_roots)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    k = fused.n_members
-    betas = tuple(float(b) for b in betas)
-    if len(betas) != k:
-        raise ValueError(f"{len(betas)} thresholds for {k} fleet members")
-    started = time.perf_counter()
-
-    if pool is not None and k > 1:
-        tasks = _slice_tasks(k, members_per_task, seed)
-        work = FleetWork(
-            mode="screen", processes=fused.members, z=z, horizon=horizon,
-            betas=betas, quality=quality, max_steps=max_steps,
-            max_roots=max_roots, batch_roots=batch_roots,
-            adaptive=adaptive, max_round_roots=max_round_roots)
-        n_paths = np.zeros(k, dtype=np.int64)
-        hits = np.zeros(k, dtype=np.int64)
-        steps = np.zeros(k, dtype=np.int64)
-        rounds = 0
-        results = _run_fleet_pooled(pool, work, tasks)
-        try:
-            for (lo, hi, _), result in zip(tasks, results):
-                n_paths[lo:hi], hits[lo:hi], steps[lo:hi] = \
-                    result[0], result[1], result[2]
-                rounds = max(rounds, result[3])
-        finally:
-            results.close()
-    else:
-        n_paths, hits, steps, rounds = _screen_members(
-            fused, z, betas, horizon, quality, max_steps, max_roots,
-            batch_roots, adaptive, max_round_roots,
-            np.random.default_rng(seed))
-
-    elapsed = time.perf_counter() - started
-    estimates = []
-    for member in range(k):
-        paths = int(n_paths[member])
-        probability = hits[member] / paths if paths else 0.0
-        estimates.append(DurabilityEstimate(
-            probability=probability,
-            variance=srs_variance(probability, paths),
-            n_roots=paths, hits=int(hits[member]),
-            steps=int(steps[member]), method="srs",
-            elapsed_seconds=elapsed,
-            details={"fused": True, "fleet_size": k, "rounds": rounds},
-        ))
-    return estimates
-
-
-# ----------------------------------------------------------------------
 # SRS curve screening (one threshold grid per member)
 # ----------------------------------------------------------------------
 
@@ -403,13 +225,17 @@ def _curve_members(fused: FusedBatch, z, grids, horizon: int,
                    adaptive: bool, max_round_roots: int, rng):
     """One fused pass answering every member's whole threshold grid.
 
-    Extends the screening frontier with *running maxima per owner row*:
-    a row stays live until it clears its owner's **top** threshold (or
-    the horizon), and its maximum then credits every grid level at or
-    below it.  Returns ``(level_counts, n_paths, steps, rounds)``.
+    A row stays live until it clears its owner's **top** threshold (or
+    the horizon).  A live row reaches the top at step ``t`` exactly
+    when its score at ``t`` does (otherwise it would have retired
+    already), so retirement reads the current scores.  Only when some
+    grid has a level below its top do rows also carry a *running
+    maximum*, whose final value credits a survivor's lower levels.
+    Returns ``(level_counts, n_paths, steps, rounds)``.
     """
     k = fused.n_members
     tops = np.asarray([grid[-1] for grid in grids], dtype=np.float64)
+    has_lower = any(len(grid) > 1 for grid in grids)
     counts = [np.zeros(len(grid), dtype=np.int64) for grid in grids]
     n_paths = np.zeros(k, dtype=np.int64)
     steps = np.zeros(k, dtype=np.int64)
@@ -426,11 +252,17 @@ def _curve_members(fused: FusedBatch, z, grids, horizon: int,
             break
         rounds += 1
 
+        # Owners, top thresholds and member parameters stay row-aligned
+        # *outside* the state array: parameters are gathered once per
+        # round, the hot loop steps a contiguous core buffer in place,
+        # and per-member step accounting is a k-length add of live
+        # counts.  Retiring rows filter their side arrays together.
         owners = np.repeat(np.arange(k), cohort)
         states = fused.initial_core_rows(owners)
         row_params = fused.row_params(owners)
         row_tops = tops[owners]
-        best = np.zeros(len(owners), dtype=np.float64)
+        best = np.zeros(len(owners), dtype=np.float64) if has_lower \
+            else None
         live = cohort.copy()
         for t in range(1, horizon + 1):
             if not len(states):
@@ -438,24 +270,28 @@ def _curve_members(fused: FusedBatch, z, grids, horizon: int,
             states = lead.fused_step_batch(row_params, states, t, rng,
                                            out=states)
             steps += live
-            np.maximum(best, batch_z_values(z, states), out=best)
-            reached = best >= row_tops
+            scores = batch_z_values(z, states)
+            if best is not None:
+                np.maximum(best, scores, out=best)
+            reached = scores >= row_tops
             n_reached = int(np.count_nonzero(reached))
             if n_reached:
-                # Rows at their owner's top threshold hit every grid
-                # level at once and retire (nothing left to learn).
-                reached_counts = np.bincount(owners[reached], minlength=k)
-                live -= reached_counts
-                for member in np.nonzero(reached_counts)[0]:
-                    counts[member] += reached_counts[member]
+                live -= np.bincount(owners[reached], minlength=k)
                 keep = ~reached
                 states = states[keep]
                 owners = owners[keep]
                 row_tops = row_tops[keep]
-                best = best[keep]
+                if best is not None:
+                    best = best[keep]
                 row_params = {name: values[keep]
                               for name, values in row_params.items()}
-        _fold_maxima(counts, owners, best, grids, k)
+        # Rows retire only at their owner's top threshold, so the
+        # retired rows hit every level of their owner's grid at once.
+        topped = cohort - live
+        for member in np.nonzero(topped)[0]:
+            counts[member] += topped[member]
+        if best is not None:
+            _fold_maxima(counts, owners, best, grids, k)
         n_paths += cohort
 
         if quality is not None:
@@ -497,18 +333,48 @@ def screen_fleet_curves(fused: FusedBatch, z, grids, horizon: int,
                         ) -> list:
     """Answer every member's whole durability curve from one fused pass.
 
-    ``grids`` holds one ascending raw-threshold grid per member (grids
-    may differ in values *and* length).  Each member's answer is a
+    Each member's answer is a
     :class:`~repro.core.estimates.DurabilityCurve` whose estimates
     share that member's sample paths — individually unbiased,
     positively correlated across thresholds, exactly like
     :meth:`~repro.core.srs.SRSSampler.run_curve` — while the whole
-    fleet shares one frontier.  A quality target must hold at **every**
-    grid level of a member before that member stops early.
+    fleet shares one frontier.
 
-    Other parameters match :func:`screen_fleet`; with a pool the fleet
-    shards into fixed member slices (results invariant under the worker
-    count).
+    Parameters
+    ----------
+    fused:
+        The stacked fleet (one member per entity).
+    z:
+        The shared state evaluation; scored row-wise via the batch-``z``
+        registry, so fused rows evaluate in one call.
+    grids:
+        One ascending, positive raw-threshold grid per member (grids
+        may differ in values *and* length).
+    horizon:
+        Shared query horizon ``s``.
+    quality / max_steps / max_roots:
+        The stopping rule, applied **per member** exactly as a separate
+        :class:`~repro.core.srs.SRSSampler` run would apply it (budgets
+        are per-entity, not fleet-wide); at least one must be given.
+        A quality target must hold at **every** grid level of a member
+        before that member stops early.  As in the SRS sampler, budgets
+        are enforced at cohort granularity — every started path runs to
+        its top-level hit or the horizon — so ``max_steps`` can
+        overshoot by at most one cohort per member.
+    batch_roots:
+        Baseline paths *per member* between stopping-rule checks (and
+        the floor of adaptive rounds).
+    seed:
+        Seed of the NumPy generator driving the fused frontier (pooled
+        runs derive one per member slice).
+    adaptive / max_round_roots:
+        Grow each unmet member's next round toward its quality target
+        (see the module docstring) instead of crawling in fixed
+        batches; ``max_round_roots`` caps a single round.
+    pool / members_per_task:
+        Shard the fleet into fixed member slices over a
+        :class:`~repro.core.pool.WorkerPool`; results are invariant
+        under the pool's worker count.
     """
     _require_stopping_rule(quality, max_steps, max_roots)
     if horizon < 1:
@@ -571,6 +437,37 @@ def screen_fleet_curves(fused: FusedBatch, z, grids, horizon: int,
             details={"fused": True, "fleet_size": k, "rounds": rounds},
         ))
     return curves
+
+
+def screen_fleet(fused: FusedBatch, z, betas: Sequence[float], horizon: int,
+                 quality: Optional[QualityTarget] = None,
+                 max_steps: Optional[int] = None,
+                 max_roots: Optional[int] = None,
+                 batch_roots: int = 500,
+                 seed: Optional[int] = None,
+                 adaptive: bool = True,
+                 max_round_roots: int = DEFAULT_MAX_ROUND_ROOTS,
+                 pool=None,
+                 members_per_task: int = DEFAULT_MEMBERS_PER_TASK) -> list:
+    """SRS-answer ``Pr[z >= beta_i within horizon]`` for every member.
+
+    The fused screen is :func:`screen_fleet_curves` on the one-threshold
+    grids ``(beta_i,)``: ``betas`` holds one positive raw threshold per
+    member, and every other parameter is that function's.  Returns one
+    :class:`DurabilityEstimate` per member, in member order, each
+    tagged with ``details["fused"]``, the fleet size and the round
+    count.
+    """
+    k = fused.n_members
+    if len(betas) != k:
+        raise ValueError(f"{len(betas)} thresholds for {k} fleet members")
+    curves = screen_fleet_curves(
+        fused, z, [(beta,) for beta in betas], horizon, quality=quality,
+        max_steps=max_steps, max_roots=max_roots, batch_roots=batch_roots,
+        seed=seed, adaptive=adaptive, max_round_roots=max_round_roots,
+        pool=pool, members_per_task=members_per_task)
+    return [dataclasses.replace(curve.estimates[0], details=curve.details)
+            for curve in curves]
 
 
 # ----------------------------------------------------------------------

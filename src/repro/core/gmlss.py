@@ -237,13 +237,9 @@ class GMLSSSampler:
         Record convergence snapshots (taken at bootstrap evaluations).
     pool / roots_per_task / tasks_per_round:
         With a :class:`~repro.core.pool.WorkerPool`, root trees shard
-        over its workers in fixed-size tasks (results are invariant
-        under the worker count; see :mod:`repro.core.pool`).
-    streamed:
-        With a pool, pipeline rounds (speculative next-round
-        submission, byte-identical results; see
-        :class:`~repro.core.pool.RoundPipeline`).  ``False`` restores
-        the per-round barrier.
+        over its workers in fixed-size tasks, rounds pipelined
+        (results are invariant under the worker count; see
+        :mod:`repro.core.pool`).
     """
 
     method_name = "gmlss"
@@ -253,8 +249,7 @@ class GMLSSSampler:
                  first_check_roots: int = 200, check_growth: float = 1.5,
                  record_trace: bool = False,
                  pool=None, roots_per_task: Optional[int] = None,
-                 tasks_per_round: Optional[int] = None,
-                 streamed: bool = True):
+                 tasks_per_round: Optional[int] = None):
         if batch_roots < 1:
             raise ValueError(f"batch_roots must be >= 1, got {batch_roots}")
         if bootstrap_rounds < 2:
@@ -275,14 +270,12 @@ class GMLSSSampler:
         self.pool = pool
         self.roots_per_task = roots_per_task
         self.tasks_per_round = tasks_per_round
-        self.streamed = streamed
 
     def _make_runner(self, query: DurabilityQuery, seed):
         return make_forest_runner(
             query, self.partition, self.ratios, seed, pool=self.pool,
             roots_per_task=self.roots_per_task,
-            tasks_per_round=self.tasks_per_round,
-            streamed=self.streamed)
+            tasks_per_round=self.tasks_per_round)
 
     def run(self, query: DurabilityQuery,
             quality: Optional[QualityTarget] = None,

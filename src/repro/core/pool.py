@@ -32,12 +32,14 @@ persistent:
   run_tasks` (submit everything, collect everything) is a thin wrapper
   over a stream.
 * :class:`RoundPipeline` — one-round-lookahead speculation on top of a
-  stream for round-structured callers (the pooled samplers): while
-  round *k*'s stragglers drain, round *k+1*'s *predicted* tasks are
-  already queued; if the stopping rule ends the run first, the
+  stream for round-structured callers (the pooled samplers, whose
+  rounds always run through it; there is no per-round barrier path):
+  while round *k*'s stragglers drain, round *k+1*'s *predicted* tasks
+  are already queued; if the stopping rule ends the run first, the
   speculative results are discarded unread.  Because tasks are pure
   and results merge in task order, speculation changes wall-clock
-  only, never results.
+  only, never results.  The inline pool runs a task only when its
+  result is collected, so speculation never executes there.
 * :class:`PooledForestRunner` — a drop-in implementation of the
   ``accumulate`` contract of :class:`~repro.core.forest.
   VectorizedForestRunner`, so the g-MLSS / s-MLSS samplers (point
@@ -51,8 +53,8 @@ Work decomposes into tasks of a fixed size (``roots_per_task`` roots,
 ``members_per_task`` fleet members) whose seeds derive from the *task
 index* via :func:`derive_task_seed` — never from the worker count or
 which worker ran them.  Task results merge in task order.  Consequently
-pooled results are **byte-identical across ``n_workers``, pool modes
-and the streamed/barrier scheduling paths** for a fixed seed:
+pooled results are **byte-identical across ``n_workers`` and pool
+modes** for a fixed seed, whether or not speculation ran ahead:
 ``n_workers`` changes how fast the answer arrives, not what it is.
 (Pooled and single-pass sequential runs draw different stream layouts,
 so they agree in distribution, not bytes.)
@@ -64,9 +66,13 @@ Budgets
 tasks are trimmed against the remaining budget and each task carries a
 per-task step cap that its worker enforces by never starting a root
 tree whose worst-case cost no longer fits (see
-:func:`_worst_case_root_cost`).  Strictness costs pipelining — a
-round's caps depend on the previous round's measured spend, so
-speculation is disabled under ``max_steps``.
+:func:`_worst_case_root_cost`); a round is cut into no more tasks than
+the budget can fund with one worst-case tree each.  A budget that
+cannot fund a single sample before any is drawn (one SRS path, one
+worst-case root tree) raises :class:`StepBudgetError` instead of
+answering from zero samples.  Strictness costs pipelining — a round's
+caps depend on the previous round's measured spend, so speculation is
+disabled under ``max_steps``.
 
 Cost accounting is unchanged throughout: workers count one invocation
 of ``g`` per path per step and the parent sums their counters.
@@ -144,6 +150,15 @@ DEFAULT_ROOTS_PER_TASK = 256
 DEFAULT_MEMBERS_PER_TASK = 32
 
 
+class StepBudgetError(ValueError):
+    """A strict pooled ``max_steps`` too small to fund a single sample.
+
+    Raised before any sample is drawn, when the whole budget cannot pay
+    for one SRS path (``horizon`` steps) or one worst-case root tree;
+    the message names both numbers.
+    """
+
+
 def derive_task_seed(seed: Optional[int], index: int,
                      salt: str = "task") -> Optional[int]:
     """Deterministic per-task seed from the run seed and task *index*.
@@ -166,7 +181,7 @@ def cut_tasks(cohort: int, roots_per_task: int, seed: Optional[int],
     """Cut one round into fixed-size ``(n, seed[, cap])`` tasks.
 
     The single home of the task decomposition every pooled pass uses
-    (forest rounds, SRS point rounds, SRS curve rounds): task sizes
+    (forest rounds and SRS rounds): task sizes
     depend only on ``roots_per_task`` and seeds only on the running
     ``task_index``, which is what the byte-determinism guarantee rests
     on.  With ``step_budget``, each task additionally carries its share
@@ -213,17 +228,10 @@ class ForestWork:
 
 
 @dataclass(frozen=True)
-class PathWork:
-    """An SRS point-estimate work unit: tasks are ``(n_paths, seed)``;
-    results are ``(n_paths, hits, steps)`` scalars."""
-
-    query: object
-
-
-@dataclass(frozen=True)
 class CurveWork:
-    """An SRS running-maxima curve work unit: tasks are
-    ``(n_paths, seed)``; results are ``(level_counts, n_paths, steps)``."""
+    """An SRS work unit (a point answer is the one-level grid): tasks
+    are ``(n_paths, seed)``; results are
+    ``(level_counts, n_paths, steps)``."""
 
     query: object
     levels: tuple
@@ -235,10 +243,10 @@ class FleetWork:
     ``(lo, hi, seed)``; each task screens its slice to completion
     through one :class:`~repro.processes.base.FusedBatch` frontier.
 
-    ``mode`` selects the pass: ``"screen"`` (per-member thresholds,
-    SRS), ``"curves"`` (per-member threshold *grids*, running maxima
-    per owner row) or ``"mlss"`` (fused splitting forest with a shared
-    normalized partition).
+    ``mode`` selects the pass: ``"curves"`` (per-member threshold
+    *grids*, SRS; a one-threshold screen is the one-level grid) or
+    ``"mlss"`` (fused splitting forest with a shared normalized
+    partition).
     """
 
     mode: str
@@ -362,8 +370,6 @@ def _execute(spec, payload, block: Optional[CounterBlock]):
         fault_hook("pool.task", spec=spec, payload=payload)
     if isinstance(spec, ForestWork):
         return _run_forest_task(spec, payload, block)
-    if isinstance(spec, PathWork):
-        return _run_path_task(spec, payload)
     if isinstance(spec, CurveWork):
         return _run_curve_task(spec, payload)
     if isinstance(spec, FleetWork):
@@ -417,21 +423,13 @@ def _run_forest_task(spec: ForestWork, payload, block: CounterBlock):
     return block.write_records(records)
 
 
-def _run_path_task(spec: PathWork, payload):
-    n_paths, seed = payload
-    from .srs import SRSSampler  # circular-import guard
-    estimate = SRSSampler(batch_roots=n_paths).run(
-        spec.query, max_roots=n_paths, seed=seed)
-    return (estimate.n_roots, estimate.hits, estimate.steps)
-
-
 def _run_curve_task(spec: CurveWork, payload):
     n_paths, seed = payload
     from .srs import SRSSampler  # circular-import guard
-    curve = SRSSampler(batch_roots=n_paths).run_curve(
-        spec.query, spec.levels, max_roots=n_paths, seed=seed)
-    counts = tuple(estimate.hits for estimate in curve.estimates)
-    return (counts, curve.n_roots, curve.steps)
+    counts, n_paths, steps, _ = SRSSampler(
+        batch_roots=n_paths)._curve_pass_vectorized(
+        spec.query, spec.levels, None, None, n_paths, seed)
+    return (tuple(counts), n_paths, steps)
 
 
 def _run_fleet_task(spec: FleetWork, payload):
@@ -439,13 +437,6 @@ def _run_fleet_task(spec: FleetWork, payload):
     from ..processes.base import FusedBatch  # circular-import guard
     from . import fleet  # circular-import guard
     fused = FusedBatch(spec.processes[lo:hi])
-    if spec.mode == "screen":
-        n_paths, hits, steps, rounds = fleet._screen_members(
-            fused, spec.z, spec.betas[lo:hi], spec.horizon, spec.quality,
-            spec.max_steps, spec.max_roots, spec.batch_roots,
-            spec.adaptive, spec.max_round_roots,
-            np.random.default_rng(seed))
-        return (n_paths.tolist(), hits.tolist(), steps.tolist(), rounds)
     if spec.mode == "curves":
         counts, n_paths, steps, rounds = fleet._curve_members(
             fused, spec.z, spec.grids[lo:hi], spec.horizon, spec.quality,
@@ -543,14 +534,22 @@ def _worker_main(worker_id: int, task_queue, result_channel) -> None:
             break
         if kind == "register":
             _, handle, spec, block_ref = message
-            specs[handle] = spec
             if isinstance(block_ref, CounterBlock):
                 blocks[handle] = (None, block_ref)
             elif block_ref is not None:
-                shm = _attach_block(block_ref)
+                try:
+                    shm = _attach_block(block_ref)
+                except FileNotFoundError:
+                    # The parent unregistered this work, unlinking its
+                    # segment, before this worker got here.  The handle
+                    # stays dead (never registered); the matching
+                    # unregister is next in this first-in-first-out
+                    # queue.
+                    continue
                 capacity, num_levels = _block_shape(spec)
                 blocks[handle] = (shm, CounterBlock(capacity, num_levels,
                                                     shm.buf))
+            specs[handle] = spec
         elif kind == "unregister":
             _, handle = message
             specs.pop(handle, None)
@@ -692,7 +691,9 @@ class RoundPipeline:
     whenever the round schedule doesn't depend on unmeasured results),
     their results are simply collected; on any mismatch — or when the
     caller stops — the speculative results are discarded unread, so
-    speculation can change wall-clock time but never results.
+    speculation can change wall-clock time but never results.  It is
+    the only round schedule of the pooled samplers: there is no
+    per-round barrier path to fall back to.
     """
 
     def __init__(self, pool: "WorkerPool", handle: int):
@@ -1400,19 +1401,21 @@ class PooledForestRunner:
     results merge in task order, making pooled aggregates invariant
     under the worker count.
 
-    With ``streamed`` (the default), rounds run through a
-    :class:`RoundPipeline`: the next round's predicted tasks are
-    submitted while the current round's stragglers drain, and
-    mispredicted or post-stop results are discarded unread — so the
-    streamed and barrier paths return byte-identical aggregates.
-    Prediction needs the round schedule to be computable ahead of the
-    current round's results, which holds for quality-target and
-    ``max_roots`` stopping but not under a ``max_steps`` budget.
+    Rounds run through a :class:`RoundPipeline`: the next round's
+    predicted tasks are submitted while the current round's stragglers
+    drain, and mispredicted or post-stop results are discarded unread,
+    so speculation never changes an aggregate.  Prediction needs the
+    round schedule to be computable ahead of the current round's
+    results, which holds for quality-target and ``max_roots`` stopping
+    but not under a ``max_steps`` budget.
 
     ``max_steps`` is *strict*: the final round is trimmed against the
-    remaining budget (from the measured cost per root) and every task
-    carries its share of the budget as a hard cap its worker enforces
-    per root tree, so pooled step counts never exceed the budget.
+    remaining budget (from the measured cost per root), cut into no
+    more tasks than the budget can fund with one worst-case root tree
+    each, and every task carries its share of the budget as a hard cap
+    its worker enforces per root tree, so pooled step counts never
+    exceed the budget.  A budget that cannot fund one worst-case tree
+    before any root ran raises :class:`StepBudgetError`.
 
     Call :meth:`close` when done (the samplers do) to release the
     work's shared counter blocks; the pool itself stays alive for the
@@ -1422,8 +1425,7 @@ class PooledForestRunner:
     def __init__(self, pool: WorkerPool, query, partition, ratios,
                  seed: Optional[int],
                  roots_per_task: int = DEFAULT_ROOTS_PER_TASK,
-                 tasks_per_round: int = DEFAULT_TASKS_PER_ROUND,
-                 streamed: bool = True):
+                 tasks_per_round: int = DEFAULT_TASKS_PER_ROUND):
         if roots_per_task < 1:
             raise ValueError(
                 f"roots_per_task must be >= 1, got {roots_per_task}")
@@ -1438,12 +1440,12 @@ class PooledForestRunner:
         self.seed = seed
         self.roots_per_task = roots_per_task
         self.tasks_per_round = tasks_per_round
-        self.streamed = streamed
         self._task_index = 0
-        self._rounds: Optional[RoundPipeline] = None
-        self._handle = pool.register(ForestWork(
-            query=query, partition=partition, ratios=self.ratios,
-            capacity=roots_per_task))
+        work = ForestWork(query=query, partition=partition,
+                          ratios=self.ratios, capacity=roots_per_task)
+        self._worst_case = _worst_case_root_cost(work)
+        self._handle = pool.register(work)
+        self._rounds = RoundPipeline(pool, self._handle)
 
     def _base_cohort(self, batch_roots: int) -> int:
         return max(batch_roots, self.roots_per_task * self.tasks_per_round)
@@ -1459,22 +1461,33 @@ class PooledForestRunner:
             if aggregate.steps >= max_steps:
                 return True
             step_budget = max_steps - aggregate.steps
+            fundable = step_budget // self._worst_case
+            if fundable == 0:
+                if aggregate.n_roots == 0:
+                    raise StepBudgetError(
+                        f"max_steps={max_steps} cannot fund one "
+                        f"worst-case root tree of {self._worst_case} "
+                        f"steps under the strict pooled budget")
+                # No task could start another root: budget exhausted.
+                return True
             # Trim the round toward the remaining budget using the
             # measured cost per root (a fresh run assumes a root tree
-            # costs about two horizons); the per-task caps below make
-            # the budget strict regardless of the estimate.
+            # costs about two horizons), and cut no more tasks than
+            # the budget funds with one worst-case tree each; the
+            # per-task caps below make the budget strict regardless.
             if aggregate.n_roots:
                 cost = aggregate.steps / aggregate.n_roots
             else:
                 cost = 2.0 * self.query.horizon
-            cohort = min(cohort, max(int(step_budget / cost), 1))
+            cohort = min(cohort, max(int(step_budget / cost), 1),
+                         fundable * self.roots_per_task)
         if cohort <= 0:
             return True
         tasks, self._task_index = cut_tasks(
             cohort, self.roots_per_task, self.seed, self._task_index,
             step_budget)
         predicted = None
-        if self.streamed and step_budget is None:
+        if step_budget is None:
             ahead = self._base_cohort(batch_roots)
             if max_roots is not None:
                 ahead = min(ahead,
@@ -1483,13 +1496,7 @@ class PooledForestRunner:
                 predicted, _ = cut_tasks(ahead, self.roots_per_task,
                                          self.seed, self._task_index)
         roots_before = aggregate.n_roots
-        if self.streamed:
-            if self._rounds is None:
-                self._rounds = RoundPipeline(self.pool, self._handle)
-            results = self._rounds.run_round(tasks, predicted)
-        else:
-            results = self.pool.run_tasks(self._handle, tasks)
-        for arrays in results:
+        for arrays in self._rounds.run_round(tasks, predicted):
             aggregate.extend_arrays(*arrays)
         if step_budget is not None and aggregate.n_roots == roots_before:
             # The remaining budget cannot afford a single worst-case
@@ -1501,7 +1508,5 @@ class PooledForestRunner:
 
     def close(self) -> None:
         """Release this work's registration and shared blocks."""
-        if self._rounds is not None:
-            self._rounds.close()
-            self._rounds = None
+        self._rounds.close()
         self.pool.unregister(self._handle)

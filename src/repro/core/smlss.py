@@ -44,20 +44,18 @@ def make_forest_runner(query: DurabilityQuery,
                        seed: Optional[int],
                        pool=None,
                        roots_per_task: Optional[int] = None,
-                       tasks_per_round: Optional[int] = None,
-                       streamed: bool = True):
+                       tasks_per_round: Optional[int] = None):
     """Build the forest runner for one sampler run.
 
     Without a pool, whole cohorts run through
     :class:`VectorizedForestRunner` (a NumPy generator, buffered
     frontiers, and in-place stepping for processes that support
     ``out=``).  With a :class:`~repro.core.pool.WorkerPool`, cohorts
-    shard over the pool's workers instead
-    (:class:`~repro.core.pool.PooledForestRunner`; ``streamed`` selects
-    its pipelined round scheduling).  Both runners expose the same
-    ``accumulate`` interface, so samplers are parallelism-agnostic past
-    this point; pooled runners additionally expose ``close()``, which
-    samplers call when a run finishes.
+    shard over the pool's workers instead, in pipelined rounds
+    (:class:`~repro.core.pool.PooledForestRunner`).  Both runners
+    expose the same ``accumulate`` interface, so samplers are
+    parallelism-agnostic past this point; pooled runners additionally
+    expose ``close()``, which samplers call when a run finishes.
     """
     if pool is not None:
         from .pool import (DEFAULT_ROOTS_PER_TASK, DEFAULT_TASKS_PER_ROUND,
@@ -65,8 +63,7 @@ def make_forest_runner(query: DurabilityQuery,
         return PooledForestRunner(
             pool, query, partition, ratios, seed,
             roots_per_task=roots_per_task or DEFAULT_ROOTS_PER_TASK,
-            tasks_per_round=tasks_per_round or DEFAULT_TASKS_PER_ROUND,
-            streamed=streamed)
+            tasks_per_round=tasks_per_round or DEFAULT_TASKS_PER_ROUND)
     return VectorizedForestRunner(query, partition, ratios,
                                   np.random.default_rng(seed))
 
@@ -165,13 +162,9 @@ class SMLSSSampler:
         Record convergence snapshots in ``details["trace"]``.
     pool / roots_per_task / tasks_per_round:
         With a :class:`~repro.core.pool.WorkerPool`, root trees shard
-        over its workers in fixed-size tasks (results are invariant
-        under the worker count; see :mod:`repro.core.pool`).
-    streamed:
-        With a pool, pipeline rounds (speculative next-round
-        submission, byte-identical results; see
-        :class:`~repro.core.pool.RoundPipeline`).  ``False`` restores
-        the per-round barrier.
+        over its workers in fixed-size tasks, rounds pipelined
+        (results are invariant under the worker count; see
+        :mod:`repro.core.pool`).
     """
 
     method_name = "smlss"
@@ -180,8 +173,7 @@ class SMLSSSampler:
                  batch_roots: int = 100, record_trace: bool = False,
                  pool=None,
                  roots_per_task: Optional[int] = None,
-                 tasks_per_round: Optional[int] = None,
-                 streamed: bool = True):
+                 tasks_per_round: Optional[int] = None):
         if batch_roots < 1:
             raise ValueError(f"batch_roots must be >= 1, got {batch_roots}")
         self.partition = partition
@@ -191,14 +183,12 @@ class SMLSSSampler:
         self.pool = pool
         self.roots_per_task = roots_per_task
         self.tasks_per_round = tasks_per_round
-        self.streamed = streamed
 
     def _make_runner(self, query: DurabilityQuery, seed: Optional[int]):
         return make_forest_runner(
             query, self.partition, self.ratios, seed, pool=self.pool,
             roots_per_task=self.roots_per_task,
-            tasks_per_round=self.tasks_per_round,
-            streamed=self.streamed)
+            tasks_per_round=self.tasks_per_round)
 
     def run(self, query: DurabilityQuery,
             quality: Optional[QualityTarget] = None,

@@ -21,11 +21,14 @@ step_into`, so processes with the in-place ``step_batch(..., out=...)``
 fast path overwrite their cohort buffer instead of allocating a fresh
 state array every time step.
 
-Besides the single-threshold :meth:`SRSSampler.run`, the sampler can
-answer a whole *grid* of thresholds from one pass:
-:meth:`SRSSampler.run_curve` records each path's running maximum score,
-so the hit indicator for every grid level is read off the same paths
-(see :class:`repro.core.estimates.DurabilityCurve`).
+There is one pass.  :meth:`SRSSampler.run_curve` answers a whole
+*grid* of thresholds from the same paths: each path records its running
+maximum score, so the hit indicator for every grid level is read off
+one simulation (see :class:`repro.core.estimates.DurabilityCurve`).  A
+point answer is that pass on the one-level grid ``(1.0,)``:
+:meth:`SRSSampler.run` labels each path by whether it reached the
+target, exactly the paper's SRS, and draws the same random numbers in
+the same order as any curve whose top level is the target.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 from ..processes.base import as_vectorized, step_into
 from .estimates import DurabilityCurve, DurabilityEstimate, TracePoint
 from .pool import (CurveWork, DEFAULT_ROOTS_PER_TASK,
-                   DEFAULT_TASKS_PER_ROUND, PathWork, RoundPipeline,
+                   DEFAULT_TASKS_PER_ROUND, RoundPipeline, StepBudgetError,
                    cut_tasks)
 from .quality import QualityTarget
 from .value_functions import TARGET_VALUE, DurabilityQuery, batch_values
@@ -136,23 +139,17 @@ class SRSSampler:
         Cohort size: paths simulated as one batch between
         stopping-rule checks.
     record_trace:
-        When True, a :class:`TracePoint` is recorded at every check;
-        the trace lands in ``estimate.details["trace"]`` (used for the
-        convergence study, Figure 8).
+        When True, :meth:`run` records a :class:`TracePoint` at every
+        check; the trace lands in ``estimate.details["trace"]`` (used
+        for the convergence study, Figure 8).
     pool / roots_per_task / tasks_per_round:
         With a :class:`~repro.core.pool.WorkerPool`, paths shard over
         its workers in fixed-size tasks whose seeds derive from the
         task index, so pooled estimates are invariant under the worker
         count (see :mod:`repro.core.pool`).  Each stopping-rule round
         covers at least ``tasks_per_round`` tasks of
-        ``roots_per_task`` paths.
-    streamed:
-        With a pool, pipeline rounds through a
-        :class:`~repro.core.pool.RoundPipeline`: the next round's tasks
-        are submitted speculatively while the current round's
-        stragglers drain, and discarded unread if the stopping rule
-        ends the run first — byte-identical results, better worker
-        utilization.  ``False`` restores the per-round barrier.
+        ``roots_per_task`` paths, pipelined through a
+        :class:`~repro.core.pool.RoundPipeline`.
     """
 
     method_name = "srs"
@@ -160,8 +157,7 @@ class SRSSampler:
     def __init__(self, batch_roots: int = 500, record_trace: bool = False,
                  pool=None,
                  roots_per_task: Optional[int] = None,
-                 tasks_per_round: Optional[int] = None,
-                 streamed: bool = True):
+                 tasks_per_round: Optional[int] = None):
         if batch_roots < 1:
             raise ValueError(f"batch_roots must be >= 1, got {batch_roots}")
         self.batch_roots = batch_roots
@@ -169,26 +165,42 @@ class SRSSampler:
         self.pool = pool
         self.roots_per_task = roots_per_task or DEFAULT_ROOTS_PER_TASK
         self.tasks_per_round = tasks_per_round or DEFAULT_TASKS_PER_ROUND
-        self.streamed = streamed
 
     def run(self, query: DurabilityQuery,
             quality: Optional[QualityTarget] = None,
             max_steps: Optional[int] = None,
             max_roots: Optional[int] = None,
             seed: Optional[int] = None) -> DurabilityEstimate:
-        """Estimate the query answer; stop on quality target or budget."""
-        if quality is None and max_steps is None and max_roots is None:
-            raise ValueError(
-                "provide a quality target, max_steps or max_roots; "
-                "otherwise the sampler would never stop"
-            )
+        """Estimate the query answer; stop on quality target or budget.
+
+        The curve pass on the one-level grid ``(1.0,)``.  ``details``
+        stay empty unless ``record_trace`` is set (``"trace"``: one
+        :class:`TracePoint` per round) or a pool is used
+        (``"parallel"``: worker count, pool mode and tasks cut).
+        """
+        levels, _ = prepare_curve_grid((TARGET_VALUE,), None, quality,
+                                       max_steps, max_roots)
+        trace = [] if self.record_trace else None
+        started = time.perf_counter()
+        counts, n_paths, steps, tasks = self._curve_pass(
+            query, levels, quality, max_steps, max_roots, seed, trace)
+        hits = counts[0]
+        probability = hits / n_paths if n_paths else 0.0
+        details = {}
         if self.pool is not None:
-            return self._run_pooled(query, quality=quality,
-                                    max_steps=max_steps,
-                                    max_roots=max_roots, seed=seed)
-        return self._run_vectorized(query, quality=quality,
-                                    max_steps=max_steps,
-                                    max_roots=max_roots, seed=seed)
+            details["parallel"] = {"n_workers": self.pool.n_workers,
+                                   "mode": self.pool.mode,
+                                   "tasks": tasks}
+        if trace is not None:
+            details["trace"] = trace
+        return DurabilityEstimate(
+            probability=probability,
+            variance=srs_variance(probability, n_paths),
+            n_roots=n_paths, hits=hits, steps=steps,
+            method=self.method_name,
+            elapsed_seconds=time.perf_counter() - started,
+            details=details,
+        )
 
     def run_curve(self, query: DurabilityQuery, levels: Sequence[float],
                   thresholds: Optional[Sequence[float]] = None,
@@ -227,26 +239,50 @@ class SRSSampler:
         """
         levels, thresholds = prepare_curve_grid(
             levels, thresholds, quality, max_steps, max_roots)
-        if self.pool is not None:
-            counts, n_paths, steps, elapsed = self._curve_pass_pooled(
-                query, levels, quality, max_steps, max_roots, seed)
-        else:
-            counts, n_paths, steps, elapsed = self._curve_pass_vectorized(
-                query, levels, quality, max_steps, max_roots, seed)
+        started = time.perf_counter()
+        counts, n_paths, steps, _ = self._curve_pass(
+            query, levels, quality, max_steps, max_roots, seed, None)
         return build_srs_curve(thresholds, levels, counts, n_paths, steps,
-                               elapsed)
+                               time.perf_counter() - started)
+
+    def _curve_pass(self, query, levels, quality, max_steps, max_roots,
+                    seed, trace):
+        """The one SRS pass: pooled when the sampler has a pool.
+
+        Returns ``(level_counts, n_paths, steps, tasks)``; ``tasks`` is
+        the number of pool tasks cut (0 without a pool).  With a
+        ``trace`` list, one :class:`TracePoint` of the top level is
+        appended per round.
+        """
+        run_pass = (self._curve_pass_vectorized if self.pool is None
+                    else self._curve_pass_pooled)
+        return run_pass(query, levels, quality, max_steps, max_roots, seed,
+                        trace)
 
     def _curve_pass_vectorized(self, query, levels, quality, max_steps,
-                               max_roots, seed):
-        """Cohorts advance as NumPy batches, tracking per-path maxima."""
+                               max_roots, seed, trace=None):
+        """Cohorts advance as NumPy batches between stopping checks.
+
+        Budgets are enforced at cohort granularity: every started path
+        runs to its top-level hit or the horizon (truncating mid-flight
+        would bias the hit fraction), so ``max_steps`` can be overshot
+        by at most one cohort.  The cohort is shrunk when the remaining
+        budget cannot fill it, keeping that overshoot small.
+
+        A live path reaches the top level at step ``t`` exactly when
+        its value at ``t`` does (otherwise it would have left the
+        frontier already), so the top level is read off the current
+        values; running maxima are kept only for levels below it.
+        """
         rng = np.random.default_rng(seed)
         process = as_vectorized(query.process)
         value_fn = query.value_function
         horizon = query.horizon
-        grid = np.asarray(levels, dtype=np.float64)
         top = levels[-1]
+        lower = (np.asarray(levels[:-1], dtype=np.float64)
+                 if len(levels) > 1 else None)
 
-        counts = np.zeros(len(levels), dtype=np.int64)
+        counts = [0] * len(levels)
         n_paths = 0
         steps = 0
         started = time.perf_counter()
@@ -263,46 +299,50 @@ class SRSSampler:
                 break
 
             states = process.initial_states(cohort)
-            best = np.zeros(cohort, dtype=np.float64)
+            best = (np.zeros(cohort, dtype=np.float64)
+                    if lower is not None else None)
             topped = 0
             t = 0
             while t < horizon and len(states):
                 t += 1
                 states = step_into(process, states, t, rng)
                 steps += len(states)
-                np.maximum(best, batch_values(value_fn, states, t),
-                           out=best)
-                reached = best >= top
+                values = batch_values(value_fn, states, t)
+                if best is not None:
+                    np.maximum(best, values, out=best)
+                reached = values >= top
                 n_reached = int(np.count_nonzero(reached))
                 if n_reached:
                     topped += n_reached
                     keep = ~reached
-                    states, best = states[keep], best[keep]
+                    states = states[keep]
+                    if best is not None:
+                        best = best[keep]
             # Paths that reached the top level hit every grid point;
-            # survivors hit exactly the levels below their maximum.
-            counts += topped
-            if len(best):
-                counts += (best[:, None] >= grid[None, :]).sum(axis=0)
+            # survivors hit exactly the lower levels below their maximum.
+            counts = [c + topped for c in counts]
+            if best is not None and len(best):
+                below = (best[:, None] >= lower[None, :]).sum(axis=0)
+                counts[:-1] = [c + int(b) for c, b in zip(counts, below)]
             n_paths += cohort
 
+            if trace is not None:
+                _trace_round(trace, started, steps, counts[-1], n_paths)
             if quality is not None and curve_quality_met(
                     quality, counts, n_paths):
                 break
-        return [int(c) for c in counts], n_paths, steps, \
-            time.perf_counter() - started
+        return counts, n_paths, steps, 0
 
     def _round_cohort(self, n_paths: int, steps: int, horizon: int,
                       max_steps: Optional[int],
                       max_roots: Optional[int]) -> int:
         """Next pooled round's path budget under the stopping budgets.
 
-        Shared by the point and curve pooled passes so their budget
-        semantics cannot drift apart.  Non-positive means "stop".
-        Unlike the single-process vectorized loop (cohort-granular by
-        documented design), the pooled ``max_steps`` budget is
-        *strict*: a path costs at most ``horizon`` steps, so admitting
-        only ``remaining // horizon`` more paths guarantees pooled step
-        counts never exceed the cap.
+        Non-positive means "stop".  Unlike the single-process
+        vectorized loop (cohort-granular by documented design), the
+        pooled ``max_steps`` budget is *strict*: a path costs at most
+        ``horizon`` steps, so admitting only ``remaining // horizon``
+        more paths guarantees pooled step counts never exceed the cap.
         """
         cohort = max(self.batch_roots,
                      self.roots_per_task * self.tasks_per_round)
@@ -314,30 +354,33 @@ class SRSSampler:
             cohort = min(cohort, (max_steps - steps) // horizon)
         return cohort
 
-    def _run_pooled(self, query: DurabilityQuery,
-                    quality: Optional[QualityTarget],
-                    max_steps: Optional[int],
-                    max_roots: Optional[int],
-                    seed: Optional[int]) -> DurabilityEstimate:
+    def _curve_pass_pooled(self, query, levels, quality, max_steps,
+                           max_roots, seed, trace=None):
         """Paths shard over the worker pool in fixed-size tasks.
 
-        Rounds run quality checks between merges; with ``streamed``
-        the next round's tasks are already in flight while this round's
-        stragglers drain (see :class:`~repro.core.pool.RoundPipeline`).
-        Task seeds come from :func:`~repro.core.pool.derive_task_seed`
-        and results merge in task order, so the estimate is
-        byte-identical for any ``n_workers`` and for both scheduling
-        paths.
+        Rounds run quality checks between merges while the next round's
+        tasks are already in flight (see
+        :class:`~repro.core.pool.RoundPipeline`).  Task seeds come from
+        :func:`~repro.core.pool.derive_task_seed` and per-level counts
+        merge in task order, so the answer is byte-identical for any
+        ``n_workers`` and pool mode.  A strict ``max_steps`` below one
+        path's cost (the horizon) raises
+        :class:`~repro.core.pool.StepBudgetError` before any work is
+        registered.
         """
-        pool = self.pool
-        handle = pool.register(PathWork(query=query))
-        rounds = RoundPipeline(pool, handle) if self.streamed else None
         horizon = query.horizon
+        if max_steps is not None and max_steps < horizon:
+            raise StepBudgetError(
+                f"max_steps={max_steps} cannot fund one SRS path of "
+                f"{horizon} steps (the horizon) under the strict pooled "
+                f"budget")
+        pool = self.pool
+        handle = pool.register(CurveWork(query=query, levels=tuple(levels)))
+        rounds = RoundPipeline(pool, handle)
+        counts = [0] * len(levels)
         n_paths = 0
-        hits = 0
         steps = 0
         task_index = 0
-        trace = []
         started = time.perf_counter()
         try:
             while True:
@@ -348,7 +391,7 @@ class SRSSampler:
                 tasks, task_index = cut_tasks(cohort, self.roots_per_task,
                                               seed, task_index)
                 predicted = None
-                if rounds is not None and max_steps is None:
+                if max_steps is None:
                     # Under max_steps the next round depends on this
                     # round's measured spend, so there is nothing
                     # sound to speculate.
@@ -357,163 +400,29 @@ class SRSSampler:
                     if ahead > 0:
                         predicted, _ = cut_tasks(
                             ahead, self.roots_per_task, seed, task_index)
-                if rounds is not None:
-                    results = rounds.run_round(tasks, predicted)
-                else:
-                    results = pool.run_tasks(handle, tasks)
-                for task_n, task_hits, task_steps in results:
-                    n_paths += task_n
-                    hits += task_hits
-                    steps += task_steps
-                probability = hits / n_paths if n_paths else 0.0
-                variance = srs_variance(probability, n_paths)
-                if self.record_trace:
-                    trace.append(TracePoint(
-                        steps=steps,
-                        elapsed_seconds=time.perf_counter() - started,
-                        probability=probability, variance=variance,
-                        n_roots=n_paths, hits=hits,
-                    ))
-                if quality is not None and quality.is_met(
-                        probability, variance, hits, n_paths):
-                    break
-        finally:
-            if rounds is not None:
-                rounds.close()
-            pool.unregister(handle)
-
-        probability = hits / n_paths if n_paths else 0.0
-        details = {"parallel": {"n_workers": pool.n_workers,
-                                "mode": pool.mode,
-                                "streamed": rounds is not None,
-                                "tasks": task_index}}
-        if self.record_trace:
-            details["trace"] = trace
-        return DurabilityEstimate(
-            probability=probability,
-            variance=srs_variance(probability, n_paths),
-            n_roots=n_paths, hits=hits, steps=steps,
-            method=self.method_name,
-            elapsed_seconds=time.perf_counter() - started,
-            details=details,
-        )
-
-    def _curve_pass_pooled(self, query, levels, quality, max_steps,
-                           max_roots, seed):
-        """Pooled running-maxima pass: per-level counts merge per task."""
-        pool = self.pool
-        handle = pool.register(CurveWork(query=query, levels=tuple(levels)))
-        rounds = RoundPipeline(pool, handle) if self.streamed else None
-        horizon = query.horizon
-        counts = np.zeros(len(levels), dtype=np.int64)
-        n_paths = 0
-        steps = 0
-        task_index = 0
-        started = time.perf_counter()
-        try:
-            while True:
-                cohort = self._round_cohort(n_paths, steps, horizon,
-                                            max_steps, max_roots)
-                if cohort <= 0:
-                    break
-                tasks, task_index = cut_tasks(cohort, self.roots_per_task,
-                                              seed, task_index)
-                predicted = None
-                if rounds is not None and max_steps is None:
-                    ahead = self._round_cohort(n_paths + cohort, steps,
-                                               horizon, None, max_roots)
-                    if ahead > 0:
-                        predicted, _ = cut_tasks(
-                            ahead, self.roots_per_task, seed, task_index)
-                if rounds is not None:
-                    results = rounds.run_round(tasks, predicted)
-                else:
-                    results = pool.run_tasks(handle, tasks)
-                for task_counts, task_n, task_steps in results:
-                    counts += np.asarray(task_counts, dtype=np.int64)
+                for task_counts, task_n, task_steps in rounds.run_round(
+                        tasks, predicted):
+                    counts = [c + n for c, n in zip(counts, task_counts)]
                     n_paths += task_n
                     steps += task_steps
+                if trace is not None:
+                    _trace_round(trace, started, steps, counts[-1], n_paths)
                 if quality is not None and curve_quality_met(
-                        quality, [int(c) for c in counts], n_paths):
+                        quality, counts, n_paths):
                     break
         finally:
-            if rounds is not None:
-                rounds.close()
+            rounds.close()
             pool.unregister(handle)
-        return [int(c) for c in counts], n_paths, steps, \
-            time.perf_counter() - started
+        return counts, n_paths, steps, task_index
 
-    def _run_vectorized(self, query: DurabilityQuery,
-                        quality: Optional[QualityTarget],
-                        max_steps: Optional[int],
-                        max_roots: Optional[int],
-                        seed: Optional[int]) -> DurabilityEstimate:
-        """Cohorts of paths advance as NumPy batches between checks.
 
-        Budgets are enforced at cohort granularity: every started path
-        runs to its hit or the horizon (truncating mid-flight would bias
-        the hit fraction), so ``max_steps`` can be overshot by at most
-        one cohort.  The cohort is shrunk when the remaining budget
-        cannot fill it, keeping that overshoot small.
-        """
-        rng = np.random.default_rng(seed)
-        process = as_vectorized(query.process)
-        value_fn = query.value_function
-        horizon = query.horizon
-
-        n_paths = 0
-        hits = 0
-        steps = 0
-        trace = []
-        started = time.perf_counter()
-
-        def make_estimate() -> DurabilityEstimate:
-            probability = hits / n_paths if n_paths else 0.0
-            return DurabilityEstimate(
-                probability=probability,
-                variance=srs_variance(probability, n_paths),
-                n_roots=n_paths, hits=hits, steps=steps,
-                method=self.method_name,
-                elapsed_seconds=time.perf_counter() - started,
-                details={"trace": trace} if self.record_trace else {},
-            )
-
-        while True:
-            cohort = self.batch_roots
-            if max_roots is not None:
-                cohort = min(cohort, max_roots - n_paths)
-            if max_steps is not None:
-                if steps >= max_steps:
-                    break
-                cohort = min(cohort, (max_steps - steps) // horizon + 1)
-            if cohort <= 0:
-                break
-
-            states = process.initial_states(cohort)
-            t = 0
-            while t < horizon and len(states):
-                t += 1
-                states = step_into(process, states, t, rng)
-                steps += len(states)
-                values = batch_values(value_fn, states, t)
-                hit = values >= TARGET_VALUE
-                n_hit = int(np.count_nonzero(hit))
-                if n_hit:
-                    hits += n_hit
-                    states = states[~hit]
-            n_paths += cohort
-
-            probability = hits / n_paths
-            variance = srs_variance(probability, n_paths)
-            if self.record_trace:
-                trace.append(TracePoint(
-                    steps=steps,
-                    elapsed_seconds=time.perf_counter() - started,
-                    probability=probability, variance=variance,
-                    n_roots=n_paths, hits=hits,
-                ))
-            if quality is not None and quality.is_met(
-                    probability, variance, hits, n_paths):
-                break
-
-        return make_estimate()
+def _trace_round(trace: list, started: float, steps: int, hits: int,
+                 n_paths: int) -> None:
+    """Append one round's top-level convergence snapshot."""
+    probability = hits / n_paths
+    trace.append(TracePoint(
+        steps=steps, elapsed_seconds=time.perf_counter() - started,
+        probability=probability,
+        variance=srs_variance(probability, n_paths),
+        n_roots=n_paths, hits=hits,
+    ))

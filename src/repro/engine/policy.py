@@ -113,6 +113,10 @@ class ParallelPolicy:
     across calls).  Results are **invariant under** ``n_workers`` and
     ``pool``: work decomposes into fixed-size tasks whose seeds derive
     from the task index, so parallelism changes latency, not answers.
+    Pooled rounds always pipeline: the next round's tasks run
+    speculatively while the current round drains (see
+    :class:`~repro.core.pool.RoundPipeline`), and there is no barrier
+    option.
 
     Attributes
     ----------
@@ -133,11 +137,6 @@ class ParallelPolicy:
         pickling cost; the NumPy kernels release the GIL) or
         ``"inline"``.  Where fork is unavailable, ``"fork"`` falls
         back to ``"thread"``.
-    streamed:
-        Pipeline pooled rounds (speculative next-round submission;
-        see :class:`~repro.core.pool.RoundPipeline`).  Results are
-        byte-identical either way; ``False`` restores the per-round
-        barrier.
     max_worker_restarts:
         Supervision budget: how many dead (or deadline-overrunning)
         workers the pool may respawn per burst of work before falling
@@ -159,7 +158,6 @@ class ParallelPolicy:
     tasks_per_round: int = 8
     members_per_task: int = 32
     pool: str = "fork"
-    streamed: bool = True
     max_worker_restarts: int = 2
     task_retry_limit: int = 2
     task_timeout_seconds: Optional[float] = None
@@ -205,7 +203,6 @@ class ParallelPolicy:
             "tasks_per_round": self.tasks_per_round,
             "members_per_task": self.members_per_task,
             "pool": self.pool,
-            "streamed": self.streamed,
             "max_worker_restarts": self.max_worker_restarts,
             "task_retry_limit": self.task_retry_limit,
             "task_timeout_seconds": self.task_timeout_seconds,

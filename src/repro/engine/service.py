@@ -391,8 +391,7 @@ class DurabilityEngine:
         if parallel is not None:
             kwargs.update(pool=self._get_pool(policy),
                           roots_per_task=parallel.roots_per_task,
-                          tasks_per_round=parallel.tasks_per_round,
-                          streamed=parallel.streamed)
+                          tasks_per_round=parallel.tasks_per_round)
         return sampler_class(*args, **kwargs)
 
     @staticmethod

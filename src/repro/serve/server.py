@@ -47,6 +47,7 @@ import threading
 import time
 from typing import Optional
 
+from ..core import LevelPlanError, StepBudgetError
 from ..db.plan_store import PlanStore
 from ..engine import (DurabilityEngine, ExecutionPolicy, PlanCache,
                       UnservableGridError)
@@ -439,6 +440,16 @@ class DurabilityServer:
             await self._respond_json(
                 writer, 400, error_body("unservable_grid", str(exc)),
                 started)
+            return True
+        except LevelPlanError as exc:
+            status = 400
+            await self._respond_json(
+                writer, 400, error_body("level_plan", str(exc)), started)
+            return True
+        except StepBudgetError as exc:
+            status = 400
+            await self._respond_json(
+                writer, 400, error_body("step_budget", str(exc)), started)
             return True
         except UnknownSessionError as exc:
             status = 404

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.gmlss import GMLSSSampler
-from repro.core.pool import (CounterBlock, PathWork, WorkerPool,
+from repro.core.pool import (CounterBlock, CurveWork, WorkerPool,
                              derive_task_seed)
 from repro.core.records import ForestAggregate, RootRecord
 from repro.core.smlss import SMLSSSampler
@@ -114,7 +114,8 @@ class TestLifecycle:
         pool = WorkerPool(n_workers=1)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
-            pool.register(PathWork(query=small_chain_query))
+            pool.register(CurveWork(query=small_chain_query,
+                                    levels=(1.0,)))
 
     def test_pool_is_reused_across_runs(self, small_chain_query):
         with WorkerPool(n_workers=2) as pool:
@@ -333,49 +334,47 @@ class TestThreadMode:
 
 
 class TestStreamedScheduling:
-    """Pipelined rounds return exactly what the barrier path returns."""
+    """Pipelined rounds return exactly what unpipelined rounds return.
+
+    The reference is the inline pool: it runs a task only when its
+    result is collected, so speculative tasks never execute there and
+    every round is computed strictly one after another.
+    """
+
+    @staticmethod
+    def _sampler(sampler_cls, partition, pool):
+        if sampler_cls is SRSSampler:
+            return SRSSampler(pool=pool, roots_per_task=64,
+                              tasks_per_round=4)
+        return sampler_cls(partition, ratio=3, pool=pool,
+                           roots_per_task=64, tasks_per_round=4)
 
     @pytest.mark.parametrize("sampler_cls",
                              [SRSSampler, SMLSSSampler, GMLSSSampler])
     def test_streamed_matches_barrier(self, sampler_cls, small_chain_query,
                                       small_chain_partition):
         """Small tasks + small rounds force many rounds, so speculation
-        actually overlaps; results must still be byte-identical."""
+        actually overlaps on the fork pool; results must still be
+        byte-identical to the inline reference."""
         outcomes = []
-        for streamed in (False, True):
-            with WorkerPool(n_workers=2) as pool:
-                if sampler_cls is SRSSampler:
-                    sampler = SRSSampler(
-                        pool=pool, roots_per_task=64,
-                        tasks_per_round=4, streamed=streamed)
-                else:
-                    sampler = sampler_cls(
-                        small_chain_partition, ratio=3, pool=pool,
-                        roots_per_task=64, tasks_per_round=4,
-                        streamed=streamed)
-                estimate = sampler.run(small_chain_query, seed=5,
-                                       max_roots=3_000)
+        for mode in ("inline", "fork"):
+            with WorkerPool(n_workers=2, pool=mode) as pool:
+                estimate = self._sampler(
+                    sampler_cls, small_chain_partition, pool).run(
+                    small_chain_query, seed=5, max_roots=3_000)
             outcomes.append((estimate.probability, estimate.variance,
                              estimate.n_roots, estimate.hits,
                              estimate.steps))
         assert outcomes[0] == outcomes[1]
 
-    def test_streamed_flag_reported_in_details(self, small_chain_query):
-        for streamed in (False, True):
-            with WorkerPool(n_workers=2) as pool:
-                estimate = SRSSampler(
-                    pool=pool, streamed=streamed).run(
-                    small_chain_query, max_roots=500, seed=1)
-            assert estimate.details["parallel"]["streamed"] is streamed
-
     def test_streamed_curve_matches_barrier(self, small_chain_query):
         levels = (0.25, 0.5, 0.75, 1.0)
         outcomes = []
-        for streamed in (False, True):
-            with WorkerPool(n_workers=2) as pool:
+        for mode in ("inline", "fork"):
+            with WorkerPool(n_workers=2, pool=mode) as pool:
                 curve = SRSSampler(
                     pool=pool, roots_per_task=64,
-                    tasks_per_round=4, streamed=streamed).run_curve(
+                    tasks_per_round=4).run_curve(
                     small_chain_query, levels, max_roots=2_000, seed=3)
             outcomes.append(tuple(e.probability for e in curve.estimates)
                             + (curve.steps, curve.n_roots))
@@ -385,14 +384,15 @@ class TestStreamedScheduling:
             self, small_chain_query):
         """A quality-target stop leaves a speculative round in flight;
         its results must be discarded without contaminating the
-        estimate (identical to the barrier run) or wedging the pool."""
+        estimate (identical to the inline reference) or wedging the
+        pool."""
         from repro.core.quality import RelativeErrorTarget
         outcomes = []
-        for streamed in (False, True):
-            with WorkerPool(n_workers=2) as pool:
+        for mode in ("inline", "fork"):
+            with WorkerPool(n_workers=2, pool=mode) as pool:
                 estimate = SRSSampler(
                     pool=pool, roots_per_task=64,
-                    tasks_per_round=4, streamed=streamed).run(
+                    tasks_per_round=4).run(
                     small_chain_query,
                     quality=RelativeErrorTarget(target=0.3, min_hits=5),
                     max_roots=200_000, seed=41)
@@ -447,6 +447,95 @@ class TestStrictStepBudget:
             outcomes.append((estimate.probability, estimate.n_roots,
                              estimate.hits, estimate.steps))
         assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+    def test_deep_plan_cuts_only_fundable_tasks(self, small_chain_query):
+        """A worst-case tree costing more than an even share of the
+        budget, but less than the whole: the round is cut into only as
+        many tasks as the budget funds, so roots still run."""
+        from repro.core.levels import LevelPartition
+        from repro.core.pool import ForestWork, _worst_case_root_cost
+        deep = LevelPartition([k / 12.0 for k in (2, 4, 6, 8, 10)])
+        worst = _worst_case_root_cost(ForestWork(
+            query=small_chain_query, partition=deep,
+            ratios=(1,) + (3,) * 5, capacity=16))
+        budget = 3 * worst
+        # Eight even task shares could not fund one tree each.
+        assert budget // 8 < worst <= budget
+        outcomes = []
+        for n_workers in (1, 2, 3):
+            with WorkerPool(n_workers=n_workers) as pool:
+                estimate = GMLSSSampler(
+                    deep, ratio=3, pool=pool, roots_per_task=16,
+                    tasks_per_round=8).run(
+                    small_chain_query, max_steps=budget, seed=5)
+            assert estimate.n_roots > 0
+            assert estimate.steps <= budget
+            outcomes.append((estimate.probability, estimate.variance,
+                             estimate.n_roots, estimate.hits,
+                             estimate.steps))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    @pytest.mark.parametrize("mode", ["inline", "fork"])
+    def test_budget_below_one_path_raises(self, mode, small_chain_query):
+        from repro.core.pool import StepBudgetError
+        with WorkerPool(n_workers=2, pool=mode) as pool:
+            with pytest.raises(StepBudgetError, match=r"max_steps=59\b.*60"):
+                SRSSampler(pool=pool).run(small_chain_query,
+                                          max_steps=59, seed=1)
+            with pytest.raises(StepBudgetError):
+                SRSSampler(pool=pool).run_curve(
+                    small_chain_query, (0.5, 1.0), max_steps=59, seed=1)
+            # Nothing was registered, and the pool still serves.
+            assert not pool._specs
+            assert SRSSampler(pool=pool).run(
+                small_chain_query, max_steps=60, seed=1).n_roots == 1
+
+    @pytest.mark.parametrize("mode", ["inline", "fork"])
+    def test_budget_below_one_tree_raises(self, mode, small_chain_query,
+                                          small_chain_partition):
+        from repro.core.pool import StepBudgetError
+        # Ratios (1, 3, 3): a tree costs at most 60 * (1 + 3 + 9) steps.
+        with WorkerPool(n_workers=2, pool=mode,
+                        max_worker_restarts=0) as pool:
+            for sampler_cls in (SMLSSSampler, GMLSSSampler):
+                with pytest.raises(StepBudgetError,
+                                   match=r"max_steps=779\b.*780"):
+                    sampler_cls(small_chain_partition, ratio=3,
+                                pool=pool).run(small_chain_query,
+                                               max_steps=779, seed=1)
+            assert not pool._specs
+            estimate = GMLSSSampler(small_chain_partition, ratio=3,
+                                    pool=pool).run(
+                small_chain_query, max_steps=780, seed=1)
+            assert 0 < estimate.steps <= 780
+
+
+class TestRegisterRace:
+    """Unregistering a work before a worker attached its counter block
+    must not kill the worker."""
+
+    @pytest.mark.skipif(
+        "fork" not in __import__("multiprocessing").get_all_start_methods(),
+        reason="fork start method unavailable")
+    def test_unregister_before_attach_keeps_workers_alive(
+            self, small_chain_query, small_chain_partition):
+        import time
+
+        from repro.core.pool import ForestWork
+        with WorkerPool(n_workers=2, pool="fork",
+                        max_worker_restarts=0) as pool:
+            for _ in range(5):
+                handle = pool.register(ForestWork(
+                    query=small_chain_query,
+                    partition=small_chain_partition,
+                    ratios=(1, 3, 3), capacity=16))
+                pool.unregister(handle)
+            time.sleep(0.05)
+            assert all(worker.is_alive() for worker in pool._workers)
+            estimate = SRSSampler(pool=pool).run(
+                small_chain_query, max_roots=500, seed=1)
+            assert estimate.n_roots == 500
 
 
 class TestAbnormalTeardown:

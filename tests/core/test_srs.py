@@ -108,6 +108,10 @@ class TestSrsSampler:
         assert len(trace) == 5
         assert trace[-1].n_roots == 500
         assert all(a.steps < b.steps for a, b in zip(trace, trace[1:]))
+        last = trace[-1]
+        assert (last.probability, last.variance, last.hits, last.steps) \
+            == (estimate.probability, estimate.variance, estimate.hits,
+                estimate.steps)
 
     def test_ci_target_achieved_on_easy_query(self):
         process = TwoBranchProcess(first=[1.5], second=[0.1], p_first=0.5)

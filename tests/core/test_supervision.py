@@ -5,8 +5,8 @@ The pool's recovery contract has three parts:
 * **determinism** — because task seeds are structural (derived from
   the task *index*), a re-executed task is byte-identical to the
   original, so a run that loses workers mid-round returns exactly the
-  bytes of an undisturbed run — across pool modes and scheduling
-  (streamed and barrier), for samplers and plan search alike;
+  bytes of an undisturbed run on the inline pool — across pool modes,
+  for samplers and plan search alike;
 * **budgets** — ``max_worker_restarts=0`` restores the historical
   abort-with-cleanup exactly (RuntimeError naming the worker, every
   shm segment unlinked), and ``task_retry_limit`` bounds how often one
@@ -41,36 +41,31 @@ def fingerprint(estimate) -> tuple:
             estimate.hits, estimate.steps)
 
 
-def run_pooled(sampler_cls, query, partition, pool, streamed=True):
+def run_pooled(sampler_cls, query, partition, pool):
     """Small tasks/rounds: many dispatch points for kills to land on."""
     if sampler_cls is SRSSampler:
         sampler = SRSSampler(pool=pool, roots_per_task=64,
-                             tasks_per_round=4, streamed=streamed)
+                             tasks_per_round=4)
     else:
         sampler = sampler_cls(partition, ratio=3, pool=pool,
-                              roots_per_task=64, tasks_per_round=4,
-                              streamed=streamed)
+                              roots_per_task=64, tasks_per_round=4)
     return sampler.run(query, seed=5, max_roots=700)
 
 
 class TestRecoveryDeterminism:
     @needs_fork
     @pytest.mark.parametrize("sampler_cls", [SRSSampler, SMLSSSampler])
-    @pytest.mark.parametrize("streamed", [True, False])
-    def test_fork_kills_mid_round_byte_identical(
-            self, sampler_cls, streamed, small_chain_query,
-            small_chain_partition):
+    def test_fork_kills_byte_identical(
+            self, sampler_cls, small_chain_query, small_chain_partition):
         with WorkerPool(n_workers=2, pool="inline") as pool:
             reference = run_pooled(sampler_cls, small_chain_query,
-                                   small_chain_partition, pool,
-                                   streamed=streamed)
+                                   small_chain_partition, pool)
         plan = FaultPlan(worker_kills=(2, 5))
         with inject(plan):
             with WorkerPool(n_workers=2, pool="fork",
                             max_worker_restarts=4) as pool:
                 survived = run_pooled(sampler_cls, small_chain_query,
-                                      small_chain_partition, pool,
-                                      streamed=streamed)
+                                      small_chain_partition, pool)
                 assert pool.worker_restarts == 2
                 assert pool.tasks_recovered >= 1
         assert plan.fired["pool.dispatch"] == 2

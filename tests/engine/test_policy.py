@@ -177,17 +177,25 @@ class TestParallelPolicy:
     def test_thread_mode_and_streaming_round_trip(self):
         policy = ExecutionPolicy(
             max_steps=1000,
-            parallel=ParallelPolicy(n_workers=2, pool="thread",
-                                    streamed=False))
+            parallel=ParallelPolicy(n_workers=2, pool="thread"))
         data = policy.to_dict()
         assert data["parallel"]["pool"] == "thread"
-        assert data["parallel"]["streamed"] is False
+        # Pooled rounds always stream; there is no toggle to serialize.
+        assert "streamed" not in data["parallel"]
         restored = ExecutionPolicy.from_dict(data)
         assert restored == policy
         restored.validate()
 
-    def test_streamed_by_default(self):
-        assert ParallelPolicy().streamed is True
+    def test_streamed_field_rejected(self):
+        """The retired barrier toggle fails the unknown-field check."""
+        data = ExecutionPolicy(
+            max_steps=1000,
+            parallel=ParallelPolicy(n_workers=2)).to_dict()
+        data["parallel"]["streamed"] = False
+        with pytest.raises(ValueError, match="streamed"):
+            ExecutionPolicy.from_dict(data)
+        with pytest.raises(ValueError, match="unknown ParallelPolicy"):
+            ParallelPolicy.from_dict({"streamed": True})
 
     def test_none_parallel_round_trips(self):
         policy = ExecutionPolicy(max_steps=10)

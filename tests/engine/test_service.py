@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.analytic import random_walk_hitting_probability
 from repro.core.levels import LevelPartition
+from repro.core.quality import RelativeErrorTarget
 from repro.core.stats import critical_value
 from repro.core.value_functions import DurabilityQuery
 from repro.engine import (DurabilityEngine, ExecutionPolicy,
@@ -801,22 +802,21 @@ class TestCurveAwarePlans:
 
 
 class TestCurveAwareParallelDeterminism:
-    """Pooled curve-aware answers must not depend on the worker count,
-    the pool mode, or streamed-vs-barrier round scheduling."""
+    """Pooled curve-aware answers must not depend on the worker count
+    or the pool mode.  The inline pool is the reference: it runs each
+    task only when its result is collected, so no speculative round
+    ever executes there."""
 
     def test_byte_identical_across_pool_configs(self, walk):
         query = DurabilityQuery.threshold(
             walk, RandomWalkProcess.position, beta=10.0, horizon=40)
         signatures = []
-        for mode, n_workers, streamed in (
-                ("thread", 1, True), ("thread", 2, True),
-                ("thread", 2, False), ("fork", 2, True),
-                ("fork", 2, False)):
+        for mode, n_workers in (("inline", 2), ("thread", 1),
+                                ("thread", 2), ("fork", 2)):
             engine = DurabilityEngine(ExecutionPolicy(
                 method="gmlss", num_levels=6, max_roots=1_024, seed=57,
                 trial_steps=2_000,
                 parallel=ParallelPolicy(n_workers=n_workers, pool=mode,
-                                        streamed=streamed,
                                         roots_per_task=128)))
             try:
                 curve = engine.durability_curve(query, [5.0, 8.0, 10.0])
@@ -827,18 +827,16 @@ class TestCurveAwareParallelDeterminism:
                 for e in curve.estimates))
         assert all(s == signatures[0] for s in signatures[1:])
 
-    def test_fleet_answers_ignore_streamed_toggle(self):
+    def test_fleet_answers_match_inline(self):
         queries = [DurabilityQuery.threshold(
             RandomWalkProcess(p_up=0.30 + 0.02 * i, p_down=0.48),
             RandomWalkProcess.position, beta=12.0, horizon=30)
             for i in range(3)]
         signatures = []
-        for mode, streamed in (("thread", True), ("thread", False),
-                               ("fork", True)):
+        for mode in ("inline", "thread", "fork"):
             engine = DurabilityEngine(ExecutionPolicy(
                 method="gmlss", num_levels=3, max_roots=600, seed=58,
                 parallel=ParallelPolicy(n_workers=2, pool=mode,
-                                        streamed=streamed,
                                         members_per_task=2)))
             try:
                 answers = engine.answer_batch(queries)
@@ -848,6 +846,65 @@ class TestCurveAwareParallelDeterminism:
                 (a.probability, a.variance, a.n_roots, a.hits, a.steps)
                 for a in answers))
         assert all(s == signatures[0] for s in signatures[1:])
+
+
+#: A strict pooled budget below one SRS path: horizon 80 but
+#: ``max_steps`` 50.
+TINY_BUDGET_QUERY = DurabilityQuery.threshold(
+    RandomWalkProcess(p_up=0.55, p_down=0.4), RandomWalkProcess.position,
+    beta=4.0, horizon=80)
+TINY_BUDGET_POLICY = ExecutionPolicy(
+    method="srs", max_steps=50, seed=3,
+    parallel=ParallelPolicy(pool="inline"))
+
+#: A searched deep plan (11 levels) whose worst-case root tree costs
+#: more than an even eighth of the budget: the rare-event walk
+#: ``walk14/0.2/0.3/100``.
+DEEP_PLAN_QUERY = DurabilityQuery.threshold(
+    RandomWalkProcess(p_up=0.2, p_down=0.3), RandomWalkProcess.position,
+    beta=14.0, horizon=100)
+
+#: A balanced pilot that cannot fit a tail: a walk that almost always
+#: reaches its threshold of 1.
+EASY_WALK_QUERY = DurabilityQuery.threshold(
+    RandomWalkProcess(p_up=0.9, p_down=0.05), RandomWalkProcess.position,
+    beta=1.0, horizon=80)
+
+
+class TestTypedBudgetAndPlanErrors:
+    """Answers never come from zero samples; plan failures are typed."""
+
+    def test_pooled_budget_below_one_path_raises(self):
+        from repro.core.pool import StepBudgetError
+        with DurabilityEngine(TINY_BUDGET_POLICY) as engine:
+            with pytest.raises(StepBudgetError, match="max_steps=50.*80"):
+                engine.answer(TINY_BUDGET_QUERY)
+        # Unpooled runs are cohort-granular and still answer.
+        direct = DurabilityEngine(
+            TINY_BUDGET_POLICY.replace(parallel=None)).answer(
+            TINY_BUDGET_QUERY)
+        assert direct.n_roots == 3
+
+    def test_pooled_deep_plan_answers_from_roots(self):
+        exact = random_walk_hitting_probability(0.2, 14, 100, p_down=0.3)
+        with DurabilityEngine(ExecutionPolicy(
+                method="auto", quality=RelativeErrorTarget(0.2),
+                max_steps=50_000_000, seed=1014,
+                parallel=ParallelPolicy(pool="inline"))) as engine:
+            estimate = engine.answer(DEEP_PLAN_QUERY)
+        assert estimate.details["plan_search"]["partition"].num_levels \
+            == 11
+        assert estimate.n_roots > 0
+        assert estimate.steps <= 50_000_000
+        assert abs(estimate.probability - exact) \
+            <= 5 * estimate.std_error
+
+    def test_balanced_plan_failure_is_a_level_plan_error(self):
+        from repro.core.forest import LevelPlanError
+        engine = DurabilityEngine(ExecutionPolicy(
+            method="gmlss", num_levels=3, max_steps=20_000))
+        with pytest.raises(LevelPlanError, match="tail"):
+            engine.answer(EASY_WALK_QUERY)
 
 
 class TestSamplerOptions:

@@ -283,6 +283,15 @@ class TestProtocolErrors:
         assert error["kind"] == "protocol"
         assert "backend" in error["message"]
 
+    def test_policy_naming_streamed_is_400(self, server):
+        status, _, raw = call(server, "POST", "/answer", {
+            "query": WALK_DOC,
+            "policy": {"parallel": {"pool": "inline", "streamed": False}}})
+        assert status == 400
+        error = json.loads(raw)["error"]
+        assert error["kind"] == "protocol"
+        assert "streamed" in error["message"]
+
     def test_unknown_route_is_404(self, server):
         status, _, raw = call(server, "GET", "/nonsense")
         assert status == 404
@@ -300,6 +309,56 @@ class TestProtocolErrors:
             assert conn.getresponse().status == 200
         finally:
             conn.close()
+
+
+class TestBudgetAndPlanErrors:
+    """Typed engine failures are structured 400s, and strict pooled
+    budgets answer from real samples."""
+
+    def test_pooled_budget_below_one_path_is_400(self, server):
+        status, _, raw = call(server, "POST", "/answer", {
+            "query": {"process": {"family": "random_walk",
+                                  "params": {"p_up": 0.55,
+                                             "p_down": 0.4}},
+                      "beta": 4.0, "horizon": 80},
+            "policy": {"method": "srs", "max_steps": 50, "max_roots": None,
+                       "seed": 3, "parallel": {"pool": "inline"}}})
+        assert status == 400
+        error = json.loads(raw)["error"]
+        assert error["kind"] == "step_budget"
+        assert "max_steps=50" in error["message"]
+        assert "80" in error["message"]
+
+    def test_balanced_plan_failure_is_400(self, server):
+        status, _, raw = call(server, "POST", "/answer", {
+            "query": {"process": {"family": "random_walk",
+                                  "params": {"p_up": 0.9,
+                                             "p_down": 0.05}},
+                      "beta": 1.0, "horizon": 80},
+            "policy": {"method": "gmlss", "num_levels": 3,
+                       "max_steps": 20000}})
+        assert status == 400
+        error = json.loads(raw)["error"]
+        assert error["kind"] == "level_plan"
+        assert "tail" in error["message"]
+
+    def test_pooled_deep_plan_answers_from_roots(self, server):
+        from repro.core.analytic import random_walk_hitting_probability
+        status, _, raw = call(server, "POST", "/answer", {
+            "query": {"process": {"family": "random_walk",
+                                  "params": {"p_up": 0.2,
+                                             "p_down": 0.3}},
+                      "beta": 14.0, "horizon": 100},
+            "policy": {"method": "auto",
+                       "quality": {"kind": "re", "target": 0.2},
+                       "max_steps": 50_000_000, "max_roots": None,
+                       "seed": 1014, "parallel": {"pool": "inline"}}})
+        assert status == 200
+        result = json.loads(raw)["result"]
+        exact = random_walk_hitting_probability(0.2, 14, 100, p_down=0.3)
+        assert result["n_roots"] > 0
+        assert abs(result["probability"] - exact) \
+            <= 5 * result["variance"] ** 0.5
 
 
 class TestObservability:
