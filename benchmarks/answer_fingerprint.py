@@ -12,14 +12,17 @@ answer bytes (``OTHER`` is the other tree's ``src`` directory):
 
 Covers ``DurabilityEngine.answer`` (SRS, s-MLSS and g-MLSS on an
 explicit plan, balanced-pilot plans, greedy-searched ``auto``; SRS
-point answers stopped by ``max_roots=250`` and by a quality target,
-and one ``record_trace`` answer printed as its trace length and last
-point), ``durability_curve`` (SRS and g-MLSS), fused ``answer_batch``
-(SRS screening under a budget and under a quality target, clustered
-g-MLSS fleets), fused ``durability_curves``, and all of it again over
-an inline pool and a 2-worker thread pool.  An answer that raises
-prints ``label raises ErrorType`` instead.  Every process here batches
-natively.  Runs in about fifteen seconds.
+point answers stopped by ``max_roots=250``; SRS, s-MLSS and g-MLSS
+point answers stopped by a relative-error target; and SRS and g-MLSS
+``record_trace`` answers printed as their trace length and last
+point), ``durability_curve`` (SRS, s-MLSS and g-MLSS under a budget;
+s-MLSS and g-MLSS under a relative-error target), fused
+``answer_batch`` (SRS screening and clustered g-MLSS fleets, each
+under a budget and under a quality target), fused
+``durability_curves``, and all of it again over an inline pool and a
+2-worker thread pool.  An answer that raises prints ``label raises
+ErrorType`` instead.  Every process here batches natively.  Runs in
+about twenty seconds.
 """
 
 from __future__ import annotations
@@ -91,15 +94,26 @@ def fingerprint() -> list:
                        max_steps=None, max_roots=250, seed=22)
                 answer(f"{tag}.{name}.srs_target", query, method="srs",
                        max_steps=None, quality=target, seed=23)
+                for method, seed in (("smlss", 26), ("gmlss", 27)):
+                    answer(f"{tag}.{name}.{method}_target", query,
+                           method=method, partition=plan, max_steps=None,
+                           quality=target, seed=seed)
             out.append(trace_line(f"{tag}.walk.srs_trace", engine.answer(
                 walk, method="srs", max_steps=None, max_roots=1_800,
                 record_trace=True, seed=24)))
-            out.extend(curve_lines(
-                f"{tag}.curve.srs", engine.durability_curve(
-                    walk, [6, 9, 12], method="srs", seed=16)))
-            out.extend(curve_lines(
-                f"{tag}.curve.gmlss", engine.durability_curve(
-                    walk, [6, 9, 12], method="gmlss", seed=17)))
+            out.append(trace_line(f"{tag}.walk.gmlss_trace", engine.answer(
+                walk, method="gmlss", partition=plan, max_steps=None,
+                max_roots=6_000, quality=RelativeErrorTarget(0.1),
+                record_trace=True, seed=28)))
+            for method, seed in (("srs", 16), ("smlss", 29), ("gmlss", 17)):
+                out.extend(curve_lines(
+                    f"{tag}.curve.{method}", engine.durability_curve(
+                        walk, [6, 9, 12], method=method, seed=seed)))
+            for method, seed in (("smlss", 30), ("gmlss", 31)):
+                out.extend(curve_lines(
+                    f"{tag}.curve.{method}_target", engine.durability_curve(
+                        walk, [6, 9, 12], method=method, max_steps=None,
+                        quality=target, seed=seed)))
 
             fleet = [walk_query(0.30 + 0.01 * i, 10.0 + i % 3)
                      for i in range(6)]
@@ -113,6 +127,10 @@ def fingerprint() -> list:
             for i, estimate in enumerate(engine.answer_batch(
                     fleet, method="gmlss", num_levels=3, seed=19)):
                 out.append(line(f"{tag}.batch.gmlss.{i}", estimate))
+            for i, estimate in enumerate(engine.answer_batch(
+                    fleet, method="gmlss", num_levels=3, max_steps=None,
+                    quality=target, seed=32)):
+                out.append(line(f"{tag}.batch.gmlss_target.{i}", estimate))
             for i, curve in enumerate(engine.durability_curves(
                     fleet, [6, 8, 10], method="srs", seed=20)):
                 out.extend(curve_lines(f"{tag}.curves.{i}", curve))

@@ -6,16 +6,13 @@ from .analytic import (hitting_probability, hitting_probability_grid,
                        random_walk_hitting_probability, srs_relative_error,
                        srs_required_paths)
 from .balanced import balanced_growth_partition, pilot_max_values
-from .bootstrap import (BootstrapResult, bootstrap_curve_variances,
-                        bootstrap_variance)
+from .bootstrap import bootstrap_variance
 from .estimates import DurabilityCurve, DurabilityEstimate, TracePoint
 from .fleet import (FleetThresholdValue, screen_fleet,
                     screen_fleet_curves, screen_fleet_mlss)
 from .forest import LevelPlanError, VectorizedForestRunner, validate_plan
-from .gmlss import (GMLSSSampler, gmlss_estimate_from_totals,
-                    gmlss_estimates_from_total_rows, gmlss_pi_hats,
-                    gmlss_point_estimate, gmlss_prefix_estimates,
-                    gmlss_prefix_estimates_from_total_rows)
+from .gmlss import (GMLSSSampler, gmlss_pi_hat_rows, gmlss_pi_hats,
+                    gmlss_point_estimate, gmlss_prefix_estimates)
 from .greedy import GreedyResult, adaptive_greedy_partition
 from .importance import ISSampler, cross_entropy_tilt
 from .levels import LevelPartition, normalize_ratios, uniform_partition
@@ -25,8 +22,8 @@ from .pool import (PooledForestRunner, StepBudgetError, WorkerPool,
 from .quality import (ConfidenceIntervalTarget, NeverTarget, QualityTarget,
                       RelativeErrorTarget)
 from .records import ForestAggregate, RootRecord
-from .smlss import (SMLSSSampler, make_forest_runner, smlss_point_estimate,
-                    smlss_prefix_estimates, smlss_variance)
+from .smlss import (SMLSSSampler, make_forest_runner,
+                    smlss_prefix_estimates, smlss_prefix_variances)
 from .srs import (SRSSampler, prepare_curve_grid, srs_variance,
                   validate_curve_levels)
 from .value_functions import (TARGET_VALUE, DurabilityQuery,
@@ -38,7 +35,7 @@ from .variance import (balanced_advancement_probability,
                        two_level_skip_variance, variance_reduction_factor)
 
 __all__ = [
-    "BootstrapResult", "ConfidenceIntervalTarget", "DurabilityCurve",
+    "ConfidenceIntervalTarget", "DurabilityCurve",
     "DurabilityEstimate",
     "DurabilityQuery", "FleetThresholdValue", "ForestAggregate",
     "GMLSSSampler",
@@ -52,12 +49,10 @@ __all__ = [
     "adaptive_greedy_partition",
     "balanced_advancement_probability", "balanced_growth_partition",
     "balanced_growth_variance", "batch_values",
-    "bootstrap_curve_variances",
     "bootstrap_variance", "cross_entropy_tilt", "derive_task_seed",
     "evaluate_partition",
-    "gmlss_estimate_from_totals", "gmlss_estimates_from_total_rows",
-    "gmlss_pi_hats", "gmlss_point_estimate",
-    "gmlss_prefix_estimates", "gmlss_prefix_estimates_from_total_rows",
+    "gmlss_pi_hat_rows", "gmlss_pi_hats", "gmlss_point_estimate",
+    "gmlss_prefix_estimates",
     "hitting_probability", "hitting_probability_grid",
     "hitting_time_distribution",
     "make_forest_runner", "normalize_ratios",
@@ -66,7 +61,7 @@ __all__ = [
     "random_walk_hitting_curve",
     "random_walk_hitting_probability",
     "screen_fleet", "screen_fleet_curves", "screen_fleet_mlss",
-    "smlss_point_estimate", "smlss_prefix_estimates", "smlss_variance",
+    "smlss_prefix_estimates", "smlss_prefix_variances",
     "srs_relative_error",
     "srs_required_paths", "srs_variance", "srs_variance_formula",
     "suggest_ratios", "threshold_grid", "two_level_skip_variance",

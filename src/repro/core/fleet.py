@@ -588,7 +588,6 @@ def _mlss_members(fused: FusedBatch, z, betas, partition: LevelPartition,
     Returns one ``(probability, variance, n_roots, hits, steps)``
     tuple per member.
     """
-    from .bootstrap import bootstrap_variance
     from .forest import VectorizedForestRunner
     from .gmlss import gmlss_point_estimate
 
@@ -625,12 +624,21 @@ def _mlss_members(fused: FusedBatch, z, betas, partition: LevelPartition,
         elif stored is not None and stored[0] == aggregate.n_roots:
             variance = stored[1]
         else:
-            variance = bootstrap_variance(
-                aggregate, ratios, n_boot=bootstrap_rounds,
-                seed=(boot_base + 7919 * member) % (2 ** 31)).variance
+            variance = _member_variance(aggregate, ratios, bootstrap_rounds,
+                                        boot_base + 7919 * member)
         rows.append((float(probability), float(variance),
                      aggregate.n_roots, aggregate.hits, aggregate.steps))
     return rows
+
+
+def _member_variance(aggregate: ForestAggregate, ratios,
+                     bootstrap_rounds: int, seed: int) -> float:
+    """A member's g-MLSS variance: the top prefix of its bootstrap."""
+    from .bootstrap import bootstrap_variance
+
+    return float(bootstrap_variance(
+        aggregate, ratios, n_boot=bootstrap_rounds,
+        seed=seed % (2 ** 31))[-1])
 
 
 def _mlss_grow_uniform(runner, aggregates, quality, max_steps, max_roots,
@@ -642,7 +650,6 @@ def _mlss_grow_uniform(runner, aggregates, quality, max_steps, max_roots,
     ``{member: (n_roots_at_check, variance)}`` — the caller reports the
     checked variance when the aggregate has not grown since.
     """
-    from .bootstrap import bootstrap_variance
     from .gmlss import gmlss_point_estimate
 
     checked = {}
@@ -669,10 +676,9 @@ def _mlss_grow_uniform(runner, aggregates, quality, max_steps, max_roots,
             evaluations += 1
 
             def _is_met(member, aggregate):
-                variance = bootstrap_variance(
-                    aggregate, ratios, n_boot=bootstrap_rounds,
-                    seed=(boot_base + 7919 * member
-                          + evaluations) % (2 ** 31)).variance
+                variance = _member_variance(
+                    aggregate, ratios, bootstrap_rounds,
+                    boot_base + 7919 * member + evaluations)
                 checked[member] = (aggregate.n_roots, variance)
                 return quality.is_met(
                     gmlss_point_estimate(aggregate, ratios), variance,
@@ -696,7 +702,6 @@ def _mlss_grow_adaptive(fused: FusedBatch, runner, aggregates, quality,
     checked variance when the aggregate has not grown since (a met
     member's aggregate never grows after the check that met it).
     """
-    from .bootstrap import bootstrap_variance
     from .gmlss import gmlss_point_estimate
 
     checked = {}
@@ -736,10 +741,9 @@ def _mlss_grow_adaptive(fused: FusedBatch, runner, aggregates, quality,
                 continue
             evaluations[member] += 1
             probability = gmlss_point_estimate(aggregate, ratios)
-            variance = bootstrap_variance(
-                aggregate, ratios, n_boot=bootstrap_rounds,
-                seed=(boot_base + 7919 * member
-                      + int(evaluations[member])) % (2 ** 31)).variance
+            variance = _member_variance(
+                aggregate, ratios, bootstrap_rounds,
+                boot_base + 7919 * member + int(evaluations[member]))
             checked[member] = (aggregate.n_roots, variance)
             if quality.is_met(probability, variance, aggregate.hits,
                               aggregate.n_roots):

@@ -15,12 +15,28 @@ that crossed the next boundary and ``n_skip_i`` counts paths that passed
 ``beta_{i+1}`` without landing in ``L_i`` (those crossed deterministically).
 With per-level ratios ``sum mu(h) = crossings[i] / r_i``.
 
-The estimator is unbiased in general (Proposition 2).  Its variance has
-no closed form, so :class:`GMLSSSampler` estimates it by bootstrapping
-the per-root records (Section 4.2); the bootstrap is evaluated on a
-conservative geometric schedule, following the paper's rule of thumb
-that "sometimes overrunning the simulation a little" beats frequent
-bootstrapping.
+The paper proves the estimator unbiased in general (Proposition 2).
+Measured, it is not when a process can jump over a level: a path that
+skips ``L_1`` reaches ``beta_2`` with split weight 1, an ``L_1``
+offspring with weight ``1 / r``, and Eq. 9 counts ``|H_i| + n_skip_i``
+with equal weight, so the product no longer telescopes.  Processes that
+move one lattice step at a time either always land in a level or
+always skip it, and are unaffected.
+
+Its variance has no closed form, so :class:`GMLSSSampler` estimates it
+by bootstrapping the per-root records (Section 4.2); the bootstrap is
+evaluated on a conservative geometric schedule, following the paper's
+rule of thumb that "sometimes overrunning the simulation a little"
+beats frequent bootstrapping.
+
+There is one pass and one fold.  :func:`gmlss_pi_hat_rows` computes
+Eq. 9 over counter-total rows; the running product of a row is the
+prefix curve (:func:`gmlss_prefix_estimates`), and the point estimate
+is its last entry.  The bootstrap refolds every replicate through the
+same function, so one resampling pass gives every prefix's variance.
+:meth:`GMLSSSampler.run` and :meth:`GMLSSSampler.run_curve` share one
+round loop that differs only in which levels gate the quality target:
+the point answer is the curve's top level.
 """
 
 from __future__ import annotations
@@ -32,163 +48,54 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bootstrap import bootstrap_curve_variances, bootstrap_variance
+from .bootstrap import bootstrap_variance
 from .estimates import DurabilityCurve, DurabilityEstimate, TracePoint
 from .levels import LevelPartition, normalize_ratios
 from .quality import QualityTarget
 from .records import ForestAggregate
-from .smlss import close_runner, make_forest_runner
+from .smlss import close_runner, level_estimates, make_forest_runner
 from .srs import prepare_curve_grid
 from .value_functions import DurabilityQuery
 
 
-def gmlss_estimate_from_totals(landings: Sequence[float],
-                               skips: Sequence[float],
-                               crossings: Sequence[float],
-                               hits: float, n_roots: float,
-                               ratios: tuple) -> float:
-    """Fold aggregated counters into the g-MLSS estimate (Eq. 9-10).
+def gmlss_pi_hat_rows(landings, skips, crossings, hits, n_roots: float,
+                      ratios: tuple) -> np.ndarray:
+    """Eq. 9 over counter-total rows: the one g-MLSS fold.
 
-    Accepts any indexables of per-level totals (length ``m``, index 0
-    unused), so the bootstrap can reuse it on resampled sums.
+    Every argument carries a leading row axis: ``(B, m)`` level
+    matrices (index 0 unused) and ``(B,)`` hits, one row per counter
+    set — a forest's totals, or one bootstrap replicate's resampled
+    sums.  Returns the ``(B, m)`` factors ``[pi_hat_1, ..., pi_hat_m]``
+    of the Eq. 8 product.  Their running product along a row
+    (``np.cumprod``) is the prefix curve, whose last column is the
+    point estimate.  A zero denominator yields a zero factor, which
+    zeroes every later prefix.  With no interior boundaries
+    (``m == 1``) g-MLSS degenerates to SRS, ``hits / n_roots``.
     """
-    m = len(landings)
+    landings = np.asarray(landings, dtype=np.float64)
+    hits = np.asarray(hits, dtype=np.float64)
+    factors = np.zeros(landings.shape, dtype=np.float64)
     if n_roots <= 0:
-        return 0.0
-    if m == 1:
-        # No interior boundaries: g-MLSS degenerates to SRS.
-        return hits / n_roots
-    estimate = (landings[1] + skips[1]) / n_roots
-    if estimate == 0.0:
-        return 0.0
-    for i in range(1, m):
-        denominator = landings[i] + skips[i]
-        if denominator == 0:
-            return 0.0
-        numerator = crossings[i] / ratios[i] + skips[i]
-        estimate *= numerator / denominator
-    return estimate
-
-
-def gmlss_point_estimate(aggregate: ForestAggregate, ratios: tuple) -> float:
-    """The g-MLSS estimate from a forest aggregate."""
-    return gmlss_estimate_from_totals(
-        aggregate.landings, aggregate.skips, aggregate.crossings,
-        aggregate.hits, aggregate.n_roots, ratios)
-
-
-def gmlss_prefix_estimates_from_totals(landings, skips, crossings,
-                                       hits: float, n_roots: float,
-                                       ratios: tuple) -> list:
-    """All boundary-crossing probabilities from one set of counters.
-
-    The g-MLSS product (Eq. 8) factorizes over boundaries, so its
-    *prefixes* are themselves unbiased estimates: the ``i``-th prefix
-    estimates ``Pr[cross beta_{i+1}]`` (reach a value-function score of
-    at least ``beta_{i+1}`` within the horizon), and the last entry —
-    the full product — is the target probability.  Returns a list of
-    length ``m = len(landings)``: ``[Pr[cross beta_1], ...,
-    Pr[cross beta_{m-1}], Pr[hit target]]``.  This is what lets one
-    splitting forest answer a whole threshold grid whose normalized
-    thresholds sit on the partition boundaries.
-    """
-    m = len(landings)
-    prefixes = [0.0] * m
-    if n_roots <= 0:
-        return prefixes
-    if m == 1:
-        prefixes[0] = hits / n_roots
-        return prefixes
-    estimate = (landings[1] + skips[1]) / n_roots
-    prefixes[0] = estimate
-    for i in range(1, m):
-        if estimate == 0.0:
-            break
-        denominator = landings[i] + skips[i]
-        if denominator == 0:
-            break
-        estimate *= (crossings[i] / ratios[i] + skips[i]) / denominator
-        prefixes[i] = estimate
-    return prefixes
-
-
-def gmlss_prefix_estimates(aggregate: ForestAggregate,
-                           ratios: tuple) -> list:
-    """Boundary-crossing probabilities from a forest aggregate."""
-    return gmlss_prefix_estimates_from_totals(
-        aggregate.landings, aggregate.skips, aggregate.crossings,
-        aggregate.hits, aggregate.n_roots, ratios)
-
-
-def _row_factors(landings: np.ndarray, skips: np.ndarray,
-                 crossings: np.ndarray, ratios: tuple) -> np.ndarray:
-    """Per-level advancement factors for many counter rows at once.
-
-    ``landings``/``skips``/``crossings`` have shape ``(B, m)`` — one
-    row per bootstrap replicate.  Returns the ``(B, m - 1)`` factors of
-    the Eq. 9 product for levels ``1 .. m-1``; a zero denominator
-    yields a zero factor, which zeroes the running product exactly as
-    the scalar fold's early return does.
-    """
+        return factors
+    if landings.shape[1] == 1:
+        factors[:, 0] = hits / n_roots
+        return factors
+    skips = np.asarray(skips, dtype=np.float64)
+    crossings = np.asarray(crossings, dtype=np.float64)
+    factors[:, 0] = (landings[:, 1] + skips[:, 1]) / n_roots
     denominators = landings[:, 1:] + skips[:, 1:]
     numerators = (crossings[:, 1:] / np.asarray(ratios[1:], dtype=np.float64)
                   + skips[:, 1:])
-    return np.divide(numerators, denominators,
-                     out=np.zeros_like(numerators),
-                     where=denominators > 0)
+    np.divide(numerators, denominators, out=factors[:, 1:],
+              where=denominators > 0)
+    return factors
 
 
-def gmlss_estimates_from_total_rows(landings, skips, crossings, hits,
-                                    n_roots: float, ratios: tuple
-                                    ) -> np.ndarray:
-    """Vectorized :func:`gmlss_estimate_from_totals` over counter rows.
-
-    Every argument carries a leading replicate axis (``(B, m)`` level
-    matrices, ``(B,)`` hits); the whole bootstrap evaluates as one
-    gather + fold instead of a Python loop per replicate.  Returns the
-    ``(B,)`` estimates — numerically equal to folding each row through
-    the scalar function up to floating-point association (the scalar
-    fold multiplies factors left-to-right; this one takes ``first *
-    prod(factors)``, which can differ in the last ulp).
-    """
-    landings = np.asarray(landings, dtype=np.float64)
-    hits = np.asarray(hits, dtype=np.float64)
-    if n_roots <= 0:
-        return np.zeros(len(landings), dtype=np.float64)
-    if landings.shape[1] == 1:
-        return hits / n_roots
-    skips = np.asarray(skips, dtype=np.float64)
-    first = (landings[:, 1] + skips[:, 1]) / n_roots
-    factors = _row_factors(landings, skips,
-                           np.asarray(crossings, dtype=np.float64), ratios)
-    return first * factors.prod(axis=1)
-
-
-def gmlss_prefix_estimates_from_total_rows(landings, skips, crossings,
-                                           hits, n_roots: float,
-                                           ratios: tuple) -> np.ndarray:
-    """Vectorized :func:`gmlss_prefix_estimates_from_totals` over rows.
-
-    Returns a ``(B, m)`` matrix of prefix products — all boundary-
-    crossing estimates for all replicates — from one cumulative
-    product.  Zero factors propagate forward exactly like the scalar
-    fold's early ``break``.
-    """
-    landings = np.asarray(landings, dtype=np.float64)
-    hits = np.asarray(hits, dtype=np.float64)
-    n_rows, m = landings.shape
-    if n_roots <= 0:
-        return np.zeros((n_rows, m), dtype=np.float64)
-    if m == 1:
-        return (hits / n_roots)[:, None]
-    skips = np.asarray(skips, dtype=np.float64)
-    first = (landings[:, 1] + skips[:, 1]) / n_roots
-    factors = _row_factors(landings, skips,
-                           np.asarray(crossings, dtype=np.float64), ratios)
-    prefixes = np.empty((n_rows, m), dtype=np.float64)
-    prefixes[:, 0] = first
-    prefixes[:, 1:] = first[:, None] * np.cumprod(factors, axis=1)
-    return prefixes
+def _pi_hats(aggregate: ForestAggregate, ratios: tuple) -> np.ndarray:
+    """:func:`gmlss_pi_hat_rows` on a forest's own totals (one row)."""
+    return gmlss_pi_hat_rows(
+        [aggregate.landings], [aggregate.skips], [aggregate.crossings],
+        [aggregate.hits], aggregate.n_roots, ratios)[0]
 
 
 def gmlss_pi_hats(aggregate: ForestAggregate, ratios: tuple) -> list:
@@ -198,21 +105,29 @@ def gmlss_pi_hats(aggregate: ForestAggregate, ratios: tuple) -> list:
     by the greedy plan search, which bisects the level with the smallest
     advancement probability.
     """
-    m = aggregate.num_levels
-    n0 = aggregate.n_roots
-    if m == 1:
-        return [aggregate.hits / n0 if n0 else 0.0]
-    pis = []
-    first = (aggregate.landings[1] + aggregate.skips[1]) / n0 if n0 else 0.0
-    pis.append(first)
-    for i in range(1, m):
-        denominator = aggregate.landings[i] + aggregate.skips[i]
-        if denominator == 0:
-            pis.append(0.0)
-            continue
-        numerator = aggregate.crossings[i] / ratios[i] + aggregate.skips[i]
-        pis.append(numerator / denominator)
-    return pis
+    return _pi_hats(aggregate, ratios).tolist()
+
+
+def gmlss_prefix_estimates(aggregate: ForestAggregate,
+                           ratios: tuple) -> list:
+    """All boundary-crossing probabilities from one set of counters.
+
+    The g-MLSS product (Eq. 8) factorizes over boundaries, so its
+    *prefixes* are themselves unbiased estimates: the ``i``-th prefix
+    estimates ``Pr[cross beta_{i+1}]`` (reach a value-function score of
+    at least ``beta_{i+1}`` within the horizon), and the last entry —
+    the full product — is the target probability.  Returns a list of
+    length ``m``: ``[Pr[cross beta_1], ..., Pr[cross beta_{m-1}],
+    Pr[hit target]]``.  This is what lets one splitting forest answer a
+    whole threshold grid whose normalized thresholds sit on the
+    partition boundaries.
+    """
+    return np.cumprod(_pi_hats(aggregate, ratios)).tolist()
+
+
+def gmlss_point_estimate(aggregate: ForestAggregate, ratios: tuple) -> float:
+    """The g-MLSS estimate (Eq. 9-10): the last prefix."""
+    return gmlss_prefix_estimates(aggregate, ratios)[-1]
 
 
 class GMLSSSampler:
@@ -282,97 +197,37 @@ class GMLSSSampler:
             max_steps: Optional[int] = None,
             max_roots: Optional[int] = None,
             seed: Optional[int] = None) -> DurabilityEstimate:
-        if quality is None and max_steps is None and max_roots is None:
-            raise ValueError(
-                "provide a quality target, max_steps or max_roots; "
-                "otherwise the sampler would never stop"
-            )
-        boot_seed = random.Random(seed).randrange(2 ** 31)
-        runner = self._make_runner(query, seed)
-        aggregate = ForestAggregate(self.partition.num_levels)
-        trace = []
-        bootstrap_seconds = 0.0
-        bootstrap_evals = 0
-        next_check = self.first_check_roots
-        variance = 0.0
-        variance_fresh = False
+        """The top level of :meth:`run_curve`'s pass, gated on it alone.
+
+        The quality target is checked at the target level only, so the
+        run stops no later than the curve and, when both stop at the
+        same root count, answers with the curve's top level byte for
+        byte.  ``details`` carries the level counters, the advancement
+        estimates and the bootstrap's cost.
+        """
+        prepare_curve_grid(self.partition.boundaries + (1.0,), None,
+                           quality, max_steps, max_roots)
+        trace = [] if self.record_trace else None
         started = time.perf_counter()
-
-        def evaluate_bootstrap() -> float:
-            nonlocal bootstrap_seconds, bootstrap_evals
-            boot_started = time.perf_counter()
-            result = bootstrap_variance(
-                aggregate, self.ratios, n_boot=self.bootstrap_rounds,
-                seed=boot_seed + bootstrap_evals)
-            bootstrap_seconds += time.perf_counter() - boot_started
-            bootstrap_evals += 1
-            return result.variance
-
-        try:
-            done = False
-            while not done:
-                roots_before = aggregate.n_roots
-                done = runner.accumulate(aggregate, self.batch_roots,
-                                         max_steps=max_steps,
-                                         max_roots=max_roots)
-                if aggregate.n_roots > roots_before:
-                    variance_fresh = False
-                if aggregate.n_roots == 0:
-                    break
-                if done:
-                    break
-                if quality is not None and aggregate.n_roots >= next_check:
-                    probability = gmlss_point_estimate(aggregate,
-                                                       self.ratios)
-                    variance = evaluate_bootstrap()
-                    variance_fresh = True
-                    if self.record_trace:
-                        trace.append(TracePoint(
-                            steps=aggregate.steps,
-                            elapsed_seconds=time.perf_counter() - started,
-                            probability=probability, variance=variance,
-                            n_roots=aggregate.n_roots, hits=aggregate.hits,
-                        ))
-                    if quality.is_met(probability, variance,
-                                      aggregate.hits, aggregate.n_roots):
-                        break
-                    next_check = max(
-                        next_check + 1,
-                        math.ceil(next_check * self.check_growth))
-        finally:
-            close_runner(runner)
-
-        probability = gmlss_point_estimate(aggregate, self.ratios)
-        if not variance_fresh and aggregate.n_roots > 1:
-            variance = evaluate_bootstrap()
+        aggregate, variances, boot_seconds, boot_evals = self._pass(
+            query, (self.partition.num_levels - 1,), quality, max_steps,
+            max_roots, seed, trace)
         details = {
             "partition": self.partition,
             "ratios": self.ratios[1:],
             "landings": list(aggregate.landings),
             "skips": list(aggregate.skips),
             "pi_hats": gmlss_pi_hats(aggregate, self.ratios),
-            "bootstrap_seconds": bootstrap_seconds,
-            "bootstrap_evals": bootstrap_evals,
+            "bootstrap_seconds": boot_seconds,
+            "bootstrap_evals": boot_evals,
         }
-        if self.record_trace:
+        if trace is not None:
             details["trace"] = trace
-        return DurabilityEstimate(
-            probability=probability, variance=variance,
-            n_roots=aggregate.n_roots, hits=aggregate.hits,
-            steps=aggregate.steps, method=self.method_name,
-            elapsed_seconds=time.perf_counter() - started,
-            details=details,
-        )
-
-    def _level_hits(self, aggregate: ForestAggregate, index: int) -> int:
-        """Observations backing the ``index``-th curve level.
-
-        Interior boundaries count the paths observed crossing them
-        (landings plus skips); the last level counts target hits.
-        """
-        if index == aggregate.num_levels - 1:
-            return aggregate.hits
-        return (aggregate.landings[index + 1] + aggregate.skips[index + 1])
+        estimate = level_estimates(
+            self, aggregate, gmlss_prefix_estimates(aggregate, self.ratios),
+            variances, time.perf_counter() - started)[-1]
+        estimate.details = details
+        return estimate
 
     def run_curve(self, query: DurabilityQuery,
                   thresholds: Optional[Sequence[float]] = None,
@@ -386,7 +241,7 @@ class GMLSSSampler:
         target: one splitting forest yields ``Pr[cross beta_i]`` for
         every boundary simultaneously via the prefix products of the
         g-MLSS decomposition (see :func:`gmlss_prefix_estimates`), with
-        per-level variances from a single shared bootstrap pass.  To
+        per-level variances from the same bootstrap as :meth:`run`.  To
         answer a grid of raw thresholds, build the partition from the
         normalized grid and rebase the query onto the largest threshold
         (the engine's ``durability_curve`` does exactly that).
@@ -397,73 +252,102 @@ class GMLSSSampler:
         levels, thresholds = prepare_curve_grid(
             self.partition.boundaries + (1.0,), thresholds, quality,
             max_steps, max_roots)
-        boot_seed = random.Random(seed).randrange(2 ** 31)
-        runner = self._make_runner(query, seed)
-        aggregate = ForestAggregate(self.partition.num_levels)
-        bootstrap_evals = 0
-        next_check = self.first_check_roots
-        variances = None
-        variances_fresh = False
         started = time.perf_counter()
-
-        def evaluate_bootstrap():
-            nonlocal bootstrap_evals
-            result = bootstrap_curve_variances(
-                aggregate, self.ratios, n_boot=self.bootstrap_rounds,
-                seed=boot_seed + bootstrap_evals)
-            bootstrap_evals += 1
-            return result
-
-        try:
-            done = False
-            while not done:
-                roots_before = aggregate.n_roots
-                done = runner.accumulate(aggregate, self.batch_roots,
-                                         max_steps=max_steps,
-                                         max_roots=max_roots)
-                if aggregate.n_roots > roots_before:
-                    variances_fresh = False
-                if aggregate.n_roots == 0 or done:
-                    break
-                if quality is not None and aggregate.n_roots >= next_check:
-                    prefixes = gmlss_prefix_estimates(aggregate,
-                                                      self.ratios)
-                    variances = evaluate_bootstrap()
-                    variances_fresh = True
-                    if all(quality.is_met(prefixes[i], variances[i],
-                                          self._level_hits(aggregate, i),
-                                          aggregate.n_roots)
-                           for i in range(len(levels))):
-                        break
-                    next_check = max(
-                        next_check + 1,
-                        math.ceil(next_check * self.check_growth))
-        finally:
-            close_runner(runner)
-
-        prefixes = gmlss_prefix_estimates(aggregate, self.ratios)
-        if not variances_fresh and aggregate.n_roots > 1:
-            variances = evaluate_bootstrap()
-        if variances is None:
-            variances = [0.0] * len(levels)
+        aggregate, variances, _, boot_evals = self._pass(
+            query, range(len(levels)), quality, max_steps, max_roots, seed,
+            None)
         elapsed = time.perf_counter() - started
-        estimates = tuple(
-            DurabilityEstimate(
-                probability=prefixes[i], variance=float(variances[i]),
-                n_roots=aggregate.n_roots,
-                hits=self._level_hits(aggregate, i),
-                steps=aggregate.steps, method=self.method_name,
-                elapsed_seconds=elapsed, details={"shared_pass": True},
-            )
-            for i in range(len(levels)))
         return DurabilityCurve(
-            thresholds=thresholds, levels=levels, estimates=estimates,
+            thresholds=thresholds, levels=levels,
+            estimates=level_estimates(
+                self, aggregate,
+                gmlss_prefix_estimates(aggregate, self.ratios), variances,
+                elapsed),
             method=self.method_name, n_roots=aggregate.n_roots,
             steps=aggregate.steps, elapsed_seconds=elapsed,
             details={
                 "partition": self.partition,
                 "ratios": self.ratios[1:],
                 "level_reach": aggregate.level_reach_counts(),
-                "bootstrap_evals": bootstrap_evals,
+                "bootstrap_evals": boot_evals,
             },
         )
+
+    def _pass(self, query: DurabilityQuery, gated, quality, max_steps,
+              max_roots, seed, trace):
+        """The one g-MLSS round loop behind :meth:`run` and
+        :meth:`run_curve`.
+
+        Grows the forest ``batch_roots`` trees at a time until a budget
+        runs out or, at a check on the conservative schedule, ``quality``
+        holds at every curve level index in ``gated``.  Each check
+        bootstraps every prefix once; with a ``trace`` list, it appends
+        one :class:`TracePoint` of the top level.  Returns ``(aggregate,
+        prefix variances, bootstrap seconds, bootstrap evaluations)``;
+        the variances come from the last check when the forest has not
+        grown since, and from one more bootstrap otherwise.
+        """
+        boot_seed = random.Random(seed).randrange(2 ** 31)
+        runner = self._make_runner(query, seed)
+        aggregate = ForestAggregate(self.partition.num_levels)
+        boot_seconds = 0.0
+        boot_evals = 0
+        booted_roots = 0
+        variances = np.zeros(self.partition.num_levels)
+        next_check = self.first_check_roots
+        started = time.perf_counter()
+
+        def evaluate_bootstrap():
+            nonlocal boot_seconds, boot_evals, booted_roots
+            boot_started = time.perf_counter()
+            # Called through this module's binding, which benchmarks
+            # rebind to time the bootstrap.
+            result = bootstrap_variance(
+                aggregate, self.ratios, n_boot=self.bootstrap_rounds,
+                seed=boot_seed + boot_evals)
+            boot_seconds += time.perf_counter() - boot_started
+            boot_evals += 1
+            booted_roots = aggregate.n_roots
+            return result
+
+        try:
+            while not runner.accumulate(aggregate, self.batch_roots,
+                                        max_steps=max_steps,
+                                        max_roots=max_roots):
+                if aggregate.n_roots == 0:
+                    break
+                if quality is None or aggregate.n_roots < next_check:
+                    continue
+                prefixes = gmlss_prefix_estimates(aggregate, self.ratios)
+                variances = evaluate_bootstrap()
+                if trace is not None:
+                    trace.append(TracePoint(
+                        steps=aggregate.steps,
+                        elapsed_seconds=time.perf_counter() - started,
+                        probability=prefixes[-1],
+                        variance=float(variances[-1]),
+                        n_roots=aggregate.n_roots, hits=aggregate.hits,
+                    ))
+                if all(quality.is_met(prefixes[i], variances[i],
+                                      self._level_hits(aggregate, i),
+                                      aggregate.n_roots)
+                       for i in gated):
+                    break
+                next_check = max(next_check + 1,
+                                 math.ceil(next_check * self.check_growth))
+        finally:
+            close_runner(runner)
+
+        if booted_roots != aggregate.n_roots and aggregate.n_roots > 1:
+            variances = evaluate_bootstrap()
+        return aggregate, variances, boot_seconds, boot_evals
+
+    def _level_hits(self, aggregate: ForestAggregate, index: int) -> int:
+        """Observations backing the ``index``-th curve level.
+
+        Interior boundaries count the paths observed crossing them
+        (landings plus skips); the last level counts target hits.
+        """
+        if index == aggregate.num_levels - 1:
+            return aggregate.hits
+        return (aggregate.landings[index + 1] + aggregate.skips[index + 1])

@@ -14,6 +14,7 @@ With no interior boundaries the partition degenerates to
 from __future__ import annotations
 
 import bisect
+import numbers
 from typing import Iterable, Sequence
 
 from .value_functions import TARGET_VALUE
@@ -150,10 +151,10 @@ def normalize_ratios(ratios, num_levels: int) -> tuple:
     that ``result[level]`` works directly.
     """
     n_split_levels = num_levels - 1
-    if isinstance(ratios, int):
+    if isinstance(ratios, numbers.Integral):
         if ratios < 1:
             raise ValueError(f"splitting ratio must be >= 1, got {ratios}")
-        return (1,) + (ratios,) * n_split_levels
+        return (1,) + (int(ratios),) * n_split_levels
     values = tuple(int(r) for r in ratios)
     if len(values) == num_levels and values[0] == 1:
         # Already in normalized form (idempotence).

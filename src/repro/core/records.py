@@ -22,8 +22,12 @@ root tree:
   its per-threshold answers off the same records.
 
 Keeping the counters per root (rather than only in aggregate) is what
-makes the s-MLSS variance estimator (Eq. 6) and the g-MLSS bootstrap
-(Section 4.2) possible without re-simulating anything.
+makes the g-MLSS bootstrap (Section 4.2) possible without re-simulating
+anything.  The s-MLSS variance estimator (Eq. 6) needs less: it is the
+sample variance of per-root hit (or landing) counts, which
+:class:`ForestAggregate` keeps as running sums of squares, so both
+s-MLSS entry points check their stopping rule after every batch in
+O(levels) time.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ class ForestAggregate:
     """
 
     __slots__ = ("num_levels", "n_roots", "hits", "hits_sq_sum", "steps",
-                 "landings", "skips", "crossings",
+                 "landings", "landings_sq_sum", "skips", "crossings",
                  "root_hits", "root_landings", "root_skips",
                  "root_crossings", "root_max_levels")
 
@@ -80,6 +84,8 @@ class ForestAggregate:
         self.hits_sq_sum = 0  # running sum of squared per-root hits
         self.steps = 0
         self.landings = [0] * num_levels
+        # Running sums of squared per-root landings, level by level.
+        self.landings_sq_sum = [0] * num_levels
         self.skips = [0] * num_levels
         self.crossings = [0] * num_levels
         # Per-root storage (python lists; converted lazily to numpy).
@@ -95,10 +101,16 @@ class ForestAggregate:
         self.hits += record.hits
         self.hits_sq_sum += record.hits * record.hits
         self.steps += record.steps
+        # Local names: this runs once per root tree, level by level.
+        landings, squares = self.landings, self.landings_sq_sum
+        skips, crossings = self.skips, self.crossings
+        landed, skipped, crossed = (record.landings, record.skips,
+                                    record.crossings)
         for i in range(1, self.num_levels):
-            self.landings[i] += record.landings[i]
-            self.skips[i] += record.skips[i]
-            self.crossings[i] += record.crossings[i]
+            landings[i] += landed[i]
+            squares[i] += landed[i] * landed[i]
+            skips[i] += skipped[i]
+            crossings[i] += crossed[i]
         self.root_hits.append(record.hits)
         self.root_landings.append(record.landings)
         self.root_skips.append(record.skips)
@@ -136,10 +148,12 @@ class ForestAggregate:
         self.hits_sq_sum += int((hits * hits).sum())
         self.steps += int(np.asarray(steps).sum())
         landing_totals = landings.sum(axis=0)
+        landing_sq_totals = (landings * landings).sum(axis=0)
         skip_totals = skips.sum(axis=0)
         crossing_totals = crossings.sum(axis=0)
         for i in range(1, self.num_levels):
             self.landings[i] += int(landing_totals[i])
+            self.landings_sq_sum[i] += int(landing_sq_totals[i])
             self.skips[i] += int(skip_totals[i])
             self.crossings[i] += int(crossing_totals[i])
         self.root_hits.extend(hits.tolist())
@@ -162,6 +176,7 @@ class ForestAggregate:
         self.steps += other.steps
         for i in range(1, self.num_levels):
             self.landings[i] += other.landings[i]
+            self.landings_sq_sum[i] += other.landings_sq_sum[i]
             self.skips[i] += other.skips[i]
             self.crossings[i] += other.crossings[i]
         self.root_hits.extend(other.root_hits)
@@ -184,11 +199,13 @@ class ForestAggregate:
         Computed from running sums, so checking the stopping rule after
         every batch stays O(1) regardless of how many roots have run.
         """
-        n = self.n_roots
-        if n < 2:
-            return 0.0
-        mean = self.hits / n
-        return (self.hits_sq_sum - n * mean * mean) / (n - 1)
+        return _sample_variance(self.hits, self.hits_sq_sum, self.n_roots)
+
+    def landing_count_variance(self, level: int) -> float:
+        """Unbiased sample variance of per-root landings in ``L_level``,
+        from running sums like :meth:`hit_count_variance`."""
+        return _sample_variance(self.landings[level],
+                                self.landings_sq_sum[level], self.n_roots)
 
     def level_reach_counts(self) -> list:
         """``counts[i]`` = number of root trees whose paths ever reached
@@ -207,10 +224,6 @@ class ForestAggregate:
             counts[i] += counts[i + 1]
         return counts
 
-    def hit_counts(self) -> np.ndarray:
-        """Per-root target-hit counts ``N_m^<k>`` as a numpy vector."""
-        return np.asarray(self.root_hits, dtype=np.float64)
-
     def per_root_matrices(self):
         """Per-root ``(landings, skips, crossings, hits)`` numpy arrays.
 
@@ -225,12 +238,21 @@ class ForestAggregate:
             landings = landings.reshape(shape)
             skips = skips.reshape(shape)
             crossings = crossings.reshape(shape)
-        return landings, skips, crossings, self.hit_counts()
+        return (landings, skips, crossings,
+                np.asarray(self.root_hits, dtype=np.float64))
 
     def __repr__(self) -> str:
         return (f"ForestAggregate(n_roots={self.n_roots}, hits={self.hits}, "
                 f"steps={self.steps}, landings={self.landings}, "
                 f"skips={self.skips})")
+
+
+def _sample_variance(total: int, sq_sum: int, n: int) -> float:
+    """Unbiased sample variance of ``n`` counts from their running sums."""
+    if n < 2:
+        return 0.0
+    mean = total / n
+    return (sq_sum - n * mean * mean) / (n - 1)
 
 
 def fold_records_by_owner(records, owners, aggregates) -> None:

@@ -17,6 +17,14 @@ produce biased answers — this is the "blind application" the paper
 demonstrates in Table 6, and :class:`SMLSSSampler` flags it via
 ``details["skipping_detected"]``.
 
+There is one pass.  Read level by level, the same counters give every
+boundary-crossing probability (:func:`smlss_prefix_estimates`) and its
+variance (:func:`smlss_prefix_variances`), and the target level is
+Eq. 3 and Eq. 5-6 themselves.  :meth:`SMLSSSampler.run` and
+:meth:`SMLSSSampler.run_curve` share one round loop that differs only
+in which levels gate the quality target: the point answer is the
+curve's top level.
+
 Both MLSS samplers get their forest from :func:`make_forest_runner`:
 one batched :class:`~repro.core.forest.VectorizedForestRunner`, or its
 pooled counterpart when a worker pool is given.
@@ -80,23 +88,6 @@ def ratio_product(ratios: tuple) -> int:
     return math.prod(ratios[1:])
 
 
-def smlss_point_estimate(aggregate: ForestAggregate, ratios: tuple) -> float:
-    """Eq. 3: ``N_m / (N_0 * prod r_i)``."""
-    if aggregate.n_roots == 0:
-        return 0.0
-    return aggregate.hits / (aggregate.n_roots * ratio_product(ratios))
-
-
-def smlss_variance(aggregate: ForestAggregate, ratios: tuple) -> float:
-    """Eq. 5-6: per-root hit-count variance scaled by the split factor."""
-    n0 = aggregate.n_roots
-    if n0 < 2:
-        return 0.0
-    sigma_sq = aggregate.hit_count_variance()
-    denominator = ratio_product(ratios)
-    return sigma_sq / (n0 * denominator * denominator)
-
-
 def smlss_prefix_estimates(aggregate: ForestAggregate,
                            ratios: tuple) -> list:
     """Boundary-crossing probabilities under the no-skipping assumption.
@@ -106,9 +97,9 @@ def smlss_prefix_estimates(aggregate: ForestAggregate,
     ``N_0 * prod_{k<i} r_k * Pr[cross beta_i]``, so one forest yields
     ``Pr[cross beta_i] = landings[i] / (N_0 * prod_{k<i} r_k)`` for all
     boundaries at once.  Returns ``[Pr[cross beta_1], ...,
-    Pr[cross beta_{m-1}], Pr[hit target]]`` (length ``m``); like the
-    point estimate, the prefixes are biased when the process does skip
-    levels.
+    Pr[cross beta_{m-1}], Pr[hit target]]`` (length ``m``).  The last
+    entry is the point estimate, Eq. 3.  Like it, the prefixes are
+    biased when the process does skip levels.
     """
     m = aggregate.num_levels
     n0 = aggregate.n_roots
@@ -128,21 +119,40 @@ def smlss_prefix_variances(aggregate: ForestAggregate,
     Each prefix is a mean of i.i.d. per-root counts scaled by a
     constant, so the Eq. 5-6 argument applies level by level: the
     sample variance of the per-root landing (or hit) counts, divided by
-    ``n_roots`` and the squared split factor.
+    ``n_roots`` and the squared split factor.  The counts' variances
+    come from running sums, so this costs O(m) however many roots have
+    run.
     """
     m = aggregate.num_levels
     n0 = aggregate.n_roots
     if n0 < 2:
         return [0.0] * m
-    landings, _, _, hits = aggregate.per_root_matrices()
     variances = []
-    scale = 1.0
+    scale = 1
     for i in range(1, m):
-        sigma_sq = float(landings[:, i].var(ddof=1))
-        variances.append(sigma_sq / (n0 * scale * scale))
+        variances.append(aggregate.landing_count_variance(i)
+                         / (n0 * scale * scale))
         scale *= ratios[i]
-    variances.append(float(hits.var(ddof=1)) / (n0 * scale * scale))
+    variances.append(aggregate.hit_count_variance() / (n0 * scale * scale))
     return variances
+
+
+def level_estimates(sampler, aggregate: ForestAggregate, prefixes,
+                    variances, elapsed: float) -> tuple:
+    """One :class:`DurabilityEstimate` per curve level of an MLSS pass.
+
+    The last one is the sampler's point answer; ``sampler`` supplies
+    the method name and each level's observation count.
+    """
+    return tuple(
+        DurabilityEstimate(
+            probability=prefixes[i], variance=float(variances[i]),
+            n_roots=aggregate.n_roots,
+            hits=sampler._level_hits(aggregate, i),
+            steps=aggregate.steps, method=sampler.method_name,
+            elapsed_seconds=elapsed, details={"shared_pass": True},
+        )
+        for i in range(aggregate.num_levels))
 
 
 class SMLSSSampler:
@@ -195,41 +205,19 @@ class SMLSSSampler:
             max_steps: Optional[int] = None,
             max_roots: Optional[int] = None,
             seed: Optional[int] = None) -> DurabilityEstimate:
-        if quality is None and max_steps is None and max_roots is None:
-            raise ValueError(
-                "provide a quality target, max_steps or max_roots; "
-                "otherwise the sampler would never stop"
-            )
-        runner = self._make_runner(query, seed)
-        aggregate = ForestAggregate(self.partition.num_levels)
-        trace = []
+        """The top level of :meth:`run_curve`'s pass, gated on it alone.
+
+        The quality target is checked at the target level only, so the
+        run stops no later than the curve and, when both stop at the
+        same root count, answers with the curve's top level byte for
+        byte.
+        """
+        prepare_curve_grid(self.partition.boundaries + (1.0,), None,
+                           quality, max_steps, max_roots)
+        trace = [] if self.record_trace else None
         started = time.perf_counter()
-
-        try:
-            done = False
-            while not done:
-                done = runner.accumulate(aggregate, self.batch_roots,
-                                         max_steps=max_steps,
-                                         max_roots=max_roots)
-                if done or aggregate.n_roots == 0:
-                    break
-                probability = smlss_point_estimate(aggregate, self.ratios)
-                variance = smlss_variance(aggregate, self.ratios)
-                if self.record_trace:
-                    trace.append(TracePoint(
-                        steps=aggregate.steps,
-                        elapsed_seconds=time.perf_counter() - started,
-                        probability=probability, variance=variance,
-                        n_roots=aggregate.n_roots, hits=aggregate.hits,
-                    ))
-                if quality is not None and quality.is_met(
-                        probability, variance, aggregate.hits,
-                        aggregate.n_roots):
-                    break
-        finally:
-            close_runner(runner)
-
-        probability = smlss_point_estimate(aggregate, self.ratios)
+        aggregate = self._pass(query, (self.partition.num_levels - 1,),
+                               quality, max_steps, max_roots, seed, trace)
         details = {
             "partition": self.partition,
             "ratios": self.ratios[1:],
@@ -237,16 +225,14 @@ class SMLSSSampler:
             "skips": list(aggregate.skips),
             "skipping_detected": aggregate.total_skips > 0,
         }
-        if self.record_trace:
+        if trace is not None:
             details["trace"] = trace
-        return DurabilityEstimate(
-            probability=probability,
-            variance=smlss_variance(aggregate, self.ratios),
-            n_roots=aggregate.n_roots, hits=aggregate.hits,
-            steps=aggregate.steps, method=self.method_name,
-            elapsed_seconds=time.perf_counter() - started,
-            details=details,
-        )
+        estimate = level_estimates(
+            self, aggregate, smlss_prefix_estimates(aggregate, self.ratios),
+            smlss_prefix_variances(aggregate, self.ratios),
+            time.perf_counter() - started)[-1]
+        estimate.details = details
+        return estimate
 
     def run_curve(self, query: DurabilityQuery,
                   thresholds: Optional[Sequence[float]] = None,
@@ -260,56 +246,23 @@ class SMLSSSampler:
         boundary-crossing probabilities are read off the landing
         counters level by level (:func:`smlss_prefix_estimates`), valid
         under the same no-level-skipping assumption as the point
-        estimate.  ``quality`` must hold at every level; it is
-        evaluated on a geometric root-count schedule (the per-level
-        variances read the whole per-root history, so checking every
-        batch would cost quadratic time).  Budgets behave as in
-        :meth:`run`.
+        estimate.  ``quality`` must hold at every level; like the point
+        answer's, it is checked after every batch.  Budgets behave as
+        in :meth:`run`.
         """
         levels, thresholds = prepare_curve_grid(
             self.partition.boundaries + (1.0,), thresholds, quality,
             max_steps, max_roots)
-        runner = self._make_runner(query, seed)
-        aggregate = ForestAggregate(self.partition.num_levels)
-        next_check = max(2 * self.batch_roots, 100)
         started = time.perf_counter()
-
-        try:
-            done = False
-            while not done:
-                done = runner.accumulate(aggregate, self.batch_roots,
-                                         max_steps=max_steps,
-                                         max_roots=max_roots)
-                if done or aggregate.n_roots == 0:
-                    break
-                if quality is not None and aggregate.n_roots >= next_check:
-                    prefixes = smlss_prefix_estimates(aggregate, self.ratios)
-                    variances = smlss_prefix_variances(aggregate,
-                                                       self.ratios)
-                    if all(quality.is_met(prefixes[i], variances[i],
-                                          self._level_hits(aggregate, i),
-                                          aggregate.n_roots)
-                           for i in range(len(levels))):
-                        break
-                    next_check = max(next_check + 1,
-                                     math.ceil(next_check * 1.5))
-        finally:
-            close_runner(runner)
-
-        prefixes = smlss_prefix_estimates(aggregate, self.ratios)
-        variances = smlss_prefix_variances(aggregate, self.ratios)
+        aggregate = self._pass(query, range(len(levels)), quality,
+                               max_steps, max_roots, seed, None)
         elapsed = time.perf_counter() - started
-        estimates = tuple(
-            DurabilityEstimate(
-                probability=prefixes[i], variance=variances[i],
-                n_roots=aggregate.n_roots,
-                hits=self._level_hits(aggregate, i),
-                steps=aggregate.steps, method=self.method_name,
-                elapsed_seconds=elapsed, details={"shared_pass": True},
-            )
-            for i in range(len(levels)))
         return DurabilityCurve(
-            thresholds=thresholds, levels=levels, estimates=estimates,
+            thresholds=thresholds, levels=levels,
+            estimates=level_estimates(
+                self, aggregate,
+                smlss_prefix_estimates(aggregate, self.ratios),
+                smlss_prefix_variances(aggregate, self.ratios), elapsed),
             method=self.method_name, n_roots=aggregate.n_roots,
             steps=aggregate.steps, elapsed_seconds=elapsed,
             details={
@@ -319,6 +272,46 @@ class SMLSSSampler:
                 "skipping_detected": aggregate.total_skips > 0,
             },
         )
+
+    def _pass(self, query: DurabilityQuery, gated, quality, max_steps,
+              max_roots, seed, trace) -> ForestAggregate:
+        """The one s-MLSS round loop behind :meth:`run` and
+        :meth:`run_curve`.
+
+        Grows the forest ``batch_roots`` trees at a time until a budget
+        runs out or, checked after every batch, ``quality`` holds at
+        every curve level index in ``gated``.  With a ``trace`` list,
+        each batch appends one :class:`TracePoint` of the top level.
+        """
+        runner = self._make_runner(query, seed)
+        aggregate = ForestAggregate(self.partition.num_levels)
+        started = time.perf_counter()
+        try:
+            while not runner.accumulate(aggregate, self.batch_roots,
+                                        max_steps=max_steps,
+                                        max_roots=max_roots):
+                if aggregate.n_roots == 0:
+                    break
+                if quality is None and trace is None:
+                    continue
+                prefixes = smlss_prefix_estimates(aggregate, self.ratios)
+                variances = smlss_prefix_variances(aggregate, self.ratios)
+                if trace is not None:
+                    trace.append(TracePoint(
+                        steps=aggregate.steps,
+                        elapsed_seconds=time.perf_counter() - started,
+                        probability=prefixes[-1], variance=variances[-1],
+                        n_roots=aggregate.n_roots, hits=aggregate.hits,
+                    ))
+                if quality is not None and all(
+                        quality.is_met(prefixes[i], variances[i],
+                                       self._level_hits(aggregate, i),
+                                       aggregate.n_roots)
+                        for i in gated):
+                    break
+        finally:
+            close_runner(runner)
+        return aggregate
 
     def _level_hits(self, aggregate: ForestAggregate, index: int) -> int:
         """Observations backing the ``index``-th curve level."""

@@ -43,6 +43,33 @@ def _is_number(value) -> bool:
             and math.isfinite(value))
 
 
+def _check_int(name: str, value, minimum: int,
+               optional: bool = False) -> None:
+    """Require an integer ``>= minimum`` (``None`` too if optional).
+
+    Booleans are rejected, NumPy integers accepted (as :func:`_is_int`).
+    """
+    if value is None and optional:
+        return
+    if not _is_int(value) or value < minimum:
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}"
+            f"{' or None' if optional else ''}, got {value!r}")
+
+
+def _check_ratio(ratio) -> None:
+    """A splitting ratio: an integer >= 1, or a sequence of them.
+
+    Whether a sequence has one entry per splittable level is checked
+    where the plan is known (:func:`repro.core.levels.normalize_ratios`).
+    """
+    values = ratio if isinstance(ratio, (list, tuple)) else [ratio]
+    if not all(_is_int(value) and value >= 1 for value in values):
+        raise ValueError(
+            f"ratio must be an integer >= 1 or a sequence of them, "
+            f"got {ratio!r}")
+
+
 #: The ``sampler_options`` keys: what each value must be, and its check.
 #: They tune one sampler or fleet pass and have no policy field of their
 #: own; each pass reads only the keys it takes.
@@ -163,32 +190,16 @@ class ParallelPolicy:
     task_timeout_seconds: Optional[float] = None
 
     def validate(self) -> "ParallelPolicy":
-        if self.n_workers is not None and self.n_workers < 1:
-            raise ValueError(
-                f"n_workers must be >= 1, got {self.n_workers}")
-        if self.roots_per_task < 1:
-            raise ValueError(
-                f"roots_per_task must be >= 1, got {self.roots_per_task}")
-        if self.tasks_per_round < 1:
-            raise ValueError(
-                f"tasks_per_round must be >= 1, got "
-                f"{self.tasks_per_round}")
-        if self.members_per_task < 1:
-            raise ValueError(
-                f"members_per_task must be >= 1, got "
-                f"{self.members_per_task}")
+        _check_int("n_workers", self.n_workers, 1, optional=True)
+        for name in ("roots_per_task", "tasks_per_round",
+                     "members_per_task"):
+            _check_int(name, getattr(self, name), 1)
         if self.pool not in POOL_MODES:
             raise ValueError(
                 f"unknown pool mode {self.pool!r}; choose from "
                 f"{POOL_MODES}")
-        if self.max_worker_restarts < 0:
-            raise ValueError(
-                f"max_worker_restarts must be >= 0, got "
-                f"{self.max_worker_restarts}")
-        if self.task_retry_limit < 0:
-            raise ValueError(
-                f"task_retry_limit must be >= 0, got "
-                f"{self.task_retry_limit}")
+        for name in ("max_worker_restarts", "task_retry_limit"):
+            _check_int(name, getattr(self, name), 0)
         if self.task_timeout_seconds is not None \
                 and self.task_timeout_seconds <= 0:
             raise ValueError(
@@ -286,11 +297,12 @@ class ExecutionPolicy:
         """Check the policy is runnable; returns self for chaining.
 
         Raises a ``ValueError`` for unknown methods, for malformed or
-        unknown ``sampler_options`` and — the documented stopping-rule
-        contract — when ``quality``, ``max_steps`` and ``max_roots``
-        are all ``None`` (the sampler would never stop).  The engine
-        validates *before* any plan search, so a bad policy fails fast
-        instead of after an expensive search.
+        unknown ``sampler_options``, for budgets, seeds, level counts
+        or ratios that are not integers in range, and — the documented
+        stopping-rule contract — when ``quality``, ``max_steps`` and
+        ``max_roots`` are all ``None`` (the sampler would never stop).
+        The engine validates *before* any plan search, so a bad policy
+        fails fast instead of after an expensive search.
         """
         if self.method not in METHODS:
             raise ValueError(
@@ -303,13 +315,16 @@ class ExecutionPolicy:
                 "target, max_steps or max_roots (at least one must be "
                 "given; otherwise the sampler would never stop)"
             )
-        if self.trial_steps < 1:
-            raise ValueError(
-                f"trial_steps must be >= 1, got {self.trial_steps}")
-        if self.num_levels is not None and self.num_levels < 1:
-            raise ValueError(
-                f"num_levels must be >= 1, got {self.num_levels}")
+        for name in ("max_steps", "max_roots", "num_levels"):
+            _check_int(name, getattr(self, name), 1, optional=True)
+        _check_int("trial_steps", self.trial_steps, 1)
+        _check_int("seed", self.seed, 0, optional=True)
+        _check_ratio(self.ratio)
         if self.parallel is not None:
+            if not isinstance(self.parallel, ParallelPolicy):
+                raise ValueError(
+                    f"parallel must be a ParallelPolicy or None, got "
+                    f"{self.parallel!r}")
             self.parallel.validate()
         return self
 

@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 
 from repro.core.analytic import random_walk_hitting_probability
-from repro.core.bootstrap import bootstrap_curve_variances
+from repro.core.bootstrap import bootstrap_variance
 from repro.core.forest import VectorizedForestRunner
 from repro.core.gmlss import (GMLSSSampler, gmlss_point_estimate,
                               gmlss_prefix_estimates)
 from repro.core.levels import LevelPartition, normalize_ratios
 from repro.core.records import ForestAggregate
-from repro.core.smlss import (SMLSSSampler, smlss_point_estimate,
-                              smlss_prefix_estimates)
+from repro.core.smlss import (SMLSSSampler, ratio_product,
+                              smlss_prefix_estimates,
+                              smlss_prefix_variances)
 from repro.core.srs import SRSSampler, validate_curve_levels
 from repro.core.value_functions import DurabilityQuery, threshold_grid
 from repro.processes.random_walk import RandomWalkProcess
@@ -130,8 +131,7 @@ class TestMLSSPrefixes:
         aggregate, ratios = forest_aggregate(walk_query, partition)
         prefixes = gmlss_prefix_estimates(aggregate, ratios)
         assert len(prefixes) == partition.num_levels
-        assert prefixes[-1] == pytest.approx(
-            gmlss_point_estimate(aggregate, ratios))
+        assert prefixes[-1] == gmlss_point_estimate(aggregate, ratios)
 
     def test_gmlss_prefixes_estimate_boundary_crossings(self, walk_query):
         betas, levels = threshold_grid(THRESHOLDS)
@@ -139,7 +139,7 @@ class TestMLSSPrefixes:
         aggregate, ratios = forest_aggregate(walk_query, partition,
                                              n_roots=4000)
         prefixes = gmlss_prefix_estimates(aggregate, ratios)
-        variances = bootstrap_curve_variances(aggregate, ratios, seed=1)
+        variances = bootstrap_variance(aggregate, ratios, seed=1)
         for beta, prefix, variance in zip(betas, prefixes, variances):
             assert_close_to(prefix, exact(beta), float(np.sqrt(variance)))
 
@@ -147,9 +147,13 @@ class TestMLSSPrefixes:
         _, levels = threshold_grid(THRESHOLDS)
         partition = LevelPartition(levels[:-1])
         aggregate, ratios = forest_aggregate(walk_query, partition)
-        prefixes = smlss_prefix_estimates(aggregate, ratios)
-        assert prefixes[-1] == pytest.approx(
-            smlss_point_estimate(aggregate, ratios))
+        # The tail is Eq. 3 and Eq. 5-6 exactly, as the point answer
+        # reports them.
+        n0, split = aggregate.n_roots, ratio_product(ratios)
+        assert smlss_prefix_estimates(aggregate, ratios)[-1] == \
+            aggregate.hits / (n0 * split)
+        assert smlss_prefix_variances(aggregate, ratios)[-1] == \
+            aggregate.hit_count_variance() / (n0 * split * split)
 
     def test_prefixes_agree_across_backends(self, walk_query):
         """Native kernel and ``step`` definition: every prefix matches
@@ -161,8 +165,7 @@ class TestMLSSPrefixes:
                                                  n_roots=3000, seed=seed)
             for beta, prefix, variance in zip(
                     betas, gmlss_prefix_estimates(aggregate, ratios),
-                    bootstrap_curve_variances(aggregate, ratios,
-                                              seed=seed)):
+                    bootstrap_variance(aggregate, ratios, seed=seed)):
                 assert_close_to(prefix, exact(beta),
                                 float(np.sqrt(variance)))
 

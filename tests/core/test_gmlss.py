@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.forest import VectorizedForestRunner
-from repro.core.gmlss import (GMLSSSampler, gmlss_estimate_from_totals,
-                              gmlss_pi_hats, gmlss_point_estimate)
+from repro.core.gmlss import (GMLSSSampler, gmlss_pi_hats,
+                              gmlss_point_estimate, gmlss_prefix_estimates)
 from repro.core.levels import LevelPartition, normalize_ratios
 from repro.core.quality import RelativeErrorTarget
 from repro.core.records import ForestAggregate
-from repro.core.smlss import SMLSSSampler, smlss_point_estimate
+from repro.core.smlss import SMLSSSampler, smlss_prefix_estimates
 from repro.core.srs import SRSSampler
 from repro.core.value_functions import DurabilityQuery
 from repro.processes.markov_chain import MarkovChainProcess
@@ -44,19 +44,32 @@ def jumpy_chain():
     return MarkovChainProcess(matrix, start=0)
 
 
+def totals(landings, skips, crossings, hits, n_roots):
+    """An aggregate holding only the given counter totals."""
+    aggregate = ForestAggregate(len(landings))
+    aggregate.landings = list(landings)
+    aggregate.skips = list(skips)
+    aggregate.crossings = list(crossings)
+    aggregate.hits = hits
+    aggregate.n_roots = n_roots
+    return aggregate
+
+
 class TestEstimatorAlgebra:
     def test_single_level_degenerates_to_srs(self):
-        assert gmlss_estimate_from_totals([0], [0], [0], hits=7,
-                                          n_roots=20, ratios=(1,)) == 0.35
+        aggregate = totals([0], [0], [0], hits=7, n_roots=20)
+        assert gmlss_prefix_estimates(aggregate, (1,)) == [0.35]
+        assert gmlss_point_estimate(aggregate, (1,)) == 0.35
 
     def test_zero_roots_returns_zero(self):
-        assert gmlss_estimate_from_totals([0, 0], [0, 0], [0, 0], 0, 0,
-                                          (1, 3)) == 0.0
+        aggregate = totals([0, 0], [0, 0], [0, 0], 0, 0)
+        assert gmlss_prefix_estimates(aggregate, (1, 3)) == [0.0, 0.0]
+        assert gmlss_pi_hats(aggregate, (1, 3)) == [0.0, 0.0]
 
     def test_dead_level_short_circuits_to_zero(self):
         # Nothing ever crossed beta_1.
-        assert gmlss_estimate_from_totals(
-            [0, 0, 0], [0, 0, 0], [0, 0, 0], 0, 50, (1, 3, 3)) == 0.0
+        aggregate = totals([0, 0, 0], [0, 0, 0], [0, 0, 0], 0, 50)
+        assert gmlss_prefix_estimates(aggregate, (1, 3, 3)) == [0.0] * 3
 
     def test_two_level_skip_decomposition(self):
         """tau_hat = N2_nonskip / (N0 r) + N2_skip / N0 (Section 4.2)."""
@@ -64,17 +77,18 @@ class TestEstimatorAlgebra:
         landings = [0, 12]   # |H_1|
         skips = [0, 3]       # direct jumps to the target
         crossings = [0, 9]   # offspring of L1 splits reaching the target
-        estimate = gmlss_estimate_from_totals(
-            landings, skips, crossings, hits=9 + 3, n_roots=n_roots,
-            ratios=(1, ratio))
+        aggregate = totals(landings, skips, crossings, hits=9 + 3,
+                           n_roots=n_roots)
+        prefixes = gmlss_prefix_estimates(aggregate, (1, ratio))
         expected = 9 / (n_roots * ratio) + 3 / n_roots
-        assert estimate == pytest.approx(expected)
+        assert prefixes[0] == pytest.approx((12 + 3) / n_roots)
+        assert prefixes[-1] == pytest.approx(expected)
 
     def test_estimate_never_exceeds_one(self):
-        estimate = gmlss_estimate_from_totals(
-            [0, 5, 2], [0, 1, 1], [0, 15, 6], hits=8, n_roots=6,
-            ratios=(1, 3, 3))
-        assert 0.0 <= estimate <= 1.0
+        aggregate = totals([0, 5, 2], [0, 1, 1], [0, 15, 6], hits=8,
+                           n_roots=6)
+        prefixes = gmlss_prefix_estimates(aggregate, (1, 3, 3))
+        assert all(0.0 <= p <= 1.0 for p in prefixes)
 
     def test_pi_hats_structure(self, small_chain_query,
                                small_chain_partition):
@@ -84,11 +98,12 @@ class TestEstimatorAlgebra:
         pis = gmlss_pi_hats(aggregate, ratios)
         assert len(pis) == 3
         assert all(0.0 <= p <= 1.0 for p in pis)
-        product = 1.0
+        running, product = [], 1.0
         for p in pis:
             product *= p
-        assert product == pytest.approx(
-            gmlss_point_estimate(aggregate, ratios))
+            running.append(product)
+        assert running == gmlss_prefix_estimates(aggregate, ratios)
+        assert product == gmlss_point_estimate(aggregate, ratios)
 
 
 class TestSkipFreeIdentity:
@@ -100,7 +115,7 @@ class TestSkipFreeIdentity:
             n_roots=500, seed=19)
         assert aggregate.total_skips == 0
         assert gmlss_point_estimate(aggregate, ratios) == pytest.approx(
-            smlss_point_estimate(aggregate, ratios))
+            smlss_prefix_estimates(aggregate, ratios)[-1])
 
     def test_deterministic_skip_corrected(self):
         """The scripted skip scenario: g-MLSS returns the true 1.0."""
@@ -209,3 +224,38 @@ class TestSamplerBehaviour:
             small_chain_query, max_roots=300, seed=71) for _ in range(2)]
         assert runs[0].probability == runs[1].probability
         assert runs[0].variance == runs[1].variance
+
+
+class TestBenchmarkHooks:
+    """perfbench times the bootstrap by rebinding
+    ``repro.core.gmlss.bootstrap_variance`` and spans the samplers by
+    rebinding ``run`` on their classes.  If the round loop stopped
+    calling through that binding, the benchmark would silently book the
+    bootstrap's time to the sampler instead."""
+
+    def test_run_and_curve_call_the_module_binding(
+            self, monkeypatch, small_chain_query, small_chain_partition):
+        from repro.core import gmlss as gmlss_module
+
+        calls = []
+        original = gmlss_module.bootstrap_variance
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gmlss_module, "bootstrap_variance", counting)
+        sampler = GMLSSSampler(small_chain_partition, ratio=3)
+        stop = dict(quality=RelativeErrorTarget(target=0.01),
+                    max_roots=700, seed=5)
+        point = sampler.run(small_chain_query, **stop)
+        assert point.details["bootstrap_evals"] >= 2
+        assert len(calls) == point.details["bootstrap_evals"]
+        del calls[:]
+        curve = sampler.run_curve(small_chain_query, **stop)
+        assert curve.details["bootstrap_evals"] >= 2
+        assert len(calls) == curve.details["bootstrap_evals"]
+
+    def test_run_is_defined_on_the_sampler_classes(self):
+        assert "run" in GMLSSSampler.__dict__
+        assert "run" in SRSSampler.__dict__

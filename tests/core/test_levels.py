@@ -156,6 +156,13 @@ class TestNormalizeRatios:
     def test_scalar_for_single_level(self):
         assert normalize_ratios(5, 1) == (1,)
 
+    def test_numpy_integer_scalar_expands_to_ints(self):
+        import numpy as np
+
+        ratios = normalize_ratios(np.int64(3), 3)
+        assert ratios == (1, 3, 3)
+        assert all(type(r) is int for r in ratios)
+
     def test_per_level_sequence(self):
         assert normalize_ratios([2, 3, 4], 4) == (1, 2, 3, 4)
 

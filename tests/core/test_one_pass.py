@@ -1,4 +1,4 @@
-"""One SRS pass: a point answer is the top level of any curve.
+"""One pass per sampler: a point answer is the top level of a curve.
 
 ``SRSSampler.run`` is the running-maxima curve pass on the one-level
 grid ``(1.0,)`` and ``screen_fleet`` is ``screen_fleet_curves`` on
@@ -9,22 +9,33 @@ byte: same probability, variance, roots, hits and steps, under every
 stopping rule, directly and on inline and thread pools.
 
 The quality target here is a relative-error target, under which the
-top level is always the binding one (a lower level has at least as many
-hits, hence at most the top's relative error).  Fleets use fixed rounds
-under a quality target: with adaptive rounds a member whose top level
-has no hits yet grows its next round from its lower levels'
-projections, which a one-level grid does not have.
+top level is always the binding one for SRS (a lower level has at least
+as many hits, hence at most the top's relative error).  Fleets use
+fixed rounds under a quality target: with adaptive rounds a member
+whose top level has no hits yet grows its next round from its lower
+levels' projections, which a one-level grid does not have.
+
+The splitting samplers run one round loop for both entry points, gated
+on the top level for a point answer and on every level for a curve.
+Under a budget the point answer is the curve's top level byte for
+byte.  Under a quality target a lower MLSS level can still be the
+binding one (its estimator has its own variance), so the point answer
+stops no later than the curve, and equals its top level whenever both
+stop at the same root count.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.fleet import screen_fleet, screen_fleet_curves
+from repro.core.gmlss import GMLSSSampler
+from repro.core.levels import LevelPartition
 from repro.core.pool import WorkerPool
 from repro.core.quality import RelativeErrorTarget
+from repro.core.smlss import SMLSSSampler
 from repro.core.srs import SRSSampler
 from repro.core.value_functions import DurabilityQuery
-from repro.processes import RandomWalkProcess
+from repro.processes import RandomWalkProcess, birth_death_chain
 from repro.processes.base import FusedBatch
 
 LEVELS = (0.25, 0.5, 1.0)
@@ -38,6 +49,18 @@ STOPS = {
 WALK = DurabilityQuery.threshold(
     RandomWalkProcess(p_up=0.35, p_down=0.45), RandomWalkProcess.position,
     beta=8.0, horizon=40)
+
+CHAIN = birth_death_chain(n=13, p_up=0.25, p_down=0.35, start=0)
+CHAIN_QUERY = DurabilityQuery.threshold(CHAIN, CHAIN.state_value,
+                                        beta=12.0, horizon=60)
+PLAN = LevelPartition([0.25, 0.5, 0.75])
+
+MLSS_STOPS = {
+    "max_roots": {"max_roots": 300},
+    "max_steps": {"max_steps": 40_000},
+    "quality": {"quality": RelativeErrorTarget(target=0.2),
+                "max_roots": 2_000},
+}
 
 FLEET = [RandomWalkProcess(p_up=0.32 + 0.02 * i, p_down=0.45)
          for i in range(5)]
@@ -81,6 +104,29 @@ class TestSrsPointIsOneLevelCurve:
             WALK, max_roots=300, seed=3)
         assert estimate.details == {"parallel": {
             "n_workers": 2, "mode": "thread", "tasks": 5}}
+
+
+class TestMlssPointIsCurveTop:
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1),
+           stop=st.sampled_from(sorted(MLSS_STOPS)),
+           where=st.sampled_from(["direct", "inline", "thread"]))
+    def test_curve_top_equals_point_answer(self, pools, seed, stop,
+                                           where):
+        for sampler_class in (GMLSSSampler, SMLSSSampler):
+            sampler = sampler_class(PLAN, pool=pools[where],
+                                    roots_per_task=64, tasks_per_round=4)
+            point = sampler.run(CHAIN_QUERY, seed=seed, **MLSS_STOPS[stop])
+            curve = sampler.run_curve(CHAIN_QUERY, seed=seed,
+                                      **MLSS_STOPS[stop])
+            assert point.n_roots > 0
+            if stop == "quality":
+                # The curve gates every level, the point its top only.
+                assert point.n_roots <= curve.n_roots
+                if point.n_roots < curve.n_roots:
+                    continue
+            assert fingerprint(curve.estimates[-1]) == fingerprint(point)
+            assert curve.steps == point.steps
 
 
 class TestFleetScreenIsOneLevelCurves:

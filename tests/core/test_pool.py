@@ -82,6 +82,7 @@ class TestCounterBlock:
         assert aggregate.hits_sq_sum == reference.hits_sq_sum
         assert aggregate.steps == reference.steps
         assert aggregate.landings == reference.landings
+        assert aggregate.landings_sq_sum == reference.landings_sq_sum
         assert aggregate.skips == reference.skips
         assert aggregate.crossings == reference.crossings
         assert aggregate.root_hits == reference.root_hits

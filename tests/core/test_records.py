@@ -59,6 +59,17 @@ class TestForestAggregate:
         assert agg.hit_count_variance() == pytest.approx(
             np.var(counts, ddof=1))
 
+    def test_landing_count_variance_matches_numpy(self):
+        agg = ForestAggregate(3)
+        counts = [0, 2, 1, 0, 4, 1]
+        agg.extend([make_record(3, landings=[0, c, 2 * c]) for c in counts])
+        assert agg.landings_sq_sum == [0, sum(c * c for c in counts),
+                                       sum(4 * c * c for c in counts)]
+        assert agg.landing_count_variance(1) == pytest.approx(
+            np.var(counts, ddof=1))
+        assert agg.landing_count_variance(2) == pytest.approx(
+            4 * np.var(counts, ddof=1))
+
     def test_hit_count_variance_degenerate(self):
         agg = ForestAggregate(2)
         assert agg.hit_count_variance() == 0.0
@@ -82,6 +93,7 @@ class TestForestAggregate:
         assert left.hits_sq_sum == combined.hits_sq_sum
         assert left.steps == combined.steps
         assert left.landings == combined.landings
+        assert left.landings_sq_sum == combined.landings_sq_sum
         assert left.root_hits == combined.root_hits
 
     def test_merge_rejects_level_mismatch(self):

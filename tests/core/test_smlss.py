@@ -9,8 +9,10 @@ from repro.core.forest import VectorizedForestRunner
 from repro.core.levels import LevelPartition, normalize_ratios
 from repro.core.quality import RelativeErrorTarget
 from repro.core.records import ForestAggregate
+from repro.core.records import RootRecord
 from repro.core.smlss import (SMLSSSampler, ratio_product,
-                              smlss_point_estimate, smlss_variance)
+                              smlss_prefix_estimates,
+                              smlss_prefix_variances)
 from repro.core.srs import SRSSampler, srs_variance
 from repro.core.value_functions import DurabilityQuery
 
@@ -35,28 +37,37 @@ class TestEstimatorAlgebra:
     def test_point_estimate_formula(self):
         agg = ForestAggregate(3)
         agg.n_roots = 10
+        agg.landings = [0, 12, 30]
         agg.hits = 18
         ratios = (1, 3, 3)
-        # Eq. 3: N_m / (N_0 * r^(m-1)) = 18 / (10 * 9)
-        assert smlss_point_estimate(agg, ratios) == pytest.approx(0.2)
+        # Eq. 3 per prefix: landings[i] / (N_0 * r^(i-1)); the target
+        # is N_m / (N_0 * r^(m-1)) = 18 / (10 * 9).
+        assert smlss_prefix_estimates(agg, ratios) == pytest.approx(
+            [1.2, 1.0, 0.2])
 
     def test_point_estimate_empty_aggregate(self):
-        assert smlss_point_estimate(ForestAggregate(2), (1, 3)) == 0.0
+        assert smlss_prefix_estimates(ForestAggregate(2), (1, 3)) == [0.0,
+                                                                      0.0]
 
     def test_variance_scales_with_ratio_product(self):
         agg = ForestAggregate(3)
-        for hits in (0, 2, 4, 0, 1):
-            from repro.core.records import RootRecord
+        for hits, landed in ((0, 1), (2, 3), (4, 2), (0, 0), (1, 1)):
             record = RootRecord(3)
             record.hits = hits
+            record.landings = [0, landed, 3 * landed]
             agg.add(record)
         sigma_sq = agg.hit_count_variance()
-        expected = sigma_sq / (5 * 9 * 9)
-        assert smlss_variance(agg, (1, 3, 3)) == pytest.approx(expected)
+        assert sigma_sq == pytest.approx(np.var([0, 2, 4, 0, 1], ddof=1))
+        variances = smlss_prefix_variances(agg, (1, 3, 3))
+        assert variances[0] == pytest.approx(
+            np.var([1, 3, 2, 0, 1], ddof=1) / 5)
+        assert variances[1] == pytest.approx(
+            np.var([3, 9, 6, 0, 3], ddof=1) / (5 * 3 * 3))
+        assert variances[-1] == pytest.approx(sigma_sq / (5 * 9 * 9))
 
     def test_variance_needs_two_roots(self):
         agg = ForestAggregate(2)
-        assert smlss_variance(agg, (1, 3)) == 0.0
+        assert smlss_prefix_variances(agg, (1, 3)) == [0.0, 0.0]
 
 
 class TestDeterministicScenarios:

@@ -7,6 +7,8 @@ from repro.core.quality import (ConfidenceIntervalTarget, NeverTarget,
 from repro.engine.policy import (ExecutionPolicy, ParallelPolicy,
                                  quality_from_dict, quality_to_dict)
 
+from ..helpers import MALFORMED_POLICIES
+
 
 class TestValidate:
     def test_default_policy_has_no_stopping_rule(self):
@@ -38,6 +40,31 @@ class TestValidate:
     def test_validate_returns_self(self):
         policy = ExecutionPolicy(max_roots=5)
         assert policy.validate() is policy
+
+    @pytest.mark.parametrize("document,field", MALFORMED_POLICIES)
+    def test_malformed_numbers_rejected(self, document, field):
+        with pytest.raises(ValueError, match=field):
+            ExecutionPolicy.from_dict(
+                dict({"max_roots": 100}, **document)).validate()
+
+    def test_integer_fields_accept_numpy_integers(self):
+        import numpy as np
+
+        ExecutionPolicy(max_roots=np.int64(5), max_steps=np.int32(9),
+                        seed=np.int64(0), num_levels=np.int64(2),
+                        ratio=(np.int64(2), 3),
+                        parallel=ParallelPolicy(
+                            n_workers=np.int64(2),
+                            max_worker_restarts=np.int64(0))).validate()
+
+    def test_engine_rejects_a_zero_root_budget_before_simulating(
+            self, small_chain_query, small_chain_partition):
+        from repro.engine import DurabilityEngine
+
+        engine = DurabilityEngine(ExecutionPolicy(max_steps=1000))
+        with pytest.raises(ValueError, match="max_roots"):
+            engine.answer(small_chain_query, method="gmlss",
+                          partition=small_chain_partition, max_roots=0)
 
 
 class TestSamplerOptions:

@@ -120,3 +120,31 @@ def run_mean_estimate(run_once, n_runs: int, seed_base: int = 0) -> tuple:
     else:
         std_error = 0.0
     return mean, std_error
+
+
+#: Policy documents that must fail validation, each with the field its
+#: error names: budgets and counts below range, floats and strings
+#: where integers belong (including JSON's ``1e9``), and booleans
+#: standing in for 1.  None of them may reach a simulation.
+MALFORMED_POLICIES = [
+    ({"method": "srs", "max_roots": 0}, "max_roots"),
+    ({"method": "srs", "max_steps": -1}, "max_steps"),
+    ({"method": "gmlss", "num_levels": 3, "max_roots": 0}, "max_roots"),
+    ({"method": "srs", "max_steps": 1e9}, "max_steps"),
+    ({"max_roots": 2.5}, "max_roots"),
+    ({"max_roots": "10"}, "max_roots"),
+    ({"max_roots": True}, "max_roots"),
+    ({"seed": "x"}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"num_levels": 2.5}, "num_levels"),
+    ({"ratio": 2.5}, "ratio"),
+    ({"ratio": 0}, "ratio"),
+    ({"ratio": [3, 0]}, "ratio"),
+    ({"trial_steps": 2.5}, "trial_steps"),
+    ({"parallel": {"n_workers": 1.5}}, "n_workers"),
+    ({"parallel": {"roots_per_task": 2.5}}, "roots_per_task"),
+    ({"parallel": {"tasks_per_round": True}}, "tasks_per_round"),
+    ({"parallel": {"max_worker_restarts": -1}}, "max_worker_restarts"),
+    ({"parallel": 5}, "parallel"),
+]

@@ -22,6 +22,8 @@ from repro.serve.protocol import (dumps_canonical, encode_curve,
                                   encode_estimate, parse_query,
                                   strip_plan_provenance)
 
+from ..helpers import MALFORMED_POLICIES
+
 DEFAULT_POLICY = ExecutionPolicy(method="srs", max_roots=300, seed=11)
 
 WALK_DOC = {"process": {"family": "random_walk",
@@ -258,6 +260,18 @@ class TestProtocolErrors:
         error = json.loads(raw)["error"]
         assert error["kind"] == "protocol"
         assert "sampler" in error["message"]
+
+    @pytest.mark.parametrize("policy,field", MALFORMED_POLICIES)
+    def test_malformed_policy_numbers_are_400(self, server, policy, field):
+        walk = {"process": {"family": "random_walk",
+                            "params": {"p_up": 0.35, "p_down": 0.45}},
+                "beta": 10.0, "horizon": 60}
+        status, _, raw = call(server, "POST", "/answer",
+                              {"query": walk, "policy": policy})
+        assert status == 400
+        error = json.loads(raw)["error"]
+        assert error["kind"] == "protocol"
+        assert field in error["message"]
 
     def test_fleet_option_on_plain_gmlss_answers(self, server):
         """``adaptive`` tunes fused fleets; a single g-MLSS answer
