@@ -19,20 +19,52 @@ point), ``durability_curve`` (SRS, s-MLSS and g-MLSS under a budget;
 s-MLSS and g-MLSS under a relative-error target), fused
 ``answer_batch`` (SRS screening and clustered g-MLSS fleets, each
 under a budget and under a quality target), fused
-``durability_curves``, and all of it again over an inline pool and a
-2-worker thread pool.  An answer that raises prints ``label raises
-ErrorType`` instead.  Every process here batches natively.  Runs in
-about twenty seconds.
+``durability_curves`` under a budget and under a relative-error
+target, and all of it again over an inline pool and a 2-worker thread
+pool.  It also covers the SRS paths no natively batched fleet reaches:
+point and curve answers of a process that defines only ``step`` (it
+runs inside ``ScalarFallback``), an SRS answer under a value function
+that is not a threshold, an ``answer_batch`` whose queries share one
+process object (the same-process cohort) and the fleet with
+``fuse=False``.  An answer that raises prints ``label raises
+ErrorType`` instead.  Runs in about twenty seconds.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro import DurabilityEngine, DurabilityQuery, ExecutionPolicy
 from repro.core.levels import LevelPartition
 from repro.core.quality import RelativeErrorTarget
 from repro.engine import ParallelPolicy
 from repro.processes import (GaussianWalkProcess, RandomWalkProcess,
-                             birth_death_chain)
+                             StochasticProcess, birth_death_chain)
+
+
+class StepOnlyWalk(StochasticProcess):
+    """A +-1 walk that defines only ``step`` (no ``step_batch``)."""
+
+    def initial_state(self) -> int:
+        return 0
+
+    def step(self, state: int, t: int, rng) -> int:
+        u = rng.random()
+        if u < 0.35:
+            return state + 1
+        return state - 1 if u < 0.8 else state
+
+
+class RisingBarValue:
+    """A value function that is not a threshold: the position against
+    a bar that rises with time, ``clip(x / (10 + t / 20), 0, 1)``."""
+
+    def __call__(self, state, t) -> float:
+        return min(max(state / (10.0 + t / 20.0), 0.0), 1.0)
+
+    def batch(self, states, t):
+        bar = 10.0 + t / 20.0
+        return np.clip(np.asarray(states, dtype=np.float64) / bar, 0.0, 1.0)
 
 
 def line(label: str, estimate) -> str:
@@ -134,6 +166,33 @@ def fingerprint() -> list:
             for i, curve in enumerate(engine.durability_curves(
                     fleet, [6, 8, 10], method="srs", seed=20)):
                 out.extend(curve_lines(f"{tag}.curves.{i}", curve))
+            for i, curve in enumerate(engine.durability_curves(
+                    fleet, [6, 8, 10], method="srs", max_steps=None,
+                    quality=target, seed=33)):
+                out.extend(curve_lines(f"{tag}.curves_target.{i}", curve))
+            for i, estimate in enumerate(engine.answer_batch(
+                    fleet, method="srs", fuse=False, seed=34)):
+                out.append(line(f"{tag}.batch.srs_unfused.{i}", estimate))
+            shared = [DurabilityQuery.threshold(
+                walk.process, RandomWalkProcess.position, beta=beta,
+                horizon=60) for beta in (8.0, 10.0, 12.0)]
+            for i, estimate in enumerate(engine.answer_batch(
+                    shared, method="srs", seed=35)):
+                out.append(line(f"{tag}.batch.srs_shared.{i}", estimate))
+
+            step_only = DurabilityQuery.threshold(
+                StepOnlyWalk(), RandomWalkProcess.position, beta=12.0,
+                horizon=60)
+            answer(f"{tag}.step_only.srs", step_only, method="srs",
+                   max_steps=None, max_roots=400, seed=36)
+            out.extend(curve_lines(
+                f"{tag}.step_only.curve", engine.durability_curve(
+                    step_only, [6, 9, 12], method="srs", max_steps=None,
+                    max_roots=400, seed=37)))
+            rising = DurabilityQuery(process=walk.process,
+                                     value_function=RisingBarValue(),
+                                     horizon=60)
+            answer(f"{tag}.rising_bar.srs", rising, method="srs", seed=38)
 
             gauss = DurabilityQuery.threshold(
                 GaussianWalkProcess(drift=0.05, sigma=1.0),

@@ -5,8 +5,9 @@ advancement probabilities equal ("balanced growth", Eq. 12).  The paper
 obtained such plans by manual tuning; this module automates the recipe
 so the benchmarks can build MLSS-BAL plans reproducibly:
 
-1. run a pilot of plain SRS paths and record the *maximum* value-function
-   score each path attains (its survival curve is exactly
+1. run a pilot of plain SRS paths — rounds of the one SRS kernel,
+   :func:`repro.core.srs.advance_rows` — and record the *maximum*
+   value-function score each path attains (its survival curve is exactly
    ``Pr[max_t f(X_t) >= v]``, the quantity level boundaries quantize);
 2. where the empirical curve runs out of resolution (tiny target
    probabilities), extrapolate its upper tail with an exponential fit —
@@ -23,11 +24,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..processes.base import as_vectorized
 from .forest import LevelPlanError
 from .levels import LevelPartition
 from .pool import PlanSearchWork, derive_task_seed
-from .value_functions import TARGET_VALUE, DurabilityQuery, batch_values
+from .srs import QueryRows, advance_rows
+from .value_functions import TARGET_VALUE, DurabilityQuery
 from .variance import (balanced_boundaries_from_survival,
                        curve_refined_boundaries)
 
@@ -86,36 +87,17 @@ def pilot_chunk_max_values(query: DurabilityQuery, n_paths: int,
     """One pilot chunk's per-path maxima (unsorted; the pooled task
     primitive behind :func:`pilot_max_values`).
 
-    The chunk's paths advance as one batch, each tracking its running
-    maximum score until it hits the target or the horizon.
+    The chunk is one round of the SRS kernel
+    (:func:`~repro.core.srs.advance_rows`) on the one-level grid
+    ``(1.0,)``, each path tracking its running maximum score from time
+    0 until it hits the target (its maximum is then 1) or the horizon.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    rng = np.random.default_rng(seed)
-    process = as_vectorized(query.process)
-    value_fn = query.value_function
-    horizon = query.horizon
-
-    states = process.initial_states(n_paths)
-    best = np.minimum(batch_values(value_fn, states, 0), TARGET_VALUE)
-    n_hit = int(np.count_nonzero(best >= TARGET_VALUE))
-    alive = best < TARGET_VALUE
-    states, best = states[alive], best[alive]
-    maxima = []
-    for t in range(1, horizon + 1):
-        if not len(states):
-            break
-        states = process.step_batch(states, t, rng)
-        best = np.maximum(best, batch_values(value_fn, states, t))
-        hit = best >= TARGET_VALUE
-        count = int(np.count_nonzero(hit))
-        if count:
-            n_hit += count
-            keep = ~hit
-            states, best = states[keep], best[keep]
-    maxima.extend(best.tolist())
-    maxima.extend([TARGET_VALUE] * n_hit)
-    return maxima
+    rows = QueryRows(query, (TARGET_VALUE,), from_start=True)
+    topped, _, best = advance_rows(rows, [n_paths], query.horizon,
+                                   np.random.default_rng(seed))
+    return best.tolist() + [TARGET_VALUE] * topped[0]
 
 
 def empirical_survival(maxima: Sequence[float]) -> Callable[[float], float]:

@@ -12,13 +12,10 @@ This module screens whole fleets through **one** frontier built on
 :class:`repro.processes.base.FusedBatch`, in three flavours:
 
 * :func:`screen_fleet_curves` — one threshold *grid* per member, plain
-  SRS: every live path of every entity advances in a single
-  ``step_batch`` per time step, per-entity parameters broadcast by
-  owner and per-entity top thresholds compared row-wise; rows track
-  their running-maximum score only when some grid has a level below
-  its top, so a single fused pass answers every member's whole
-  durability curve (a row retires once it clears its owner's top
-  threshold).
+  SRS: the fleet's rows (:class:`~repro.core.srs.FleetRows`) run the
+  one SRS kernel of :mod:`repro.core.srs`, every live path of every
+  entity advancing in a single fused step per time step, so one pass
+  answers every member's whole durability curve.
 * :func:`screen_fleet` — one threshold per member: the fused screen
   *is* the curve pass on one-threshold grids (it draws the same random
   numbers in the same order as any grids with those tops).
@@ -80,13 +77,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..processes.base import FusedBatch, batch_z_values
-from .estimates import DurabilityCurve, DurabilityEstimate
+from .estimates import DurabilityEstimate
 from .levels import LevelPartition, normalize_ratios
 from .pool import DEFAULT_MEMBERS_PER_TASK, FleetWork, derive_task_seed
 from .quality import QualityTarget
 from .records import ForestAggregate, fold_records_by_owner
-from .srs import srs_variance
-from .value_functions import TARGET_VALUE, batch_values
+from .srs import FleetRows, build_srs_curve, grow_round, run_rows
+from .value_functions import TARGET_VALUE, batch_values, threshold_grid
 
 DEFAULT_MAX_ROUND_ROOTS = 8192
 
@@ -101,40 +98,6 @@ def _require_stopping_rule(quality, max_steps, max_roots) -> None:
             "provide a quality target, max_steps or max_roots; "
             "otherwise the screening pass would never stop"
         )
-
-
-def _round_counts(done, round_roots, n_paths, steps, horizon,
-                  max_steps, max_roots):
-    """Per-member cohort sizes for the next round under the budgets."""
-    counts = np.where(done, 0, round_roots)
-    if max_roots is not None:
-        counts = np.minimum(counts, np.maximum(max_roots - n_paths, 0))
-    if max_steps is not None:
-        exhausted = steps >= max_steps
-        counts = np.where(exhausted, 0, np.minimum(
-            counts, (max_steps - steps) // horizon + 1))
-    return counts
-
-
-def _grow_round(adaptive: bool, round_roots, member: int, projected,
-                n_observed: int, batch_roots: int,
-                max_round_roots: int) -> None:
-    """Resize a member's next round toward its remaining need.
-
-    ``n_observed`` is the member's roots (or paths) so far; with a
-    projection the next round covers the projected shortfall, floored
-    at ``batch_roots`` and capped at ``max_round_roots``; without one
-    the round doubles.
-    """
-    if not adaptive:
-        return
-    if projected is not None:
-        remaining = projected - n_observed
-        round_roots[member] = min(max(remaining, batch_roots),
-                                  max_round_roots)
-    else:
-        round_roots[member] = min(round_roots[member] * 2,
-                                  max_round_roots)
 
 
 def _slice_tasks(n_members: int, members_per_task: int,
@@ -182,142 +145,25 @@ def _run_fleet_pooled(pool, work: FleetWork, tasks: list):
 # ----------------------------------------------------------------------
 
 def validate_grids(grids, k: int) -> list:
-    """Per-member raw threshold grids: non-empty, positive, ascending.
-
-    Shared input validation for every grid-shaped entry point
-    (:func:`screen_fleet_curves` and the engine's
-    ``durability_curves``); returns the grids as tuples of floats.
-    """
+    """Per-member raw threshold grids: non-empty, finite, positive,
+    strictly ascending (the :func:`~repro.core.value_functions.
+    threshold_grid` rule, without its sorting); returns the grids as
+    tuples of floats."""
     if len(grids) != k:
         raise ValueError(f"{len(grids)} threshold grids for {k} members")
     validated = []
     for member, grid in enumerate(grids):
-        values = [float(b) for b in grid]
-        if not values:
-            raise ValueError(f"member {member} has an empty grid")
-        if values[0] <= 0.0:
+        values = tuple(float(b) for b in grid)
+        try:
+            betas, _ = threshold_grid(values)
+        except ValueError as exc:
+            raise ValueError(f"member {member}: {exc}") from None
+        if betas != values:
             raise ValueError(
-                f"member {member} thresholds must be positive, got "
-                f"{values[0]}")
-        for lo, hi in zip(values, values[1:]):
-            if lo >= hi:
-                raise ValueError(
-                    f"member {member} thresholds must be strictly "
-                    f"ascending, got {lo} before {hi}")
-        validated.append(tuple(values))
+                f"member {member} thresholds must be strictly "
+                f"ascending, got {list(values)}")
+        validated.append(values)
     return validated
-
-
-def _fold_maxima(counts, owners, best, grids, k: int) -> None:
-    """Credit surviving rows' running maxima against their owners' grids."""
-    for member in range(k):
-        rows = owners == member
-        if not rows.any():
-            continue
-        member_best = best[rows]
-        grid = np.asarray(grids[member])
-        counts[member] += (member_best[:, None]
-                           >= grid[None, :]).sum(axis=0)
-
-
-def _curve_members(fused: FusedBatch, z, grids, horizon: int,
-                   quality, max_steps, max_roots, batch_roots: int,
-                   adaptive: bool, max_round_roots: int, rng):
-    """One fused pass answering every member's whole threshold grid.
-
-    A row stays live until it clears its owner's **top** threshold (or
-    the horizon).  A live row reaches the top at step ``t`` exactly
-    when its score at ``t`` does (otherwise it would have retired
-    already), so retirement reads the current scores.  Only when some
-    grid has a level below its top do rows also carry a *running
-    maximum*, whose final value credits a survivor's lower levels.
-    Returns ``(level_counts, n_paths, steps, rounds)``.
-    """
-    k = fused.n_members
-    tops = np.asarray([grid[-1] for grid in grids], dtype=np.float64)
-    has_lower = any(len(grid) > 1 for grid in grids)
-    counts = [np.zeros(len(grid), dtype=np.int64) for grid in grids]
-    n_paths = np.zeros(k, dtype=np.int64)
-    steps = np.zeros(k, dtype=np.int64)
-    done = np.zeros(k, dtype=bool)
-    round_roots = np.full(k, batch_roots, dtype=np.int64)
-    rounds = 0
-    lead = fused.members[0]
-
-    while not done.all():
-        cohort = _round_counts(done, round_roots, n_paths, steps,
-                               horizon, max_steps, max_roots)
-        done |= cohort == 0
-        if done.all():
-            break
-        rounds += 1
-
-        # Owners, top thresholds and member parameters stay row-aligned
-        # *outside* the state array: parameters are gathered once per
-        # round, the hot loop steps a contiguous core buffer in place,
-        # and per-member step accounting is a k-length add of live
-        # counts.  Retiring rows filter their side arrays together.
-        owners = np.repeat(np.arange(k), cohort)
-        states = fused.initial_core_rows(owners)
-        row_params = fused.row_params(owners)
-        row_tops = tops[owners]
-        best = np.zeros(len(owners), dtype=np.float64) if has_lower \
-            else None
-        live = cohort.copy()
-        for t in range(1, horizon + 1):
-            if not len(states):
-                break
-            states = lead.fused_step_batch(row_params, states, t, rng,
-                                           out=states)
-            steps += live
-            scores = batch_z_values(z, states)
-            if best is not None:
-                np.maximum(best, scores, out=best)
-            reached = scores >= row_tops
-            n_reached = int(np.count_nonzero(reached))
-            if n_reached:
-                live -= np.bincount(owners[reached], minlength=k)
-                keep = ~reached
-                states = states[keep]
-                owners = owners[keep]
-                row_tops = row_tops[keep]
-                if best is not None:
-                    best = best[keep]
-                row_params = {name: values[keep]
-                              for name, values in row_params.items()}
-        # Rows retire only at their owner's top threshold, so the
-        # retired rows hit every level of their owner's grid at once.
-        topped = cohort - live
-        for member in np.nonzero(topped)[0]:
-            counts[member] += topped[member]
-        if best is not None:
-            _fold_maxima(counts, owners, best, grids, k)
-        n_paths += cohort
-
-        if quality is not None:
-            alive = ~done & (n_paths > 0)
-            for member in np.nonzero(alive)[0]:
-                n = int(n_paths[member])
-                met = True
-                worst_projection = None
-                for level_hits in counts[member]:
-                    probability = level_hits / n
-                    if not quality.is_met(
-                            probability, srs_variance(probability, n),
-                            int(level_hits), n):
-                        met = False
-                        projected = quality.projected_roots(
-                            probability, int(level_hits), n)
-                        if projected is not None:
-                            worst_projection = max(
-                                worst_projection or 0, projected)
-                if met:
-                    done[member] = True
-                else:
-                    _grow_round(adaptive, round_roots, member,
-                                worst_projection, int(n_paths[member]),
-                                batch_roots, max_round_roots)
-    return counts, n_paths, steps, rounds
 
 
 def screen_fleet_curves(fused: FusedBatch, z, grids, horizon: int,
@@ -390,52 +236,32 @@ def screen_fleet_curves(fused: FusedBatch, z, grids, horizon: int,
             grids=tuple(grids), quality=quality, max_steps=max_steps,
             max_roots=max_roots, batch_roots=batch_roots,
             adaptive=adaptive, max_round_roots=max_round_roots)
-        counts = [None] * k
-        n_paths = np.zeros(k, dtype=np.int64)
-        steps = np.zeros(k, dtype=np.int64)
+        counts, n_paths, steps = [None] * k, [0] * k, [0] * k
         rounds = 0
         results = _run_fleet_pooled(pool, work, tasks)
         try:
             for (lo, hi, _), result in zip(tasks, results):
-                slice_counts, slice_n, slice_steps, slice_rounds = result
-                for offset, member_counts in enumerate(slice_counts):
-                    counts[lo + offset] = np.asarray(member_counts,
-                                                     dtype=np.int64)
-                n_paths[lo:hi] = slice_n
-                steps[lo:hi] = slice_steps
+                (counts[lo:hi], n_paths[lo:hi], steps[lo:hi],
+                 slice_rounds) = result
                 rounds = max(rounds, slice_rounds)
         finally:
             results.close()
     else:
-        counts, n_paths, steps, rounds = _curve_members(
-            fused, z, grids, horizon, quality, max_steps, max_roots,
-            batch_roots, adaptive, max_round_roots,
-            np.random.default_rng(seed))
+        counts, n_paths, steps, rounds = run_rows(
+            FleetRows(fused, z, grids), horizon, np.random.default_rng(seed),
+            quality, max_steps, max_roots, batch_roots, adaptive,
+            max_round_roots)
 
     elapsed = time.perf_counter() - started
     curves = []
-    for member in range(k):
-        grid = grids[member]
-        top = grid[-1]
-        paths = int(n_paths[member])
-        member_steps = int(steps[member])
-        estimates = []
-        for level_hits in counts[member]:
-            probability = level_hits / paths if paths else 0.0
-            estimates.append(DurabilityEstimate(
-                probability=probability,
-                variance=srs_variance(probability, paths),
-                n_roots=paths, hits=int(level_hits), steps=member_steps,
-                method="srs", elapsed_seconds=elapsed,
-                details={"shared_pass": True, "fused": True},
-            ))
-        curves.append(DurabilityCurve(
-            thresholds=grid,
-            levels=tuple(b / top for b in grid),
-            estimates=tuple(estimates), method="srs", n_roots=paths,
-            steps=member_steps, elapsed_seconds=elapsed,
-            details={"fused": True, "fleet_size": k, "rounds": rounds},
-        ))
+    for member, grid in enumerate(grids):
+        curve = build_srs_curve(
+            grid, tuple(b / grid[-1] for b in grid), counts[member],
+            n_paths[member], steps[member], elapsed)
+        for estimate in curve.estimates:
+            estimate.details["fused"] = True
+        curve.details.update(fused=True, fleet_size=k, rounds=rounds)
+        curves.append(curve)
     return curves
 
 
@@ -751,11 +577,12 @@ def _mlss_grow_adaptive(fused: FusedBatch, runner, aggregates, quality,
                 continue
             next_check[member] = max(next_check[member] + 1,
                                      int(next_check[member] * 1.5))
-            _grow_round(True, round_roots, member,
-                        quality.projected_roots(
-                            probability, aggregate.hits,
-                            aggregate.n_roots, variance=variance),
-                        aggregate.n_roots, batch_roots, max_round_roots)
+            round_roots[member] = grow_round(
+                quality.projected_roots(probability, aggregate.hits,
+                                        aggregate.n_roots,
+                                        variance=variance),
+                aggregate.n_roots, int(round_roots[member]), batch_roots,
+                max_round_roots)
     return checked
 
 

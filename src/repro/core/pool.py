@@ -2,9 +2,11 @@
 
 Root trees, SRS paths, fleet members and plan-search trials are all
 independent, so every sampler in the library parallelizes by *sharding
-work over workers*.  Each worker runs the same batched (vectorized or
-fused) loops as a single-process run, so adding workers multiplies
-that throughput rather than replacing it.  The execution layer is
+work over workers*.  Each worker runs the same kernels as a
+single-process run — :func:`repro.core.srs.run_rows` for ``CurveWork``
+root tasks, ``FleetWork("curves")`` member slices and balanced-pilot
+chunks, the splitting forest for the rest — so adding workers
+multiplies that throughput rather than replacing it.  The execution layer is
 persistent:
 
 * :class:`WorkerPool` — long-lived workers.  ``"fork"`` / ``"spawn"``
@@ -425,26 +427,25 @@ def _run_forest_task(spec: ForestWork, payload, block: CounterBlock):
 
 def _run_curve_task(spec: CurveWork, payload):
     n_paths, seed = payload
-    from .srs import SRSSampler  # circular-import guard
-    counts, n_paths, steps, _ = SRSSampler(
-        batch_roots=n_paths)._curve_pass_vectorized(
-        spec.query, spec.levels, None, None, n_paths, seed)
-    return (tuple(counts), n_paths, steps)
+    from .srs import QueryRows, run_rows  # circular-import guard
+    counts, n_paths, steps, _ = run_rows(
+        QueryRows(spec.query, spec.levels), spec.query.horizon,
+        np.random.default_rng(seed), None, None, n_paths, n_paths)
+    return (tuple(counts[0]), n_paths[0], steps[0])
 
 
 def _run_fleet_task(spec: FleetWork, payload):
     lo, hi, seed = payload
     from ..processes.base import FusedBatch  # circular-import guard
     from . import fleet  # circular-import guard
+    from .srs import FleetRows, run_rows  # circular-import guard
     fused = FusedBatch(spec.processes[lo:hi])
     if spec.mode == "curves":
-        counts, n_paths, steps, rounds = fleet._curve_members(
-            fused, spec.z, spec.grids[lo:hi], spec.horizon, spec.quality,
-            spec.max_steps, spec.max_roots, spec.batch_roots,
-            spec.adaptive, spec.max_round_roots,
-            np.random.default_rng(seed))
-        return ([c.tolist() for c in counts], n_paths.tolist(),
-                steps.tolist(), rounds)
+        return run_rows(
+            FleetRows(fused, spec.z, spec.grids[lo:hi]), spec.horizon,
+            np.random.default_rng(seed), spec.quality, spec.max_steps,
+            spec.max_roots, spec.batch_roots, spec.adaptive,
+            spec.max_round_roots)
     if spec.mode == "mlss":
         rows = fleet._mlss_members(
             fused, spec.z, spec.betas[lo:hi], spec.partition, spec.ratio,

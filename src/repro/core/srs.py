@@ -10,35 +10,45 @@ A path stops as soon as it hits the target (the durability query only
 asks about the *first* hitting time), so the cost of a successful path
 is its hitting time, not the full horizon.
 
-Whole cohorts of paths advance through
-:meth:`VectorizedProcess.step_batch` array operations; paths that hit
-the target drop out of the batch, so early stopping is preserved.  A
-process without ``step_batch`` runs the same loop inside a
-:class:`~repro.processes.base.ScalarFallback`, which calls its ``step``
-row by row.  Cost is one ``g`` invocation per live path per step
-either way.  The loops step through :func:`repro.processes.base.
-step_into`, so processes with the in-place ``step_batch(..., out=...)``
-fast path overwrite their cohort buffer instead of allocating a fresh
-state array every time step.
+Every SRS pass steps its paths in one kernel, :func:`advance_rows`: a
+query's point answer and curve (:class:`SRSSampler`, unpooled and in
+each pooled ``CurveWork`` task), a fused fleet's screen and curves
+(:mod:`repro.core.fleet`, unpooled and in each ``FleetWork`` slice)
+and the balanced pilot (:mod:`repro.core.balanced`).  A round of rows
+advances until each row reaches its owner's *top* level or the
+horizon; survivors' running maxima (kept only when some grid has a
+level below its top) credit the lower levels, so one pass answers a
+whole grid (see :class:`repro.core.estimates.DurabilityCurve`).
+:func:`run_rows` wraps the kernel in stopping-rule rounds with
+per-member budgets, quality checks and round sizes.  Two row kinds feed
+it:
 
-There is one pass.  :meth:`SRSSampler.run_curve` answers a whole
-*grid* of thresholds from the same paths: each path records its running
-maximum score, so the hit indicator for every grid level is read off
-one simulation (see :class:`repro.core.estimates.DurabilityCurve`).  A
-point answer is that pass on the one-level grid ``(1.0,)``:
-:meth:`SRSSampler.run` labels each path by whether it reached the
-target, exactly the paper's SRS, and draws the same random numbers in
-the same order as any curve whose top level is the target.
+* :class:`QueryRows` — one query's rows: its process steps them
+  (through :func:`repro.processes.base.step_into`; a process without
+  ``step_batch`` runs inside a ``ScalarFallback``) and its value
+  function scores them against normalized levels.  They carry no side
+  arrays.
+* :class:`FleetRows` — a :class:`~repro.processes.base.FusedBatch`
+  fleet's rows, scored by the shared raw ``z`` against each owner's raw
+  grid; owners, tops and per-member parameters stay row-aligned beside
+  the state array and are filtered when rows retire.
+
+A query is a fleet of one: a one-member fused screen draws the same
+random numbers in the same order as :meth:`SRSSampler.run` and returns
+the same answer.  A point answer is the pass on the one-level grid
+``(1.0,)``, exactly the paper's SRS.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import time
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..processes.base import as_vectorized, step_into
+from ..processes.base import as_vectorized, batch_z_values, step_into
 from .estimates import DurabilityCurve, DurabilityEstimate, TracePoint
 from .pool import (CurveWork, DEFAULT_ROOTS_PER_TASK,
                    DEFAULT_TASKS_PER_ROUND, RoundPipeline, StepBudgetError,
@@ -99,18 +109,6 @@ def prepare_curve_grid(levels, thresholds,
     return levels, thresholds
 
 
-def curve_quality_met(quality: QualityTarget, counts, n_paths: int) -> bool:
-    """True when the stopping target holds at *every* grid level."""
-    if n_paths == 0:
-        return False
-    for hits in counts:
-        probability = hits / n_paths
-        if not quality.is_met(probability, srs_variance(probability, n_paths),
-                              hits, n_paths):
-            return False
-    return True
-
-
 def build_srs_curve(thresholds, levels, counts, n_paths: int, steps: int,
                     elapsed: float) -> DurabilityCurve:
     """Fold shared-pass maxima counts into a :class:`DurabilityCurve`."""
@@ -128,6 +126,245 @@ def build_srs_curve(thresholds, levels, counts, n_paths: int, steps: int,
         estimates=tuple(estimates), method="srs", n_roots=n_paths,
         steps=steps, elapsed_seconds=elapsed,
     )
+
+
+# ----------------------------------------------------------------------
+# The kernel and its two row kinds
+# ----------------------------------------------------------------------
+
+class QueryRows:
+    """One query's rows, scored against its normalized ``levels`` grid.
+
+    The per-step work is the process call and the value-function call,
+    bound once here so the kernel adds no Python frame per step; every
+    step reaches ``process.step_batch`` through the instance.  With
+    ``from_start`` the running maximum starts at the time-0 score
+    clipped to the target (the balanced pilot's per-path maxima);
+    otherwise it starts at 0, and only when the grid has lower levels.
+    """
+
+    owners = None
+    retire = None
+
+    def __init__(self, query: DurabilityQuery, levels,
+                 from_start: bool = False):
+        self.process = as_vectorized(query.process)
+        self.step = functools.partial(step_into, self.process)
+        self.score = functools.partial(batch_values, query.value_function)
+        self.grids = (tuple(levels),)
+        self.lowers = ([(0, np.asarray(levels[:-1], dtype=np.float64))]
+                       if len(levels) > 1 else [])
+        self.from_start = from_start
+
+    def start(self, cohort):
+        n = cohort[0]
+        states = self.process.initial_states(n)
+        if self.from_start:
+            best = np.minimum(self.score(states, 0), TARGET_VALUE)
+        else:
+            best = np.zeros(n, dtype=np.float64) if self.lowers else None
+        return states, best, self.grids[0][-1]
+
+
+class FleetRows:
+    """A fused fleet's rows, scored by ``z`` against raw per-member grids.
+
+    Each round's owners, tops and member parameters are gathered once
+    and stay row-aligned outside the state array, so the kernel steps a
+    contiguous core buffer in place; :meth:`retire` filters them
+    together and tallies retired rows per owner.
+    """
+
+    def __init__(self, fused, z, grids):
+        self.fused = fused
+        self.lead = fused.members[0]
+        self.z = z
+        self.grids = tuple(grids)
+        self.tops = np.asarray([grid[-1] for grid in grids],
+                               dtype=np.float64)
+        self.lowers = [(member, np.asarray(grid[:-1], dtype=np.float64))
+                       for member, grid in enumerate(grids) if len(grid) > 1]
+
+    def start(self, cohort):
+        k = len(cohort)
+        self.owners = np.repeat(np.arange(k), cohort)
+        self.params = self.fused.row_params(self.owners)
+        self.row_tops = self.tops[self.owners]
+        self.topped = np.zeros(k, dtype=np.int64)
+        self.spent = np.zeros(k, dtype=np.int64)
+        best = (np.zeros(len(self.owners), dtype=np.float64)
+                if self.lowers else None)
+        return self.fused.initial_core_rows(self.owners), best, self.row_tops
+
+    def step(self, states, t, rng):
+        return self.lead.fused_step_batch(self.params, states, t, rng,
+                                          out=states)
+
+    def score(self, states, t):
+        return batch_z_values(self.z, states)
+
+    def retire(self, reached, keep, t):
+        """Drop the rows that reached their tops; returns the live tops."""
+        retired = np.bincount(self.owners[reached], minlength=len(self.tops))
+        self.topped += retired
+        self.spent += retired * t
+        self.owners = self.owners[keep]
+        self.params = {name: values[keep]
+                       for name, values in self.params.items()}
+        self.row_tops = self.row_tops[keep]
+        return self.row_tops
+
+
+def advance_rows(rows, cohort, horizon: int, rng) -> tuple:
+    """Advance one round of rows to their owners' tops or the horizon.
+
+    ``cohort[m]`` fresh rows start for member ``m`` of ``rows`` (a
+    :class:`QueryRows` or :class:`FleetRows`).  Returns ``(topped,
+    steps, best)``: per-member lists of the rows that reached their
+    owner's top and of the steps spent, and the survivors' running
+    maxima in row order (``None`` when the rows track none).
+    """
+    states, best, top = rows.start(cohort)
+    step, score, retire = rows.step, rows.score, rows.retire
+    topped = spent = t = 0
+    if best is not None:
+        # A row whose running maximum starts at the top (a pilot row
+        # already at the target at time 0) retires before any step.
+        reached = best >= top
+        if reached.any():
+            topped = int(np.count_nonzero(reached))
+            keep = ~reached
+            states, best = states[keep], best[keep]
+            if retire is not None:
+                top = retire(reached, keep, 0)
+    while t < horizon and len(states):
+        t += 1
+        states = step(states, t, rng)
+        values = score(states, t)
+        if best is not None:
+            np.maximum(best, values, out=best)
+        reached = values >= top
+        n_reached = int(np.count_nonzero(reached))
+        if n_reached:
+            keep = ~reached
+            states = states[keep]
+            if best is not None:
+                best = best[keep]
+            if retire is None:
+                topped += n_reached
+                spent += n_reached * t
+            else:
+                top = retire(reached, keep, t)
+    if retire is None:
+        topped, spent = [topped], [spent]
+    else:
+        topped, spent = rows.topped.tolist(), rows.spent.tolist()
+    steps = [s + (n - hit) * horizon
+             for s, n, hit in zip(spent, cohort, topped)]
+    return topped, steps, best
+
+
+def grow_round(projected, n_observed: int, size: int, batch_roots: int,
+               max_round_roots: int) -> int:
+    """A member's next adaptive round size after ``n_observed`` roots:
+    the ``projected`` shortfall within ``[batch_roots,
+    max_round_roots]``, or without a projection twice ``size``."""
+    if projected is None:
+        return min(size * 2, max_round_roots)
+    return int(min(max(projected - n_observed, batch_roots),
+                   max_round_roots))
+
+
+def unmet_levels(quality: QualityTarget, counts, n_paths: int) -> list:
+    """The hit counts of the grid levels whose quality target is unmet."""
+    return [hits for hits in counts
+            if not quality.is_met(hits / n_paths,
+                                  srs_variance(hits / n_paths, n_paths),
+                                  hits, n_paths)]
+
+
+def run_rows(rows, horizon: int, rng, quality, max_steps, max_roots,
+             batch_roots: int, adaptive: bool = False,
+             max_round_roots: Optional[int] = None,
+             on_round=None) -> tuple:
+    """Stopping-rule rounds of :func:`advance_rows` until every member stops.
+
+    Budgets and the quality target apply per member, as separate runs
+    would apply them.  Budgets are cohort-granular: every started path
+    runs to its top-level hit or the horizon (truncating mid-flight
+    would bias the hit fraction), so ``max_steps`` can be overshot by
+    at most one round, which is shrunk to what the budget can fund.  A
+    member stops once its target holds at *every* level of its grid.
+    Rounds hold ``batch_roots`` paths per member; with ``adaptive`` an
+    unmet member's next round grows (:func:`grow_round`).
+    ``on_round(counts, n_paths, steps)`` runs after every round.
+    Returns ``(level_counts, n_paths, steps, rounds)``: per-member
+    lists of plain ints.
+    """
+    k = len(rows.grids)
+    counts = [[0] * len(grid) for grid in rows.grids]
+    n_paths = [0] * k
+    steps = [0] * k
+    done = [False] * k
+    sizes = [batch_roots] * k
+    rounds = 0
+    while True:
+        cohort = [0] * k
+        for member in range(k):
+            if done[member]:
+                continue
+            size = sizes[member]
+            if max_roots is not None:
+                size = min(size, max_roots - n_paths[member])
+            if max_steps is not None:
+                remaining = max_steps - steps[member]
+                size = min(size, remaining // horizon + 1) \
+                    if remaining > 0 else 0
+            if size > 0:
+                cohort[member] = size
+            else:
+                done[member] = True
+        if all(done):
+            break
+        rounds += 1
+        topped, spent, best = advance_rows(rows, cohort, horizon, rng)
+        # Rows retire only at their owner's top level, so a retired row
+        # hits every level of its owner's grid at once.
+        for member in range(k):
+            if topped[member]:
+                counts[member] = [c + topped[member]
+                                  for c in counts[member]]
+            n_paths[member] += cohort[member]
+            steps[member] += spent[member]
+        if best is not None and len(best):
+            # Survivors keep their owners' order, so each member's rows
+            # are one run of ``best``; their maxima credit lower levels.
+            edges = ((0, len(best)) if rows.owners is None else
+                     np.searchsorted(rows.owners, np.arange(k + 1)))
+            for member, lower in rows.lowers:
+                below = (best[edges[member]:edges[member + 1], None]
+                         >= lower).sum(axis=0)
+                counts[member][:-1] = [c + int(b) for c, b
+                                       in zip(counts[member], below)]
+        if on_round is not None:
+            on_round(counts, n_paths, steps)
+        if quality is None:
+            continue
+        for member in range(k):
+            if done[member]:
+                continue
+            n = n_paths[member]
+            unmet = unmet_levels(quality, counts[member], n)
+            if not unmet:
+                done[member] = True
+            elif adaptive:
+                projections = [quality.projected_roots(hits / n, hits, n)
+                               for hits in unmet]
+                projections = [p for p in projections if p is not None]
+                sizes[member] = grow_round(
+                    max(projections) if projections else None, n,
+                    sizes[member], batch_roots, max_round_roots)
+    return counts, n_paths, steps, rounds
 
 
 class SRSSampler:
@@ -184,8 +421,6 @@ class SRSSampler:
         started = time.perf_counter()
         counts, n_paths, steps, tasks = self._curve_pass(
             query, levels, quality, max_steps, max_roots, seed, trace)
-        hits = counts[0]
-        probability = hits / n_paths if n_paths else 0.0
         details = {}
         if self.pool is not None:
             details["parallel"] = {"n_workers": self.pool.n_workers,
@@ -193,14 +428,9 @@ class SRSSampler:
                                    "tasks": tasks}
         if trace is not None:
             details["trace"] = trace
-        return DurabilityEstimate(
-            probability=probability,
-            variance=srs_variance(probability, n_paths),
-            n_roots=n_paths, hits=hits, steps=steps,
-            method=self.method_name,
-            elapsed_seconds=time.perf_counter() - started,
-            details=details,
-        )
+        curve = build_srs_curve(levels, levels, counts, n_paths, steps,
+                                time.perf_counter() - started)
+        return dataclasses.replace(curve.estimates[0], details=details)
 
     def run_curve(self, query: DurabilityQuery, levels: Sequence[float],
                   thresholds: Optional[Sequence[float]] = None,
@@ -252,94 +482,34 @@ class SRSSampler:
         Returns ``(level_counts, n_paths, steps, tasks)``; ``tasks`` is
         the number of pool tasks cut (0 without a pool).  With a
         ``trace`` list, one :class:`TracePoint` of the top level is
-        appended per round.
+        appended per round.  Unpooled, the pass is :func:`run_rows`
+        over the query's rows in fixed rounds of ``batch_roots`` paths.
         """
-        run_pass = (self._curve_pass_vectorized if self.pool is None
-                    else self._curve_pass_pooled)
-        return run_pass(query, levels, quality, max_steps, max_roots, seed,
-                        trace)
+        if self.pool is not None:
+            return self._curve_pass_pooled(query, levels, quality,
+                                           max_steps, max_roots, seed,
+                                           trace)
+        on_round = None
+        if trace is not None:
+            started = time.perf_counter()
 
-    def _curve_pass_vectorized(self, query, levels, quality, max_steps,
-                               max_roots, seed, trace=None):
-        """Cohorts advance as NumPy batches between stopping checks.
+            def on_round(counts, n_paths, steps):
+                _trace_round(trace, started, steps[0], counts[0][-1],
+                             n_paths[0])
 
-        Budgets are enforced at cohort granularity: every started path
-        runs to its top-level hit or the horizon (truncating mid-flight
-        would bias the hit fraction), so ``max_steps`` can be overshot
-        by at most one cohort.  The cohort is shrunk when the remaining
-        budget cannot fill it, keeping that overshoot small.
-
-        A live path reaches the top level at step ``t`` exactly when
-        its value at ``t`` does (otherwise it would have left the
-        frontier already), so the top level is read off the current
-        values; running maxima are kept only for levels below it.
-        """
-        rng = np.random.default_rng(seed)
-        process = as_vectorized(query.process)
-        value_fn = query.value_function
-        horizon = query.horizon
-        top = levels[-1]
-        lower = (np.asarray(levels[:-1], dtype=np.float64)
-                 if len(levels) > 1 else None)
-
-        counts = [0] * len(levels)
-        n_paths = 0
-        steps = 0
-        started = time.perf_counter()
-
-        while True:
-            cohort = self.batch_roots
-            if max_roots is not None:
-                cohort = min(cohort, max_roots - n_paths)
-            if max_steps is not None:
-                if steps >= max_steps:
-                    break
-                cohort = min(cohort, (max_steps - steps) // horizon + 1)
-            if cohort <= 0:
-                break
-
-            states = process.initial_states(cohort)
-            best = (np.zeros(cohort, dtype=np.float64)
-                    if lower is not None else None)
-            topped = 0
-            t = 0
-            while t < horizon and len(states):
-                t += 1
-                states = step_into(process, states, t, rng)
-                steps += len(states)
-                values = batch_values(value_fn, states, t)
-                if best is not None:
-                    np.maximum(best, values, out=best)
-                reached = values >= top
-                n_reached = int(np.count_nonzero(reached))
-                if n_reached:
-                    topped += n_reached
-                    keep = ~reached
-                    states = states[keep]
-                    if best is not None:
-                        best = best[keep]
-            # Paths that reached the top level hit every grid point;
-            # survivors hit exactly the lower levels below their maximum.
-            counts = [c + topped for c in counts]
-            if best is not None and len(best):
-                below = (best[:, None] >= lower[None, :]).sum(axis=0)
-                counts[:-1] = [c + int(b) for c, b in zip(counts, below)]
-            n_paths += cohort
-
-            if trace is not None:
-                _trace_round(trace, started, steps, counts[-1], n_paths)
-            if quality is not None and curve_quality_met(
-                    quality, counts, n_paths):
-                break
-        return counts, n_paths, steps, 0
+        counts, n_paths, steps, _ = run_rows(
+            QueryRows(query, levels), query.horizon,
+            np.random.default_rng(seed), quality, max_steps, max_roots,
+            self.batch_roots, on_round=on_round)
+        return counts[0], n_paths[0], steps[0], 0
 
     def _round_cohort(self, n_paths: int, steps: int, horizon: int,
                       max_steps: Optional[int],
                       max_roots: Optional[int]) -> int:
         """Next pooled round's path budget under the stopping budgets.
 
-        Non-positive means "stop".  Unlike the single-process
-        vectorized loop (cohort-granular by documented design), the
+        Non-positive means "stop".  Unlike the unpooled rounds of
+        :func:`run_rows` (cohort-granular by documented design), the
         pooled ``max_steps`` budget is *strict*: a path costs at most
         ``horizon`` steps, so admitting only ``remaining // horizon``
         more paths guarantees pooled step counts never exceed the cap.
@@ -407,7 +577,7 @@ class SRSSampler:
                     steps += task_steps
                 if trace is not None:
                     _trace_round(trace, started, steps, counts[-1], n_paths)
-                if quality is not None and curve_quality_met(
+                if quality is not None and not unmet_levels(
                         quality, counts, n_paths):
                     break
         finally:

@@ -16,6 +16,7 @@ plain callable protocol ``f(state, t) -> float``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -59,8 +60,8 @@ class ThresholdValueFunction:
     """
 
     def __init__(self, z: Callable[[State], float], beta: float):
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta}")
+        if not math.isfinite(beta) or beta <= 0:
+            raise ValueError(f"beta must be positive and finite, got {beta}")
         self.z = z
         self.beta = beta
 
@@ -168,11 +169,15 @@ def threshold_grid(thresholds) -> tuple:
     same grid rescaled by the largest one, so ``levels[-1] == 1.0`` and
     each ``levels[j]`` is the value-function score at which the query
     ``z >= betas[j]`` is satisfied *under the rebased (largest)
-    threshold*.  Thresholds must be positive and distinct.
+    threshold*.  Thresholds must be finite, positive and distinct; this
+    is the one grid rule of every curve entry point.
     """
     betas = sorted(float(b) for b in thresholds)
     if not betas:
         raise ValueError("empty threshold grid")
+    for beta in betas:
+        if not math.isfinite(beta):
+            raise ValueError(f"thresholds must be finite, got {beta}")
     if betas[0] <= 0.0:
         raise ValueError(f"thresholds must be positive, got {betas[0]}")
     for lo, hi in zip(betas, betas[1:]):

@@ -50,8 +50,8 @@ from typing import Optional, Sequence
 from ..core.balanced import balanced_growth_partition
 from ..core.estimates import DurabilityCurve, DurabilityEstimate
 from ..core.fleet import (FleetThresholdValue, cluster_members_by_initial,
-                          validate_grids, screen_fleet,
-                          screen_fleet_curves, screen_fleet_mlss)
+                          screen_fleet, screen_fleet_curves,
+                          screen_fleet_mlss)
 from ..core.forest import LevelPlanError
 from ..core.gmlss import GMLSSSampler
 from ..core.greedy import adaptive_greedy_partition
@@ -998,7 +998,9 @@ class DurabilityEngine:
 
     @staticmethod
     def _normalize_curve_grids(queries, thresholds) -> list:
-        """Per-query raw grids from a shared grid or per-query grids."""
+        """Per-query raw grids from a shared grid or per-query grids,
+        each sorted by :func:`threshold_grid` as
+        :meth:`durability_curve` sorts its grid."""
         thresholds = list(thresholds)
         if thresholds and all(hasattr(grid, "__iter__")
                               and not isinstance(grid, str)
@@ -1010,7 +1012,7 @@ class DurabilityEngine:
             grids = thresholds
         else:
             grids = [thresholds] * len(queries)
-        return validate_grids(grids, len(queries))
+        return [threshold_grid(grid)[0] for grid in grids]
 
     def durability_curves(self, queries: Sequence[DurabilityQuery],
                           thresholds,

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.levels import LevelPartition
-from ..core.value_functions import DurabilityQuery
+from ..core.value_functions import DurabilityQuery, threshold_grid
 from ..engine.policy import ExecutionPolicy
 from ..processes import (ARProcess, CompoundPoissonProcess, GBMProcess,
                          GaussianWalkProcess, ImpulseProcess,
@@ -198,17 +198,20 @@ def parse_partition(data) -> Optional[LevelPartition]:
 
 
 def parse_thresholds(data) -> list:
-    """A curve's threshold grid (validated downstream by the engine)."""
+    """A curve's threshold grid, sorted ascending under the engine's
+    one grid rule (:func:`~repro.core.value_functions.threshold_grid`)."""
     if not isinstance(data, (list, tuple)) or not data:
         raise ProtocolError(
             "thresholds: expected a non-empty list of numbers")
-    grid = []
     for value in data:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ProtocolError(
                 f"thresholds: expected numbers, got {value!r}")
-        grid.append(float(value))
-    return grid
+    try:
+        betas, _ = threshold_grid(data)
+    except ValueError as exc:
+        raise ProtocolError(f"thresholds: {exc}") from None
+    return list(betas)
 
 
 def parse_policy(data, base: ExecutionPolicy) -> ExecutionPolicy:

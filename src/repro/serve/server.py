@@ -43,6 +43,7 @@ import asyncio
 import concurrent.futures
 import json
 import logging
+import math
 import threading
 import time
 from typing import Optional
@@ -95,6 +96,27 @@ class _BadRequest(Exception):
     """Malformed HTTP framing (connection closes after the 400)."""
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} overflows a float")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"a {len(text)}-digit integer overflows a "
+                         f"float") from None
+    return value
+
+
 class Request:
     """One parsed HTTP request."""
 
@@ -109,10 +131,14 @@ class Request:
         self.body = body
 
     def json(self):
+        """The parsed body; every number in it must be finite and fit
+        in a float."""
         if not self.body:
             return {}
         try:
-            return json.loads(self.body)
+            return json.loads(self.body, parse_constant=_reject_constant,
+                              parse_float=_finite_float,
+                              parse_int=_finite_int)
         except ValueError as exc:
             raise ProtocolError(f"request body is not valid JSON: "
                                 f"{exc}") from None

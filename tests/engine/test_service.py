@@ -555,6 +555,40 @@ class TestDurabilityCurves:
             DurabilityEngine(ExecutionPolicy(max_roots=5)) \
                 .durability_curves(queries, [[1.0], [2.0], [3.0]])
 
+    @pytest.mark.parametrize("grid", [[3.0, math.inf], [3.0, math.nan],
+                                      [-math.inf, 3.0]])
+    def test_non_finite_grid_raises_from_both_entry_points(self, grid):
+        engine = DurabilityEngine(ExecutionPolicy(method="srs",
+                                                  max_roots=50, seed=35))
+        queries = self.fleet_queries(n=2)
+        with pytest.raises(ValueError, match="finite"):
+            engine.durability_curve(queries[0], grid)
+        with pytest.raises(ValueError, match="finite"):
+            engine.durability_curves(queries, grid)
+
+    def test_unsorted_grid_gets_the_sorted_grids_curve(self):
+        def answers(curves):
+            return [(curve.thresholds, curve.levels,
+                     [(e.probability, e.variance, e.n_roots, e.hits,
+                       e.steps) for e in curve.estimates])
+                    for curve in curves]
+
+        engine = DurabilityEngine(ExecutionPolicy(method="srs",
+                                                  max_roots=400, seed=36))
+        queries = self.fleet_queries(n=3)
+        for unsorted in ([8.0, 4.0, 6.0], [[8.0, 4.0], [6.0, 2.0, 4.0],
+                                           [4.0, 8.0]]):
+            ordered = ([sorted(grid) for grid in unsorted]
+                       if isinstance(unsorted[0], list) else sorted(unsorted))
+            assert answers(engine.durability_curves(queries, unsorted)) \
+                == answers(engine.durability_curves(queries, ordered))
+        assert answers([engine.durability_curve(queries[0],
+                                                [8.0, 4.0, 6.0])]) \
+            == answers([engine.durability_curve(queries[0],
+                                                [4.0, 6.0, 8.0])])
+        alone = engine.durability_curves([queries[0]], [8.0, 4.0, 6.0])[0]
+        assert alone.thresholds == (4.0, 6.0, 8.0)
+
 
 class TestFusedMlssFleet:
     """answer_batch: rare-event fleets through one fused splitting forest."""

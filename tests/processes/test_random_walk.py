@@ -1,5 +1,6 @@
 """Tests for the random walk processes."""
 
+import math
 import random
 
 import pytest
@@ -57,7 +58,10 @@ class TestRandomWalkProcess:
         exact = random_walk_hitting_probability(
             p_up, threshold, horizon, p_down=process.p_down)
         estimate = SRSSampler().run(query, max_roots=3000, seed=11)
-        assert_close_to(estimate.probability, exact, estimate.std_error)
+        # The tolerance is on the oracle's scale: the run's own standard
+        # error is 0 when it sees no hits, which a rare threshold allows.
+        oracle_error = math.sqrt(exact * (1.0 - exact) / estimate.n_roots)
+        assert_close_to(estimate.probability, exact, oracle_error)
 
 
 class TestGaussianWalkProcess:

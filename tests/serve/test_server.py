@@ -560,3 +560,102 @@ class TestConcurrentMixedLoad:
             assert status == 200
             body = json.loads(raw)
             assert body["ok"] is True
+
+
+class TestNonFiniteNumbersAndGrids:
+    """Every number in a request must be finite, and a malformed grid
+    is a 400 on both curve routes."""
+
+    POLICY = ExecutionPolicy(method="srs", max_roots=300, seed=1)
+
+    @staticmethod
+    def walk(p_up=0.45, beta=9.0):
+        return {"process": {"family": "random_walk",
+                            "params": {"p_up": p_up, "p_down": 0.45}},
+                "beta": beta, "horizon": 40}
+
+    @pytest.fixture(scope="class")
+    def handle(self):
+        with ServerThread(policy=self.POLICY) as handle:
+            yield handle
+
+    @staticmethod
+    def post_raw(handle, path, body: str):
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port,
+                                          timeout=120)
+        try:
+            conn.request("POST", path, body=body)
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            conn.close()
+
+    def assert_protocol_400(self, handle, path, body: str):
+        status, document = self.post_raw(handle, path, body)
+        assert status == 400, document
+        assert document["error"]["kind"] == "protocol"
+
+    @staticmethod
+    def with_number(document, text: str) -> str:
+        """``document`` as JSON with the ``"@"`` placeholder set to a raw
+        number token (``NaN``, ``1e400``, ...)."""
+        return json.dumps(document).replace('"@"', text)
+
+    @pytest.mark.parametrize("grid", ["[0, 3]", "[-1, 3]", "[3, 3]",
+                                      "[3, Infinity]", "[3, NaN]"])
+    def test_malformed_curve_grid_is_400(self, handle, grid):
+        body = self.with_number({"query": self.walk(),
+                                 "thresholds": "@", "stream": False}, grid)
+        self.assert_protocol_400(handle, "/curve", body)
+
+    @pytest.mark.parametrize("grid", ["[0, 3]", "[-1, 3]", "[3, 3]",
+                                      "[3, Infinity]", "[3, NaN]"])
+    def test_malformed_curves_grid_is_400(self, handle, grid):
+        body = self.with_number({"queries": [self.walk(),
+                                             self.walk(p_up=0.44)],
+                                 "thresholds": "@"}, grid)
+        self.assert_protocol_400(handle, "/curves", body)
+
+    def test_unsorted_grid_is_sorted_on_both_routes(self, handle):
+        queries = [self.walk(), self.walk(p_up=0.44)]
+        status, unsorted = self.post_raw(handle, "/curves", json.dumps(
+            {"queries": queries, "thresholds": [9, 3, 6]}))
+        assert status == 200
+        status, ordered = self.post_raw(handle, "/curves", json.dumps(
+            {"queries": queries, "thresholds": [3, 6, 9]}))
+        assert status == 200
+        assert unsorted == ordered
+        status, single = self.post_raw(handle, "/curve", json.dumps(
+            {"query": self.walk(), "thresholds": [9, 3, 6],
+             "stream": False}))
+        assert status == 200
+        assert single["result"]["thresholds"] \
+            == unsorted["results"][0]["thresholds"] == [3.0, 6.0, 9.0]
+
+    @pytest.mark.parametrize("beta", [
+        "NaN", "Infinity", "-Infinity", "1e400",
+        pytest.param("9" * 400, id="400-digit-integer")])
+    def test_non_finite_beta_is_400(self, handle, beta):
+        self.assert_protocol_400(handle, "/answer", self.with_number(
+            {"query": self.walk(beta="@")}, beta))
+        self.assert_protocol_400(handle, "/answer_batch", self.with_number(
+            {"queries": [self.walk(), self.walk(p_up=0.44, beta="@")]},
+            beta))
+
+    @pytest.mark.parametrize("process,value", [
+        ({"family": "random_walk", "params": {"p_up": "@"}}, "NaN"),
+        ({"family": "gbm", "params": {"mu": "@"}}, "NaN"),
+        ({"family": "gaussian_walk", "params": {"sigma": "@"}},
+         "Infinity"),
+    ])
+    def test_non_finite_process_parameter_is_400(self, handle, process,
+                                                 value):
+        query = {"process": process, "beta": 9.0, "horizon": 40}
+        self.assert_protocol_400(handle, "/answer", self.with_number(
+            {"query": query}, value))
+
+    def test_non_finite_quality_target_is_400(self, handle):
+        self.assert_protocol_400(handle, "/answer", self.with_number(
+            {"query": self.walk(),
+             "policy": {"quality": {"kind": "ci", "half_width": "@"}}},
+            "NaN"))
