@@ -15,15 +15,22 @@ This benchmark draws that curve per process family, for
   member, one round of ``n`` rows.
 
 Families: random walk, Gaussian walk, GBM and Markov chain.  Cohort
-sizes: 50, 250, 1,000, 4,096 and 20,000 rows (``--quick``: 50, 250
-and 4,096).  Each cell runs a fixed seed set twice and reports the
-median wall-clock steps/s of both passes with ``cpu_count``; wall
-time is reported, never gated.  The gates are hardware-independent:
+sizes: 50, 250, 1,000, 2,048, 4,096 and 20,000 rows (``--quick``: 50,
+250 and 4,096); the kernel steps up to 2,048 live walk rows a block of
+time steps per call and wider cohorts one step per call, so the sizes
+bracket that crossover.  Each cell runs a fixed seed set twice and
+reports the median wall-clock steps/s of both passes with
+``cpu_count``; wall time is reported, never gated.  The gates are
+hardware-independent:
 
 * **reproducible** — the second pass reproduces every answer of the
   first (probability, variance, roots, hits and steps);
 * **fleet of one** — a one-member fused screen returns the one-query
-  answer exactly, for every family, size and seed.
+  answer exactly, for every family, size and seed;
+* **oracle** — every random-walk answer (the query and each of the 10
+  fleet members), its hits pooled over the seed set, lies within
+  ``Z_BOUND`` standard errors of the exact hitting probability
+  (:func:`~repro.core.analytic.random_walk_hitting_curve`).
 
 It uses the public API only.  Run directly
 (``python benchmarks/bench_srs_kernel.py [--quick]``); CI uses
@@ -39,6 +46,7 @@ import time
 from pathlib import Path
 
 from bench_common import write_report
+from repro.core.analytic import random_walk_hitting_curve
 from repro.core.fleet import screen_fleet
 from repro.core.srs import SRSSampler
 from repro.core.value_functions import DurabilityQuery
@@ -51,8 +59,11 @@ RESULT_JSON = REPO_ROOT / "BENCH_srs_kernel.json"
 
 HORIZON = 80
 FLEET_SIZE = 10
-SIZES = (50, 250, 1_000, 4_096, 20_000)
+SIZES = (50, 250, 1_000, 2_048, 4_096, 20_000)
 QUICK_SIZES = (50, 250, 4_096)
+#: Two-sided z bound of the oracle gate: at most 66 answers are
+#: compared, so a correct kernel fails it with probability near 4e-3.
+Z_BOUND = 4.0
 
 #: family -> (process of fleet member i, state evaluation z, threshold).
 FAMILIES = {
@@ -105,8 +116,11 @@ def seeds_for(n: int) -> range:
     return range(max(3, min(40, 400_000 // (n * HORIZON // 4))))
 
 
-def measure(run, family: str, n: int) -> dict:
-    """Two timed passes over one seed set; steps/s from their median."""
+def measure(run, family: str, n: int) -> tuple:
+    """Two timed passes over one seed set; steps/s from their median.
+
+    Returns the cell and the first pass's answers, one list of member
+    answers per seed."""
     passes = []
     seconds = []
     for _ in range(2):
@@ -119,10 +133,26 @@ def measure(run, family: str, n: int) -> dict:
         passes.append(answers)
     steps = [sum(a[4] for a in answers) for answers in passes[0]]
     rates = [s / t for s, t in zip(steps * 2, seconds)]
-    return {"rows": n, "calls": len(seconds),
-            "steps_per_call": round(statistics.mean(steps), 1),
-            "steps_per_s": round(statistics.median(rates)),
-            "reproducible": passes[0] == passes[1]}
+    return ({"rows": n, "calls": len(seconds),
+             "steps_per_call": round(statistics.mean(steps), 1),
+             "steps_per_s": round(statistics.median(rates)),
+             "reproducible": passes[0] == passes[1]}, passes[0])
+
+
+def oracle_z(answers: list) -> float:
+    """The largest |z| of random-walk member answers, pooled over seeds,
+    against the exact hitting probability of each member."""
+    member, _, beta = FAMILIES["random_walk"]
+    worst = 0.0
+    for i in range(len(answers[0])):
+        walk = member(i)
+        exact = float(random_walk_hitting_curve(
+            walk.p_up, [beta], HORIZON, p_down=walk.p_down)[0])
+        hits = sum(answer[i][3] for answer in answers)
+        roots = sum(answer[i][2] for answer in answers)
+        error = (exact * (1.0 - exact) / roots) ** 0.5
+        worst = max(worst, abs(hits / roots - exact) / error)
+    return worst
 
 
 def main():
@@ -133,12 +163,16 @@ def main():
     sizes = QUICK_SIZES if args.quick else SIZES
 
     results = {}
+    oracle = {"query": {}, "fleet10": {}}
     fleet_of_one_pass = True
     for family in FAMILIES:
         results[family] = {"query": {}, "fleet10": {}}
         for n in sizes:
-            results[family]["query"][str(n)] = measure(one_query, family, n)
-            results[family]["fleet10"][str(n)] = measure(fleet, family, n)
+            for kind, run in (("query", one_query), ("fleet10", fleet)):
+                cell, answers = measure(run, family, n)
+                results[family][kind][str(n)] = cell
+                if family == "random_walk":
+                    oracle[kind][str(n)] = round(oracle_z(answers), 3)
             for seed in range(3):
                 fleet_of_one_pass &= (
                     [answer(e) for e in fleet_of_one(family, n, seed)]
@@ -149,6 +183,8 @@ def main():
     gates = {
         "reproducible_pass": all(cell["reproducible"] for cell in cells),
         "fleet_of_one_pass": fleet_of_one_pass,
+        "oracle_pass": all(z <= Z_BOUND for kind in oracle.values()
+                           for z in kind.values()),
     }
     payload = {
         "benchmark": "srs_kernel",
@@ -158,6 +194,8 @@ def main():
         "fleet_size": FLEET_SIZE,
         "cohort_sizes": list(sizes),
         "results": results,
+        "oracle_max_abs_z": oracle,
+        "z_bound": Z_BOUND,
         "gates": gates,
     }
     RESULT_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True))
@@ -171,6 +209,8 @@ def main():
             lines.append(f"{family:<14} {kind:<8}" + "".join(
                 f"{cells_by_size[str(n)]['steps_per_s']:>12,}"
                 for n in sizes))
+    lines.append(f"random-walk max |z| against the exact oracle "
+                 f"(bound {Z_BOUND}): {oracle}")
     lines.append(f"gates: {gates}")
     write_report("srs_kernel", "SRS kernel steps/s against cohort size",
                  lines)

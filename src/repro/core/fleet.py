@@ -14,8 +14,9 @@ This module screens whole fleets through **one** frontier built on
 * :func:`screen_fleet_curves` — one threshold *grid* per member, plain
   SRS: the fleet's rows (:class:`~repro.core.srs.FleetRows`) run the
   one SRS kernel of :mod:`repro.core.srs`, every live path of every
-  entity advancing in a single fused step per time step, so one pass
-  answers every member's whole durability curve.
+  entity advancing in a single fused step per time step (a fused block
+  of time steps per call once few rows are live), so one pass answers
+  every member's whole durability curve.
 * :func:`screen_fleet` — one threshold per member: the fused screen
   *is* the curve pass on one-threshold grids (it draws the same random
   numbers in the same order as any grids with those tops).

@@ -37,6 +37,24 @@ A query is a fleet of one: a one-member fused screen draws the same
 random numbers in the same order as :meth:`SRSSampler.run` and returns
 the same answer.  A point answer is the pass on the one-level grid
 ``(1.0,)``, exactly the paper's SRS.
+
+Block stepping.  A small cohort is bound by interpreter dispatch, not
+arithmetic, so when the rows have a ``block`` (the family's
+``step_block`` or ``fused_step_block``; see
+:mod:`repro.processes.base`) one kernel call advances the live rows
+:func:`block_width` steps: ``min(BLOCK_CELLS // live, remaining)``,
+taken only when it is at least ``MIN_BLOCK_WIDTH`` (blocks run while at
+most 2,048 rows are live).  The width depends only on the live count
+and the remaining horizon, so a query and its one-member fleet take the
+same branches.  The kernel scores the time-major block whole, retires
+each row at its first passage and charges it that hit time, so step
+counts keep their meaning.  Wide cohorts step one time step per call;
+a block there costs more than it saves.  A block draws every row's
+numbers for its whole width, including the steps after a row's first
+passage, which the per-step branch never draws.  So from the first
+retirement inside a block on, the random stream (and the answer bytes)
+differ from a per-step run, while each row remains an independent path
+of the process.
 """
 
 from __future__ import annotations
@@ -54,7 +72,8 @@ from .pool import (CurveWork, DEFAULT_ROOTS_PER_TASK,
                    DEFAULT_TASKS_PER_ROUND, RoundPipeline, StepBudgetError,
                    cut_tasks)
 from .quality import QualityTarget
-from .value_functions import TARGET_VALUE, DurabilityQuery, batch_values
+from .value_functions import (TARGET_VALUE, DurabilityQuery,
+                              ThresholdValueFunction, batch_values)
 
 
 def srs_variance(probability: float, n_paths: int) -> float:
@@ -132,15 +151,34 @@ def build_srs_curve(thresholds, levels, counts, n_paths: int, steps: int,
 # The kernel and its two row kinds
 # ----------------------------------------------------------------------
 
+#: A block holds at most ``BLOCK_CELLS`` (time step, row) cells, and a
+#: block narrower than ``MIN_BLOCK_WIDTH`` steps is not taken, so blocks
+#: run while at most 2,048 rows are live (see :func:`block_width`).
+BLOCK_CELLS = 16384
+MIN_BLOCK_WIDTH = 8
+
+
+def block_width(live: int, remaining: int) -> int:
+    """Time steps one kernel call advances ``live`` rows that have
+    ``remaining`` steps to the horizon: 1 (the per-step branch) unless
+    a block of at least ``MIN_BLOCK_WIDTH`` steps fits the cell budget."""
+    width = min(BLOCK_CELLS // live, remaining)
+    return width if width >= MIN_BLOCK_WIDTH else 1
+
+
 class QueryRows:
     """One query's rows, scored against its normalized ``levels`` grid.
 
     The per-step work is the process call and the value-function call,
     bound once here so the kernel adds no Python frame per step; every
-    step reaches ``process.step_batch`` through the instance.  With
-    ``from_start`` the running maximum starts at the time-0 score
-    clipped to the target (the balanced pilot's per-path maxima);
-    otherwise it starts at 0, and only when the grid has lower levels.
+    step reaches ``process.step_batch`` through the instance.  ``block``
+    is the process's ``step_block`` when it has one and the value
+    function is a :class:`ThresholdValueFunction`, whose scores ignore
+    the time index, so a flattened block scores exactly; otherwise
+    ``None``.  With ``from_start`` the running maximum starts at the
+    time-0 score clipped to the target (the balanced pilot's per-path
+    maxima); otherwise it starts at 0, and only when the grid has lower
+    levels.
     """
 
     owners = None
@@ -151,6 +189,9 @@ class QueryRows:
         self.process = as_vectorized(query.process)
         self.step = functools.partial(step_into, self.process)
         self.score = functools.partial(batch_values, query.value_function)
+        self.block = (getattr(self.process, "step_block", None)
+                      if isinstance(query.value_function,
+                                    ThresholdValueFunction) else None)
         self.grids = (tuple(levels),)
         self.lowers = ([(0, np.asarray(levels[:-1], dtype=np.float64))]
                        if len(levels) > 1 else [])
@@ -178,6 +219,9 @@ class FleetRows:
     def __init__(self, fused, z, grids):
         self.fused = fused
         self.lead = fused.members[0]
+        self.block = (self.step_block
+                      if getattr(self.lead, "fused_step_block", None)
+                      else None)
         self.z = z
         self.grids = tuple(grids)
         self.tops = np.asarray([grid[-1] for grid in grids],
@@ -200,14 +244,24 @@ class FleetRows:
         return self.lead.fused_step_batch(self.params, states, t, rng,
                                           out=states)
 
+    def step_block(self, states, t, width, rng):
+        return self.lead.fused_step_block(self.params, states, t, width, rng)
+
     def score(self, states, t):
         return batch_z_values(self.z, states)
 
-    def retire(self, reached, keep, t):
-        """Drop the rows that reached their tops; returns the live tops."""
-        retired = np.bincount(self.owners[reached], minlength=len(self.tops))
+    def retire(self, reached, keep, times):
+        """Drop the rows that reached their tops at ``times`` (one time
+        for all of them, or one per reached row); returns the live
+        tops."""
+        owners = self.owners[reached]
+        retired = np.bincount(owners, minlength=len(self.tops))
         self.topped += retired
-        self.spent += retired * t
+        if isinstance(times, int):
+            self.spent += retired * times
+        else:
+            self.spent += np.bincount(owners, times, len(self.tops)).astype(
+                np.int64)
         self.owners = self.owners[keep]
         self.params = {name: values[keep]
                        for name, values in self.params.items()}
@@ -223,9 +277,15 @@ def advance_rows(rows, cohort, horizon: int, rng) -> tuple:
     steps, best)``: per-member lists of the rows that reached their
     owner's top and of the steps spent, and the survivors' running
     maxima in row order (``None`` when the rows track none).
+
+    While :func:`block_width` allows it and the rows have a ``block``,
+    one call advances the live rows ``width`` steps: the block is
+    scored whole, each row retires at its first passage and is charged
+    its own hit time, and survivors' block maxima feed their running
+    maxima.  Otherwise the rows advance one step per call.
     """
     states, best, top = rows.start(cohort)
-    step, score, retire = rows.step, rows.score, rows.retire
+    step, score, retire, block = rows.step, rows.score, rows.retire, rows.block
     topped = spent = t = 0
     if best is not None:
         # A row whose running maximum starts at the top (a pilot row
@@ -238,23 +298,38 @@ def advance_rows(rows, cohort, horizon: int, rng) -> tuple:
             if retire is not None:
                 top = retire(reached, keep, 0)
     while t < horizon and len(states):
-        t += 1
-        states = step(states, t, rng)
-        values = score(states, t)
-        if best is not None:
-            np.maximum(best, values, out=best)
-        reached = values >= top
+        width = block_width(len(states), horizon - t) if block else 1
+        if width > 1:
+            frames = block(states, t + 1, width, rng)
+            values = score(frames.reshape((-1,) + frames.shape[2:]),
+                           t + 1).reshape(width, -1)
+            if best is not None:
+                np.maximum(best, values.max(axis=0), out=best)
+            hits = values >= top
+            reached = hits.any(axis=0)
+            states = frames[-1]
+        else:
+            states = step(states, t + 1, rng)
+            values = score(states, t + 1)
+            if best is not None:
+                np.maximum(best, values, out=best)
+            reached = values >= top
         n_reached = int(np.count_nonzero(reached))
         if n_reached:
             keep = ~reached
             states = states[keep]
             if best is not None:
                 best = best[keep]
+            # Each row is charged its first-passage time.
+            times = (t + 1 + hits[:, reached].argmax(axis=0)
+                     if width > 1 else t + 1)
             if retire is None:
                 topped += n_reached
-                spent += n_reached * t
+                spent += (int(times.sum()) if width > 1
+                          else n_reached * times)
             else:
-                top = retire(reached, keep, t)
+                top = retire(reached, keep, times)
+        t += width
     if retire is None:
         topped, spent = [topped], [spent]
     else:

@@ -35,7 +35,7 @@ import random
 import numpy as np
 
 from .base import (ImmutableStateProcess, VectorizedProcess,
-                   register_batch_z, scalar_state_column)
+                   register_batch_z, require_finite, scalar_state_column)
 
 
 def poisson_variate(rng: random.Random, exp_neg_lambda: float) -> int:
@@ -87,6 +87,9 @@ class CompoundPoissonProcess(ImmutableStateProcess, VectorizedProcess):
     def __init__(self, initial_surplus: float = 15.0, premium_rate: float = 4.5,
                  jump_rate: float = 0.8, jump_low: float = 5.0,
                  jump_high: float = 10.0):
+        require_finite(initial_surplus=initial_surplus,
+                       premium_rate=premium_rate, jump_rate=jump_rate,
+                       jump_low=jump_low, jump_high=jump_high)
         if jump_rate <= 0:
             raise ValueError(f"jump_rate must be > 0, got {jump_rate}")
         if jump_high < jump_low:

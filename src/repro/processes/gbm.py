@@ -20,7 +20,7 @@ import random
 import numpy as np
 
 from .base import (ImmutableStateProcess, VectorizedProcess,
-                   register_batch_z, scalar_state_column)
+                   register_batch_z, require_finite, scalar_state_column)
 
 
 class GBMProcess(ImmutableStateProcess, VectorizedProcess):
@@ -35,6 +35,7 @@ class GBMProcess(ImmutableStateProcess, VectorizedProcess):
 
     def __init__(self, start_price: float = 520.0, mu: float = 0.00082,
                  sigma: float = 0.015):
+        require_finite(start_price=start_price, mu=mu, sigma=sigma)
         if start_price <= 0:
             raise ValueError(f"start_price must be > 0, got {start_price}")
         if sigma <= 0:

@@ -14,7 +14,8 @@ import random
 import numpy as np
 
 from .base import (ImmutableStateProcess, VectorizedProcess,
-                   register_batch_z, scalar_state_column)
+                   accumulate_steps, register_batch_z, require_finite,
+                   scalar_state_column)
 
 
 class RandomWalkProcess(ImmutableStateProcess, VectorizedProcess):
@@ -31,6 +32,7 @@ class RandomWalkProcess(ImmutableStateProcess, VectorizedProcess):
                  start: int = 0):
         if p_down is None:
             p_down = 1.0 - p_up
+        require_finite(p_up=p_up, p_down=p_down, start=start)
         if p_up < 0 or p_down < 0 or p_up + p_down > 1.0 + 1e-12:
             raise ValueError(
                 f"invalid move probabilities p_up={p_up}, p_down={p_down}"
@@ -56,10 +58,16 @@ class RandomWalkProcess(ImmutableStateProcess, VectorizedProcess):
     def step_batch(self, states: np.ndarray, t: int,
                    rng: np.random.Generator,
                    out: np.ndarray | None = None) -> np.ndarray:
-        u = rng.random(len(states))
-        moves = np.where(u < self.p_up, 1,
-                         np.where(u < self.p_up + self.p_down, -1, 0))
-        return np.add(states, moves, out=out)
+        return np.add(states, self._moves(rng.random(len(states))), out=out)
+
+    def step_block(self, states: np.ndarray, t: int, width: int,
+                   rng: np.random.Generator) -> np.ndarray:
+        return accumulate_steps(
+            states, self._moves(rng.random((width, len(states)))))
+
+    def _moves(self, u: np.ndarray) -> np.ndarray:
+        return np.where(u < self.p_up, 1,
+                        np.where(u < self.p_up + self.p_down, -1, 0))
 
     def apply_impulse(self, state: int, magnitude: float) -> int:
         return state + int(magnitude)
@@ -80,12 +88,21 @@ class RandomWalkProcess(ImmutableStateProcess, VectorizedProcess):
 
     @staticmethod
     def fused_step_batch(row_params, states, t, rng, out=None):
-        u = rng.random(len(states))
-        p_up = row_params["p_up"]
-        moves = np.where(u < p_up, 1.0,
-                         np.where(u < p_up + row_params["p_down"],
-                                  -1.0, 0.0))
+        moves = RandomWalkProcess._fused_moves(row_params,
+                                               rng.random(len(states)))
         return np.add(states, moves[:, None], out=out)
+
+    @staticmethod
+    def fused_step_block(row_params, states, t, width, rng):
+        moves = RandomWalkProcess._fused_moves(
+            row_params, rng.random((width, len(states))))
+        return accumulate_steps(states, moves[:, :, None])
+
+    @staticmethod
+    def _fused_moves(row_params, u):
+        p_up = row_params["p_up"]
+        return np.where(u < p_up, 1.0,
+                        np.where(u < p_up + row_params["p_down"], -1.0, 0.0))
 
     @staticmethod
     def position(state: int) -> float:
@@ -110,6 +127,7 @@ class GaussianWalkProcess(ImmutableStateProcess, VectorizedProcess):
 
     def __init__(self, drift: float = 0.0, sigma: float = 1.0,
                  start: float = 0.0):
+        require_finite(drift=drift, sigma=sigma, start=start)
         if sigma <= 0:
             raise ValueError(f"sigma must be positive, got {sigma}")
         self.drift = drift
@@ -130,6 +148,11 @@ class GaussianWalkProcess(ImmutableStateProcess, VectorizedProcess):
                    out: np.ndarray | None = None) -> np.ndarray:
         return np.add(states, rng.normal(self.drift, self.sigma,
                                          len(states)), out=out)
+
+    def step_block(self, states: np.ndarray, t: int, width: int,
+                   rng: np.random.Generator) -> np.ndarray:
+        return accumulate_steps(states, rng.normal(
+            self.drift, self.sigma, (width, len(states))))
 
     # --- Gaussian-step protocol (used by importance sampling) ---------
 
@@ -162,6 +185,13 @@ class GaussianWalkProcess(ImmutableStateProcess, VectorizedProcess):
                       + row_params["sigma"]
                       * rng.standard_normal(len(states)))
         return np.add(states, increments[:, None], out=out)
+
+    @staticmethod
+    def fused_step_block(row_params, states, t, width, rng):
+        increments = (row_params["drift"]
+                      + row_params["sigma"]
+                      * rng.standard_normal((width, len(states))))
+        return accumulate_steps(states, increments[:, :, None])
 
     @staticmethod
     def position(state: float) -> float:

@@ -40,6 +40,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CompoundPoissonProcess(jump_low=10.0, jump_high=5.0)
 
+    @pytest.mark.parametrize("param", ["initial_surplus", "premium_rate",
+                                       "jump_rate", "jump_low",
+                                       "jump_high"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected(self, param, value):
+        with pytest.raises(ValueError, match=f"{param} must be finite"):
+            CompoundPoissonProcess(**{param: value})
+
     def test_mean_drift(self):
         cpp = CompoundPoissonProcess()
         assert cpp.mean_drift() == pytest.approx(4.5 - 0.8 * 7.5)

@@ -37,6 +37,12 @@ class TestGBMProcess:
         with pytest.raises(ValueError):
             GBMProcess(sigma=0.0)
 
+    @pytest.mark.parametrize("param", ["start_price", "mu", "sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected(self, param, value):
+        with pytest.raises(ValueError, match=f"{param} must be finite"):
+            GBMProcess(**{param: value})
+
     def test_price_z_and_impulse(self):
         process = GBMProcess()
         assert GBMProcess.price(123.0) == 123.0

@@ -3,13 +3,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.analytic import random_walk_hitting_probability
 from repro.core.srs import SRSSampler
 from repro.core.value_functions import DurabilityQuery
-from repro.processes.base import simulate_path
+from repro.processes.base import FusedBatch, simulate_path
 from repro.processes.random_walk import (GaussianWalkProcess,
                                          RandomWalkProcess)
 
@@ -37,6 +38,13 @@ class TestRandomWalkProcess:
             RandomWalkProcess(p_up=0.7, p_down=0.5)
         with pytest.raises(ValueError):
             RandomWalkProcess(p_up=-0.1)
+
+    @pytest.mark.parametrize("param", ["p_up", "p_down", "start"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected(self, param, value):
+        params = {"p_up": 0.5, "p_down": 0.4, param: value}
+        with pytest.raises(ValueError, match=f"{param} must be finite"):
+            RandomWalkProcess(**params)
 
     def test_position_z(self):
         assert RandomWalkProcess.position(7) == 7.0
@@ -74,6 +82,12 @@ class TestGaussianWalkProcess:
         with pytest.raises(ValueError):
             GaussianWalkProcess(sigma=0.0)
 
+    @pytest.mark.parametrize("param", ["drift", "sigma", "start"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected(self, param, value):
+        with pytest.raises(ValueError, match=f"{param} must be finite"):
+            GaussianWalkProcess(**{param: value})
+
     def test_gaussian_step_protocol(self):
         process = GaussianWalkProcess(drift=0.1, sigma=2.0, start=1.0)
         assert process.noise_sigma() == 2.0
@@ -100,3 +114,57 @@ class TestGaussianWalkProcess:
         mean = sum(finals) / len(finals)
         var = sum((v - mean) ** 2 for v in finals) / (len(finals) - 1)
         assert var == pytest.approx(25.0, rel=0.25)
+
+
+WALKS = [RandomWalkProcess(p_up=0.45, p_down=0.4, start=2),
+         GaussianWalkProcess(drift=0.05, sigma=1.3, start=0.5)]
+
+
+def stacked_steps(step, states, t, width, rng):
+    """``width`` successive one-step calls, stacked time-major."""
+    frames = []
+    for i in range(width):
+        states = step(states.copy(), t + i, rng)
+        frames.append(states)
+    return np.stack(frames)
+
+
+@pytest.mark.parametrize("process", WALKS,
+                         ids=lambda p: type(p).__name__)
+@pytest.mark.parametrize("width", [1, 7])
+class TestBlockContract:
+    """A block of ``width`` steps is ``width`` stacked one-step calls on
+    a generator in the same state: same values, same dtype, and the
+    generator left in the same state."""
+
+    def test_step_block_is_stacked_step_batch(self, process, width):
+        states = process.initial_states(300)
+        block_rng = np.random.default_rng(5)
+        steps_rng = np.random.default_rng(5)
+        block = process.step_block(states, 1, width, block_rng)
+        steps = stacked_steps(process.step_batch, states, 1, width,
+                              steps_rng)
+        assert block.dtype == steps.dtype
+        assert np.array_equal(block, steps)
+        assert block_rng.random() == steps_rng.random()
+
+    def test_fused_step_block_is_stacked_fused_step_batch(self, process,
+                                                          width):
+        members = [process, type(process)(**{
+            name: value * 0.9 for name, value
+            in process.fusion_params().items()})]
+        fused = FusedBatch(members)
+        owners = np.repeat([0, 1], [150, 150])
+        params = fused.row_params(owners)
+        states = fused.initial_core_rows(owners)
+        block_rng = np.random.default_rng(9)
+        steps_rng = np.random.default_rng(9)
+        block = process.fused_step_block(params, states, 1, width,
+                                         block_rng)
+
+        def fused_step(rows, t, rng):
+            return process.fused_step_batch(params, rows, t, rng)
+
+        steps = stacked_steps(fused_step, states, 1, width, steps_rng)
+        assert np.array_equal(block, steps)
+        assert block_rng.random() == steps_rng.random()
