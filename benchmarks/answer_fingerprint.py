@@ -20,14 +20,16 @@ s-MLSS and g-MLSS under a relative-error target), fused
 ``answer_batch`` (SRS screening and clustered g-MLSS fleets, each
 under a budget and under a quality target), fused
 ``durability_curves`` under a budget and under a relative-error
-target, and all of it again over an inline pool and a 2-worker thread
-pool.  It also covers the SRS paths no natively batched fleet reaches:
-point and curve answers of a process that defines only ``step`` (it
-runs inside ``ScalarFallback``), an SRS answer under a value function
-that is not a threshold, an ``answer_batch`` whose queries share one
-process object (the same-process cohort) and the fleet with
-``fuse=False``.  An answer that raises prints ``label raises
-ErrorType`` instead.  Runs in about twenty seconds.
+target, and all of it again over an inline pool, a 2-worker thread
+pool and a 2-worker fork pool; by the determinism contract the fork
+lines equal the thread lines after their ``thread.``/``fork.``
+labels.  It also covers the SRS paths no natively batched fleet
+reaches: point and curve answers of a process that defines only
+``step`` (it runs inside ``ScalarFallback``), an SRS answer under a
+value function that is not a threshold, an ``answer_batch`` whose
+queries share one process object (the same-process cohort) and the
+fleet with ``fuse=False``.  An answer that raises prints ``label
+raises ErrorType`` instead.  Runs in under half a minute.
 """
 
 from __future__ import annotations
@@ -102,7 +104,8 @@ def fingerprint() -> list:
 
     pools = (("direct", None),
              ("inline", ParallelPolicy(n_workers=1, pool="inline")),
-             ("thread", ParallelPolicy(n_workers=2, pool="thread")))
+             ("thread", ParallelPolicy(n_workers=2, pool="thread")),
+             ("fork", ParallelPolicy(n_workers=2, pool="fork")))
     for tag, pool in pools:
         with DurabilityEngine(policy.replace(parallel=pool)) as engine:
 

@@ -1,7 +1,8 @@
-"""Multicore x SIMD scaling: the persistent shared-memory worker pool.
+"""Multicore x SIMD scaling: the persistent worker pool.
 
-Measures steps/second against the worker count for three workloads,
-all running the full vectorized/fused substrate *inside every worker*:
+Measures steps/second against the worker count for four sampling
+workloads and a plan-search workload, all running the full
+vectorized/fused substrate *inside every worker*:
 
 1. **SRS** — one GBM query, paths sharded into fixed-size tasks
    (``SRSSampler(pool=...)``).
@@ -12,7 +13,11 @@ all running the full vectorized/fused substrate *inside every worker*:
 3. **Fleet curves** — the same fleet, every member answering an
    8-threshold grid through the running-maxima fused pass
    (:func:`repro.core.fleet.screen_fleet_curves`).
-4. **Plan search** — a cold greedy search plus a balanced-growth
+4. **Pooled g-MLSS** — root trees of a fixed plan on a skip-free
+   birth-death chain, sharded into forest tasks whose per-root
+   counters return on each worker's result channel
+   (``GMLSSSampler(pool=...)``).
+5. **Plan search** — a cold greedy search plus a balanced-growth
    pilot, trials and pilot chunks sharded over the pool
    (``adaptive_greedy_partition(pool=...)``).
 
@@ -54,12 +59,14 @@ import numpy as np
 from bench_common import write_report
 from repro.core.balanced import balanced_growth_partition
 from repro.core.fleet import screen_fleet, screen_fleet_curves
+from repro.core.gmlss import GMLSSSampler
 from repro.core.greedy import adaptive_greedy_partition
+from repro.core.levels import LevelPartition
 from repro.core.pool import WorkerPool
 from repro.core.srs import SRSSampler
 from repro.core.stats import critical_value
 from repro.core.value_functions import DurabilityQuery
-from repro.processes import GBMProcess, fuse_processes
+from repro.processes import GBMProcess, birth_death_chain, fuse_processes
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_JSON = REPO_ROOT / "BENCH_parallel.json"
@@ -248,6 +255,50 @@ def run_curve_workload(quick):
     }
 
 
+def run_forest_workload(quick):
+    """Pooled g-MLSS on a fixed plan: the forest-task path of the pool.
+
+    The chain moves one state per step, so every path lands on every
+    boundary it crosses (no level skips), and ``max_roots`` fixes the
+    work, so every pool point runs the same root trees.
+    """
+    chain = birth_death_chain(n=14, p_up=0.2, p_down=0.3, start=0)
+    query = DurabilityQuery.threshold(chain, chain.state_value, beta=13.0,
+                                      horizon=60, name="chain14-gmlss")
+    partition = LevelPartition([k / 13 for k in (3, 5, 7, 9, 11)])
+    max_roots = 6_000 if quick else 20_000
+
+    sequential = GMLSSSampler(partition, ratio=3).run(
+        query, max_roots=max_roots, seed=13)
+    rows, signatures = [], []
+    for mode, n_workers in POOL_GRID:
+        with WorkerPool(n_workers=n_workers, pool=mode) as pool:
+            estimate, seconds = timed(lambda: GMLSSSampler(
+                partition, ratio=3, pool=pool).run(
+                query, max_roots=max_roots, seed=13))
+        rows.append({"mode": mode, "n_workers": n_workers,
+                     "seconds": round(seconds, 4),
+                     "steps": estimate.steps,
+                     "steps_per_second": round(estimate.steps / seconds, 1)})
+        signatures.append(signature([estimate]))
+        last = estimate
+    joint = Z999 * math.sqrt(last.variance + sequential.variance)
+    return {
+        "workload": "gmlss_forest",
+        "query": query.name,
+        "boundaries": list(partition.boundaries),
+        "max_roots": max_roots,
+        "by_workers": rows,
+        "speedup_at_4": best_speedup(rows),
+        "speedup_at_4_by_mode": speedup_by_mode(rows),
+        "deterministic_across_workers":
+            all(s == signatures[0] for s in signatures),
+        "comparisons": 1,
+        "outside_joint_ci999_vs_sequential":
+            int(abs(last.probability - sequential.probability) > joint),
+    }
+
+
 def run_plan_search_workload(quick):
     """Cold-query plan search: parent vs pool-sharded, identical plans.
 
@@ -320,7 +371,8 @@ def main(argv=None):
     cpu_count = os.cpu_count() or 1
     sampling = [run_srs_workload(args.quick),
                 run_fleet_workload(args.quick),
-                run_curve_workload(args.quick)]
+                run_curve_workload(args.quick),
+                run_forest_workload(args.quick)]
     plan_search = run_plan_search_workload(args.quick)
     workloads = sampling + [plan_search]
 

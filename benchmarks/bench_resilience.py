@@ -14,8 +14,8 @@ probabilities — every injected run is reproducible):
    byte-identical by construction.
 2. **Budget-zero abort** — the same kill with ``max_worker_restarts=0``
    must reproduce the historical behavior exactly: a ``RuntimeError``
-   naming the dead worker (never a hang) with every shared-memory
-   counter block unlinked (no ``/dev/shm`` leak).
+   naming the dead worker (never a hang), with nothing left behind in
+   ``/dev/shm``.
 3. **Serving under faults** — a live :class:`ServerThread` absorbs a
    request burst while the plan injects transient faults (structured
    503 ``transient`` replies with ``Retry-After``) into the request

@@ -9,22 +9,20 @@ chunks, the splitting forest for the rest — so adding workers
 multiplies that throughput rather than replacing it.  The execution layer is
 persistent:
 
-* :class:`WorkerPool` — long-lived workers.  ``"fork"`` / ``"spawn"``
-  start worker *processes*; ``"thread"`` starts worker *threads* that
-  share the parent address space (no process startup, no pickling, no
-  shared-memory segments — the NumPy hot kernels release the GIL, so
-  threads scale on real simulation work and are the automatic fallback
-  where fork is unavailable); ``"inline"`` runs the identical code path
-  in the caller.  A *work* — query, partition, fleet — is
-  registered **once** (one pickle per process worker, a shared
-  reference per thread worker); subsequent rounds send only tiny *work
-  descriptors* (task id, root budget, derived seed).
-* :class:`CounterBlock` — preallocated per-(work, worker) counter
-  arrays through which forest workers return their per-root
-  :class:`~repro.core.records.RootRecord` counters.  Process modes back
-  them with ``multiprocessing.shared_memory`` (counter matrices cross
-  the process boundary as shared bytes, never as pickles); thread and
-  inline modes use plain local buffers with the identical layout.
+* :class:`WorkerPool` — long-lived workers.  ``"fork"`` starts worker
+  *processes*; ``"thread"`` starts worker *threads* that share the
+  parent address space (no process startup, no pickling — the NumPy
+  hot kernels release the GIL, so threads scale on real simulation
+  work and are the automatic fallback where fork is unavailable);
+  ``"inline"`` runs the identical code path in the caller.  A *work* —
+  query, partition, fleet — is registered **once** (one pickle per
+  process worker, a shared reference per thread worker); subsequent
+  rounds send only tiny *work descriptors* (task id, root budget,
+  derived seed).  Every task's result returns on its worker's result
+  channel: forest tasks return their per-root counters as the six
+  ``int64`` arrays of :func:`~repro.core.records.record_arrays`, which
+  the parent folds with :meth:`~repro.core.records.ForestAggregate.
+  extend_arrays`.
 * :class:`_TaskStream` / :meth:`WorkerPool.stream` — the pipelined
   submission path.  ``submit`` is non-blocking and ``collect`` returns
   results in submission order, so callers can keep a bounded window of
@@ -86,12 +84,11 @@ A dead worker no longer necessarily aborts the run.  The parent's
 result loop doubles as a supervisor: when a worker process dies (or,
 with ``task_timeout_seconds`` set, overruns its deadline and is
 terminated), the pool respawns it in the same mode, re-registers every
-live work descriptor on the replacement (fresh shared-memory counter
-blocks; the dead worker's segments are unlinked, never leaked), and
-re-submits only the tasks that were in flight on that worker.  Because
-task seeds are structural (:func:`derive_task_seed` over the task
-*index*), a re-executed task is **byte-identical** to the original, so
-recovery preserves every determinism gate.  Process workers return
+live work descriptor on the replacement, and re-submits only the tasks
+that were in flight on that worker.  Because task seeds are structural
+(:func:`derive_task_seed` over the task *index*), a re-executed task is
+**byte-identical** to the original, so recovery preserves every
+determinism gate.  Process workers return
 results over *per-worker pipes* written synchronously in the worker —
 a crash, even mid-send, can wedge only the dying worker's own channel
 (discarded at respawn); a shared ``mp.Queue`` would let one SIGKILL
@@ -100,7 +97,7 @@ orphan the queue's write lock and hang every surviving worker.
 bounds respawns per burst of work and ``task_retry_limit`` bounds
 re-submissions of any single task; once either budget is exhausted the
 pool falls back to the historical behavior — tear everything down
-(unlinking all segments) and raise a ``RuntimeError``, never hang.
+and raise a ``RuntimeError``, never hang.
 The default budget is 0, i.e. supervision is opt-in;
 :class:`~repro.engine.policy.ParallelPolicy` turns it on for
 engine-owned pools.
@@ -117,7 +114,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing import get_all_start_methods, get_context, shared_memory
+from multiprocessing import get_all_start_methods, get_context
 from multiprocessing.connection import wait as _connection_wait
 from typing import Optional, Sequence
 
@@ -125,11 +122,12 @@ import numpy as np
 
 from .forest import VectorizedForestRunner, validate_plan
 from .levels import normalize_ratios
+from .records import record_arrays
 
-#: Pool execution modes: process start methods (``"fork"``/``"spawn"``),
-#: the shared-address-space thread mode (``"thread"``) and the
-#: in-caller fallback used when ``n_workers == 1`` (or on request).
-POOL_MODES = ("fork", "spawn", "thread", "inline")
+#: Pool execution modes: forked worker processes (``"fork"``), the
+#: shared-address-space thread mode (``"thread"``) and the in-caller
+#: fallback used when ``n_workers == 1`` (or on request).
+POOL_MODES = ("fork", "thread", "inline")
 
 #: Optional fault-injection hook (see :mod:`repro.faults`): a callable
 #: ``hook(site, **context)`` or ``None``.  Sites consulted here:
@@ -216,17 +214,15 @@ class ForestWork:
     """A splitting-forest work unit: tasks are ``(n_roots, seed)`` or
     ``(n_roots, seed, step_cap)``.
 
-    Results come back through the shared :class:`CounterBlock` as
-    per-root counter rows; ``capacity`` bounds a single task's roots
-    (and sizes the block).  A ``step_cap`` makes the task stop
-    launching roots once the cap cannot cover another worst-case tree,
-    so capped tasks never exceed their budget share.
+    Results are the task's per-root counters as the six arrays of
+    :func:`~repro.core.records.record_arrays`.  A ``step_cap`` makes
+    the task stop launching roots once the cap cannot cover another
+    worst-case tree, so capped tasks never exceed their budget share.
     """
 
     query: object
     partition: object
     ratios: tuple
-    capacity: int
 
 
 @dataclass(frozen=True)
@@ -289,89 +285,15 @@ class PlanSearchWork:
 
 
 # ----------------------------------------------------------------------
-# Shared counter blocks
-# ----------------------------------------------------------------------
-
-class CounterBlock:
-    """Preallocated per-root counter arrays over a raw buffer.
-
-    Layout (all ``int64``): three ``(capacity, m)`` level matrices —
-    landings, skips, crossings — followed by three ``(capacity,)``
-    vectors — hits, max_levels, steps.  The buffer may be a
-    ``multiprocessing.shared_memory`` view (cross-process) or a plain
-    local array (thread and inline modes); either way workers *write
-    rows* and the parent *reads rows*, so counters never pass through
-    pickle.
-    """
-
-    __slots__ = ("capacity", "num_levels", "landings", "skips",
-                 "crossings", "hits", "max_levels", "steps")
-
-    def __init__(self, capacity: int, num_levels: int, buffer):
-        self.capacity = capacity
-        self.num_levels = num_levels
-        matrix = capacity * num_levels
-        offset = 0
-        for name in ("landings", "skips", "crossings"):
-            view = np.frombuffer(buffer, dtype=np.int64, count=matrix,
-                                 offset=offset)
-            setattr(self, name, view.reshape(capacity, num_levels))
-            offset += matrix * 8
-        for name in ("hits", "max_levels", "steps"):
-            setattr(self, name, np.frombuffer(
-                buffer, dtype=np.int64, count=capacity, offset=offset))
-            offset += capacity * 8
-
-    @staticmethod
-    def nbytes(capacity: int, num_levels: int) -> int:
-        return 8 * capacity * (3 * num_levels + 3)
-
-    @classmethod
-    def local(cls, capacity: int, num_levels: int) -> "CounterBlock":
-        """An in-process block (thread/inline modes — same layout, no shm)."""
-        return cls(capacity, num_levels,
-                   np.zeros(cls.nbytes(capacity, num_levels),
-                            dtype=np.uint8))
-
-    def write_records(self, records: Sequence) -> int:
-        """Store one :class:`RootRecord` per row; returns the count."""
-        n = len(records)
-        if n > self.capacity:
-            raise ValueError(
-                f"{n} records exceed the block capacity {self.capacity}")
-        for i, record in enumerate(records):
-            self.landings[i] = record.landings
-            self.skips[i] = record.skips
-            self.crossings[i] = record.crossings
-            self.hits[i] = record.hits
-            self.max_levels[i] = record.max_level
-            self.steps[i] = record.steps
-        return n
-
-    def read(self, n: int) -> tuple:
-        """Copies of the first ``n`` rows (the block is reused next task)."""
-        return (self.landings[:n].copy(), self.skips[:n].copy(),
-                self.crossings[:n].copy(), self.hits[:n].copy(),
-                self.max_levels[:n].copy(), self.steps[:n].copy())
-
-    def release(self) -> None:
-        """Drop the buffer views (required before closing shared memory:
-        live NumPy views pin the mapping open)."""
-        for name in ("landings", "skips", "crossings", "hits",
-                     "max_levels", "steps"):
-            setattr(self, name, None)
-
-
-# ----------------------------------------------------------------------
 # Task execution (shared verbatim by workers and inline mode)
 # ----------------------------------------------------------------------
 
-def _execute(spec, payload, block: Optional[CounterBlock]):
+def _execute(spec, payload):
     """Run one task of ``spec``; the single code path for every mode."""
     if fault_hook is not None:
         fault_hook("pool.task", spec=spec, payload=payload)
     if isinstance(spec, ForestWork):
-        return _run_forest_task(spec, payload, block)
+        return _run_forest_task(spec, payload)
     if isinstance(spec, CurveWork):
         return _run_curve_task(spec, payload)
     if isinstance(spec, FleetWork):
@@ -398,7 +320,7 @@ def _worst_case_root_cost(spec: ForestWork) -> int:
     return spec.query.horizon * total
 
 
-def _run_forest_task(spec: ForestWork, payload, block: CounterBlock):
+def _run_forest_task(spec: ForestWork, payload) -> tuple:
     if len(payload) == 2:
         (n_roots, seed), step_cap = payload, None
     else:
@@ -422,7 +344,7 @@ def _run_forest_task(spec: ForestWork, payload, block: CounterBlock):
             records.extend(chunk)
             used += sum(record.steps for record in chunk)
             remaining -= len(chunk)
-    return block.write_records(records)
+    return record_arrays(records, spec.partition.num_levels)
 
 
 def _run_curve_task(spec: CurveWork, payload):
@@ -473,49 +395,18 @@ def _run_plan_task(spec: PlanSearchWork, payload):
     raise ValueError(f"unknown plan-search task kind {kind!r}")
 
 
-def _block_shape(spec) -> Optional[tuple]:
-    """(capacity, num_levels) when the work returns counters via a block."""
-    if isinstance(spec, ForestWork):
-        return (spec.capacity, spec.partition.num_levels)
-    return None
-
-
 # ----------------------------------------------------------------------
 # Worker main loop (processes and threads alike)
 # ----------------------------------------------------------------------
-
-def _attach_block(name: str):
-    """Attach to a parent-owned shared block without tracker side effects.
-
-    The resource tracker's cache is a name set shared by the whole
-    process tree; the parent registers a block once at creation and
-    unregisters it at ``unlink``.  A worker's attach would *re*-register
-    the same name, and because tracker messages from different
-    processes are unordered, that registration can land after the
-    parent's unregister — leaving a phantom entry that the tracker
-    "cleans up" (with a warning) at shutdown.  Workers therefore attach
-    with registration suppressed (the documented pre-3.13 equivalent of
-    ``SharedMemory(..., track=False)``).
-    """
-    from multiprocessing import resource_tracker
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
 
 def _worker_main(worker_id: int, task_queue, result_channel) -> None:
     """Long-lived worker: register works once, run tasks forever.
 
     The same loop serves process workers and thread workers.  Messages:
-    ``("register", handle, spec, block_ref)`` — ``block_ref`` is a
-    shared-memory *name* for process workers, the :class:`CounterBlock`
-    itself for thread workers (shared address space), or ``None`` —
-    ``("run", handle, task_id, payload)``, ``("unregister", handle)``
-    and ``("stop",)``.  Results: ``(worker_id, task_id, "ok", meta)``
-    or ``(worker_id, task_id, "error", traceback_text)``.
+    ``("register", handle, spec)``, ``("run", handle, task_id,
+    payload)``, ``("unregister", handle)`` and ``("stop",)``.  Results:
+    ``(worker_id, task_id, "ok", result)`` or ``(worker_id, task_id,
+    "error", traceback_text)``.
 
     ``result_channel`` is this worker's *private* pipe connection for
     process workers (sent synchronously in this thread — no feeder
@@ -527,52 +418,24 @@ def _worker_main(worker_id: int, task_queue, result_channel) -> None:
     emit = result_channel.put if hasattr(result_channel, "put") \
         else result_channel.send
     specs: dict = {}
-    blocks: dict = {}
     while True:
         message = task_queue.get()
         kind = message[0]
         if kind == "stop":
             break
         if kind == "register":
-            _, handle, spec, block_ref = message
-            if isinstance(block_ref, CounterBlock):
-                blocks[handle] = (None, block_ref)
-            elif block_ref is not None:
-                try:
-                    shm = _attach_block(block_ref)
-                except FileNotFoundError:
-                    # The parent unregistered this work, unlinking its
-                    # segment, before this worker got here.  The handle
-                    # stays dead (never registered); the matching
-                    # unregister is next in this first-in-first-out
-                    # queue.
-                    continue
-                capacity, num_levels = _block_shape(spec)
-                blocks[handle] = (shm, CounterBlock(capacity, num_levels,
-                                                    shm.buf))
+            _, handle, spec = message
             specs[handle] = spec
         elif kind == "unregister":
-            _, handle = message
-            specs.pop(handle, None)
-            attached = blocks.pop(handle, None)
-            if attached is not None and attached[0] is not None:
-                attached[1].release()
-                attached[0].close()
+            specs.pop(message[1], None)
         elif kind == "run":
             _, handle, task_id, payload = message
             try:
-                spec = specs[handle]
-                attached = blocks.get(handle)
-                block = attached[1] if attached is not None else None
-                meta = _execute(spec, payload, block)
-                emit((worker_id, task_id, "ok", meta))
+                result = _execute(specs[handle], payload)
+                emit((worker_id, task_id, "ok", result))
             except Exception:
                 emit((worker_id, task_id, "error",
                       traceback.format_exc()))
-    for shm, block in blocks.values():
-        if shm is not None:
-            block.release()
-            shm.close()
 
 
 # ----------------------------------------------------------------------
@@ -583,15 +446,17 @@ class _TaskStream:
     """Ordered, pipelined task submission for one registered work.
 
     ``submit`` enqueues a payload without blocking and returns its
-    sequence number; ``collect`` blocks until that task's (finalized)
-    result is available, draining and routing the pool's shared result
-    queue as needed.  Several streams may be open on one pool at once —
-    every in-flight task carries a pool-unique id, so results are
-    routed to their owning stream whatever order workers finish in
-    (this is also what makes concurrent ``run_tasks`` calls from
-    several threads safe).  ``discard`` drops a submitted task's result
-    (cancelling it outright if it has not been dispatched yet) — the
-    primitive behind speculative round submission.
+    sequence number; ``collect`` blocks until that task's result is
+    available, receiving worker results from the pool's result channels
+    (one pipe per process worker, one queue shared by thread workers)
+    and routing each to its stream as needed.  Several streams may be
+    open on one pool at once — every in-flight task carries a
+    pool-unique id, so results are routed to their owning stream
+    whatever order workers finish in (this is also what makes
+    concurrent ``run_tasks`` calls from several threads safe).
+    ``discard`` drops a submitted task's result (cancelling it outright
+    if it has not been dispatched yet) — the primitive behind
+    speculative round submission.
 
     On the inline pool, submitted tasks execute lazily inside
     ``collect``, so discarded speculative tasks cost nothing.
@@ -611,7 +476,7 @@ class _TaskStream:
         self._next_seq = 0
         self._pending: dict = {}    # seq -> payload, not yet dispatched
         self._live: set = set()     # seqs running on a worker
-        self._results: dict = {}    # seq -> finalized result
+        self._results: dict = {}    # seq -> result
         self._discarded: set = set()  # live seqs to drop on arrival
         self._retries: dict = {}    # seq -> prior submission count
         self._closed = False
@@ -648,10 +513,7 @@ class _TaskStream:
                         f"task {seq} was never submitted or was discarded")
                 if pool.mode == "inline":
                     payload = self._pending.pop(seq)
-                    spec = pool._specs[self.handle]
-                    block = pool._inline_blocks.get(self.handle)
-                    meta = _execute(spec, payload, block)
-                    return pool._finalize(spec, block, meta)
+                    return _execute(pool._specs[self.handle], payload)
                 pool._pump()
                 pool._route_one()
 
@@ -766,11 +628,10 @@ class WorkerPool:
         ``n_workers == 1`` always runs inline (no workers) — the
         documented fallback, byte-identical to the parallel modes.
     pool:
-        ``"fork"`` (default; cheap startup, Linux/macOS), ``"spawn"``
-        (portable, slower startup), ``"thread"`` (shared address
-        space: no startup or pickle costs, scales because the NumPy
-        simulation kernels release the GIL; also the automatic
-        fallback when fork is unavailable) or ``"inline"``.
+        ``"fork"`` (default; cheap startup, Linux/macOS), ``"thread"``
+        (shared address space: no startup or pickle costs, scales
+        because the NumPy simulation kernels release the GIL; also the
+        automatic fallback when fork is unavailable) or ``"inline"``.
     max_worker_restarts:
         How many dead (or deadline-overrunning) workers the supervisor
         may respawn before falling back to the abort path.  The budget
@@ -793,11 +654,10 @@ class WorkerPool:
 
     The pool is content-addressed, not closure-addressed: callers
     :meth:`register` a work descriptor once (one pickle per process
-    worker, one counter block per worker for forest works), then run
-    tasks through :meth:`run_tasks` (submit all, collect all) or a
-    pipelined :meth:`stream`.  Results always return in task order,
-    whatever order workers finish in, so merged counters are
-    deterministic.  In-flight tasks carry pool-unique ids, so several
+    worker), then run tasks through :meth:`run_tasks` (submit all,
+    collect all) or a pipelined :meth:`stream`.  Results always return
+    in task order, whatever order workers finish in, so merged counters
+    are deterministic.  In-flight tasks carry pool-unique ids, so several
     streams — including concurrent ``run_tasks`` calls from different
     threads — share the workers without swapping results.
 
@@ -810,9 +670,8 @@ class WorkerPool:
 
     Use as a context manager, or call :meth:`close`; an unclosed pool
     cleans up on garbage collection as a last resort.  ``close`` (and
-    the abort path after a worker failure) unlinks every shared counter
-    block even when workers died mid-round, so abnormal teardown leaks
-    no shared-memory segments.
+    the abort path after a worker failure) stops the workers and closes
+    every channel even when workers died mid-round.
     """
 
     def __init__(self, n_workers: Optional[int] = None,
@@ -846,8 +705,7 @@ class WorkerPool:
         mode = "inline" if (pool == "inline" or n_workers == 1) else pool
         if mode == "fork" and "fork" not in get_all_start_methods():
             # Platforms without fork (Windows, some macOS setups) get
-            # the fast shared-address-space default instead of paying
-            # spawn startup per pool.
+            # the shared-address-space thread mode.
             mode = "thread"
         self.mode = mode
         self._specs: dict = {}
@@ -861,8 +719,6 @@ class WorkerPool:
         # are routed to their submitting stream by task id, so
         # concurrent streams never swap results.
         self._lock = threading.RLock()
-        self._inline_blocks: dict = {}
-        self._blocks: dict = {}
         self._task_queues: list = []
         self._workers: list = []
         # Result transport.  Thread workers share one ``queue.Queue``
@@ -941,13 +797,11 @@ class WorkerPool:
             pass
 
     def close(self) -> None:
-        """Stop the workers and release every shared block (idempotent).
+        """Stop the workers and close every channel (idempotent).
 
         Every cleanup step is individually guarded: a worker that died
         mid-round (or a failing queue) must not keep the remaining
-        blocks from being released and **unlinked** — leaked segments
-        are exactly what the resource tracker would warn about at
-        interpreter shutdown.
+        workers from being stopped or channels from being closed.
         """
         with self._lock:
             if self._closed:
@@ -966,22 +820,6 @@ class WorkerPool:
                         worker.join(timeout=5)
                 except Exception:
                     pass
-            for shm, block in self._blocks.values():
-                try:
-                    block.release()
-                except Exception:
-                    pass
-                if shm is not None:
-                    try:
-                        shm.close()
-                    except Exception:
-                        pass
-                    try:
-                        shm.unlink()
-                    except Exception:
-                        pass
-            self._blocks.clear()
-            self._inline_blocks.clear()
             self._specs.clear()
             self._dispatch.clear()
             self._inflight.clear()
@@ -1024,82 +862,19 @@ class WorkerPool:
                 raise RuntimeError("the pool is closed")
             handle = self._next_handle
             self._next_handle += 1
-            shape = _block_shape(spec)
-            if self.mode == "inline":
-                self._specs[handle] = spec
-                if shape is not None:
-                    self._inline_blocks[handle] = CounterBlock.local(*shape)
-                return handle
-            try:
-                for worker_id, task_queue in enumerate(self._task_queues):
-                    block_ref = None
-                    if shape is not None:
-                        if self.mode == "thread":
-                            block = CounterBlock.local(*shape)
-                            self._blocks[(handle, worker_id)] = (None, block)
-                            block_ref = block
-                        else:
-                            shm = shared_memory.SharedMemory(
-                                create=True,
-                                size=CounterBlock.nbytes(*shape))
-                            self._blocks[(handle, worker_id)] = (
-                                shm, CounterBlock(shape[0], shape[1],
-                                                  shm.buf))
-                            block_ref = shm.name
-                    task_queue.put(("register", handle, spec, block_ref))
-            except Exception:
-                # Partial registration must not leak segments: release
-                # whatever this handle already allocated.
-                self._release_handle_blocks(handle)
-                raise
+            for task_queue in self._task_queues:
+                task_queue.put(("register", handle, spec))
             self._specs[handle] = spec
             return handle
 
-    def _release_handle_blocks(self, handle: int) -> None:
-        """Release and unlink every block created for ``handle``."""
-        for worker_id in range(self.n_workers):
-            self._release_worker_block(handle, worker_id)
-
-    def _release_worker_block(self, handle: int, worker_id: int) -> None:
-        """Release and unlink one (handle, worker) block, if any."""
-        attached = self._blocks.pop((handle, worker_id), None)
-        if attached is None:
-            return
-        shm, block = attached
-        if shm is None:
-            return
-        try:
-            block.release()
-        except Exception:
-            pass
-        try:
-            shm.close()
-        except Exception:
-            pass
-        try:
-            shm.unlink()
-        except Exception:
-            pass
-
     def unregister(self, handle: int) -> None:
-        """Drop a registered work and free its shared blocks.
-
-        Thread-mode blocks are shared objects the worker may still be
-        writing (a discarded in-flight task): the parent only drops its
-        references and lets the worker release on its own unregister
-        message; process-mode segments are unlinked immediately (the
-        worker's mapping stays valid until it closes it).
-        """
+        """Drop a registered work from the pool and every worker."""
         with self._lock:
             if self._closed or handle not in self._specs:
                 return
-            self._specs.pop(handle, None)
-            self._inline_blocks.pop(handle, None)
+            del self._specs[handle]
             for task_queue in self._task_queues:
                 task_queue.put(("unregister", handle))
-            self._release_handle_blocks(handle)
-            for worker_id in range(self.n_workers):
-                self._blocks.pop((handle, worker_id), None)
 
     # -- execution -----------------------------------------------------
 
@@ -1117,10 +892,7 @@ class WorkerPool:
 
         A thin wrapper over :meth:`stream`: every task is submitted up
         front and results are collected in submission order, so workers
-        never idle at intermediate barriers.  Each worker holds at most
-        one outstanding task, and the parent drains a worker's counter
-        block before handing it the next task, so blocks are never
-        overwritten while unread.
+        never idle at intermediate barriers.
         """
         stream = self.stream(handle)
         try:
@@ -1161,12 +933,9 @@ class WorkerPool:
     def _route_one(self) -> None:
         """Receive one worker result and route it to its stream.
 
-        The worker's counter block is read (finalized) *before* the
-        worker is marked idle, so a block is never overwritten while
-        unread; results for discarded or closed streams are dropped
-        without touching the block (it may already be unregistered).
+        Results for discarded tasks or closed streams are dropped.
         """
-        worker_id, task_id, status, meta = self._receive()
+        worker_id, task_id, status, result = self._receive()
         record = self._inflight.pop(task_id, None)
         if record is None:
             # A straggler from a worker that was already declared dead
@@ -1175,17 +944,12 @@ class WorkerPool:
             # the sender is not a live worker slot.
             return
         if status != "ok":
-            self._abort(meta)
+            self._abort(result)
         stream, seq = record.stream, record.seq
         stream._live.discard(seq)
-        spec = self._specs.get(stream.handle)
-        dropped = (stream._closed or seq in stream._discarded
-                   or spec is None)
+        if not (stream._closed or seq in stream._discarded):
+            stream._results[seq] = result
         stream._discarded.discard(seq)
-        if not dropped:
-            attached = self._blocks.get((stream.handle, worker_id))
-            block = attached[1] if attached is not None else None
-            stream._results[seq] = self._finalize(spec, block, meta)
         self._idle.append(worker_id)
         if not self._inflight and not self._dispatch:
             # Quiescent: the burst survived, so the restart budget
@@ -1260,7 +1024,7 @@ class WorkerPool:
         Runs under the pool lock (callers hold it through ``collect``).
         Budgets first: exhausting ``max_worker_restarts`` or a task's
         ``task_retry_limit`` falls back to :meth:`_abort` — full
-        teardown with every segment unlinked, then ``RuntimeError``.
+        teardown, then ``RuntimeError``.
         Re-submitted tasks keep their payload (and with it their
         structural seed), so the retried result is byte-identical to
         what the dead worker would have produced.
@@ -1311,10 +1075,8 @@ class WorkerPool:
 
         The replacement gets a fresh task queue (the dead worker's may
         still hold its lost ``run`` message), a fresh result pipe (the
-        old one may hold a half-written message from the crash), fresh
-        counter blocks (the old shared segments are unlinked first — a
-        crash never leaks shm), and a replay of every live ``register``
-        message.
+        old one may hold a half-written message from the crash), and a
+        replay of every live ``register`` message.
         """
         old_worker = self._workers[worker_id]
         old_queue = self._task_queues[worker_id]
@@ -1335,21 +1097,7 @@ class WorkerPool:
             self._result_readers[worker_id] = reader
             self._result_writers[worker_id] = writer
         for handle, spec in self._specs.items():
-            block_ref = None
-            shape = _block_shape(spec)
-            if shape is not None:
-                self._release_worker_block(handle, worker_id)
-                if self.mode == "thread":
-                    block = CounterBlock.local(*shape)
-                    self._blocks[(handle, worker_id)] = (None, block)
-                    block_ref = block
-                else:
-                    shm = shared_memory.SharedMemory(
-                        create=True, size=CounterBlock.nbytes(*shape))
-                    self._blocks[(handle, worker_id)] = (
-                        shm, CounterBlock(shape[0], shape[1], shm.buf))
-                    block_ref = shm.name
-            task_queue.put(("register", handle, spec, block_ref))
+            task_queue.put(("register", handle, spec))
         self._idle.append(worker_id)
         try:
             if hasattr(old_queue, "close"):
@@ -1372,13 +1120,6 @@ class WorkerPool:
                 f"pool mode {self.mode!r} has no killable worker "
                 f"processes")
         os.kill(pid, signal.SIGKILL)
-
-    @staticmethod
-    def _finalize(spec, block: Optional[CounterBlock], meta):
-        """Turn a worker's reply into the caller-facing result."""
-        if isinstance(spec, ForestWork):
-            return block.read(meta)
-        return meta
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
@@ -1419,8 +1160,7 @@ class PooledForestRunner:
     before any root ran raises :class:`StepBudgetError`.
 
     Call :meth:`close` when done (the samplers do) to release the
-    work's shared counter blocks; the pool itself stays alive for the
-    next run.
+    work's registration; the pool itself stays alive for the next run.
     """
 
     def __init__(self, pool: WorkerPool, query, partition, ratios,
@@ -1443,7 +1183,7 @@ class PooledForestRunner:
         self.tasks_per_round = tasks_per_round
         self._task_index = 0
         work = ForestWork(query=query, partition=partition,
-                          ratios=self.ratios, capacity=roots_per_task)
+                          ratios=self.ratios)
         self._worst_case = _worst_case_root_cost(work)
         self._handle = pool.register(work)
         self._rounds = RoundPipeline(pool, self._handle)
@@ -1508,6 +1248,6 @@ class PooledForestRunner:
                     and aggregate.steps >= max_steps))
 
     def close(self) -> None:
-        """Release this work's registration and shared blocks."""
+        """Release this work's registration."""
         self._rounds.close()
         self.pool.unregister(self._handle)

@@ -32,7 +32,7 @@ O(levels) time.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -65,9 +65,7 @@ class ForestAggregate:
     """Accumulated counters over many root trees.
 
     Maintains both run totals (for point estimates) and per-root columns
-    (for variance estimation and bootstrapping).  Aggregates from
-    independent workers can be merged, which is how the parallel sampler
-    combines results (Section 3.1, "Parallel Computations").
+    (for variance estimation and bootstrapping).
     """
 
     __slots__ = ("num_levels", "n_roots", "hits", "hits_sq_sum", "steps",
@@ -125,11 +123,12 @@ class ForestAggregate:
                       max_levels, steps) -> None:
         """Fold per-root counter *arrays* in (the pooled-worker path).
 
-        The arrays mirror one :class:`RootRecord` per row — the three
+        The arrays mirror one :class:`RootRecord` per row, as
+        :func:`record_arrays` lays them out — the three
         ``(n, num_levels)`` level matrices plus the ``(n,)`` hit,
-        max-level and step vectors a :class:`~repro.core.pool.
-        CounterBlock` stores — and folding them is element-for-element
-        identical to calling :meth:`add` on the equivalent records.
+        max-level and step vectors — and folding them is
+        element-for-element identical to calling :meth:`add` on the
+        equivalent records.
         """
         landings = np.asarray(landings, dtype=np.int64)
         skips = np.asarray(skips, dtype=np.int64)
@@ -162,28 +161,6 @@ class ForestAggregate:
         self.root_crossings.extend(crossings.tolist())
         self.root_max_levels.extend(
             np.asarray(max_levels, dtype=np.int64).tolist())
-
-    def merge(self, other: "ForestAggregate") -> None:
-        """Fold another aggregate (e.g. from a worker process) in."""
-        if other.num_levels != self.num_levels:
-            raise ValueError(
-                f"cannot merge aggregates with {other.num_levels} and "
-                f"{self.num_levels} levels"
-            )
-        self.n_roots += other.n_roots
-        self.hits += other.hits
-        self.hits_sq_sum += other.hits_sq_sum
-        self.steps += other.steps
-        for i in range(1, self.num_levels):
-            self.landings[i] += other.landings[i]
-            self.landings_sq_sum[i] += other.landings_sq_sum[i]
-            self.skips[i] += other.skips[i]
-            self.crossings[i] += other.crossings[i]
-        self.root_hits.extend(other.root_hits)
-        self.root_landings.extend(other.root_landings)
-        self.root_skips.extend(other.root_skips)
-        self.root_crossings.extend(other.root_crossings)
-        self.root_max_levels.extend(other.root_max_levels)
 
     # ------------------------------------------------------------------
     # Views
@@ -245,6 +222,29 @@ class ForestAggregate:
         return (f"ForestAggregate(n_roots={self.n_roots}, hits={self.hits}, "
                 f"steps={self.steps}, landings={self.landings}, "
                 f"skips={self.skips})")
+
+
+def record_arrays(records: Sequence[RootRecord], num_levels: int) -> tuple:
+    """One cohort's records as the arrays :meth:`ForestAggregate.
+    extend_arrays` folds.
+
+    Returns ``(landings, skips, crossings, hits, max_levels, steps)``,
+    all ``int64``: ``(len(records), num_levels)`` level matrices and
+    ``(len(records),)`` vectors, one row per record in order.  A pooled
+    forest task returns its counters in this form, so they cross the
+    worker's result channel as six arrays rather than as pickled
+    records.
+    """
+    shape = (len(records), num_levels)
+    return (
+        np.array([r.landings for r in records],
+                 dtype=np.int64).reshape(shape),
+        np.array([r.skips for r in records], dtype=np.int64).reshape(shape),
+        np.array([r.crossings for r in records],
+                 dtype=np.int64).reshape(shape),
+        np.array([r.hits for r in records], dtype=np.int64),
+        np.array([r.max_level for r in records], dtype=np.int64),
+        np.array([r.steps for r in records], dtype=np.int64))
 
 
 def _sample_variance(total: int, sq_sum: int, n: int) -> float:

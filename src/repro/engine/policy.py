@@ -23,6 +23,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
 
+from ..core.pool import POOL_MODES
 from ..core.quality import (ConfidenceIntervalTarget, NeverTarget,
                             QualityTarget, RelativeErrorTarget)
 
@@ -30,7 +31,6 @@ from ..core.quality import (ConfidenceIntervalTarget, NeverTarget,
 POLICY_SCHEMA_VERSION = 1
 
 METHODS = ("srs", "smlss", "gmlss", "auto")
-POOL_MODES = ("fork", "spawn", "thread", "inline")
 
 
 def _is_int(value) -> bool:
@@ -159,11 +159,10 @@ class ParallelPolicy:
     members_per_task:
         Fleet members per slice in fused fleet passes.
     pool:
-        ``"fork"`` (default), ``"spawn"``, ``"thread"`` (worker
-        threads sharing the parent address space — no startup or
-        pickling cost; the NumPy kernels release the GIL) or
-        ``"inline"``.  Where fork is unavailable, ``"fork"`` falls
-        back to ``"thread"``.
+        ``"fork"`` (default), ``"thread"`` (worker threads sharing
+        the parent address space — no startup or pickling cost; the
+        NumPy kernels release the GIL) or ``"inline"``.  Where fork is
+        unavailable, ``"fork"`` falls back to ``"thread"``.
     max_worker_restarts:
         Supervision budget: how many dead (or deadline-overrunning)
         workers the pool may respawn per burst of work before falling

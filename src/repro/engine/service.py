@@ -287,9 +287,9 @@ class DurabilityEngine:
         """The engine-owned persistent pool for this policy, if any.
 
         Created on first parallel call and reused across queries —
-        that persistence (workers, registered substrates, shared
-        counter blocks) is the whole point of the pool.  A policy
-        asking for a different worker count or pool mode replaces it.
+        that persistence (workers, registered substrates) is the whole
+        point of the pool.  A policy asking for a different worker
+        count or pool mode replaces it.
         """
         parallel = policy.parallel
         if parallel is None:

@@ -95,11 +95,10 @@ class FaultPlan:
         self.fired = {site: 0 for site in SITES}
         # Sites are consulted from many threads (pool parent thread,
         # worker threads in thread mode, serve executor threads), so
-        # the counters need a lock.  Process-mode workers consult a
-        # *copy* of the plan (fork) or none at all (spawn re-imports
-        # with hooks unset) — only parent-side counters are observable
-        # either way, which is why kills and store/serve faults (all
-        # parent-side) are the sites tests assert on.
+        # the counters need a lock.  Forked workers consult a *copy*
+        # of the plan — only parent-side counters are observable,
+        # which is why kills and store/serve faults (all parent-side)
+        # are the sites tests assert on.
         self._lock = threading.Lock()
 
     @classmethod

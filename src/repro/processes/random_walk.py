@@ -66,8 +66,9 @@ class RandomWalkProcess(ImmutableStateProcess, VectorizedProcess):
             states, self._moves(rng.random((width, len(states)))))
 
     def _moves(self, u: np.ndarray) -> np.ndarray:
-        return np.where(u < self.p_up, 1,
-                        np.where(u < self.p_up + self.p_down, -1, 0))
+        # +1 below p_up, -1 below p_up + p_down, else 0: the same int64
+        # moves as a nested np.where, at a fraction of its cost.
+        return 2 * (u < self.p_up) - (u < self.p_up + self.p_down)
 
     def apply_impulse(self, state: int, magnitude: float) -> int:
         return state + int(magnitude)
@@ -101,8 +102,7 @@ class RandomWalkProcess(ImmutableStateProcess, VectorizedProcess):
     @staticmethod
     def _fused_moves(row_params, u):
         p_up = row_params["p_up"]
-        return np.where(u < p_up, 1.0,
-                        np.where(u < p_up + row_params["p_down"], -1.0, 0.0))
+        return 2.0 * (u < p_up) - (u < p_up + row_params["p_down"])
 
     @staticmethod
     def position(state: int) -> float:

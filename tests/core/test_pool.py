@@ -1,4 +1,4 @@
-"""Tests for the persistent shared-memory worker pool (repro.core.pool).
+"""Tests for the persistent worker pool (repro.core.pool).
 
 Three contracts matter:
 
@@ -20,14 +20,13 @@ import numpy as np
 import pytest
 
 from repro.core.gmlss import GMLSSSampler
-from repro.core.pool import (CounterBlock, CurveWork, WorkerPool,
-                             derive_task_seed)
-from repro.core.records import ForestAggregate, RootRecord
+from repro.core.pool import CurveWork, WorkerPool, derive_task_seed
 from repro.core.smlss import SMLSSSampler
 from repro.core.srs import SRSSampler
 from repro.core.stats import critical_value
 
-from ..helpers import assert_close_to, scalar_only
+from ..helpers import (assert_close_to, assert_no_new_shm, scalar_only,
+                       shm_entries)
 
 Z999 = critical_value(0.999)
 
@@ -56,43 +55,6 @@ class TestDeriveTaskSeed:
 
     def test_none_stays_none(self):
         assert derive_task_seed(None, 3) is None
-
-
-class TestCounterBlock:
-    def test_round_trips_records(self):
-        block = CounterBlock.local(capacity=4, num_levels=3)
-        records = []
-        for i in range(3):
-            record = RootRecord(3)
-            record.hits = i
-            record.steps = 10 * i
-            record.landings[1] = i + 1
-            record.skips[2] = i
-            record.crossings[1] = 2 * i
-            record.max_level = i
-            records.append(record)
-        n = block.write_records(records)
-        aggregate = ForestAggregate(3)
-        aggregate.extend_arrays(*block.read(n))
-
-        reference = ForestAggregate(3)
-        reference.extend(records)
-        assert aggregate.n_roots == reference.n_roots
-        assert aggregate.hits == reference.hits
-        assert aggregate.hits_sq_sum == reference.hits_sq_sum
-        assert aggregate.steps == reference.steps
-        assert aggregate.landings == reference.landings
-        assert aggregate.landings_sq_sum == reference.landings_sq_sum
-        assert aggregate.skips == reference.skips
-        assert aggregate.crossings == reference.crossings
-        assert aggregate.root_hits == reference.root_hits
-        assert aggregate.root_landings == reference.root_landings
-        assert aggregate.root_max_levels == reference.root_max_levels
-
-    def test_rejects_overflow(self):
-        block = CounterBlock.local(capacity=1, num_levels=2)
-        with pytest.raises(ValueError, match="capacity"):
-            block.write_records([RootRecord(2), RootRecord(2)])
 
 
 class TestLifecycle:
@@ -146,7 +108,7 @@ class TestLifecycle:
         with WorkerPool(n_workers=2) as pool:
             handle = pool.register(ForestWork(
                 query=small_chain_query, partition=partition,
-                ratios=(1, 3, 3), capacity=16))
+                ratios=(1, 3, 3)))
             with pytest.raises(RuntimeError, match="worker task failed"):
                 pool.run_tasks(handle, [(-5, 1)])
 
@@ -249,24 +211,9 @@ class TestPooledAgreement:
         assert estimate.relative_error() <= 0.3
 
 
-class TestSpawnMode:
-    """One end-to-end spawn check (slower start; exercised sparingly)."""
-
-    def test_spawn_matches_fork(self, small_chain_query,
-                                small_chain_partition):
-        outcomes = []
-        for mode in ("fork", "spawn"):
-            with WorkerPool(n_workers=2, pool=mode) as pool:
-                estimate = run_sampler(
-                    GMLSSSampler, small_chain_query,
-                    small_chain_partition, pool, seed=13, max_roots=400)
-            outcomes.append((estimate.probability, estimate.steps))
-        assert outcomes[0] == outcomes[1]
-
-
 class TestThreadMode:
     """Worker threads sharing the parent address space (no processes,
-    no pickling, no shared-memory segments)."""
+    no pickling)."""
 
     def test_thread_mode_spins_up_named_threads(self):
         import threading
@@ -282,18 +229,19 @@ class TestThreadMode:
     def test_thread_mode_uses_no_shared_memory(self, small_chain_query,
                                                small_chain_partition):
         from repro.core.pool import ForestWork
+        before = shm_entries()
         with WorkerPool(n_workers=2, pool="thread") as pool:
             handle = pool.register(ForestWork(
                 query=small_chain_query, partition=small_chain_partition,
-                ratios=(1, 3, 3), capacity=16))
+                ratios=(1, 3, 3)))
             try:
-                # Every registered block is a plain in-process
-                # CounterBlock — the shm slot stays empty.
-                assert pool._blocks
-                assert all(shm is None
-                           for (shm, _) in pool._blocks.values())
+                results = pool.run_tasks(handle, [(16, 1), (16, 2)])
             finally:
                 pool.unregister(handle)
+        # Counters come back on the result queue as six arrays per task.
+        assert [len(arrays) for arrays in results] == [6, 6]
+        assert [len(arrays[3]) for arrays in results] == [16, 16]
+        assert_no_new_shm(before)
 
     @pytest.mark.parametrize("sampler_cls",
                              [SRSSampler, SMLSSSampler, GMLSSSampler])
@@ -459,7 +407,7 @@ class TestStrictStepBudget:
         deep = LevelPartition([k / 12.0 for k in (2, 4, 6, 8, 10)])
         worst = _worst_case_root_cost(ForestWork(
             query=small_chain_query, partition=deep,
-            ratios=(1,) + (3,) * 5, capacity=16))
+            ratios=(1,) + (3,) * 5))
         budget = 3 * worst
         # Eight even task shares could not fund one tree each.
         assert budget // 8 < worst <= budget
@@ -513,7 +461,7 @@ class TestStrictStepBudget:
 
 
 class TestRegisterRace:
-    """Unregistering a work before a worker attached its counter block
+    """Unregistering a work before a worker handled its registration
     must not kill the worker."""
 
     @pytest.mark.skipif(
@@ -530,7 +478,7 @@ class TestRegisterRace:
                 handle = pool.register(ForestWork(
                     query=small_chain_query,
                     partition=small_chain_partition,
-                    ratios=(1, 3, 3), capacity=16))
+                    ratios=(1, 3, 3)))
                 pool.unregister(handle)
             time.sleep(0.05)
             assert all(worker.is_alive() for worker in pool._workers)
@@ -545,36 +493,30 @@ class TestAbnormalTeardown:
     @pytest.mark.skipif(
         "fork" not in __import__("multiprocessing").get_all_start_methods(),
         reason="fork start method unavailable")
-    def test_killed_worker_aborts_and_unlinks_blocks(self,
-                                                     small_chain_query):
+    def test_killed_worker_aborts_and_leaks_no_shm(self, small_chain_query):
         import os
         import signal
-        from multiprocessing import shared_memory
 
         from repro.core.levels import LevelPartition
         from repro.core.pool import ForestWork
 
         partition = LevelPartition([4.0 / 12.0, 8.0 / 12.0])
+        before = shm_entries()
         pool = WorkerPool(n_workers=2, pool="fork")
         try:
             handle = pool.register(ForestWork(
                 query=small_chain_query, partition=partition,
-                ratios=(1, 3, 3), capacity=16))
-            shm_names = [shm.name
-                         for (shm, _) in pool._blocks.values()
-                         if shm is not None]
-            assert shm_names
+                ratios=(1, 3, 3)))
             os.kill(pool._workers[0].pid, signal.SIGKILL)
             with pytest.raises(RuntimeError, match="exited"):
                 pool.run_tasks(handle, [(16, seed) for seed in range(8)])
             # The abort path tears the whole pool down...
             assert pool.closed
-            # ...and unlinks every segment despite the dead worker.
-            for name in shm_names:
-                with pytest.raises(FileNotFoundError):
-                    shared_memory.SharedMemory(name=name)
+            assert not any(worker.is_alive() for worker in pool._workers)
         finally:
             pool.close()
+        # ...and leaves nothing behind in /dev/shm.
+        assert_no_new_shm(before)
 
 
 class TestThreadSafety:

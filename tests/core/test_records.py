@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.records import ForestAggregate, RootRecord
+from repro.core.records import ForestAggregate, RootRecord, record_arrays
 
 
 def make_record(num_levels, hits=0, steps=0, landings=None, skips=None,
@@ -76,30 +76,6 @@ class TestForestAggregate:
         agg.add(make_record(2, hits=5))
         assert agg.hit_count_variance() == 0.0
 
-    def test_merge_equals_sequential_adds(self):
-        records = [make_record(3, hits=i % 3, steps=i,
-                               landings=[0, i % 2, 0]) for i in range(7)]
-        combined = ForestAggregate(3)
-        combined.extend(records)
-
-        left = ForestAggregate(3)
-        left.extend(records[:4])
-        right = ForestAggregate(3)
-        right.extend(records[4:])
-        left.merge(right)
-
-        assert left.n_roots == combined.n_roots
-        assert left.hits == combined.hits
-        assert left.hits_sq_sum == combined.hits_sq_sum
-        assert left.steps == combined.steps
-        assert left.landings == combined.landings
-        assert left.landings_sq_sum == combined.landings_sq_sum
-        assert left.root_hits == combined.root_hits
-
-    def test_merge_rejects_level_mismatch(self):
-        with pytest.raises(ValueError):
-            ForestAggregate(2).merge(ForestAggregate(3))
-
     def test_per_root_matrices_shapes(self):
         agg = ForestAggregate(4)
         agg.extend([make_record(4) for _ in range(5)])
@@ -136,6 +112,31 @@ class TestForestAggregate:
     def test_rejects_zero_levels(self):
         with pytest.raises(ValueError):
             ForestAggregate(0)
+
+
+class TestRecordArrays:
+    """Records through :func:`record_arrays` into ``extend_arrays`` (the
+    pooled forest's transport) fold exactly as ``extend`` folds them."""
+
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_round_trip_equals_extend(self, n):
+        records = [make_record(3, hits=i % 3, steps=10 * i + 1,
+                               landings=[0, i + 1, i % 2],
+                               skips=[0, i, 2], crossings=[0, 2 * i, i])
+                   for i in range(n)]
+        for i, record in enumerate(records):
+            record.max_level = i % 4
+        arrays = record_arrays(records, 3)
+        assert [a.shape for a in arrays] == [(n, 3)] * 3 + [(n,)] * 3
+        assert all(a.dtype == np.int64 for a in arrays)
+
+        folded = ForestAggregate(3)
+        folded.extend_arrays(*arrays)
+        reference = ForestAggregate(3)
+        reference.extend(records)
+        # Every total, running sum of squares and per-root list.
+        for name in ForestAggregate.__slots__:
+            assert getattr(folded, name) == getattr(reference, name), name
 
 
 class TestFoldRecordsByOwner:

@@ -8,9 +8,9 @@ The pool's recovery contract has three parts:
   bytes of an undisturbed run on the inline pool — across pool modes,
   for samplers and plan search alike;
 * **budgets** — ``max_worker_restarts=0`` restores the historical
-  abort-with-cleanup exactly (RuntimeError naming the worker, every
-  shm segment unlinked), and ``task_retry_limit`` bounds how often one
-  task may die before the run aborts anyway;
+  abort-with-cleanup exactly (RuntimeError naming the worker, pool
+  torn down, nothing left in ``/dev/shm``), and ``task_retry_limit``
+  bounds how often one task may die before the run aborts anyway;
 * **lifecycle** — recovery leaves the pool serviceable, and ``close``
   stays idempotent and thread-safe around supervisor respawns.
 
@@ -29,6 +29,8 @@ from repro.core.pool import ForestWork, WorkerPool
 from repro.core.smlss import SMLSSSampler
 from repro.core.srs import SRSSampler
 from repro.faults import FaultPlan, inject
+
+from ..helpers import assert_no_new_shm, shm_entries
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -69,21 +71,6 @@ class TestRecoveryDeterminism:
                 assert pool.worker_restarts == 2
                 assert pool.tasks_recovered >= 1
         assert plan.fired["pool.dispatch"] == 2
-        assert fingerprint(survived) == fingerprint(reference)
-
-    def test_spawn_kill_byte_identical(self, small_chain_query,
-                                       small_chain_partition):
-        with WorkerPool(n_workers=2, pool="inline") as pool:
-            reference = run_pooled(SMLSSSampler, small_chain_query,
-                                   small_chain_partition, pool)
-        plan = FaultPlan(worker_kills=(3,))
-        with inject(plan):
-            with WorkerPool(n_workers=2, pool="spawn",
-                            max_worker_restarts=4) as pool:
-                survived = run_pooled(SMLSSSampler, small_chain_query,
-                                      small_chain_partition, pool)
-                assert pool.worker_restarts == 1
-        assert plan.fired["pool.dispatch"] == 1
         assert fingerprint(survived) == fingerprint(reference)
 
     def test_thread_mode_skips_kills_and_completes(
@@ -167,29 +154,23 @@ class TestBudgets:
             self, small_chain_query, small_chain_partition):
         """``max_worker_restarts=0`` (the WorkerPool default) must be
         exactly the old behavior: RuntimeError naming the dead worker,
-        pool torn down, every shm segment unlinked."""
-        from multiprocessing import shared_memory
-
+        pool torn down, nothing left in ``/dev/shm``."""
+        before = shm_entries()
         pool = WorkerPool(n_workers=2, pool="fork")
         plan = FaultPlan(worker_kills=(1,))
         try:
             handle = pool.register(ForestWork(
                 query=small_chain_query, partition=small_chain_partition,
-                ratios=(1, 3, 3), capacity=16))
-            shm_names = [shm.name
-                         for (shm, _) in pool._blocks.values()
-                         if shm is not None]
-            assert shm_names
+                ratios=(1, 3, 3)))
             with inject(plan):
                 with pytest.raises(RuntimeError, match="exited"):
                     pool.run_tasks(handle,
                                    [(16, seed) for seed in range(8)])
             assert pool.closed
-            for name in shm_names:
-                with pytest.raises(FileNotFoundError):
-                    shared_memory.SharedMemory(name=name)
+            assert pool.worker_restarts == 0
         finally:
             pool.close()
+        assert_no_new_shm(before)
 
     @needs_fork
     def test_task_retry_limit_aborts_poison_task(self, small_chain_query,
@@ -204,7 +185,7 @@ class TestBudgets:
         try:
             handle = pool.register(ForestWork(
                 query=small_chain_query, partition=small_chain_partition,
-                ratios=(1, 3, 3), capacity=16))
+                ratios=(1, 3, 3)))
             with inject(plan):
                 with pytest.raises(RuntimeError, match="retry limit"):
                     pool.run_tasks(handle,

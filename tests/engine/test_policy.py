@@ -196,10 +196,10 @@ class TestParallelPolicy:
             max_steps=1000,
             parallel=ParallelPolicy(n_workers=4, roots_per_task=128,
                                     tasks_per_round=4,
-                                    members_per_task=16, pool="spawn"))
+                                    members_per_task=16, pool="thread"))
         restored = ExecutionPolicy.from_dict(policy.to_dict())
         assert restored == policy
-        assert restored.parallel.pool == "spawn"
+        assert restored.parallel.pool == "thread"
 
     def test_thread_mode_and_streaming_round_trip(self):
         policy = ExecutionPolicy(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from pathlib import Path
 
 from repro.processes.base import ImmutableStateProcess, StochasticProcess
 
@@ -146,5 +147,21 @@ MALFORMED_POLICIES = [
     ({"parallel": {"roots_per_task": 2.5}}, "roots_per_task"),
     ({"parallel": {"tasks_per_round": True}}, "tasks_per_round"),
     ({"parallel": {"max_worker_restarts": -1}}, "max_worker_restarts"),
+    ({"parallel": {"pool": "spawn"}}, "pool"),
     ({"parallel": 5}, "parallel"),
 ]
+
+
+def shm_entries():
+    """Names in ``/dev/shm``, or ``None`` where it does not exist."""
+    try:
+        return {entry.name for entry in Path("/dev/shm").iterdir()}
+    except FileNotFoundError:
+        return None
+
+
+def assert_no_new_shm(before) -> None:
+    """No ``/dev/shm`` entry appeared since ``before`` (taken with
+    :func:`shm_entries`); skipped where ``/dev/shm`` does not exist."""
+    if before is not None:
+        assert shm_entries() - before == set()

@@ -116,6 +116,54 @@ class TestGaussianWalkProcess:
         assert var == pytest.approx(25.0, rel=0.25)
 
 
+def nested_where_moves(u, p_up, p_down, up, down, stay):
+    """The reference move encoding: +1 below ``p_up``, -1 below
+    ``p_up + p_down``, else 0, as nested ``np.where``."""
+    return np.where(u < p_up, up, np.where(u < p_up + p_down, down, stay))
+
+
+def boundary_draws(p_up, p_down):
+    """Uniform draws at, just below and just above every move edge,
+    plus ordinary draws."""
+    edges = np.array([0.0, p_up, p_up + p_down])
+    return np.concatenate([edges, np.nextafter(edges, 0.0),
+                           np.nextafter(edges, 1.0),
+                           np.random.default_rng(3).random(64)])
+
+
+class TestMoves:
+    """The walk's arithmetic moves equal the nested ``np.where`` form:
+    same dtype, same values and, for fused float moves, the same sign
+    of zero — with ``u`` exactly at ``p_up`` and ``p_up + p_down``."""
+
+    @pytest.mark.parametrize("p_up,p_down", [(0.25, 0.5), (0.35, 0.45),
+                                             (0.0, 1.0), (1.0, 0.0)])
+    def test_moves_match_nested_where(self, p_up, p_down):
+        process = RandomWalkProcess(p_up=p_up, p_down=p_down)
+        u = boundary_draws(p_up, p_down)
+        for draws in (u, np.stack([u, u[::-1]])):
+            moves = process._moves(draws)
+            reference = nested_where_moves(draws, p_up, p_down, 1, -1, 0)
+            assert moves.dtype == reference.dtype
+            assert np.array_equal(moves, reference)
+
+    def test_fused_moves_match_nested_where(self):
+        members = [RandomWalkProcess(p_up=0.25, p_down=0.5),
+                   RandomWalkProcess(p_up=0.35, p_down=0.45),
+                   RandomWalkProcess(p_up=0.0, p_down=1.0)]
+        params = FusedBatch(members).row_params(np.arange(3))
+        # Column i holds row i's edge draws: a (width, rows) block.
+        block = np.stack([boundary_draws(m.p_up, m.p_down)
+                          for m in members], axis=1)
+        for draws in (block, *block):
+            moves = RandomWalkProcess._fused_moves(params, draws)
+            reference = nested_where_moves(draws, params["p_up"],
+                                           params["p_down"], 1.0, -1.0, 0.0)
+            assert moves.dtype == reference.dtype
+            assert np.array_equal(moves, reference)
+            assert np.array_equal(np.signbit(moves), np.signbit(reference))
+
+
 WALKS = [RandomWalkProcess(p_up=0.45, p_down=0.4, start=2),
          GaussianWalkProcess(drift=0.05, sigma=1.3, start=0.5)]
 
