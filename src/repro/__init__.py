@@ -30,7 +30,7 @@ quality target, seed policy; serializable via
 initial value, threshold bucket), so repeated query shapes skip the
 greedy plan search.  ``durability_curve`` answers an entire threshold
 grid from **one** simulation pass — running path maxima under SRS,
-per-level root records under MLSS — instead of one run per threshold,
+per-level root counters under MLSS — instead of one run per threshold,
 and ``answer_batch`` groups compatible queries into cohorts that share
 a pass the same way (see ``benchmarks/bench_engine_api.py`` for the
 measured speedups).  A one-off answer that should not touch the plan

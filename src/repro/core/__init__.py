@@ -21,7 +21,7 @@ from .pool import (PooledForestRunner, StepBudgetError, WorkerPool,
                    derive_task_seed)
 from .quality import (ConfidenceIntervalTarget, NeverTarget, QualityTarget,
                       RelativeErrorTarget)
-from .records import ForestAggregate, RootRecord
+from .records import ForestAggregate, ForestCohort
 from .smlss import (SMLSSSampler, make_forest_runner,
                     smlss_prefix_estimates, smlss_prefix_variances)
 from .srs import (SRSSampler, prepare_curve_grid, srs_variance,
@@ -38,11 +38,12 @@ __all__ = [
     "ConfidenceIntervalTarget", "DurabilityCurve",
     "DurabilityEstimate",
     "DurabilityQuery", "FleetThresholdValue", "ForestAggregate",
+    "ForestCohort",
     "GMLSSSampler",
     "GreedyResult", "ISSampler", "LevelPartition", "LevelPlanError",
     "NeverTarget", "PlanTrial", "PooledForestRunner", "QualityTarget",
     "RelativeErrorTarget",
-    "RootRecord", "SMLSSSampler", "SRSSampler", "StepBudgetError",
+    "SMLSSSampler", "SRSSampler", "StepBudgetError",
     "TARGET_VALUE",
     "WorkerPool",
     "ThresholdValueFunction", "TracePoint", "VectorizedForestRunner",

@@ -6,10 +6,11 @@ empirical distribution of the resampled estimates:
 
     Var_hat(tau_hat) = sum_i (tau_hat_i - tau_bar)^2 / N.
 
-Because every root tree is summarised by a handful of counters
-(:class:`repro.core.records.RootRecord`), a bootstrap replicate never
-re-simulates anything — it resamples counter rows and refolds them
-through the estimator, vectorised with numpy.
+Because every root tree is summarised by a handful of counters — one
+row of the aggregate's per-root matrix
+(:meth:`repro.core.records.ForestAggregate.per_root_rows`) — a
+bootstrap replicate never re-simulates anything: it resamples counter
+rows and refolds them through the estimator, vectorised with numpy.
 
 There is one bootstrap.  Every replicate refolds its resampled counters
 through the one Eq. 9 fold (:func:`repro.core.gmlss.gmlss_pi_hat_rows`)
@@ -20,8 +21,10 @@ per-level variances, whose last entry is the point estimate's.
 All ``n_boot`` replicates evaluate as **one** gather + fold: the
 resampled indices become an ``(n_boot, n_roots)`` multiplicity matrix
 (one ``bincount``), every replicate's counter totals are a single
-matrix product against the per-root matrices, and the estimator folds
-over all replicate rows at once.  No Python loop runs per replicate, so
+matrix product against the per-root matrix, and the estimator folds
+over all replicate rows at once.  Counts and counters are integers
+below ``2**53``, so the products are exact and replicate totals do not
+depend on the summation order.  No Python loop runs per replicate, so
 the bootstrap stays a rounding error next to simulation even at large
 ``n_boot``.
 """
@@ -32,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .records import ForestAggregate
+from .records import ForestAggregate, counter_columns
 
 #: Bound on the multiplicity-matrix chunk (floats): replicates are
 #: folded in chunks of ``_CHUNK_CELLS / n_roots`` rows, so peak memory
@@ -52,9 +55,8 @@ def _resample_counts(rng: np.random.Generator, n_boot: int,
     summing per replicate into one matrix product downstream.
     """
     indices = rng.integers(0, n_roots, size=(n_boot, n_roots))
-    offsets = np.arange(n_boot, dtype=np.int64)[:, None] * n_roots
-    flat = (indices + offsets).ravel()
-    counts = np.bincount(flat, minlength=n_boot * n_roots)
+    indices += np.arange(n_boot, dtype=np.int64)[:, None] * n_roots
+    counts = np.bincount(indices.ravel(), minlength=n_boot * n_roots)
     return counts.reshape(n_boot, n_roots).astype(np.float64)
 
 
@@ -68,7 +70,7 @@ def _replicate_chunks(n_boot: int, n_roots: int):
 def bootstrap_variance(aggregate: ForestAggregate, ratios: tuple,
                        n_boot: int = 200,
                        seed: Optional[int] = None) -> np.ndarray:
-    """Bootstrap the g-MLSS prefixes over root-path records.
+    """Bootstrap the g-MLSS prefixes over per-root counter rows.
 
     Returns the variances of all ``aggregate.num_levels`` prefixes,
     aligned with :func:`repro.core.gmlss.gmlss_prefix_estimates`; the
@@ -78,7 +80,7 @@ def bootstrap_variance(aggregate: ForestAggregate, ratios: tuple,
     Parameters
     ----------
     aggregate:
-        Forest counters with per-root records.
+        Forest counters with per-root rows.
     ratios:
         Normalised per-level splitting ratios (index 0 unused).
     n_boot:
@@ -96,12 +98,12 @@ def bootstrap_variance(aggregate: ForestAggregate, ratios: tuple,
     if n_boot < 2:
         raise ValueError(f"n_boot must be >= 2, got {n_boot}")
 
-    landings, skips, crossings, hits = aggregate.per_root_matrices()
+    rows = aggregate.per_root_rows()
     rng = np.random.default_rng(seed)
     estimates = np.empty((n_boot, m), dtype=np.float64)
     for start, block in _replicate_chunks(n_boot, n_roots):
         counts = _resample_counts(rng, block, n_roots)
         estimates[start:start + block] = np.cumprod(gmlss_pi_hat_rows(
-            counts @ landings, counts @ skips, counts @ crossings,
-            counts @ hits, float(n_roots), ratios), axis=1)
+            *counter_columns(counts @ rows, m), float(n_roots), ratios),
+            axis=1)
     return estimates.var(axis=0)

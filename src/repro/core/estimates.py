@@ -10,7 +10,7 @@ the library.
 :class:`DurabilityCurve` is the multi-threshold counterpart: the
 answers to a whole grid of thresholds ``Pr[z(X_t) >= beta_j for some
 t <= s]``, computed from *one* shared simulation pass (running path
-maxima for SRS, per-level root records for MLSS) instead of one run per
+maxima for SRS, per-level root counters for MLSS) instead of one run per
 threshold.  Each grid point carries a full :class:`DurabilityEstimate`;
 the estimates share sample paths — individually unbiased, but
 positively correlated across thresholds.

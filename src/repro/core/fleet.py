@@ -82,7 +82,7 @@ from .estimates import DurabilityEstimate
 from .levels import LevelPartition, normalize_ratios
 from .pool import DEFAULT_MEMBERS_PER_TASK, FleetWork, derive_task_seed
 from .quality import QualityTarget
-from .records import ForestAggregate, fold_records_by_owner
+from .records import ForestAggregate
 from .srs import FleetRows, build_srs_curve, grow_round, run_rows
 from .value_functions import TARGET_VALUE, batch_values, threshold_grid
 
@@ -402,10 +402,10 @@ def _mlss_members(fused: FusedBatch, z, betas, partition: LevelPartition,
     members (and members out of budget) contribute nothing.  The
     cohort's state rows come from
     :meth:`~repro.processes.base.FusedBatch.initial_states_for`, laid
-    out as contiguous owner runs, and fold back per owner via
-    :func:`~repro.core.records.fold_records_by_owner` — so every
-    member's aggregate is exactly what its own forest would have
-    produced, only the interleaving of draws differs.
+    out as contiguous owner runs, and each run's rows of the cohort's
+    counters fold into its owner's aggregate — so every member's
+    aggregate is exactly what its own forest would have produced, only
+    the interleaving of draws differs.
 
     With ``adaptive=False`` root trees are allocated *uniformly*
     (``batch_roots`` per member per round) and every member keeps
@@ -495,10 +495,10 @@ def _mlss_grow_uniform(runner, aggregates, quality, max_steps, max_roots,
         # FusedBatch.initial_states spreads a cohort of per_member * k
         # roots as contiguous equal runs per member, so root j belongs
         # to member j // per_member.
-        records = runner.run_cohort(per_member * len(aggregates))
+        cohort = runner.run_cohort(per_member * len(aggregates))
         for member, aggregate in enumerate(aggregates):
             aggregate.extend(
-                records[member * per_member:(member + 1) * per_member])
+                cohort.rows(member * per_member, (member + 1) * per_member))
         if quality is not None and aggregates[0].n_roots >= next_check:
             evaluations += 1
 
@@ -553,11 +553,13 @@ def _mlss_grow_adaptive(fused: FusedBatch, runner, aggregates, quality,
         done |= counts == 0
         if done.all():
             break
-        owners = np.repeat(np.arange(k), counts)
-        records = runner.run_cohort(
+        cohort = runner.run_cohort(
             int(counts.sum()),
             initial_states=fused.initial_states_for(counts))
-        fold_records_by_owner(records, owners, aggregates)
+        ends = np.cumsum(counts)
+        for member, aggregate in enumerate(aggregates):
+            aggregate.extend(
+                cohort.rows(ends[member] - counts[member], ends[member]))
         if quality is None:
             continue
         for member in range(k):

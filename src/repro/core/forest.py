@@ -24,10 +24,26 @@ Bookkeeping per path (born at level ``b``):
 breadth-first in time: every live path (roots and offspring alike)
 steps through one ``step_batch`` call per time index, and a process
 without ``step_batch`` runs inside a
-:class:`~repro.processes.base.ScalarFallback`.  Splitting events are
-processed per event — rare next to steps — so the hot loop stays
-NumPy-level.  Per-root counters are collected into
-:class:`RootRecord` objects for the estimators and the bootstrap.
+:class:`~repro.processes.base.ScalarFallback`.  Nothing runs in Python
+per root or per event.  Each time step scores the frontier, classifies
+it with one ``searchsorted`` against the edges ``beta_1 .. beta_{m-1},
+1`` (a path's level is the number of edges at or below its score, so
+level ``m`` is a hit), and takes the events as ``level > born``.  The
+event rows' root, birth level, level and segment age are appended to
+per-cohort arrays, and their offspring join the frontier.  After the
+last step one fold turns those arrays into the cohort's per-root
+counters with ``bincount``: a :class:`~repro.core.records.ForestCohort`
+of six ``int64`` arrays.  An offspring's parent split is always its
+root's split at its birth level, so crossings need no split table.
+
+Under a :class:`~repro.core.value_functions.ThresholdValueFunction`
+the runner classifies in *z-space*: it compares raw ``z`` with the
+least floats whose scores reach each edge
+(:meth:`~repro.core.value_functions.ThresholdValueFunction.
+z_boundaries`), which gives exactly the levels of the score
+``min(z / beta, 1)`` with no divide and no clip per step.  Other value
+functions are classified on their scores.  Either way a NaN score is
+no hit and lands on the top interior level.
 
 The runner keeps its live frontier in preallocated,
 geometrically-grown buffers (:class:`_Frontier`) and steps processes
@@ -37,25 +53,28 @@ cohorts churn almost no allocations per time step.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from ..processes.base import as_vectorized
+from ..processes.base import as_vectorized, resolve_batch_z
 from .levels import LevelPartition, normalize_ratios
-from .records import RootRecord
-from .value_functions import TARGET_VALUE, DurabilityQuery, batch_values
+from .records import ForestCohort
+from .value_functions import (TARGET_VALUE, DurabilityQuery,
+                              ThresholdValueFunction, batch_values)
 
 
 class _Frontier:
-    """Preallocated live-path arrays for the vectorized forest runner.
+    """Preallocated live-path arrays for the forest runner.
 
     The frontier — every live path segment's state plus its root index,
-    birth level and parent split slot — changes size on every splitting
-    event.  Rebuilding it with ``numpy.concatenate`` allocates four
-    fresh arrays per event; this helper instead keeps *buffers* with
-    spare capacity (grown geometrically) and compacts survivors +
-    offspring into them in place.  Combined with the in-place
-    ``step_batch(..., out=...)`` fast path, the hot loop of a large
-    cohort allocates almost nothing per time step.
+    birth level and birth time — changes size on every splitting event.
+    Rebuilding it with ``numpy.concatenate`` allocates fresh arrays per
+    event; this helper instead keeps *buffers* with spare capacity
+    (grown geometrically) and compacts survivors + offspring into them
+    in place.  Combined with the in-place ``step_batch(..., out=...)``
+    fast path, the hot loop of a large cohort allocates almost nothing
+    per time step.
 
     State buffering engages only for processes with ``supports_out``
     over value-typed arrays (in-place stepping needs a stable buffer);
@@ -78,9 +97,9 @@ class _Frontier:
                                  and getattr(self.states, "dtype", None)
                                  is not None
                                  and self.states.dtype != object)
-        self.roots = np.arange(n_roots)
+        self.roots = np.arange(n_roots, dtype=np.int64)
         self.born = np.zeros(n_roots, dtype=np.int64)
-        self.parents = np.full(n_roots, -1, dtype=np.int64)
+        self.since = np.zeros(n_roots, dtype=np.int64)
 
     def live_states(self) -> np.ndarray:
         if self._buffered_states:
@@ -88,9 +107,10 @@ class _Frontier:
         return self.states
 
     def live_meta(self):
-        """Views of the live ``(roots, born, parents)`` rows."""
+        """Views of the live ``(roots, born, since)`` rows: each
+        segment's root, birth level and birth time."""
         n = self.size
-        return self.roots[:n], self.born[:n], self.parents[:n]
+        return self.roots[:n], self.born[:n], self.since[:n]
 
     def advance(self, t: int, rng) -> np.ndarray:
         """Step every live path; returns the (possibly in-place) states."""
@@ -101,43 +121,42 @@ class _Frontier:
         return self.states
 
     @staticmethod
-    def _fold_into(buffer: np.ndarray, live: np.ndarray, survivors,
+    def _fold_into(buffer: np.ndarray, live: np.ndarray, keep,
                    appended, total: int) -> np.ndarray:
-        """Compact survivors + appended rows into ``buffer``, growing it
+        """Compact the ``keep`` rows of ``live``, then ``appended`` (rows,
+        or one value for every appended row), into ``buffer``, growing it
         geometrically when capacity runs out; returns the buffer."""
-        n_appended = len(appended) if appended is not None else 0
-        n_survivors = total - n_appended
         if total > len(buffer):
             shape = (max(total, 2 * len(buffer)),) + buffer.shape[1:]
             buffer = np.empty(shape, dtype=buffer.dtype)
+        n_kept = len(keep)
         # The fancy-indexed read allocates a temporary, so writing into
         # the same buffer's prefix is safe.
-        buffer[:n_survivors] = live[survivors]
-        if n_appended:
-            buffer[n_survivors:total] = appended
+        buffer[:n_kept] = live[keep]
+        if total > n_kept:
+            buffer[n_kept:total] = appended
         return buffer
 
-    def rebuild(self, survivors, offspring, offspring_roots,
-                offspring_born, offspring_parents) -> None:
-        """Replace the frontier by its survivors plus spawned offspring."""
-        n_offspring = len(offspring) if offspring is not None else 0
+    def rebuild(self, keep, offspring, offspring_roots, offspring_born,
+                t: int) -> None:
+        """Replace the frontier by its ``keep`` rows plus the offspring
+        spawned at time ``t`` (``offspring`` is None when there are
+        none)."""
         live_states = self.live_states()
-        roots, born, parents = self.live_meta()
-        total = int(np.count_nonzero(survivors)) + n_offspring
+        roots, born, since = self.live_meta()
+        total = len(keep) + len(offspring_roots)
         if self._buffered_states:
-            self.states = self._fold_into(self.states, live_states,
-                                          survivors, offspring, total)
-        elif n_offspring:
-            self.states = np.concatenate(
-                [live_states[survivors], offspring])
+            self.states = self._fold_into(self.states, live_states, keep,
+                                          offspring, total)
+        elif offspring is not None:
+            self.states = np.concatenate([live_states[keep], offspring])
         else:
-            self.states = live_states[survivors]
-        self.roots = self._fold_into(self.roots, roots, survivors,
+            self.states = live_states[keep]
+        self.roots = self._fold_into(self.roots, roots, keep,
                                      offspring_roots, total)
-        self.born = self._fold_into(self.born, born, survivors,
-                                    offspring_born, total)
-        self.parents = self._fold_into(self.parents, parents, survivors,
-                                       offspring_parents, total)
+        self.born = self._fold_into(self.born, born, keep, offspring_born,
+                                    total)
+        self.since = self._fold_into(self.since, since, keep, t, total)
         self.size = total
 
 
@@ -160,6 +179,41 @@ def validate_plan(query: DurabilityQuery,
             f"initial state's value {initial_value}; prune the plan "
             f"with partition.pruned_above(initial_value)"
         )
+
+
+def _fold_events(n_roots: int, m: int, roots, born, levels, ages,
+                 end_roots, end_ages) -> ForestCohort:
+    """A cohort's counters from its path segments.
+
+    Event ``j`` ended a segment of root ``roots[j]``, born at level
+    ``born[j]``, when it reached level ``levels[j] > born[j]`` (``m`` is
+    the target) after ``ages[j]`` steps; ``end_roots`` / ``end_ages``
+    are the segments still live at the horizon.  Everything is a
+    ``bincount`` over (root, level) cells, so no Python runs per root
+    or per event.
+    """
+    width = m + 1
+    cells = n_roots * width
+    reached = np.bincount(roots * width + levels,
+                          minlength=cells).reshape(n_roots, width)
+    # A segment skips every level strictly between its birth level and
+    # the level it reached: +1 from born + 1 on, -1 from the level on.
+    starts = np.bincount(roots * width + born + 1,
+                         minlength=cells).reshape(n_roots, width)
+    skips = np.cumsum(starts - reached, axis=1)[:, :m]
+    # A segment born in a split crossed the boundary above its birth
+    # level, which counts for its parent split: its root's split at that
+    # level.  Roots are born in L_0, whose column is unused.
+    crossings = np.bincount(roots * m + born,
+                            minlength=n_roots * m).reshape(n_roots, m)
+    crossings[:, 0] = 0
+    max_levels = np.zeros(n_roots, dtype=np.int64)
+    np.maximum.at(max_levels, roots, levels)
+    steps = np.bincount(np.concatenate([roots, end_roots]),
+                        np.concatenate([ages, end_ages]),
+                        minlength=n_roots).astype(np.int64)
+    return ForestCohort(reached[:, :m], skips, crossings, reached[:, m],
+                        max_levels, steps)
 
 
 class VectorizedForestRunner:
@@ -196,10 +250,23 @@ class VectorizedForestRunner:
         self.ratios = normalize_ratios(ratios, partition.num_levels)
         self.rng = rng
         self.process = as_vectorized(query.process)
-        self._bounds = np.asarray(partition.boundaries, dtype=np.float64)
+        self._ratios = np.asarray(self.ratios, dtype=np.int64)
+        value_fn = query.value_function
+        # The classification edges: the interior boundaries, then the
+        # target.  A score's level is the number of edges at or below it,
+        # so level m is a hit.
+        edges = partition.boundaries + (TARGET_VALUE,)
+        if isinstance(value_fn, ThresholdValueFunction):
+            batch_z = resolve_batch_z(value_fn.z)
+            self._score = lambda states, t: np.asarray(batch_z(states),
+                                                       dtype=np.float64)
+            self._edges = value_fn.z_boundaries(edges)
+        else:
+            self._score = functools.partial(batch_values, value_fn)
+            self._edges = np.asarray(edges, dtype=np.float64)
 
-    def run_cohort(self, n_roots: int, initial_states=None) -> list:
-        """Simulate ``n_roots`` root trees; one :class:`RootRecord` each.
+    def run_cohort(self, n_roots: int, initial_states=None) -> ForestCohort:
+        """Simulate ``n_roots`` root trees; their counters, one row each.
 
         ``initial_states`` overrides the process's default time-0
         cohort with an explicit state array (one row per root, in root
@@ -209,89 +276,61 @@ class VectorizedForestRunner:
         """
         if n_roots < 0:
             raise ValueError(f"n_roots must be >= 0, got {n_roots}")
-        if n_roots == 0:
-            return []
         process = self.process
-        value_fn = self.query.value_function
         horizon = self.query.horizon
-        num_levels = self.partition.num_levels
-        bounds = self._bounds
-        ratios = self.ratios
-        rng = self.rng
-
-        records = [RootRecord(num_levels) for _ in range(n_roots)]
-        steps_per_root = np.zeros(n_roots, dtype=np.int64)
-        # Per-split crossing counters: splits[slot] = [root, level, crossed].
-        splits = []
-
-        # Preallocated frontier buffers, one row per live path segment.
-        frontier = _Frontier(process, n_roots,
-                             initial_states=initial_states)
+        m = self.partition.num_levels
+        score, classify = self._score, self._edges.searchsorted
+        ratios, rng = self._ratios, self.rng
+        frontier = _Frontier(process, n_roots, initial_states=initial_states)
+        empty = np.zeros(0, dtype=np.int64)
+        # One entry per time step with events: the event rows' roots,
+        # birth levels, levels reached and segment ages (an empty entry
+        # first, so a cohort without events folds too).
+        events = [(empty, empty, empty, empty)]
 
         for t in range(1, horizon + 1):
             if not frontier.size:
                 break
             states = frontier.advance(t, rng)
-            roots, born, parents = frontier.live_meta()
-            steps_per_root += np.bincount(roots, minlength=n_roots)
-            values = batch_values(value_fn, states, t)
-            hit = values >= TARGET_VALUE
-            levels = np.searchsorted(bounds, values, side="right")
-            promoted = ~hit & (levels > born)
-            event = hit | promoted
-            if not event.any():
+            roots, born, since = frontier.live_meta()
+            scores = score(states, t)
+            levels = classify(scores, "right")
+            event = levels > born
+            rows = event.nonzero()[0]
+            if not rows.size:
                 continue
-
-            # Events (hits and promotions) are rare relative to steps;
-            # handle them path by path while the frontier stays batched.
-            spawn_rows, spawn_slots, spawn_levels = [], [], []
-            for i in np.nonzero(event)[0]:
-                record = records[roots[i]]
-                level_born = born[i]
-                if hit[i]:
-                    record.hits += 1
-                    record.max_level = num_levels
-                    for k in range(level_born + 1, num_levels):
-                        record.skips[k] += 1
-                else:
-                    level = int(levels[i])
-                    if level > record.max_level:
-                        record.max_level = level
-                    for k in range(level_born + 1, level):
-                        record.skips[k] += 1
-                    record.landings[level] += 1
-                    slot = len(splits)
-                    splits.append([roots[i], level, 0])
-                    if t < horizon:
-                        spawn_rows.append(i)
-                        spawn_slots.append(slot)
-                        spawn_levels.append(level)
-                    # Landing exactly at the horizon leaves the offspring
-                    # no time: mu(h) = 0, recorded implicitly by the
-                    # split having zero crossings.
-                # Either way the path crossed its birth level's upper
-                # boundary, which feeds its parent split's counter.
-                parent = parents[i]
-                if parent >= 0:
-                    splits[parent][2] += 1
-
-            survivors = ~event
-            if spawn_rows:
-                counts = np.asarray([ratios[lv] for lv in spawn_levels])
-                offspring = process.replicate(states, spawn_rows, counts)
-                frontier.rebuild(
-                    survivors, offspring,
-                    np.repeat(roots[spawn_rows], counts),
-                    np.repeat(spawn_levels, counts),
-                    np.repeat(spawn_slots, counts))
+            level = levels[rows]
+            split = level < m
+            n_split = np.count_nonzero(split)
+            if n_split < rows.size and np.isnan(scores[rows]).any():
+                # NaN sorts past the target edge, but a NaN score is no
+                # hit: it lands on the top interior level.
+                levels[np.isnan(scores)] = m - 1
+                event = levels > born
+                rows = event.nonzero()[0]
+                level = levels[rows]
+                split = level < m
+                n_split = np.count_nonzero(split)
+            event_roots = roots[rows]
+            events.append((event_roots, born[rows], level,
+                           t - since[rows]))
+            keep = (~event).nonzero()[0]
+            if t < horizon and n_split:
+                # Landing at the horizon leaves offspring no time:
+                # mu(h) = 0, recorded by the split's zero crossings.
+                split_level = level[split]
+                counts = ratios[split_level]
+                offspring = process.replicate(states, rows[split], counts)
+                frontier.rebuild(keep, offspring,
+                                 event_roots[split].repeat(counts),
+                                 split_level.repeat(counts), t)
             else:
-                frontier.rebuild(survivors, None, None, None, None)
+                frontier.rebuild(keep, None, empty, empty, t)
 
-        for root, level, crossed in splits:
-            records[root].crossings[level] += crossed
-        for root, record in enumerate(records):
-            record.steps = int(steps_per_root[root])
-        return records
+        roots, born, levels, ages = map(np.concatenate, zip(*events))
+        end_roots, _, end_since = frontier.live_meta()
+        return _fold_events(n_roots, m, roots, born, levels, ages,
+                            end_roots, horizon - end_since)
 
     def accumulate(self, aggregate, batch_roots: int,
                    max_steps=None, max_roots=None) -> bool:

@@ -24,7 +24,7 @@ move one lattice step at a time either always land in a level or
 always skip it, and are unaffected.
 
 Its variance has no closed form, so :class:`GMLSSSampler` estimates it
-by bootstrapping the per-root records (Section 4.2); the bootstrap is
+by bootstrapping the per-root counters (Section 4.2); the bootstrap is
 evaluated on a conservative geometric schedule, following the paper's
 rule of thumb that "sometimes overrunning the simulation a little"
 beats frequent bootstrapping.

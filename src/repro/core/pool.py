@@ -19,10 +19,10 @@ persistent:
   process worker, a shared reference per thread worker); subsequent
   rounds send only tiny *work descriptors* (task id, root budget,
   derived seed).  Every task's result returns on its worker's result
-  channel: forest tasks return their per-root counters as the six
-  ``int64`` arrays of :func:`~repro.core.records.record_arrays`, which
-  the parent folds with :meth:`~repro.core.records.ForestAggregate.
-  extend_arrays`.
+  channel: forest tasks return their per-root counters as a
+  :class:`~repro.core.records.ForestCohort` of six ``int64`` arrays,
+  which the parent folds with :meth:`~repro.core.records.
+  ForestAggregate.extend`.
 * :class:`_TaskStream` / :meth:`WorkerPool.stream` — the pipelined
   submission path.  ``submit`` is non-blocking and ``collect`` returns
   results in submission order, so callers can keep a bounded window of
@@ -122,7 +122,7 @@ import numpy as np
 
 from .forest import VectorizedForestRunner, validate_plan
 from .levels import normalize_ratios
-from .records import record_arrays
+from .records import ForestCohort
 
 #: Pool execution modes: forked worker processes (``"fork"``), the
 #: shared-address-space thread mode (``"thread"``) and the in-caller
@@ -214,8 +214,8 @@ class ForestWork:
     """A splitting-forest work unit: tasks are ``(n_roots, seed)`` or
     ``(n_roots, seed, step_cap)``.
 
-    Results are the task's per-root counters as the six arrays of
-    :func:`~repro.core.records.record_arrays`.  A ``step_cap`` makes
+    Results are the task's per-root counters as one
+    :class:`~repro.core.records.ForestCohort`.  A ``step_cap`` makes
     the task stop launching roots once the cap cannot cover another
     worst-case tree, so capped tasks never exceed their budget share.
     """
@@ -320,7 +320,7 @@ def _worst_case_root_cost(spec: ForestWork) -> int:
     return spec.query.horizon * total
 
 
-def _run_forest_task(spec: ForestWork, payload) -> tuple:
+def _run_forest_task(spec: ForestWork, payload) -> ForestCohort:
     if len(payload) == 2:
         (n_roots, seed), step_cap = payload, None
     else:
@@ -328,23 +328,23 @@ def _run_forest_task(spec: ForestWork, payload) -> tuple:
     runner = VectorizedForestRunner(spec.query, spec.partition,
                                     spec.ratios, np.random.default_rng(seed))
     if step_cap is None:
-        records = runner.run_cohort(n_roots)
-    else:
-        # Strict budget: only start roots whose worst-case tree cost
-        # still fits under the cap.  The chunk sequence depends only on
-        # the payload (and the per-chunk simulation itself), so capped
-        # tasks stay byte-identical across workers and pool modes.
-        worst = _worst_case_root_cost(spec)
-        records = []
-        used = 0
-        remaining = n_roots
-        while remaining > 0 and used + worst <= step_cap:
-            affordable = max(int((step_cap - used) // worst), 1)
-            chunk = runner.run_cohort(min(remaining, affordable))
-            records.extend(chunk)
-            used += sum(record.steps for record in chunk)
-            remaining -= len(chunk)
-    return record_arrays(records, spec.partition.num_levels)
+        return runner.run_cohort(n_roots)
+    # Strict budget: only start roots whose worst-case tree cost still
+    # fits under the cap.  The chunk sequence depends only on the
+    # payload (and the per-chunk simulation itself), so capped tasks
+    # stay byte-identical across workers and pool modes.  The empty
+    # first chunk keeps the arrays' shapes when no root fits.
+    worst = _worst_case_root_cost(spec)
+    chunks = [runner.run_cohort(0)]
+    used = 0
+    remaining = n_roots
+    while remaining > 0 and used + worst <= step_cap:
+        affordable = max(int((step_cap - used) // worst), 1)
+        chunk = runner.run_cohort(min(remaining, affordable))
+        chunks.append(chunk)
+        used += int(chunk.steps.sum())
+        remaining -= len(chunk.steps)
+    return ForestCohort(*map(np.concatenate, zip(*chunks)))
 
 
 def _run_curve_task(spec: CurveWork, payload):
@@ -1237,8 +1237,8 @@ class PooledForestRunner:
                 predicted, _ = cut_tasks(ahead, self.roots_per_task,
                                          self.seed, self._task_index)
         roots_before = aggregate.n_roots
-        for arrays in self._rounds.run_round(tasks, predicted):
-            aggregate.extend_arrays(*arrays)
+        for cohort in self._rounds.run_round(tasks, predicted):
+            aggregate.extend(cohort)
         if step_budget is not None and aggregate.n_roots == roots_before:
             # The remaining budget cannot afford a single worst-case
             # root tree anywhere: the budget is exhausted.

@@ -1,4 +1,4 @@
-"""Per-root-path bookkeeping for splitting samplers.
+"""Per-root-path counters for splitting samplers, as matrices.
 
 MLSS grows a tree of sample paths from every root path (Figure 1 in the
 paper).  Everything both estimators need is a small set of counters per
@@ -18,60 +18,79 @@ root tree:
   reached (``m`` = the target).  This per-level maximum is what lets a
   single forest run answer a whole *grid* of thresholds at once: the
   fraction of trees with ``max_level >= i`` is a direct diagnostic of
-  boundary-``i`` reachability, and the durability-curve machinery reads
-  its per-threshold answers off the same records.
+  boundary-``i`` reachability.
+* ``steps`` — the simulation steps the tree consumed.
 
-Keeping the counters per root (rather than only in aggregate) is what
-makes the g-MLSS bootstrap (Section 4.2) possible without re-simulating
-anything.  The s-MLSS variance estimator (Eq. 6) needs less: it is the
-sample variance of per-root hit (or landing) counts, which
-:class:`ForestAggregate` keeps as running sums of squares, so both
-s-MLSS entry points check their stopping rule after every batch in
-O(levels) time.
+Level arrays are indexed ``0 .. m-1``; index 0 is unused (roots start
+in ``L_0``; there are no landings into, skips over or splits in it).
+
+The forest runner returns a cohort of trees as one
+:class:`ForestCohort` — six ``int64`` arrays with one row per root — and
+:class:`ForestAggregate` folds cohorts.  It keeps the run totals as
+Python ints, and the per-root counters as one growing ``float64`` matrix
+of ``3m + 1`` columns (landings, skips and crossings level by level,
+then hits), exact for counts below ``2**53``.  The paper sums
+independent root trees' counters (Section 3.1) and its bootstrap
+(Section 4.2) resamples them, so a bootstrap replicate's totals are one
+matrix product against that matrix, and nothing is re-simulated.  The
+s-MLSS variance estimator (Eq. 6) needs less: it is the sample variance
+of per-root hit (or landing) counts, which :class:`ForestAggregate`
+keeps as running sums of squares, so both s-MLSS entry points check
+their stopping rule after every batch in O(levels) time.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 
-class RootRecord:
-    """Counters for one root path's splitting tree.
+class ForestCohort(NamedTuple):
+    """One cohort's per-root counters, one row per root in root order.
 
-    Arrays are indexed by level ``0 .. m-1``; index 0 is unused (roots
-    start in ``L_0``; there are no landings into or skips over it).
+    All six arrays are ``int64``: ``landings``, ``skips`` and
+    ``crossings`` are ``(n, m)``; ``hits``, ``max_levels`` and
+    ``steps`` are ``(n,)``.  A pooled forest task returns its cohort as
+    it is, so the counters cross the worker's result channel as six
+    arrays.
     """
 
-    __slots__ = ("hits", "steps", "landings", "skips", "crossings",
-                 "max_level")
+    landings: np.ndarray
+    skips: np.ndarray
+    crossings: np.ndarray
+    hits: np.ndarray
+    max_levels: np.ndarray
+    steps: np.ndarray
 
-    def __init__(self, num_levels: int):
-        self.hits = 0
-        self.steps = 0
-        self.landings = [0] * num_levels
-        self.skips = [0] * num_levels
-        self.crossings = [0] * num_levels
-        self.max_level = 0
+    def rows(self, start: int, stop: int) -> "ForestCohort":
+        """Roots ``start .. stop - 1`` of the cohort, as views."""
+        return ForestCohort(*(column[start:stop] for column in self))
 
-    def __repr__(self) -> str:
-        return (f"RootRecord(hits={self.hits}, steps={self.steps}, "
-                f"landings={self.landings}, skips={self.skips}, "
-                f"crossings={self.crossings}, max_level={self.max_level})")
+
+def counter_columns(matrix: np.ndarray, num_levels: int) -> tuple:
+    """Split ``(B, 3m + 1)`` counter rows into their four kinds.
+
+    Returns views ``(landings, skips, crossings, hits)``: three
+    ``(B, m)`` level matrices and the ``(B,)`` hit column.  This is the
+    one layout of :class:`ForestAggregate`'s per-root matrix, and of any
+    product against it, such as a bootstrap replicate's totals.
+    """
+    m = num_levels
+    return (matrix[:, :m], matrix[:, m:2 * m], matrix[:, 2 * m:3 * m],
+            matrix[:, 3 * m])
 
 
 class ForestAggregate:
     """Accumulated counters over many root trees.
 
-    Maintains both run totals (for point estimates) and per-root columns
-    (for variance estimation and bootstrapping).
+    Maintains both run totals (for point estimates; Python ints) and
+    per-root rows (for variance estimation and bootstrapping).
     """
 
     __slots__ = ("num_levels", "n_roots", "hits", "hits_sq_sum", "steps",
                  "landings", "landings_sq_sum", "skips", "crossings",
-                 "root_hits", "root_landings", "root_skips",
-                 "root_crossings", "root_max_levels")
+                 "_rows", "_max_levels")
 
     def __init__(self, num_levels: int):
         if num_levels < 1:
@@ -86,81 +105,44 @@ class ForestAggregate:
         self.landings_sq_sum = [0] * num_levels
         self.skips = [0] * num_levels
         self.crossings = [0] * num_levels
-        # Per-root storage (python lists; converted lazily to numpy).
-        self.root_hits: List[int] = []
-        self.root_landings: List[list] = []
-        self.root_skips: List[list] = []
-        self.root_crossings: List[list] = []
-        self.root_max_levels: List[int] = []
+        # Per-root rows, grown geometrically; the first n_roots are live.
+        self._rows = np.zeros((0, 3 * num_levels + 1), dtype=np.float64)
+        self._max_levels = np.zeros(0, dtype=np.int64)
 
-    def add(self, record: RootRecord) -> None:
-        """Fold one finished root tree into the aggregate."""
-        self.n_roots += 1
-        self.hits += record.hits
-        self.hits_sq_sum += record.hits * record.hits
-        self.steps += record.steps
-        # Local names: this runs once per root tree, level by level.
-        landings, squares = self.landings, self.landings_sq_sum
-        skips, crossings = self.skips, self.crossings
-        landed, skipped, crossed = (record.landings, record.skips,
-                                    record.crossings)
-        for i in range(1, self.num_levels):
-            landings[i] += landed[i]
-            squares[i] += landed[i] * landed[i]
-            skips[i] += skipped[i]
-            crossings[i] += crossed[i]
-        self.root_hits.append(record.hits)
-        self.root_landings.append(record.landings)
-        self.root_skips.append(record.skips)
-        self.root_crossings.append(record.crossings)
-        self.root_max_levels.append(record.max_level)
-
-    def extend(self, records: Iterable[RootRecord]) -> None:
-        for record in records:
-            self.add(record)
-
-    def extend_arrays(self, landings, skips, crossings, hits,
-                      max_levels, steps) -> None:
-        """Fold per-root counter *arrays* in (the pooled-worker path).
-
-        The arrays mirror one :class:`RootRecord` per row, as
-        :func:`record_arrays` lays them out — the three
-        ``(n, num_levels)`` level matrices plus the ``(n,)`` hit,
-        max-level and step vectors — and folding them is
-        element-for-element identical to calling :meth:`add` on the
-        equivalent records.
-        """
-        landings = np.asarray(landings, dtype=np.int64)
-        skips = np.asarray(skips, dtype=np.int64)
-        crossings = np.asarray(crossings, dtype=np.int64)
-        hits = np.asarray(hits, dtype=np.int64)
+    def extend(self, cohort: ForestCohort) -> None:
+        """Fold one cohort of root trees in, in root order."""
+        landings, skips, crossings, hits, max_levels, steps = cohort
         n = len(hits)
         if n == 0:
             return
-        if landings.shape[1] != self.num_levels:
+        m = self.num_levels
+        if landings.shape[1] != m:
             raise ValueError(
                 f"cannot fold rows with {landings.shape[1]} levels into "
-                f"an aggregate with {self.num_levels}"
+                f"an aggregate with {m}"
             )
+        start = self.n_roots
         self.n_roots += n
         self.hits += int(hits.sum())
-        self.hits_sq_sum += int((hits * hits).sum())
-        self.steps += int(np.asarray(steps).sum())
-        landing_totals = landings.sum(axis=0)
-        landing_sq_totals = (landings * landings).sum(axis=0)
-        skip_totals = skips.sum(axis=0)
-        crossing_totals = crossings.sum(axis=0)
-        for i in range(1, self.num_levels):
-            self.landings[i] += int(landing_totals[i])
-            self.landings_sq_sum[i] += int(landing_sq_totals[i])
-            self.skips[i] += int(skip_totals[i])
-            self.crossings[i] += int(crossing_totals[i])
-        self.root_hits.extend(hits.tolist())
-        self.root_landings.extend(landings.tolist())
-        self.root_skips.extend(skips.tolist())
-        self.root_crossings.extend(crossings.tolist())
-        self.root_max_levels.extend(
-            np.asarray(max_levels, dtype=np.int64).tolist())
+        self.hits_sq_sum += int(hits @ hits)
+        self.steps += int(steps.sum())
+        self.landings = _plus(self.landings, landings.sum(axis=0))
+        self.landings_sq_sum = _plus(self.landings_sq_sum,
+                                     (landings * landings).sum(axis=0))
+        self.skips = _plus(self.skips, skips.sum(axis=0))
+        self.crossings = _plus(self.crossings, crossings.sum(axis=0))
+        if self.n_roots > len(self._rows):
+            capacity = max(self.n_roots, 2 * len(self._rows))
+            rows = np.empty((capacity, 3 * m + 1), dtype=np.float64)
+            rows[:start] = self._rows[:start]
+            levels = np.empty(capacity, dtype=np.int64)
+            levels[:start] = self._max_levels[:start]
+            self._rows, self._max_levels = rows, levels
+        block = self._rows[start:self.n_roots]
+        for column, counts in zip(counter_columns(block, m),
+                                  (landings, skips, crossings, hits)):
+            column[...] = counts
+        self._max_levels[start:self.n_roots] = max_levels
 
     # ------------------------------------------------------------------
     # Views
@@ -193,30 +175,24 @@ class ForestAggregate:
         ever crossing boundary ``beta_i``, which is what the
         durability-curve readers consume.
         """
-        counts = [0] * (self.num_levels + 1)
-        for level in self.root_max_levels:
-            counts[level] += 1
-        # Suffix-sum: reaching level j implies reaching every i <= j.
-        for i in range(self.num_levels - 1, -1, -1):
-            counts[i] += counts[i + 1]
-        return counts
+        counts = np.bincount(self._max_levels[:self.n_roots],
+                             minlength=self.num_levels + 1)
+        # Suffix sum: reaching level j implies reaching every i <= j.
+        return np.cumsum(counts[::-1])[::-1].tolist()
+
+    def per_root_rows(self) -> np.ndarray:
+        """The ``(n_roots, 3 * num_levels + 1)`` per-root matrix (a view),
+        laid out as :func:`counter_columns` reads it."""
+        return self._rows[:self.n_roots]
 
     def per_root_matrices(self):
-        """Per-root ``(landings, skips, crossings, hits)`` numpy arrays.
+        """Per-root ``(landings, skips, crossings, hits)`` ``float64``
+        views of :meth:`per_root_rows`.
 
         Shapes: ``(n_roots, num_levels)`` for the three level matrices
-        and ``(n_roots,)`` for hits.  Used by the bootstrap.
+        and ``(n_roots,)`` for hits.
         """
-        shape = (self.n_roots, self.num_levels)
-        landings = np.asarray(self.root_landings, dtype=np.float64)
-        skips = np.asarray(self.root_skips, dtype=np.float64)
-        crossings = np.asarray(self.root_crossings, dtype=np.float64)
-        if self.n_roots == 0:
-            landings = landings.reshape(shape)
-            skips = skips.reshape(shape)
-            crossings = crossings.reshape(shape)
-        return (landings, skips, crossings,
-                np.asarray(self.root_hits, dtype=np.float64))
+        return counter_columns(self.per_root_rows(), self.num_levels)
 
     def __repr__(self) -> str:
         return (f"ForestAggregate(n_roots={self.n_roots}, hits={self.hits}, "
@@ -224,27 +200,9 @@ class ForestAggregate:
                 f"skips={self.skips})")
 
 
-def record_arrays(records: Sequence[RootRecord], num_levels: int) -> tuple:
-    """One cohort's records as the arrays :meth:`ForestAggregate.
-    extend_arrays` folds.
-
-    Returns ``(landings, skips, crossings, hits, max_levels, steps)``,
-    all ``int64``: ``(len(records), num_levels)`` level matrices and
-    ``(len(records),)`` vectors, one row per record in order.  A pooled
-    forest task returns its counters in this form, so they cross the
-    worker's result channel as six arrays rather than as pickled
-    records.
-    """
-    shape = (len(records), num_levels)
-    return (
-        np.array([r.landings for r in records],
-                 dtype=np.int64).reshape(shape),
-        np.array([r.skips for r in records], dtype=np.int64).reshape(shape),
-        np.array([r.crossings for r in records],
-                 dtype=np.int64).reshape(shape),
-        np.array([r.hits for r in records], dtype=np.int64),
-        np.array([r.max_level for r in records], dtype=np.int64),
-        np.array([r.steps for r in records], dtype=np.int64))
+def _plus(totals: list, column_sums: np.ndarray) -> list:
+    """Python-int running totals plus one cohort's column sums."""
+    return [total + add for total, add in zip(totals, column_sums.tolist())]
 
 
 def _sample_variance(total: int, sq_sum: int, n: int) -> float:
@@ -253,21 +211,3 @@ def _sample_variance(total: int, sq_sum: int, n: int) -> float:
         return 0.0
     mean = total / n
     return (sq_sum - n * mean * mean) / (n - 1)
-
-
-def fold_records_by_owner(records, owners, aggregates) -> None:
-    """Fold one cohort's records into per-owner aggregates, in order.
-
-    ``owners[j]`` names the aggregate that owns root ``j`` of the
-    cohort — the bookkeeping behind fused fleet rounds with
-    *non-uniform* per-member root allocation, where a cohort is laid
-    out as contiguous owner runs of varying length instead of equal
-    slices.  Folding is element-for-element identical to calling
-    :meth:`ForestAggregate.add` on each owner's records separately, so
-    per-owner estimates stay exchangeable with per-owner forests.
-    """
-    if len(records) != len(owners):
-        raise ValueError(
-            f"{len(records)} records for {len(owners)} owners")
-    for record, owner in zip(records, owners):
-        aggregates[owner].add(record)

@@ -84,6 +84,35 @@ class ThresholdValueFunction:
         ratios = batch_z_values(self.z, states) / self.beta
         return np.clip(ratios, 0.0, TARGET_VALUE)
 
+    def z_boundaries(self, levels) -> np.ndarray:
+        """The score ``levels`` as raw ``z``: for each positive level
+        ``b``, the least float ``z`` with ``z / beta >= b``.
+
+        Correctly rounded division by a positive ``beta`` is monotone in
+        ``z``, so a state's score reaches ``b`` exactly when its raw
+        ``z`` is at least the returned boundary: comparing ``z`` with
+        these classifies states with no divide and no clip.  The search
+        starts at ``b * beta`` and steps one float at a time with
+        :func:`numpy.nextafter` until the predicate flips, so it is
+        exact; it takes a step or two.
+        """
+        beta = np.float64(self.beta)
+        edges = []
+        for level in np.asarray(levels, dtype=np.float64):
+            if not level > 0.0:
+                # At 0 the quotients of tiny negative z round to -0.0,
+                # so the downward search would not end.
+                raise ValueError(f"score levels must be positive, got {level}")
+            z = level * beta
+            if z / beta >= level:
+                while np.nextafter(z, -np.inf) / beta >= level:
+                    z = np.nextafter(z, -np.inf)
+            else:
+                while z / beta < level:
+                    z = np.nextafter(z, np.inf)
+            edges.append(z)
+        return np.asarray(edges, dtype=np.float64)
+
     def with_beta(self, beta: float) -> "ThresholdValueFunction":
         """The same state evaluation ``z`` against a different threshold.
 

@@ -24,7 +24,7 @@ against a threshold grid) actually need:
   path per time step, attributed to the entity that owns the path;
 * :meth:`DurabilityEngine.durability_curve` — an entire threshold grid
   from **one** pass: running path maxima under SRS, per-level root
-  records (prefix products of Eq. 8) under MLSS — a measured order of
+  counters (prefix products of Eq. 8) under MLSS — a measured order of
   magnitude cheaper than one run per threshold at the same
   per-threshold accuracy (see ``benchmarks/bench_engine_api.py``).
 

@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import ImmutableStateProcess, VectorizedProcess, register_batch_z
+from .base import (ImmutableStateProcess, VectorizedProcess, register_batch_z,
+                   require_finite)
 
 
 class ARProcess(ImmutableStateProcess, VectorizedProcess):
@@ -46,11 +47,16 @@ class ARProcess(ImmutableStateProcess, VectorizedProcess):
         coeffs = tuple(float(c) for c in coefficients)
         if not coeffs:
             raise ValueError("AR process needs at least one coefficient")
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
         if initial_values is None:
             initial_values = (0.0,) * len(coeffs)
         init = tuple(float(v) for v in initial_values)
+        require_finite(sigma=sigma,
+                       **{f"coefficients[{i}]": c
+                          for i, c in enumerate(coeffs)},
+                       **{f"initial_values[{i}]": v
+                          for i, v in enumerate(init)})
+        if sigma <= 0:
+            raise ValueError(f"sigma must be positive, got {sigma}")
         if len(init) != len(coeffs):
             raise ValueError(
                 f"initial_values must have length {len(coeffs)}, "

@@ -144,6 +144,7 @@ from __future__ import annotations
 
 import abc
 import copy
+import functools
 import math
 import random
 from typing import Any, Callable, Sequence
@@ -629,21 +630,32 @@ def register_batch_z(scalar_z: Callable, batch_z: Callable) -> Callable:
     return batch_z
 
 
-def batch_z_values(z: Callable, states: np.ndarray) -> np.ndarray:
-    """Evaluate ``z`` over a state array, one value per row.
+def resolve_batch_z(z: Callable) -> Callable:
+    """The batch form of ``z``: a callable from a state array to one
+    value per row (any array-like; :func:`batch_z_values` makes it
+    ``float64``).
 
     Resolution order: an explicit ``z.batch`` attribute, then the
     :func:`register_batch_z` registry (bound methods are looked up by
     their underlying function and called with their instance), then a
-    row-wise scalar loop — always correct, merely slower.
+    row-wise scalar loop — always correct, merely slower.  A hot loop
+    resolves once and calls the result every step.
     """
     batch = getattr(z, "batch", None)
     if batch is not None:
-        return np.asarray(batch(states), dtype=np.float64)
+        return batch
     registered = _BATCH_Z.get(getattr(z, "__func__", z))
-    if registered is not None:
-        owner = getattr(z, "__self__", None)
-        if owner is not None:
-            return np.asarray(registered(owner, states), dtype=np.float64)
-        return np.asarray(registered(states), dtype=np.float64)
-    return np.asarray([z(s) for s in states], dtype=np.float64)
+    if registered is None:
+        def rowwise(states):
+            return [z(s) for s in states]
+        return rowwise
+    owner = getattr(z, "__self__", None)
+    if owner is None:
+        return registered
+    return functools.partial(registered, owner)
+
+
+def batch_z_values(z: Callable, states: np.ndarray) -> np.ndarray:
+    """Evaluate ``z`` over a state array: ``float64``, one value per row
+    (through :func:`resolve_batch_z`)."""
+    return np.asarray(resolve_batch_z(z)(states), dtype=np.float64)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .base import (ImmutableStateProcess, VectorizedProcess,
-                   register_batch_z, scalar_state_column)
+                   register_batch_z, require_finite, scalar_state_column)
 
 
 class MarkovChainProcess(ImmutableStateProcess, VectorizedProcess):
@@ -45,6 +45,8 @@ class MarkovChainProcess(ImmutableStateProcess, VectorizedProcess):
                 raise ValueError(
                     f"row {i} has length {len(row)}, expected {n}"
                 )
+            require_finite(**{f"transition_matrix[{i}][{j}]": p
+                              for j, p in enumerate(row)})
             if any(p < -1e-12 for p in row):
                 raise ValueError(f"row {i} has negative probabilities")
             total = sum(row)
@@ -60,6 +62,8 @@ class MarkovChainProcess(ImmutableStateProcess, VectorizedProcess):
             raise ValueError(
                 f"values must have length {n}, got {len(values)}"
             )
+        require_finite(**{f"values[{i}]": float(v)
+                          for i, v in enumerate(values)})
         self.matrix = matrix
         self.start = start
         self.values = [float(v) for v in values]

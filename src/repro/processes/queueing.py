@@ -27,7 +27,8 @@ import random
 
 import numpy as np
 
-from .base import ImmutableStateProcess, VectorizedProcess, register_batch_z
+from .base import (ImmutableStateProcess, VectorizedProcess, register_batch_z,
+                   require_finite)
 
 QueueState = tuple  # (customers in queue 1, customers in queue 2)
 
@@ -86,6 +87,9 @@ class TandemQueueProcess(ImmutableStateProcess, VectorizedProcess):
 
     def __init__(self, arrival_rate: float = 0.5,
                  mean_service1: float = 2.0, mean_service2: float = 2.0):
+        require_finite(arrival_rate=arrival_rate,
+                       mean_service1=mean_service1,
+                       mean_service2=mean_service2)
         if arrival_rate <= 0:
             raise ValueError(f"arrival_rate must be > 0, got {arrival_rate}")
         if mean_service1 <= 0 or mean_service2 <= 0:
@@ -95,6 +99,10 @@ class TandemQueueProcess(ImmutableStateProcess, VectorizedProcess):
         self.mean_service2 = mean_service2
         self._mu1 = 1.0 / mean_service1
         self._mu2 = 1.0 / mean_service2
+        # A subnormal mean gives an infinite rate: the Gillespie clock
+        # would then never advance past a busy station's events.
+        require_finite(**{"1 / mean_service1": self._mu1,
+                          "1 / mean_service2": self._mu2})
 
     def initial_state(self) -> QueueState:
         """The paper always starts from an empty system."""

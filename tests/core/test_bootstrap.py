@@ -10,16 +10,15 @@ from repro.core.forest import VectorizedForestRunner
 from repro.core.gmlss import (gmlss_pi_hat_rows, gmlss_point_estimate,
                               gmlss_prefix_estimates)
 from repro.core.levels import LevelPartition, normalize_ratios
-from repro.core.records import ForestAggregate, RootRecord
+from repro.core.records import ForestAggregate, ForestCohort
+
+from ..helpers import make_cohort
 
 
 def srs_like_aggregate(hit_flags):
     """An aggregate with no levels: per-root hits are Bernoulli labels."""
     aggregate = ForestAggregate(1)
-    for flag in hit_flags:
-        record = RootRecord(1)
-        record.hits = int(flag)
-        aggregate.add(record)
+    aggregate.extend(make_cohort(1, n=len(hit_flags), hits=hit_flags))
     return aggregate
 
 
@@ -36,21 +35,22 @@ def replicate_prefixes(aggregate, ratios, n_boot, seed):
     """Each bootstrap replicate refolded the slow way.
 
     Replays the bootstrap's resampling stream, rebuilds every resampled
-    forest root by root, and folds it through
+    forest from the drawn roots' rows of :meth:`ForestAggregate.
+    per_root_matrices`, folds it into a fresh aggregate and through
     :func:`gmlss_prefix_estimates`.  Returns the ``(n_boot, m)``
     replicate prefixes.
     """
     rng = np.random.default_rng(seed)
+    landings, skips, crossings, hits = (
+        matrix.astype(np.int64) for matrix in aggregate.per_root_matrices())
+    zeros = np.zeros(aggregate.n_roots, dtype=np.int64)
     replicates = np.empty((n_boot, aggregate.num_levels))
     for b in range(n_boot):
+        drawn = rng.integers(0, aggregate.n_roots, size=aggregate.n_roots)
         resampled = ForestAggregate(aggregate.num_levels)
-        for k in rng.integers(0, aggregate.n_roots, size=aggregate.n_roots):
-            record = RootRecord(aggregate.num_levels)
-            record.hits = aggregate.root_hits[k]
-            record.landings = aggregate.root_landings[k]
-            record.skips = aggregate.root_skips[k]
-            record.crossings = aggregate.root_crossings[k]
-            resampled.add(record)
+        resampled.extend(ForestCohort(
+            landings[drawn], skips[drawn], crossings[drawn], hits[drawn],
+            zeros, zeros))
         replicates[b] = gmlss_prefix_estimates(resampled, ratios)
     return replicates
 
@@ -61,16 +61,15 @@ class TestVectorizedReplicateFold:
     estimator values)."""
 
     def synthetic_aggregate(self, n_roots=200, num_levels=4, seed=0):
-        rng = random.Random(seed)
+        rng = np.random.default_rng(seed)
+        shape = (n_roots, num_levels)
+        unused = np.arange(num_levels) == 0
         aggregate = ForestAggregate(num_levels)
-        for _ in range(n_roots):
-            record = RootRecord(num_levels)
-            record.hits = rng.randrange(3)
-            for i in range(1, num_levels):
-                record.landings[i] = rng.randrange(4)
-                record.skips[i] = rng.randrange(2)
-                record.crossings[i] = rng.randrange(6)
-            aggregate.add(record)
+        aggregate.extend(make_cohort(
+            num_levels, n=n_roots, hits=rng.integers(0, 3, n_roots),
+            landings=np.where(unused, 0, rng.integers(0, 4, shape)),
+            skips=np.where(unused, 0, rng.integers(0, 2, shape)),
+            crossings=np.where(unused, 0, rng.integers(0, 6, shape))))
         return aggregate
 
     def test_estimates_match_scalar_fold_per_replicate(self):

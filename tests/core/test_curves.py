@@ -199,8 +199,7 @@ class TestMaxLevelBookkeeping:
         runner = VectorizedForestRunner(
             query, partition, normalize_ratios(2, partition.num_levels),
             np.random.default_rng(0))
-        record = runner.run_cohort(1)[0]
-        assert record.max_level == 1
+        assert runner.run_cohort(1).max_levels.tolist() == [1]
 
     def test_hit_records_target_level(self):
         process = ScriptedProcess([0.6, 1.0])
@@ -210,8 +209,8 @@ class TestMaxLevelBookkeeping:
         runner = VectorizedForestRunner(
             query, partition, normalize_ratios(2, partition.num_levels),
             np.random.default_rng(0))
-        record = runner.run_cohort(1)[0]
-        assert record.max_level == partition.num_levels
+        assert runner.run_cohort(1).max_levels.tolist() == [
+            partition.num_levels]
 
     def test_backends_agree_on_level_reach(self, walk_query):
         """Native kernel vs ``step`` definition (ScalarFallback)."""

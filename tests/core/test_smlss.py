@@ -9,14 +9,14 @@ from repro.core.forest import VectorizedForestRunner
 from repro.core.levels import LevelPartition, normalize_ratios
 from repro.core.quality import RelativeErrorTarget
 from repro.core.records import ForestAggregate
-from repro.core.records import RootRecord
 from repro.core.smlss import (SMLSSSampler, ratio_product,
                               smlss_prefix_estimates,
                               smlss_prefix_variances)
 from repro.core.srs import SRSSampler, srs_variance
 from repro.core.value_functions import DurabilityQuery
 
-from ..helpers import ScriptedProcess, assert_close_to, identity_z
+from ..helpers import (ScriptedProcess, assert_close_to, identity_z,
+                       make_cohort)
 
 
 def aggregate_from(query, boundaries, ratio, n_roots, seed):
@@ -51,11 +51,9 @@ class TestEstimatorAlgebra:
 
     def test_variance_scales_with_ratio_product(self):
         agg = ForestAggregate(3)
-        for hits, landed in ((0, 1), (2, 3), (4, 2), (0, 0), (1, 1)):
-            record = RootRecord(3)
-            record.hits = hits
-            record.landings = [0, landed, 3 * landed]
-            agg.add(record)
+        hits, landed = [0, 2, 4, 0, 1], [1, 3, 2, 0, 1]
+        agg.extend(make_cohort(3, n=5, hits=hits,
+                               landings=[[0, c, 3 * c] for c in landed]))
         sigma_sq = agg.hit_count_variance()
         assert sigma_sq == pytest.approx(np.var([0, 2, 4, 0, 1], ddof=1))
         variances = smlss_prefix_variances(agg, (1, 3, 3))

@@ -1,7 +1,8 @@
 """Tests for value functions and durability query construction."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.value_functions import (TARGET_VALUE, DurabilityQuery,
                                         ThresholdValueFunction)
@@ -49,6 +50,75 @@ class TestThresholdValueFunction:
     def test_repr_mentions_beta(self):
         f = ThresholdValueFunction(identity_z, beta=7.0)
         assert "7.0" in repr(f)
+
+
+def value_space_levels(bounds, beta, z):
+    """The score rule: ``hit = values >= 1`` is level ``m``, otherwise
+    ``searchsorted(bounds, values, "right")`` of ``values = clip(z /
+    beta, 0, 1)``."""
+    values = np.clip(np.asarray(z, dtype=np.float64) / beta, 0.0,
+                     TARGET_VALUE)
+    levels = np.searchsorted(np.asarray(bounds, dtype=np.float64), values,
+                             side="right")
+    return np.where(values >= TARGET_VALUE, len(bounds) + 1, levels)
+
+
+class TestZBoundaries:
+    """Raw ``z`` against :meth:`ThresholdValueFunction.z_boundaries`
+    classifies exactly as the score ``min(z / beta, 1)`` does."""
+
+    @settings(max_examples=300)
+    @given(beta=st.floats(min_value=5e-324, max_value=1e300),
+           level=st.floats(min_value=1e-12, max_value=1.0))
+    def test_each_boundary_is_the_least_float_reaching_its_level(
+            self, beta, level):
+        f = ThresholdValueFunction(identity_z, beta=beta)
+        (edge,) = f.z_boundaries([level])
+        assert edge / np.float64(beta) >= level
+        assert np.nextafter(edge, -np.inf) / np.float64(beta) < level
+
+    def test_chain_state_on_its_boundary(self):
+        """Chain state 3 against boundary 3/13 at beta = 13: the state
+        reaches the level, as its score 3/13 does."""
+        f = ThresholdValueFunction(identity_z, beta=13.0)
+        (edge,) = f.z_boundaries([3 / 13])
+        assert edge <= 3.0
+        assert np.nextafter(edge, -np.inf) / 13.0 < 3 / 13
+        assert value_space_levels([3 / 13], 13.0, [3.0]).tolist() == [1]
+
+    @pytest.mark.parametrize("beta", [7.0, 12.0, 13.0, 17.0, 49.0])
+    def test_walk_positions_on_lattice_boundaries(self, beta):
+        """Walk position ``k`` against boundary ``k / beta``: every
+        lattice position classifies as its score does."""
+        bounds = [k / beta for k in range(1, int(beta))]
+        f = ThresholdValueFunction(identity_z, beta=beta)
+        edges = f.z_boundaries(bounds + [TARGET_VALUE])
+        positions = np.arange(-2.0, beta + 3.0)
+        assert np.array_equal(np.searchsorted(edges, positions, "right"),
+                              value_space_levels(bounds, beta, positions))
+        assert (edges <= np.arange(1.0, beta + 1.0)).all()
+
+    @settings(max_examples=200)
+    @given(beta=st.floats(min_value=1e-6, max_value=1e6),
+           bounds=st.lists(st.floats(min_value=1e-4, max_value=0.9999),
+                           max_size=5, unique=True))
+    def test_classification_equals_the_score_rule(self, beta, bounds):
+        """At every boundary, its float neighbours, ``b * beta``, beta,
+        and at +-0 and +-inf."""
+        bounds = sorted(bounds)
+        f = ThresholdValueFunction(identity_z, beta=beta)
+        edges = f.z_boundaries(bounds + [TARGET_VALUE])
+        z = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            np.asarray(bounds) * beta, [beta, 0.0, -0.0, np.inf, -np.inf]])
+        assert np.array_equal(np.searchsorted(edges, z, "right"),
+                              value_space_levels(bounds, beta, z))
+
+    @pytest.mark.parametrize("level", [0.0, -0.5])
+    def test_rejects_non_positive_levels(self, level):
+        with pytest.raises(ValueError, match="positive"):
+            ThresholdValueFunction(identity_z, beta=2.0).z_boundaries(
+                [level])
 
 
 class TestDurabilityQuery:

@@ -34,11 +34,6 @@ def scripted_query(script, beta=1.0, horizon=None, initial=0.0):
                                      horizon=horizon or len(script))
 
 
-def record_tuple(record):
-    return (record.hits, record.steps, record.landings, record.skips,
-            record.crossings)
-
-
 def chain_reach_probabilities(chain, thresholds, horizon=60):
     """Exact ``Pr[chain reaches state >= k within horizon]`` per ``k``."""
     top = len(chain.matrix)
@@ -47,7 +42,7 @@ def chain_reach_probabilities(chain, thresholds, horizon=60):
 
 
 class TestVectorizedForestBookkeeping:
-    """Cohort records on scripted processes (inside ScalarFallback)."""
+    """Cohort counters on scripted processes (inside ScalarFallback)."""
 
     def test_cohort_records_are_per_root(self):
         # Clean two-level ascent with r = 2, derived by hand: the root
@@ -55,12 +50,13 @@ class TestVectorizedForestBookkeeping:
         # each), their 4 offspring hit (1 step each).
         query = scripted_query([0.2, 0.5, 0.9, 1.2])
         partition = LevelPartition([0.4, 0.8])
-        records = VectorizedForestRunner(
+        cohort = VectorizedForestRunner(
             query, partition, 2, np.random.default_rng(0)).run_cohort(5)
-        assert len(records) == 5
-        for record in records:
-            assert record_tuple(record) == (4, 8, [0, 1, 2], [0, 0, 0],
-                                            [0, 2, 4])
+        assert cohort.hits.tolist() == [4] * 5
+        assert cohort.steps.tolist() == [8] * 5
+        assert cohort.landings.tolist() == [[0, 1, 2]] * 5
+        assert cohort.skips.tolist() == [[0, 0, 0]] * 5
+        assert cohort.crossings.tolist() == [[0, 2, 4]] * 5
 
     def test_validates_plan_like_scalar_runner(self):
         query = scripted_query([0.9], initial=0.5)
@@ -72,7 +68,8 @@ class TestVectorizedForestBookkeeping:
         query = scripted_query([0.9])
         runner = VectorizedForestRunner(query, LevelPartition(), 1,
                                         np.random.default_rng(0))
-        assert runner.run_cohort(0) == []
+        empty = runner.run_cohort(0)
+        assert [column.shape for column in empty] == [(0, 1)] * 3 + [(0,)] * 3
         with pytest.raises(ValueError):
             runner.run_cohort(-1)
 

@@ -7,7 +7,13 @@ import math
 import random
 from pathlib import Path
 
-from repro.processes.base import ImmutableStateProcess, StochasticProcess
+import numpy as np
+
+from repro.core.levels import normalize_ratios
+from repro.core.records import ForestCohort
+from repro.core.value_functions import TARGET_VALUE, batch_values
+from repro.processes.base import (ImmutableStateProcess, StochasticProcess,
+                                  as_vectorized)
 
 
 class ScriptedProcess(ImmutableStateProcess):
@@ -90,6 +96,103 @@ class ScalarOnly(StochasticProcess):
 def scalar_only(query):
     """``query`` with its process reduced to :class:`ScalarOnly`."""
     return dataclasses.replace(query, process=ScalarOnly(query.process))
+
+
+def make_cohort(num_levels: int, n: int = 1, **columns) -> ForestCohort:
+    """A :class:`ForestCohort` of ``n`` roots, zero but for the named
+    columns (one value, or one value or level row per root)."""
+    arrays = {}
+    for name in ForestCohort._fields:
+        matrix = name in ("landings", "skips", "crossings")
+        shape = (n, num_levels) if matrix else (n,)
+        value = np.asarray(columns.pop(name, 0), dtype=np.int64)
+        arrays[name] = np.broadcast_to(value, shape).copy()
+    if columns:
+        raise TypeError(f"unknown cohort columns {sorted(columns)}")
+    return ForestCohort(**arrays)
+
+
+def reference_forest_cohort(query, partition, ratios, rng, n_roots: int,
+                            initial_states=None) -> tuple:
+    """The splitting forest's bookkeeping one event at a time.
+
+    The per-event body :class:`~repro.core.forest.
+    VectorizedForestRunner` ran before its counters became arrays,
+    kept as the reference its kernel is pinned to: the same draws in
+    the same order (one ``step_batch`` per time step over survivors
+    then offspring, in row order), scored in value space (``hit =
+    values >= 1``, ``levels = searchsorted(bounds, values, "right")``),
+    with a split table for the crossings.  Returns the six ``int64``
+    arrays ``(landings, skips, crossings, hits, max_levels, steps)``.
+    """
+    process = as_vectorized(query.process)
+    value_fn = query.value_function
+    horizon = query.horizon
+    m = partition.num_levels
+    bounds = np.asarray(partition.boundaries, dtype=np.float64)
+    ratios = normalize_ratios(ratios, m)
+    landings = np.zeros((n_roots, m), dtype=np.int64)
+    skips = np.zeros((n_roots, m), dtype=np.int64)
+    crossings = np.zeros((n_roots, m), dtype=np.int64)
+    hits = np.zeros(n_roots, dtype=np.int64)
+    max_levels = np.zeros(n_roots, dtype=np.int64)
+    steps = np.zeros(n_roots, dtype=np.int64)
+    states = (process.initial_states(n_roots) if initial_states is None
+              else initial_states)
+    roots = np.arange(n_roots)
+    born = np.zeros(n_roots, dtype=np.int64)
+    parents = np.full(n_roots, -1, dtype=np.int64)
+    splits = []  # [root, level, crossed] per split
+
+    for t in range(1, horizon + 1):
+        if not len(roots):
+            break
+        states = process.step_batch(states, t, rng)
+        steps += np.bincount(roots, minlength=n_roots)
+        values = batch_values(value_fn, states, t)
+        hit = values >= TARGET_VALUE
+        levels = np.searchsorted(bounds, values, side="right")
+        promoted = ~hit & (levels > born)
+        event = hit | promoted
+        if not event.any():
+            continue
+        spawn_rows, spawn_slots, spawn_levels = [], [], []
+        for i in np.nonzero(event)[0]:
+            root = roots[i]
+            if hit[i]:
+                hits[root] += 1
+                max_levels[root] = m
+                skips[root, born[i] + 1:m] += 1
+            else:
+                level = int(levels[i])
+                max_levels[root] = max(max_levels[root], level)
+                skips[root, born[i] + 1:level] += 1
+                landings[root, level] += 1
+                splits.append([root, level, 0])
+                if t < horizon:
+                    spawn_rows.append(i)
+                    spawn_slots.append(len(splits) - 1)
+                    spawn_levels.append(level)
+            if parents[i] >= 0:
+                splits[parents[i]][2] += 1
+        survivors = ~event
+        if spawn_rows:
+            counts = np.asarray([ratios[lv] for lv in spawn_levels])
+            offspring = process.replicate(states, spawn_rows, counts)
+            states = np.concatenate([states[survivors], offspring])
+            roots = np.concatenate(
+                [roots[survivors], np.repeat(roots[spawn_rows], counts)])
+            born = np.concatenate(
+                [born[survivors], np.repeat(spawn_levels, counts)])
+            parents = np.concatenate(
+                [parents[survivors], np.repeat(spawn_slots, counts)])
+        else:
+            states, roots = states[survivors], roots[survivors]
+            born, parents = born[survivors], parents[survivors]
+
+    for root, level, crossed in splits:
+        crossings[root, level] += crossed
+    return landings, skips, crossings, hits, max_levels, steps
 
 
 def identity_z(state) -> float:

@@ -1,6 +1,8 @@
 """Tests for the AR(m) process."""
 
+import math
 import random
+import re
 
 import pytest
 
@@ -31,6 +33,18 @@ class TestConstruction:
     def test_rejects_mismatched_initial_window(self):
         with pytest.raises(ValueError):
             ARProcess([0.5, 0.3], initial_values=[1.0])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("param,kwargs", [
+        ("sigma", lambda v: {"coefficients": [0.5], "sigma": v}),
+        ("coefficients[1]", lambda v: {"coefficients": [0.5, v]}),
+        ("initial_values[0]",
+         lambda v: {"coefficients": [0.5], "initial_values": [v]}),
+    ])
+    def test_non_finite_parameter_rejected(self, param, kwargs, value):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{param} must be finite")):
+            ARProcess(**kwargs(value))
 
 
 class TestDynamics:

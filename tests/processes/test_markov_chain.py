@@ -1,6 +1,8 @@
 """Tests for finite Markov chains."""
 
+import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -33,6 +35,22 @@ class TestConstruction:
     def test_rejects_empty_matrix(self):
         with pytest.raises(ValueError):
             MarkovChainProcess([])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 0)])
+    def test_non_finite_matrix_entry_rejected(self, entry, value):
+        matrix = [[0.5, 0.5], [0.5, 0.5]]
+        matrix[entry[0]][entry[1]] = value
+        name = f"transition_matrix[{entry[0]}][{entry[1]}]"
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{name} must be finite")):
+            MarkovChainProcess(matrix)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ValueError,
+                           match=re.escape("values[1] must be finite")):
+            MarkovChainProcess([[0.5, 0.5], [0.5, 0.5]], values=[0, value])
 
     def test_default_values_are_indices(self):
         chain = MarkovChainProcess([[0.5, 0.5], [0.5, 0.5]])
@@ -88,3 +106,10 @@ class TestBirthDeathChain:
             birth_death_chain(1, 0.3, 0.3)
         with pytest.raises(ValueError):
             birth_death_chain(5, 0.7, 0.5)
+
+    @pytest.mark.parametrize("param", ["p_up", "p_down"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_probability_rejected(self, param, value):
+        params = {"n": 5, "p_up": 0.3, "p_down": 0.3, param: value}
+        with pytest.raises(ValueError):
+            birth_death_chain(**params)

@@ -1,5 +1,6 @@
 """Tests for the tandem queue model (Section 6, model 1)."""
 
+import math
 import random
 
 import pytest
@@ -22,6 +23,20 @@ class TestConstruction:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             TandemQueueProcess(**kwargs)
+
+    @pytest.mark.parametrize("param", ["arrival_rate", "mean_service1",
+                                       "mean_service2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected(self, param, value):
+        with pytest.raises(ValueError, match=f"{param} must be finite"):
+            TandemQueueProcess(**{param: value})
+
+    @pytest.mark.parametrize("param", ["mean_service1", "mean_service2"])
+    def test_subnormal_mean_service_time_rejected(self, param):
+        """``1 / 1e-310`` is an infinite service rate, under which the
+        Gillespie clock never advances past a busy station."""
+        with pytest.raises(ValueError, match=f"1 / {param} must be finite"):
+            TandemQueueProcess(**{param: 1e-310})
 
     def test_starts_empty(self):
         assert TandemQueueProcess().initial_state() == (0, 0)

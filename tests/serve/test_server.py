@@ -647,12 +647,41 @@ class TestNonFiniteNumbersAndGrids:
         ({"family": "gbm", "params": {"mu": "@"}}, "NaN"),
         ({"family": "gaussian_walk", "params": {"sigma": "@"}},
          "Infinity"),
+        ({"family": "tandem_queue", "params": {"arrival_rate": "@"}},
+         "NaN"),
+        ({"family": "ar", "params": {"coefficients": [0.5, "@"]}}, "NaN"),
+        ({"family": "markov_chain",
+          "params": {"transition_matrix": [["@", 0.5], [0.5, 0.5]]}},
+         "NaN"),
     ])
     def test_non_finite_process_parameter_is_400(self, handle, process,
                                                  value):
         query = {"process": process, "beta": 9.0, "horizon": 40}
         self.assert_protocol_400(handle, "/answer", self.with_number(
             {"query": query}, value))
+
+    def test_subnormal_service_time_is_400_not_a_wedged_thread(self,
+                                                              handle):
+        """``1e-310`` is finite JSON, but its service rate ``1 / 1e-310``
+        is infinite; the request must be refused before any engine
+        thread simulates it."""
+        query = {"process": {"family": "tandem_queue",
+                             "params": {"arrival_rate": 0.5,
+                                        "mean_service1": 1e-310,
+                                        "mean_service2": 2.0}},
+                 "beta": 5.0, "horizon": 20}
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port,
+                                          timeout=20)
+        try:
+            conn.request("POST", "/answer", body=json.dumps({"query": query}))
+            response = conn.getresponse()
+            document = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400, document
+        assert document["error"]["kind"] == "protocol"
+        assert "1 / mean_service1 must be finite" in document["error"][
+            "message"]
 
     def test_non_finite_quality_target_is_400(self, handle):
         self.assert_protocol_400(handle, "/answer", self.with_number(
