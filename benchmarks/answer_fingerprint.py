@@ -20,19 +20,26 @@ s-MLSS and g-MLSS under a relative-error target), fused
 ``answer_batch`` (SRS screening and clustered g-MLSS fleets, each
 under a budget and under a quality target), fused
 ``durability_curves`` under a budget and under a relative-error
-target, and all of it again over an inline pool, a 2-worker thread
-pool and a 2-worker fork pool; by the determinism contract the fork
-lines equal the thread lines after their ``thread.``/``fork.``
-labels.  It also covers the SRS paths no natively batched fleet
+target, and all of it again over an inline pool and a 2-worker fork
+pool.  It also covers the SRS paths no natively batched fleet
 reaches: point and curve answers of a process that defines only
 ``step`` (it runs inside ``ScalarFallback``), an SRS answer under a
 value function that is not a threshold, an ``answer_batch`` whose
 queries share one process object (the same-process cohort) and the
 fleet with ``fuse=False``.  An answer that raises prints ``label
 raises ErrorType`` instead.  Runs in under half a minute.
+
+By the determinism contract the fork lines equal the inline lines once
+their ``inline.``/``fork.`` labels are stripped.  After printing every
+line the script checks this itself and exits 1, naming the first fork
+label that differs on stderr; stdout stays the fingerprint, so it still
+diffs against the output of other trees.
 """
 
 from __future__ import annotations
+
+import sys
+from itertools import zip_longest
 
 import numpy as np
 
@@ -104,7 +111,6 @@ def fingerprint() -> list:
 
     pools = (("direct", None),
              ("inline", ParallelPolicy(n_workers=1, pool="inline")),
-             ("thread", ParallelPolicy(n_workers=2, pool="thread")),
              ("fork", ParallelPolicy(n_workers=2, pool="fork")))
     for tag, pool in pools:
         with DurabilityEngine(policy.replace(parallel=pool)) as engine:
@@ -204,10 +210,28 @@ def fingerprint() -> list:
     return out
 
 
-def main() -> None:
-    for text in fingerprint():
+def first_pool_difference(lines: list):
+    """The first fork label whose line differs from its inline line
+    once the pass tags are stripped, or ``None`` when the passes match."""
+    passes = [[text.split(".", 1)[1] for text in lines
+               if text.startswith(f"{tag}.")] for tag in ("inline", "fork")]
+    for inline, fork in zip_longest(*passes):
+        if inline != fork:
+            return "fork." + (fork or inline).split(" ", 1)[0]
+    return None
+
+
+def main() -> int:
+    lines = fingerprint()
+    for text in lines:
         print(text)
+    differing = first_pool_difference(lines)
+    if differing is not None:
+        print(f"determinism contract broken: {differing} differs from "
+              f"its inline line", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

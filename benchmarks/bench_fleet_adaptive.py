@@ -24,7 +24,7 @@ CI runner:
   within joint 99.9% CIs;
 * **determinism gate** — pooled adaptive answers are byte-identical
   across worker counts and pool modes (fixed member slices, task-index
-  seeds; the inline run differs only in draw interleaving).
+  seeds; the unpooled run differs only in draw interleaving).
 
 Run directly (``python benchmarks/bench_fleet_adaptive.py [--quick]``);
 CI uses ``--quick``.  Results land in ``BENCH_fleet_adaptive.json``
@@ -33,6 +33,7 @@ and ``benchmarks/results/fleet_adaptive.txt``.
 
 import argparse
 import json
+import os
 import time
 from pathlib import Path
 
@@ -146,10 +147,10 @@ def main():
     # Determinism: pooled adaptive answers must be byte-identical
     # across worker counts and pool modes (the fixed member slices and
     # task-index seeds make results worker-count invariant; only the
-    # unsharded inline run interleaves draws differently).
+    # unpooled run interleaves draws differently).
     reference_sig = None
     determinism = {}
-    for mode, n_workers in (("thread", 1), ("thread", 3), ("fork", 2)):
+    for mode, n_workers in (("inline", 1), ("fork", 2), ("fork", 3)):
         with WorkerPool(n_workers=n_workers, pool=mode) as pool:
             pooled, _ = run_fleet(fused, betas, partition, horizon,
                                   quality, True, seed, pool=pool)
@@ -177,6 +178,7 @@ def main():
         "horizon": horizon,
         "half_width": half_width,
         "quick": args.quick,
+        "cpu_count": os.cpu_count() or 1,
         "runs": {label: {k: v for k, v in run.items()
                          if k != "estimates"}
                  for label, run in runs.items()},

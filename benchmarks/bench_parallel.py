@@ -21,16 +21,17 @@ vectorized/fused substrate *inside every worker*:
    pilot, trials and pilot chunks sharded over the pool
    (``adaptive_greedy_partition(pool=...)``).
 
-Every pooled point runs under **both process (fork) and thread
-modes**; the per-workload speedup is the best 4-worker rate over
-the 1-worker (inline) rate, and both modes feed the determinism check.
+Every workload runs on the inline pool (1 worker, the baseline) and on
+fork pools of 2 and 4 workers; the per-workload speedup is the
+4-worker rate over the 1-worker rate, and all three points feed the
+determinism check.
 
 Besides throughput, the machine-independent contracts are *gated* (the
 benchmark fails if they break, whatever the host):
 
 * **determinism** — pooled results byte-identical across worker counts
-  *and* pool modes (fixed task decomposition, task-index-derived
-  seeds);
+  *and* pool modes, inline and fork (fixed task decomposition,
+  task-index-derived seeds);
 * **agreement** — pooled estimates inside joint 99.9% CIs of
   single-process (unpooled) runs (a many-comparison workload may miss
   its binomial false-positive budget, a one-comparison workload never:
@@ -75,26 +76,17 @@ RESULT_JSON = REPO_ROOT / "BENCH_parallel.json"
 
 WORKER_GRID = (1, 2, 4)
 #: (mode, n_workers) measurement points: the inline baseline plus the
-#: worker grid under both the process and thread pool modes.
-POOL_GRID = (("inline", 1), ("fork", 2), ("fork", 4),
-             ("thread", 2), ("thread", 4))
+#: fork worker grid.
+POOL_GRID = (("inline", 1), ("fork", 2), ("fork", 4))
 SPEEDUP_TARGET = 3.0
 Z999 = critical_value(0.999)
 
 
-def best_speedup(rows):
-    """Best 4-worker steps/s (any mode) over the 1-worker baseline."""
+def speedup_at_4(rows):
+    """4-worker steps/s over the 1-worker baseline."""
     base = next(r for r in rows if r["n_workers"] == 1)
-    peak = max(r["steps_per_second"] for r in rows
-               if r["n_workers"] == max(WORKER_GRID))
-    return round(peak / base["steps_per_second"], 2)
-
-
-def speedup_by_mode(rows):
-    base = next(r for r in rows if r["n_workers"] == 1)
-    return {r["mode"]: round(r["steps_per_second"]
-                             / base["steps_per_second"], 2)
-            for r in rows if r["n_workers"] == max(WORKER_GRID)}
+    peak = next(r for r in rows if r["n_workers"] == max(WORKER_GRID))
+    return round(peak["steps_per_second"] / base["steps_per_second"], 2)
 
 
 def build_fleet(n_entities, seed=0):
@@ -154,8 +146,7 @@ def run_srs_workload(quick):
         "query": query.name,
         "max_roots": max_roots,
         "by_workers": rows,
-        "speedup_at_4": best_speedup(rows),
-        "speedup_at_4_by_mode": speedup_by_mode(rows),
+        "speedup_at_4": speedup_at_4(rows),
         "deterministic_across_workers":
             all(s == signatures[0] for s in signatures),
         "comparisons": 1,
@@ -198,8 +189,7 @@ def run_fleet_workload(quick):
         "horizon": horizon,
         "max_roots_per_entity": max_roots,
         "by_workers": rows,
-        "speedup_at_4": best_speedup(rows),
-        "speedup_at_4_by_mode": speedup_by_mode(rows),
+        "speedup_at_4": speedup_at_4(rows),
         "deterministic_across_workers":
             all(s == signatures[0] for s in signatures),
         "comparisons": n_entities,
@@ -248,8 +238,7 @@ def run_curve_workload(quick):
         "horizon": horizon,
         "max_roots_per_entity": max_roots,
         "by_workers": rows,
-        "speedup_at_4": best_speedup(rows),
-        "speedup_at_4_by_mode": speedup_by_mode(rows),
+        "speedup_at_4": speedup_at_4(rows),
         "deterministic_across_workers":
             all(s == signatures[0] for s in signatures),
         "comparisons": n_entities * 8,
@@ -291,8 +280,7 @@ def run_forest_workload(quick):
         "boundaries": list(partition.boundaries),
         "max_roots": max_roots,
         "by_workers": rows,
-        "speedup_at_4": best_speedup(rows),
-        "speedup_at_4_by_mode": speedup_by_mode(rows),
+        "speedup_at_4": speedup_at_4(rows),
         "deterministic_across_workers":
             all(s == signatures[0] for s in signatures),
         "comparisons": 1,
@@ -330,26 +318,20 @@ def run_plan_search_workload(quick):
              "seconds": round(parent_seconds, 4),
              "pilot_seconds": round(parent_pilot_seconds, 4),
              "search_steps": parent.search_steps}]
-    identical = True
-    for mode in ("fork", "thread"):
-        with WorkerPool(n_workers=max(WORKER_GRID), pool=mode) as pool:
-            pooled, seconds = timed(lambda: adaptive_greedy_partition(
-                query, ratio=3, trial_steps=trial_steps, seed=17,
-                pool=pool))
-            pooled_pilot, pilot_seconds = timed(
-                lambda: balanced_growth_partition(
-                    query, 4, pilot_paths=pilot_paths, seed=19,
-                    pool=pool))
-        rows.append({"mode": mode, "n_workers": max(WORKER_GRID),
-                     "seconds": round(seconds, 4),
-                     "pilot_seconds": round(pilot_seconds, 4),
-                     "search_steps": pooled.search_steps})
-        identical = (identical
-                     and pooled.partition == parent.partition
-                     and pooled.search_steps == parent.search_steps
-                     and pooled_pilot == parent_pilot)
-    best_pooled = min(r["seconds"] + r["pilot_seconds"]
-                      for r in rows[1:])
+    with WorkerPool(n_workers=max(WORKER_GRID), pool="fork") as pool:
+        pooled, seconds = timed(lambda: adaptive_greedy_partition(
+            query, ratio=3, trial_steps=trial_steps, seed=17, pool=pool))
+        pooled_pilot, pilot_seconds = timed(
+            lambda: balanced_growth_partition(
+                query, 4, pilot_paths=pilot_paths, seed=19, pool=pool))
+    rows.append({"mode": "fork", "n_workers": max(WORKER_GRID),
+                 "seconds": round(seconds, 4),
+                 "pilot_seconds": round(pilot_seconds, 4),
+                 "search_steps": pooled.search_steps})
+    identical = (pooled.partition == parent.partition
+                 and pooled.search_steps == parent.search_steps
+                 and pooled_pilot == parent_pilot)
+    pooled_total = seconds + pilot_seconds
     parent_total = parent_seconds + parent_pilot_seconds
     return {
         "workload": "plan_search",
@@ -358,9 +340,9 @@ def run_plan_search_workload(quick):
         "pilot_paths": pilot_paths,
         "greedy_partition": list(parent.partition.boundaries),
         "by_workers": rows,
-        "speedup_at_4": round(parent_total / best_pooled, 2),
+        "speedup_at_4": round(parent_total / pooled_total, 2),
         "plan_identical_to_parent": identical,
-        "pooled_faster_than_parent": best_pooled < parent_total,
+        "pooled_faster_than_parent": pooled_total < parent_total,
     }
 
 
@@ -439,8 +421,7 @@ def main(argv=None):
                 f"{row['steps_per_second']:>14,.0f} steps/s "
                 f"({row['seconds']:.3f}s)")
         lines.append(
-            f"  speedup@4 {workload['speedup_at_4']:.2f}x "
-            f"{workload['speedup_at_4_by_mode']}   "
+            f"  speedup@4 {workload['speedup_at_4']:.2f}x   "
             f"deterministic: {workload['deterministic_across_workers']}  "
             f"outside joint CI999: "
             f"{workload['outside_joint_ci999_vs_sequential']}"

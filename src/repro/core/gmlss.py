@@ -150,7 +150,7 @@ class GMLSSSampler:
         ``check_growth`` — the "conservative bootstrapping" policy.
     record_trace:
         Record convergence snapshots (taken at bootstrap evaluations).
-    pool / roots_per_task / tasks_per_round:
+    pool / roots_per_task:
         With a :class:`~repro.core.pool.WorkerPool`, root trees shard
         over its workers in fixed-size tasks, rounds pipelined
         (results are invariant under the worker count; see
@@ -163,8 +163,7 @@ class GMLSSSampler:
                  batch_roots: int = 100, bootstrap_rounds: int = 200,
                  first_check_roots: int = 200, check_growth: float = 1.5,
                  record_trace: bool = False,
-                 pool=None, roots_per_task: Optional[int] = None,
-                 tasks_per_round: Optional[int] = None):
+                 pool=None, roots_per_task: Optional[int] = None):
         if batch_roots < 1:
             raise ValueError(f"batch_roots must be >= 1, got {batch_roots}")
         if bootstrap_rounds < 2:
@@ -184,13 +183,11 @@ class GMLSSSampler:
         self.record_trace = record_trace
         self.pool = pool
         self.roots_per_task = roots_per_task
-        self.tasks_per_round = tasks_per_round
 
     def _make_runner(self, query: DurabilityQuery, seed):
         return make_forest_runner(
             query, self.partition, self.ratios, seed, pool=self.pool,
-            roots_per_task=self.roots_per_task,
-            tasks_per_round=self.tasks_per_round)
+            roots_per_task=self.roots_per_task)
 
     def run(self, query: DurabilityQuery,
             quality: Optional[QualityTarget] = None,

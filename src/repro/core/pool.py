@@ -10,17 +10,13 @@ multiplies that throughput rather than replacing it.  The execution layer is
 persistent:
 
 * :class:`WorkerPool` — long-lived workers.  ``"fork"`` starts worker
-  *processes*; ``"thread"`` starts worker *threads* that share the
-  parent address space (no process startup, no pickling — the NumPy
-  hot kernels release the GIL, so threads scale on real simulation
-  work and are the automatic fallback where fork is unavailable);
-  ``"inline"`` runs the identical code path in the caller.  A *work* —
-  query, partition, fleet — is registered **once** (one pickle per
-  process worker, a shared reference per thread worker); subsequent
-  rounds send only tiny *work descriptors* (task id, root budget,
-  derived seed).  Every task's result returns on its worker's result
-  channel: forest tasks return their per-root counters as a
-  :class:`~repro.core.records.ForestCohort` of six ``int64`` arrays,
+  *processes*; ``"inline"`` runs the identical code path in the caller
+  (and stands in for ``"fork"`` where fork is unavailable).  A *work*
+  — query, partition, fleet — is registered **once** (one pickle per
+  worker); subsequent rounds send only tiny *work descriptors* (task
+  id, root budget, derived seed).  Every task's result returns on its
+  worker's result pipe: forest tasks return their per-root counters as
+  a :class:`~repro.core.records.ForestCohort` of six ``int64`` arrays,
   which the parent folds with :meth:`~repro.core.records.
   ForestAggregate.extend`.
 * :class:`_TaskStream` / :meth:`WorkerPool.stream` — the pipelined
@@ -83,13 +79,13 @@ Fault tolerance
 A dead worker no longer necessarily aborts the run.  The parent's
 result loop doubles as a supervisor: when a worker process dies (or,
 with ``task_timeout_seconds`` set, overruns its deadline and is
-terminated), the pool respawns it in the same mode, re-registers every
+terminated), the pool respawns it in the same slot, re-registers every
 live work descriptor on the replacement, and re-submits only the tasks
 that were in flight on that worker.  Because task seeds are structural
 (:func:`derive_task_seed` over the task *index*), a re-executed task is
 **byte-identical** to the original, so recovery preserves every
-determinism gate.  Process workers return
-results over *per-worker pipes* written synchronously in the worker —
+determinism gate.  Workers return results over *per-worker pipes*
+written synchronously in the worker —
 a crash, even mid-send, can wedge only the dying worker's own channel
 (discarded at respawn); a shared ``mp.Queue`` would let one SIGKILL
 orphan the queue's write lock and hang every surviving worker.
@@ -107,7 +103,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import queue as queue_module
 import signal
 import threading
 import time
@@ -124,27 +119,27 @@ from .forest import VectorizedForestRunner, validate_plan
 from .levels import normalize_ratios
 from .records import ForestCohort
 
-#: Pool execution modes: forked worker processes (``"fork"``), the
-#: shared-address-space thread mode (``"thread"``) and the in-caller
-#: fallback used when ``n_workers == 1`` (or on request).
-POOL_MODES = ("fork", "thread", "inline")
+#: Pool execution modes: forked worker processes (``"fork"``) and the
+#: in-caller fallback used when ``n_workers == 1``, where fork is
+#: unavailable, or on request (``"inline"``).
+POOL_MODES = ("fork", "inline")
 
 #: Optional fault-injection hook (see :mod:`repro.faults`): a callable
 #: ``hook(site, **context)`` or ``None``.  Sites consulted here:
 #: ``"pool.dispatch"`` in the parent right after a task is handed to a
-#: worker (context: ``pool``, ``worker_id``, ``task_id``) — where a
+#: fork worker (context: ``pool``, ``worker_id``, ``task_id``) — where a
 #: :class:`~repro.faults.FaultPlan` kills workers at a point where the
 #: victim is provably between tasks, so queues stay uncorrupted — and
-#: ``"pool.task"`` in the executing worker before a task runs (thread
-#: and inline modes always; fork workers via inheritance).
+#: ``"pool.task"`` in the executing worker before a task runs (inline
+#: pools always; fork workers via inheritance).
 fault_hook = None
 
 _SEED_MOD = 2 ** 31
 
-#: How many tasks each stopping-rule round is cut into.  A *constant*
-#: (not derived from ``n_workers``), so the task decomposition — and
-#: with it every pooled result — is identical however many workers
-#: happen to drain the queue.
+#: How many tasks each stopping-rule round is cut into (at least).  A
+#: *constant* (not derived from ``n_workers``), so the task
+#: decomposition — and with it every pooled result — is identical
+#: however many workers happen to drain the queue.
 DEFAULT_TASKS_PER_ROUND = 8
 DEFAULT_ROOTS_PER_TASK = 256
 DEFAULT_MEMBERS_PER_TASK = 32
@@ -396,27 +391,23 @@ def _run_plan_task(spec: PlanSearchWork, payload):
 
 
 # ----------------------------------------------------------------------
-# Worker main loop (processes and threads alike)
+# Worker main loop
 # ----------------------------------------------------------------------
 
 def _worker_main(worker_id: int, task_queue, result_channel) -> None:
-    """Long-lived worker: register works once, run tasks forever.
+    """Long-lived worker process: register works once, run tasks forever.
 
-    The same loop serves process workers and thread workers.  Messages:
-    ``("register", handle, spec)``, ``("run", handle, task_id,
-    payload)``, ``("unregister", handle)`` and ``("stop",)``.  Results:
-    ``(worker_id, task_id, "ok", result)`` or ``(worker_id, task_id,
-    "error", traceback_text)``.
+    Messages: ``("register", handle, spec)``, ``("run", handle,
+    task_id, payload)``, ``("unregister", handle)`` and ``("stop",)``.
+    Results: ``(worker_id, task_id, "ok", result)`` or ``(worker_id,
+    task_id, "error", traceback_text)``.
 
-    ``result_channel`` is this worker's *private* pipe connection for
-    process workers (sent synchronously in this thread — no feeder
-    thread, no lock shared with other workers, so a worker killed at
-    any moment can wedge at most its own channel, which the supervisor
-    discards wholesale) and the pool-shared ``queue.Queue`` for thread
-    workers (threads cannot be killed, so sharing stays safe).
+    ``result_channel`` is this worker's *private* pipe connection,
+    written synchronously in this thread — no feeder thread, no lock
+    shared with other workers, so a worker killed at any moment can
+    wedge at most its own channel, which the supervisor discards
+    wholesale.
     """
-    emit = result_channel.put if hasattr(result_channel, "put") \
-        else result_channel.send
     specs: dict = {}
     while True:
         message = task_queue.get()
@@ -432,10 +423,10 @@ def _worker_main(worker_id: int, task_queue, result_channel) -> None:
             _, handle, task_id, payload = message
             try:
                 result = _execute(specs[handle], payload)
-                emit((worker_id, task_id, "ok", result))
+                result_channel.send((worker_id, task_id, "ok", result))
             except Exception:
-                emit((worker_id, task_id, "error",
-                      traceback.format_exc()))
+                result_channel.send((worker_id, task_id, "error",
+                                     traceback.format_exc()))
 
 
 # ----------------------------------------------------------------------
@@ -447,13 +438,12 @@ class _TaskStream:
 
     ``submit`` enqueues a payload without blocking and returns its
     sequence number; ``collect`` blocks until that task's result is
-    available, receiving worker results from the pool's result channels
-    (one pipe per process worker, one queue shared by thread workers)
-    and routing each to its stream as needed.  Several streams may be
-    open on one pool at once — every in-flight task carries a
-    pool-unique id, so results are routed to their owning stream
-    whatever order workers finish in (this is also what makes
-    concurrent ``run_tasks`` calls from several threads safe).
+    available, receiving worker results from the pool's result pipes
+    (one per worker) and routing each to its stream as needed.
+    Several streams may be open on one pool at once — every in-flight
+    task carries a pool-unique id, so results are routed to their
+    owning stream whatever order workers finish in (this is also what
+    makes concurrent ``run_tasks`` calls from several threads safe).
     ``discard`` drops a submitted task's result (cancelling it outright
     if it has not been dispatched yet) — the primitive behind
     speculative round submission.
@@ -463,8 +453,8 @@ class _TaskStream:
 
     The in-flight window is bounded by the caller: each worker holds at
     most one outstanding task, and the pooled samplers submit at most
-    one round ahead, so at most ``2 * tasks_per_round`` tasks are ever
-    pending or running per stream.
+    one round ahead, so at most two rounds of tasks are ever pending or
+    running per stream.
     """
 
     __slots__ = ("pool", "handle", "_next_seq", "_pending", "_live",
@@ -628,10 +618,9 @@ class WorkerPool:
         ``n_workers == 1`` always runs inline (no workers) — the
         documented fallback, byte-identical to the parallel modes.
     pool:
-        ``"fork"`` (default; cheap startup, Linux/macOS), ``"thread"``
-        (shared address space: no startup or pickle costs, scales
-        because the NumPy simulation kernels release the GIL; also the
-        automatic fallback when fork is unavailable) or ``"inline"``.
+        ``"fork"`` (default; cheap startup, Linux/macOS) or
+        ``"inline"``.  Where fork is unavailable, ``"fork"`` runs
+        inline.
     max_worker_restarts:
         How many dead (or deadline-overrunning) workers the supervisor
         may respawn before falling back to the abort path.  The budget
@@ -646,15 +635,15 @@ class WorkerPool:
         remains (a task that kills every worker it lands on is a
         poison pill, not a crash).
     task_timeout_seconds:
-        Optional per-task deadline.  A process worker whose current
-        task overruns it is terminated and handled exactly like a
-        crashed worker (respawn + deterministic retry, budgets
-        permitting).  ``None`` disables the deadline; thread workers
-        cannot be terminated, so the deadline is process-mode only.
+        Optional per-task deadline.  A worker whose current task
+        overruns it is terminated and handled exactly like a crashed
+        worker (respawn + deterministic retry, budgets permitting).
+        ``None`` disables the deadline; an inline pool has no worker
+        to terminate and never checks it.
 
     The pool is content-addressed, not closure-addressed: callers
-    :meth:`register` a work descriptor once (one pickle per process
-    worker), then run tasks through :meth:`run_tasks` (submit all,
+    :meth:`register` a work descriptor once (one pickle per worker),
+    then run tasks through :meth:`run_tasks` (submit all,
     collect all) or a pipelined :meth:`stream`.  Results always return
     in task order, whatever order workers finish in, so merged counters
     are deterministic.  In-flight tasks carry pool-unique ids, so several
@@ -702,12 +691,11 @@ class WorkerPool:
         self.worker_restarts = 0
         self.tasks_recovered = 0
         self._restarts_used = 0
-        mode = "inline" if (pool == "inline" or n_workers == 1) else pool
-        if mode == "fork" and "fork" not in get_all_start_methods():
-            # Platforms without fork (Windows, some macOS setups) get
-            # the shared-address-space thread mode.
-            mode = "thread"
-        self.mode = mode
+        # Platforms without fork (Windows, some macOS setups) run
+        # inline: same tasks, same bytes, in the caller.
+        self.mode = "fork" if (pool == "fork" and n_workers > 1
+                               and "fork" in get_all_start_methods()) \
+            else "inline"
         self._specs: dict = {}
         self._next_handle = 0
         self._closed = False
@@ -721,16 +709,14 @@ class WorkerPool:
         self._lock = threading.RLock()
         self._task_queues: list = []
         self._workers: list = []
-        # Result transport.  Thread workers share one ``queue.Queue``
-        # (threads cannot die mid-send).  Process workers each get a
-        # *private* pipe: ``mp.Queue.put`` hands the payload to a
-        # feeder thread that writes later while holding a lock shared
-        # by every worker, so a SIGKILL landing mid-flush would orphan
-        # the lock and wedge all surviving workers' results.  With one
-        # pipe per worker (written synchronously, no feeder, no shared
-        # lock) a crash can corrupt at most its own channel, which the
-        # supervisor discards wholesale at respawn.
-        self._result_queue = None
+        # Result transport: each worker gets a *private* pipe.
+        # ``mp.Queue.put`` hands the payload to a feeder thread that
+        # writes later while holding a lock shared by every worker, so
+        # a SIGKILL landing mid-flush would orphan the lock and wedge
+        # all surviving workers' results.  With one pipe per worker
+        # (written synchronously, no feeder, no shared lock) a crash
+        # can corrupt at most its own channel, which the supervisor
+        # discards wholesale at respawn.
         self._result_readers: list = []
         self._result_writers: list = []
         # Scheduler state: which workers are free, which submitted
@@ -739,9 +725,7 @@ class WorkerPool:
         self._dispatch: deque = deque()   # (stream, seq) awaiting dispatch
         self._inflight: dict = {}         # task id -> _InflightTask
         self._next_task_id = 0
-        if self.mode == "thread":
-            self._result_queue = queue_module.Queue()
-        if self.mode != "inline":
+        if self.mode == "fork":
             for worker_id in range(self.n_workers):
                 task_queue, worker, reader, writer = \
                     self._spawn_worker(worker_id)
@@ -752,29 +736,19 @@ class WorkerPool:
             self._idle.extend(range(self.n_workers))
 
     def _spawn_worker(self, worker_id: int) -> tuple:
-        """A started worker, its fresh task queue and result channel.
+        """A started worker process, its fresh task queue and result pipe.
 
-        Returns ``(task_queue, worker, reader, writer)``; the pipe ends
-        are ``None`` for thread workers (they share the pool queue).
-        The parent keeps the writer end open so the reader never turns
+        Returns ``(task_queue, worker, reader, writer)``.  The parent
+        keeps the writer end open so the reader never turns
         EOF-readable: dead workers are found by the liveness sweep, not
         by racing pipe state.
         """
-        if self.mode == "thread":
-            task_queue = queue_module.Queue()
-            worker = threading.Thread(
-                target=_worker_main,
-                args=(worker_id, task_queue, self._result_queue),
-                name=f"repro-pool-worker-{worker_id}", daemon=True)
-            reader = writer = None
-        else:
-            context = get_context(self.mode)
-            task_queue = context.Queue()
-            reader, writer = context.Pipe(duplex=False)
-            worker = context.Process(
-                target=_worker_main,
-                args=(worker_id, task_queue, writer),
-                daemon=True)
+        context = get_context("fork")
+        task_queue = context.Queue()
+        reader, writer = context.Pipe(duplex=False)
+        worker = context.Process(
+            target=_worker_main, args=(worker_id, task_queue, writer),
+            daemon=True)
         worker.start()
         return task_queue, worker, reader, writer
 
@@ -815,7 +789,7 @@ class WorkerPool:
             for worker in self._workers:
                 try:
                     worker.join(timeout=5)
-                    if worker.is_alive() and hasattr(worker, "terminate"):
+                    if worker.is_alive():
                         worker.terminate()
                         worker.join(timeout=5)
                 except Exception:
@@ -826,21 +800,11 @@ class WorkerPool:
             self._idle.clear()
             for task_queue in self._task_queues:
                 try:
-                    if hasattr(task_queue, "close"):
-                        task_queue.close()
-                        task_queue.cancel_join_thread()
-                except Exception:
-                    pass
-            if self._result_queue is not None:
-                try:
-                    if hasattr(self._result_queue, "close"):
-                        self._result_queue.close()
-                        self._result_queue.cancel_join_thread()
+                    task_queue.close()
+                    task_queue.cancel_join_thread()
                 except Exception:
                     pass
             for conn in (*self._result_readers, *self._result_writers):
-                if conn is None:
-                    continue
                 try:
                     conn.close()
                 except Exception:
@@ -973,18 +937,13 @@ class WorkerPool:
     def _poll_result(self, timeout: float):
         """One worker result, or ``None`` after ``timeout`` seconds.
 
-        Process modes multiplex the per-worker result pipes with
+        Multiplexes the per-worker result pipes with
         :func:`multiprocessing.connection.wait`.  A dead worker's
         reader is never ``recv``'d — a SIGKILL can leave a partial
         message that would block the parent forever; the channel is
         replaced at respawn and the lost task re-executed, which by
         the determinism contract reproduces the same bytes.
         """
-        if self.mode == "thread":
-            try:
-                return self._result_queue.get(timeout=timeout)
-            except queue_module.Empty:
-                return None
         try:
             ready = _connection_wait(self._result_readers,
                                      timeout=timeout)
@@ -1001,7 +960,7 @@ class WorkerPool:
         return None
 
     def _check_deadlines(self) -> None:
-        """Terminate process workers whose task overran the deadline.
+        """Terminate workers whose task overran the deadline.
 
         The terminated worker is *not* handled here: it shows up dead
         on the very next liveness sweep and goes through the one
@@ -1014,7 +973,7 @@ class WorkerPool:
             if now - record.started_at <= self.task_timeout_seconds:
                 continue
             worker = self._workers[record.worker_id]
-            if hasattr(worker, "terminate") and worker.is_alive():
+            if worker.is_alive():
                 worker.terminate()
                 worker.join(timeout=5)
 
@@ -1031,10 +990,8 @@ class WorkerPool:
         """
         for worker_id in dead_ids:
             worker = self._workers[worker_id]
-            ident = getattr(worker, "pid", None) or worker.name
-            code = getattr(worker, "exitcode", None)
-            reason = (f"worker {ident} exited with code {code} "
-                      f"while tasks were pending")
+            reason = (f"worker {worker.pid} exited with code "
+                      f"{worker.exitcode} while tasks were pending")
             if self._restarts_used >= self.max_worker_restarts:
                 self._abort(reason)
             lost_ids = [task_id
@@ -1071,7 +1028,7 @@ class WorkerPool:
         self._pump()
 
     def _respawn(self, worker_id: int) -> None:
-        """Replace a dead worker in the same slot and mode.
+        """Replace a dead worker in the same slot.
 
         The replacement gets a fresh task queue (the dead worker's may
         still hold its lost ``run`` message), a fresh result pipe (the
@@ -1087,39 +1044,33 @@ class WorkerPool:
         task_queue, worker, reader, writer = self._spawn_worker(worker_id)
         self._task_queues[worker_id] = task_queue
         self._workers[worker_id] = worker
-        if reader is not None:
-            for conn in (self._result_readers[worker_id],
-                         self._result_writers[worker_id]):
-                try:
-                    conn.close()
-                except Exception:
-                    pass
-            self._result_readers[worker_id] = reader
-            self._result_writers[worker_id] = writer
+        for conn in (self._result_readers[worker_id],
+                     self._result_writers[worker_id]):
+            try:
+                conn.close()
+            except Exception:
+                pass
+        self._result_readers[worker_id] = reader
+        self._result_writers[worker_id] = writer
         for handle, spec in self._specs.items():
             task_queue.put(("register", handle, spec))
         self._idle.append(worker_id)
         try:
-            if hasattr(old_queue, "close"):
-                old_queue.close()
-                old_queue.cancel_join_thread()
+            old_queue.close()
+            old_queue.cancel_join_thread()
         except Exception:
             pass
 
     def kill_worker(self, worker_id: int) -> None:
-        """SIGKILL one process worker (fault injection and tests only).
+        """SIGKILL one worker process (fault injection and tests only).
 
-        Raises ``ValueError`` on thread/inline pools — there is no
-        killable worker process — so callers (the fault harness) can
-        treat those modes as injection no-ops.
+        Raises ``ValueError`` on an inline pool: it has no worker
+        process to kill.
         """
-        worker = self._workers[worker_id] if self._workers else None
-        pid = getattr(worker, "pid", None)
-        if pid is None:
-            raise ValueError(
-                f"pool mode {self.mode!r} has no killable worker "
-                f"processes")
-        os.kill(pid, signal.SIGKILL)
+        if self.mode == "inline":
+            raise ValueError("an inline pool has no killable worker "
+                             "processes")
+        os.kill(self._workers[worker_id].pid, signal.SIGKILL)
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
@@ -1138,7 +1089,8 @@ class PooledForestRunner:
     contract as :class:`~repro.core.forest.VectorizedForestRunner`, so
     the MLSS samplers' stopping rules, bootstrap schedules and curve
     folds run unmodified on top of it.  Each round expands to at least
-    ``tasks_per_round`` tasks of ``roots_per_task`` root trees; task
+    :data:`DEFAULT_TASKS_PER_ROUND` tasks of ``roots_per_task`` root
+    trees; task
     seeds derive from the task index (:func:`derive_task_seed`) and
     results merge in task order, making pooled aggregates invariant
     under the worker count.
@@ -1165,14 +1117,10 @@ class PooledForestRunner:
 
     def __init__(self, pool: WorkerPool, query, partition, ratios,
                  seed: Optional[int],
-                 roots_per_task: int = DEFAULT_ROOTS_PER_TASK,
-                 tasks_per_round: int = DEFAULT_TASKS_PER_ROUND):
+                 roots_per_task: int = DEFAULT_ROOTS_PER_TASK):
         if roots_per_task < 1:
             raise ValueError(
                 f"roots_per_task must be >= 1, got {roots_per_task}")
-        if tasks_per_round < 1:
-            raise ValueError(
-                f"tasks_per_round must be >= 1, got {tasks_per_round}")
         validate_plan(query, partition)
         self.pool = pool
         self.query = query
@@ -1180,7 +1128,6 @@ class PooledForestRunner:
         self.ratios = normalize_ratios(ratios, partition.num_levels)
         self.seed = seed
         self.roots_per_task = roots_per_task
-        self.tasks_per_round = tasks_per_round
         self._task_index = 0
         work = ForestWork(query=query, partition=partition,
                           ratios=self.ratios)
@@ -1189,7 +1136,8 @@ class PooledForestRunner:
         self._rounds = RoundPipeline(pool, self._handle)
 
     def _base_cohort(self, batch_roots: int) -> int:
-        return max(batch_roots, self.roots_per_task * self.tasks_per_round)
+        return max(batch_roots,
+                   self.roots_per_task * DEFAULT_TASKS_PER_ROUND)
 
     def accumulate(self, aggregate, batch_roots: int,
                    max_steps=None, max_roots=None) -> bool:

@@ -51,8 +51,7 @@ def make_forest_runner(query: DurabilityQuery,
                        partition: LevelPartition, ratios,
                        seed: Optional[int],
                        pool=None,
-                       roots_per_task: Optional[int] = None,
-                       tasks_per_round: Optional[int] = None):
+                       roots_per_task: Optional[int] = None):
     """Build the forest runner for one sampler run.
 
     Without a pool, whole cohorts run through
@@ -66,12 +65,10 @@ def make_forest_runner(query: DurabilityQuery,
     expose ``close()``, which samplers call when a run finishes.
     """
     if pool is not None:
-        from .pool import (DEFAULT_ROOTS_PER_TASK, DEFAULT_TASKS_PER_ROUND,
-                           PooledForestRunner)
+        from .pool import DEFAULT_ROOTS_PER_TASK, PooledForestRunner
         return PooledForestRunner(
             pool, query, partition, ratios, seed,
-            roots_per_task=roots_per_task or DEFAULT_ROOTS_PER_TASK,
-            tasks_per_round=tasks_per_round or DEFAULT_TASKS_PER_ROUND)
+            roots_per_task=roots_per_task or DEFAULT_ROOTS_PER_TASK)
     return VectorizedForestRunner(query, partition, ratios,
                                   np.random.default_rng(seed))
 
@@ -170,7 +167,7 @@ class SMLSSSampler:
         stopping-rule checks.
     record_trace:
         Record convergence snapshots in ``details["trace"]``.
-    pool / roots_per_task / tasks_per_round:
+    pool / roots_per_task:
         With a :class:`~repro.core.pool.WorkerPool`, root trees shard
         over its workers in fixed-size tasks, rounds pipelined
         (results are invariant under the worker count; see
@@ -182,8 +179,7 @@ class SMLSSSampler:
     def __init__(self, partition: LevelPartition, ratio=3,
                  batch_roots: int = 100, record_trace: bool = False,
                  pool=None,
-                 roots_per_task: Optional[int] = None,
-                 tasks_per_round: Optional[int] = None):
+                 roots_per_task: Optional[int] = None):
         if batch_roots < 1:
             raise ValueError(f"batch_roots must be >= 1, got {batch_roots}")
         self.partition = partition
@@ -192,13 +188,11 @@ class SMLSSSampler:
         self.record_trace = record_trace
         self.pool = pool
         self.roots_per_task = roots_per_task
-        self.tasks_per_round = tasks_per_round
 
     def _make_runner(self, query: DurabilityQuery, seed: Optional[int]):
         return make_forest_runner(
             query, self.partition, self.ratios, seed, pool=self.pool,
-            roots_per_task=self.roots_per_task,
-            tasks_per_round=self.tasks_per_round)
+            roots_per_task=self.roots_per_task)
 
     def run(self, query: DurabilityQuery,
             quality: Optional[QualityTarget] = None,

@@ -454,13 +454,13 @@ class SRSSampler:
         When True, :meth:`run` records a :class:`TracePoint` at every
         check; the trace lands in ``estimate.details["trace"]`` (used
         for the convergence study, Figure 8).
-    pool / roots_per_task / tasks_per_round:
+    pool / roots_per_task:
         With a :class:`~repro.core.pool.WorkerPool`, paths shard over
         its workers in fixed-size tasks whose seeds derive from the
         task index, so pooled estimates are invariant under the worker
         count (see :mod:`repro.core.pool`).  Each stopping-rule round
-        covers at least ``tasks_per_round`` tasks of
-        ``roots_per_task`` paths, pipelined through a
+        covers at least :data:`~repro.core.pool.DEFAULT_TASKS_PER_ROUND`
+        tasks of ``roots_per_task`` paths, pipelined through a
         :class:`~repro.core.pool.RoundPipeline`.
     """
 
@@ -468,15 +468,13 @@ class SRSSampler:
 
     def __init__(self, batch_roots: int = 500, record_trace: bool = False,
                  pool=None,
-                 roots_per_task: Optional[int] = None,
-                 tasks_per_round: Optional[int] = None):
+                 roots_per_task: Optional[int] = None):
         if batch_roots < 1:
             raise ValueError(f"batch_roots must be >= 1, got {batch_roots}")
         self.batch_roots = batch_roots
         self.record_trace = record_trace
         self.pool = pool
         self.roots_per_task = roots_per_task or DEFAULT_ROOTS_PER_TASK
-        self.tasks_per_round = tasks_per_round or DEFAULT_TASKS_PER_ROUND
 
     def run(self, query: DurabilityQuery,
             quality: Optional[QualityTarget] = None,
@@ -590,7 +588,7 @@ class SRSSampler:
         more paths guarantees pooled step counts never exceed the cap.
         """
         cohort = max(self.batch_roots,
-                     self.roots_per_task * self.tasks_per_round)
+                     self.roots_per_task * DEFAULT_TASKS_PER_ROUND)
         if max_roots is not None:
             cohort = min(cohort, max_roots - n_paths)
         if max_steps is not None:

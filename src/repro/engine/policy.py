@@ -87,9 +87,6 @@ SAMPLER_OPTIONS = {
                           lambda value: _is_number(value) and value >= 0),
 }
 
-#: Stride between derived per-query seeds in batch runs (a prime, so
-#: derived streams never collide for realistic batch sizes).
-_SEED_STRIDE = 1_000_003
 _SEED_MOD = 2 ** 31
 
 
@@ -149,20 +146,17 @@ class ParallelPolicy:
     ----------
     n_workers:
         Worker process count; ``None`` means ``os.cpu_count()``.
-        ``1`` falls back to the inline (no-process) mode.
+        ``1`` falls back to the inline (no-process) mode.  Over HTTP a
+        request may ask for at most ``os.cpu_count()``.
     roots_per_task:
-        Root trees / SRS paths per work descriptor.
-    tasks_per_round:
-        Minimum tasks per stopping-rule round — a constant (never
-        derived from ``n_workers``), sized so a round can keep several
-        workers busy.
+        Root trees / SRS paths per work descriptor.  A stopping-rule
+        round cuts at least
+        :data:`~repro.core.pool.DEFAULT_TASKS_PER_ROUND` of them.
     members_per_task:
         Fleet members per slice in fused fleet passes.
     pool:
-        ``"fork"`` (default), ``"thread"`` (worker threads sharing
-        the parent address space — no startup or pickling cost; the
-        NumPy kernels release the GIL) or ``"inline"``.  Where fork is
-        unavailable, ``"fork"`` falls back to ``"thread"``.
+        ``"fork"`` (default) or ``"inline"``.  Where fork is
+        unavailable, ``"fork"`` falls back to ``"inline"``.
     max_worker_restarts:
         Supervision budget: how many dead (or deadline-overrunning)
         workers the pool may respawn per burst of work before falling
@@ -175,13 +169,12 @@ class ParallelPolicy:
         How many times one task may be re-submitted after worker
         deaths before the run aborts anyway (poison-pill guard).
     task_timeout_seconds:
-        Optional per-task deadline; an overrunning process worker is
+        Optional per-task deadline; an overrunning fork worker is
         terminated and recovered like a crash.  ``None`` disables it.
     """
 
     n_workers: Optional[int] = None
     roots_per_task: int = 256
-    tasks_per_round: int = 8
     members_per_task: int = 32
     pool: str = "fork"
     max_worker_restarts: int = 2
@@ -190,8 +183,7 @@ class ParallelPolicy:
 
     def validate(self) -> "ParallelPolicy":
         _check_int("n_workers", self.n_workers, 1, optional=True)
-        for name in ("roots_per_task", "tasks_per_round",
-                     "members_per_task"):
+        for name in ("roots_per_task", "members_per_task"):
             _check_int(name, getattr(self, name), 1)
         if self.pool not in POOL_MODES:
             raise ValueError(
@@ -210,7 +202,6 @@ class ParallelPolicy:
         return {
             "n_workers": self.n_workers,
             "roots_per_task": self.roots_per_task,
-            "tasks_per_round": self.tasks_per_round,
             "members_per_task": self.members_per_task,
             "pool": self.pool,
             "max_worker_restarts": self.max_worker_restarts,
@@ -250,7 +241,8 @@ class ExecutionPolicy:
         :meth:`validate` before any simulation runs).
     seed:
         Base seed.  Single queries use it directly; batch members get
-        deterministic derived seeds via :meth:`seed_for`.
+        deterministic seeds derived from their content via
+        :meth:`derive_seed`.
     record_trace:
         Record convergence snapshots in estimate details.
     use_plan_cache:
@@ -349,17 +341,6 @@ class ExecutionPolicy:
     def replace(self, **overrides) -> "ExecutionPolicy":
         """A copy of this policy with some fields overridden."""
         return dataclasses.replace(self, **overrides)
-
-    def seed_for(self, index: int) -> Optional[int]:
-        """Deterministic per-member seed for batch position ``index``.
-
-        ``seed_for(0) == seed``, so a batch of one reproduces the
-        single-query run exactly; ``None`` stays ``None`` (fresh
-        entropy per member).
-        """
-        if self.seed is None:
-            return None
-        return (self.seed + index * _SEED_STRIDE) % _SEED_MOD
 
     def derive_seed(self, material) -> Optional[int]:
         """Deterministic seed derived from *what* is being answered.

@@ -390,8 +390,7 @@ class DurabilityEngine:
         parallel = policy.parallel
         if parallel is not None:
             kwargs.update(pool=self._get_pool(policy),
-                          roots_per_task=parallel.roots_per_task,
-                          tasks_per_round=parallel.tasks_per_round)
+                          roots_per_task=parallel.roots_per_task)
         return sampler_class(*args, **kwargs)
 
     @staticmethod

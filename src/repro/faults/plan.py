@@ -11,10 +11,11 @@ Sites
 -----
 ``pool.dispatch``
     Consulted by :class:`~repro.core.pool.WorkerPool` in the parent,
-    right after handing a task to a worker.  Scheduled indices SIGKILL
-    that worker (:meth:`WorkerPool.kill_worker`) — mid-round worker
-    death, the supervisor's recovery path.  Thread/inline pools have
-    no killable process; the kill is skipped (and not counted).
+    right after handing a task to a fork worker.  Scheduled indices
+    SIGKILL that worker (:meth:`WorkerPool.kill_worker`) — mid-round
+    worker death, the supervisor's recovery path.  An inline pool runs
+    tasks in the caller and never dispatches, so it never consults
+    this site.
 ``pool.task``
     Consulted inside the executing worker before running a task.
     Scheduled indices sleep ``delay_seconds`` — a straggler, which
@@ -93,12 +94,12 @@ class FaultPlan:
         self.calls = {site: 0 for site in SITES}
         #: Faults actually injected per site.
         self.fired = {site: 0 for site in SITES}
-        # Sites are consulted from many threads (pool parent thread,
-        # worker threads in thread mode, serve executor threads), so
-        # the counters need a lock.  Forked workers consult a *copy*
-        # of the plan — only parent-side counters are observable,
-        # which is why kills and store/serve faults (all parent-side)
-        # are the sites tests assert on.
+        # Sites are consulted from many threads (pool parent threads,
+        # serve executor threads), so the counters need a lock.
+        # Forked workers consult a *copy* of the plan — only
+        # parent-side counters are observable, which is why kills and
+        # store/serve faults (all parent-side) are the sites tests
+        # assert on.
         self._lock = threading.Lock()
 
     @classmethod
@@ -139,16 +140,8 @@ class FaultPlan:
         if site not in self.schedule:
             return
         if site == "pool.dispatch":
-            if not self._step(site):
-                return
-            pool = context["pool"]
-            try:
-                pool.kill_worker(context["worker_id"])
-            except ValueError:
-                # Thread/inline pools have no process to kill; undo
-                # the fired count so tests can assert exact kills.
-                with self._lock:
-                    self.fired[site] -= 1
+            if self._step(site):
+                context["pool"].kill_worker(context["worker_id"])
         elif site == "pool.task":
             if self._step(site):
                 time.sleep(self.delay_seconds)

@@ -14,9 +14,9 @@ Note on calibration: with these defaults the drift is
 ``c - lam * E[J] = 4.5 - 6.0 = -1.5`` per unit time, so upward
 excursions of ``U`` are genuinely rare events driven by lucky stretches
 without claims — exactly the regime MLSS targets.  The value thresholds
-in our workload registry are calibrated to this process (the paper's
+in our workload registry are calibrated to this process: the paper's
 printed thresholds of 300-500 are unreachable under its printed
-parameters; see DESIGN.md, "Substitutions").
+parameters.
 
 Batched simulation: each step draws every row's claim count with one
 ``Generator.poisson`` call, then forms all claim totals with a single

@@ -13,7 +13,7 @@ multiplicatively.
 
 ``pretrained_stock_process`` trains (once per configuration, cached in
 memory and optionally on disk) on the synthetic GBM series standing in
-for the Google data — see DESIGN.md, "Substitutions".
+for the Google data (:func:`repro.processes.gbm.synthetic_stock_series`).
 """
 
 from __future__ import annotations

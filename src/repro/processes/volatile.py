@@ -159,9 +159,10 @@ def volatile_cpp(base: StochasticProcess, horizon: int,
                  probability: float = 0.005) -> ImpulseProcess:
     """The paper's Volatile CPP: a large surplus impulse late in the horizon.
 
-    The paper adds +200 against its beta range of 300-500; our CPP value
-    scale is ~10x smaller (see DESIGN.md), so the default impulse is
-    scaled accordingly and the workload registry calibrates thresholds.
+    The paper adds +200 against its beta range of 300-500; our CPP
+    thresholds are calibrated to 37-113 (:mod:`repro.workloads.queries`),
+    so the default impulse is scaled down accordingly and the workload
+    registry calibrates thresholds.
     """
     return ImpulseProcess(base, impulse=impulse, probability=probability,
                           active_after=int(0.8 * horizon))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from typing import Optional
 
 import numpy as np
@@ -222,6 +223,11 @@ def parse_policy(data, base: ExecutionPolicy) -> ExecutionPolicy:
     :meth:`ExecutionPolicy.to_dict` document applied as field overrides
     on top of ``base``.  Unknown fields and unknown ``"v"`` versions
     fail with a :class:`ProtocolError`.
+
+    A document that carries ``parallel`` may ask for at most
+    ``os.cpu_count()`` workers, the count ``n_workers=None`` resolves
+    to: every fork worker is a process, and one request must not start
+    more of them than the host has CPUs.
     """
     if data is None:
         return base
@@ -233,9 +239,17 @@ def parse_policy(data, base: ExecutionPolicy) -> ExecutionPolicy:
     overrides = {key: getattr(parsed, key) for key in data
                  if key != "v"}
     try:
-        return base.replace(**overrides).validate()
+        policy = base.replace(**overrides).validate()
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"policy: {exc}") from None
+    if "parallel" in data and policy.parallel is not None:
+        n_workers = policy.parallel.n_workers
+        cpus = os.cpu_count() or 1
+        if n_workers is not None and n_workers > cpus:
+            raise ProtocolError(
+                f"policy: parallel n_workers={n_workers} exceeds the "
+                f"host's {cpus} CPUs; ask for at most {cpus}, or null")
+    return policy
 
 
 # ----------------------------------------------------------------------

@@ -421,8 +421,8 @@ class TestAdaptiveFleetMlss:
         """Pooled adaptive answers must not depend on the worker count
         or the pool mode — member slices and task seeds are fixed."""
         signatures = []
-        for mode, n_workers in (("inline", 2), ("thread", 1),
-                                ("thread", 3), ("fork", 2)):
+        for mode, n_workers in (("inline", 2), ("fork", 2),
+                                ("fork", 3)):
             with WorkerPool(n_workers=n_workers, pool=mode) as pool:
                 estimates = self.screen(adaptive=True, pool=pool, seed=8)
             signatures.append(tuple(

@@ -6,7 +6,7 @@ one-threshold grids.  The multi-level kernels keep running maxima for
 their lower levels but retire a row from its *current* value at the top
 level, so a curve's top level must equal the point answer byte for
 byte: same probability, variance, roots, hits and steps, under every
-stopping rule, directly and on inline and thread pools.
+stopping rule, directly and on inline and fork pools.
 
 The quality target here is a relative-error target, under which the
 top level is always the binding one for SRS (a lower level has at least
@@ -75,19 +75,19 @@ def fingerprint(estimate) -> tuple:
 @pytest.fixture(scope="module")
 def pools():
     with WorkerPool(n_workers=2, pool="inline") as inline, \
-            WorkerPool(n_workers=2, pool="thread") as thread:
-        yield {"direct": None, "inline": inline, "thread": thread}
+            WorkerPool(n_workers=2, pool="fork") as fork:
+        yield {"direct": None, "inline": inline, "fork": fork}
 
 
 class TestSrsPointIsOneLevelCurve:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 31 - 1),
            stop=st.sampled_from(sorted(STOPS)),
-           where=st.sampled_from(["direct", "inline", "thread"]))
+           where=st.sampled_from(["direct", "inline", "fork"]))
     def test_curve_top_equals_point_answer(self, pools, seed, stop,
                                            where):
         sampler = SRSSampler(batch_roots=200, pool=pools[where],
-                             roots_per_task=64, tasks_per_round=4)
+                             roots_per_task=32)
         point = sampler.run(WALK, seed=seed, **STOPS[stop])
         curve = sampler.run_curve(WALK, LEVELS, seed=seed, **STOPS[stop])
         assert point.n_roots > 0
@@ -99,23 +99,22 @@ class TestSrsPointIsOneLevelCurve:
         assert estimate.details == {}
 
     def test_pooled_details_report_the_pool(self, pools):
-        estimate = SRSSampler(pool=pools["thread"], roots_per_task=64,
-                              tasks_per_round=4).run(
+        estimate = SRSSampler(pool=pools["fork"], roots_per_task=32).run(
             WALK, max_roots=300, seed=3)
         assert estimate.details == {"parallel": {
-            "n_workers": 2, "mode": "thread", "tasks": 5}}
+            "n_workers": 2, "mode": "fork", "tasks": 10}}
 
 
 class TestMlssPointIsCurveTop:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2 ** 31 - 1),
            stop=st.sampled_from(sorted(MLSS_STOPS)),
-           where=st.sampled_from(["direct", "inline", "thread"]))
+           where=st.sampled_from(["direct", "inline", "fork"]))
     def test_curve_top_equals_point_answer(self, pools, seed, stop,
                                            where):
         for sampler_class in (GMLSSSampler, SMLSSSampler):
             sampler = sampler_class(PLAN, pool=pools[where],
-                                    roots_per_task=64, tasks_per_round=4)
+                                    roots_per_task=32)
             point = sampler.run(CHAIN_QUERY, seed=seed, **MLSS_STOPS[stop])
             curve = sampler.run_curve(CHAIN_QUERY, seed=seed,
                                       **MLSS_STOPS[stop])
@@ -133,7 +132,7 @@ class TestFleetScreenIsOneLevelCurves:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2 ** 31 - 1),
            stop=st.sampled_from(sorted(STOPS)),
-           where=st.sampled_from(["direct", "inline", "thread"]))
+           where=st.sampled_from(["direct", "inline", "fork"]))
     def test_curve_tops_equal_screen(self, pools, seed, stop, where):
         fused = FusedBatch(FLEET)
         options = dict(STOPS[stop], batch_roots=150, seed=seed,

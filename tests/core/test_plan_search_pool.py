@@ -7,7 +7,7 @@ are *structural* — derived from the trial/chunk index with the
 ``"plan"``/``"pilot"`` salts, never from worker identity — the pooled
 search must reproduce the sequential search byte for byte: same
 partitions, same scores, same step accounting.  These tests pin that
-contract across inline/thread/fork modes, plus the engine routing that
+contract across inline/fork modes, plus the engine routing that
 hands its owned pool to cold-query plan searches.
 """
 
@@ -17,7 +17,9 @@ from repro.core.balanced import balanced_growth_partition, pilot_max_values
 from repro.core.greedy import adaptive_greedy_partition
 from repro.core.pool import WorkerPool
 
-POOL_CONFIGS = [("inline", 2), ("thread", 2), ("fork", 2), ("fork", 3)]
+#: ``("fork", 4)`` is the pool whose plan identity ``bench_parallel``
+#: gates.
+POOL_CONFIGS = [("inline", 2), ("fork", 2), ("fork", 3), ("fork", 4)]
 
 
 class TestPooledGreedySearch:
@@ -118,7 +120,7 @@ class TestEnginePlanSearchRouting:
         with DurabilityEngine(base) as sequential_engine:
             sequential = sequential_engine.answer(small_chain_query)
         parallel = base.replace(parallel=ParallelPolicy(
-            n_workers=2, pool="thread"))
+            n_workers=2, pool="fork"))
         with DurabilityEngine(parallel) as parallel_engine:
             pooled = parallel_engine.answer(small_chain_query)
         assert pooled.details["plan_search"]["partition"] == \

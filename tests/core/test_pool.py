@@ -92,8 +92,9 @@ class TestLifecycle:
         assert second.details["parallel"]["n_workers"] == 2
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="pool mode"):
-            WorkerPool(n_workers=2, pool="threads")
+        for mode in ("threads", "spawn"):
+            with pytest.raises(ValueError, match="pool mode"):
+                WorkerPool(n_workers=2, pool=mode)
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError, match="n_workers"):
@@ -211,49 +212,27 @@ class TestPooledAgreement:
         assert estimate.relative_error() <= 0.3
 
 
-class TestThreadMode:
-    """Worker threads sharing the parent address space (no processes,
-    no pickling)."""
+class TestPoolModes:
+    """Two modes, forked worker processes and the in-caller inline
+    pool, with byte-identical answers; where fork is missing, ``"fork"``
+    runs inline (any other mode is rejected: see
+    ``TestLifecycle.test_unknown_mode_rejected``)."""
 
-    def test_thread_mode_spins_up_named_threads(self):
-        import threading
-        with WorkerPool(n_workers=2, pool="thread") as pool:
-            assert pool.mode == "thread"
-            alive = [t.name for t in threading.enumerate()]
-            assert sum(name.startswith("repro-pool-worker")
-                       for name in alive) == 2
-        alive = [t.name for t in threading.enumerate()]
-        assert not any(name.startswith("repro-pool-worker")
-                       for name in alive)
-
-    def test_thread_mode_uses_no_shared_memory(self, small_chain_query,
-                                               small_chain_partition):
-        from repro.core.pool import ForestWork
-        before = shm_entries()
-        with WorkerPool(n_workers=2, pool="thread") as pool:
-            handle = pool.register(ForestWork(
-                query=small_chain_query, partition=small_chain_partition,
-                ratios=(1, 3, 3)))
-            try:
-                results = pool.run_tasks(handle, [(16, 1), (16, 2)])
-            finally:
-                pool.unregister(handle)
-        # Counters come back on the result queue as six arrays per task.
-        assert [len(arrays) for arrays in results] == [6, 6]
-        assert [len(arrays[3]) for arrays in results] == [16, 16]
-        assert_no_new_shm(before)
+    def test_thread_mode_rejected(self):
+        """The retired thread workers are an unknown mode now."""
+        from repro.core.pool import POOL_MODES
+        assert POOL_MODES == ("fork", "inline")
+        with pytest.raises(ValueError, match="pool mode"):
+            WorkerPool(n_workers=2, pool="thread")
 
     @pytest.mark.parametrize("sampler_cls",
                              [SRSSampler, SMLSSSampler, GMLSSSampler])
-    def test_thread_matches_inline_and_fork(self, sampler_cls,
-                                            small_chain_query,
-                                            small_chain_partition):
-        """Byte-identical estimates across thread/inline/fork modes and
-        thread-mode worker counts (the mode-invariance contract
-        extended to the threaded backend)."""
+    def test_inline_matches_fork(self, sampler_cls, small_chain_query,
+                                 small_chain_partition):
+        """Byte-identical estimates on the inline pool and on fork
+        pools of two and three workers."""
         outcomes = []
-        for mode, n_workers in (("inline", 2), ("thread", 2),
-                                ("thread", 3), ("fork", 2)):
+        for mode, n_workers in (("inline", 2), ("fork", 2), ("fork", 3)):
             with WorkerPool(n_workers=n_workers, pool=mode) as pool:
                 estimate = run_sampler(
                     sampler_cls, small_chain_query, small_chain_partition,
@@ -263,10 +242,10 @@ class TestThreadMode:
                              estimate.steps))
         assert all(outcome == outcomes[0] for outcome in outcomes)
 
-    def test_thread_curve_matches_fork(self, small_chain_query):
+    def test_inline_curve_matches_fork(self, small_chain_query):
         levels = (0.25, 0.5, 0.75, 1.0)
         outcomes = []
-        for mode in ("thread", "fork"):
+        for mode in ("inline", "fork"):
             with WorkerPool(n_workers=2, pool=mode) as pool:
                 curve = SRSSampler(pool=pool).run_curve(
                     small_chain_query, levels, max_roots=900, seed=3)
@@ -274,12 +253,35 @@ class TestThreadMode:
                             + (curve.steps,))
         assert outcomes[0] == outcomes[1]
 
-    def test_fork_falls_back_to_thread_without_fork(self, monkeypatch):
+    def test_fork_falls_back_to_inline_without_fork(
+            self, monkeypatch, small_chain_query, small_chain_partition):
+        """Without the fork start method, a fork pool starts no process
+        and answers in the caller with the fork pool's bytes."""
         import repro.core.pool as pool_mod
+        from repro.engine import (DurabilityEngine, ExecutionPolicy,
+                                  ParallelPolicy)
+
+        policy = ExecutionPolicy(
+            max_roots=600, seed=4,
+            parallel=ParallelPolicy(n_workers=2, pool="fork"))
+
+        def answers(expected_mode):
+            with DurabilityEngine(policy) as engine:
+                estimates = [
+                    engine.answer(small_chain_query, method="srs"),
+                    engine.answer(small_chain_query, method="gmlss",
+                                  partition=small_chain_partition)]
+                assert engine._pool.mode == expected_mode
+            return [(e.probability, e.variance, e.n_roots, e.hits,
+                     e.steps) for e in estimates]
+
+        forked = answers("fork")
         monkeypatch.setattr(pool_mod, "get_all_start_methods",
                             lambda: ["spawn"])
         with WorkerPool(n_workers=2, pool="fork") as pool:
-            assert pool.mode == "thread"
+            assert pool.mode == "inline"
+            assert pool._workers == []
+        assert answers("inline") == forked
 
 
 class TestStreamedScheduling:
@@ -293,10 +295,9 @@ class TestStreamedScheduling:
     @staticmethod
     def _sampler(sampler_cls, partition, pool):
         if sampler_cls is SRSSampler:
-            return SRSSampler(pool=pool, roots_per_task=64,
-                              tasks_per_round=4)
+            return SRSSampler(pool=pool, roots_per_task=32)
         return sampler_cls(partition, ratio=3, pool=pool,
-                           roots_per_task=64, tasks_per_round=4)
+                           roots_per_task=32)
 
     @pytest.mark.parametrize("sampler_cls",
                              [SRSSampler, SMLSSSampler, GMLSSSampler])
@@ -322,8 +323,7 @@ class TestStreamedScheduling:
         for mode in ("inline", "fork"):
             with WorkerPool(n_workers=2, pool=mode) as pool:
                 curve = SRSSampler(
-                    pool=pool, roots_per_task=64,
-                    tasks_per_round=4).run_curve(
+                    pool=pool, roots_per_task=32).run_curve(
                     small_chain_query, levels, max_roots=2_000, seed=3)
             outcomes.append(tuple(e.probability for e in curve.estimates)
                             + (curve.steps, curve.n_roots))
@@ -340,8 +340,7 @@ class TestStreamedScheduling:
         for mode in ("inline", "fork"):
             with WorkerPool(n_workers=2, pool=mode) as pool:
                 estimate = SRSSampler(
-                    pool=pool, roots_per_task=64,
-                    tasks_per_round=4).run(
+                    pool=pool, roots_per_task=32).run(
                     small_chain_query,
                     quality=RelativeErrorTarget(target=0.3, min_hits=5),
                     max_roots=200_000, seed=41)
@@ -366,13 +365,11 @@ class TestStrictStepBudget:
         for n_workers in (1, 2):
             with WorkerPool(n_workers=n_workers) as pool:
                 if sampler_cls is SRSSampler:
-                    sampler = SRSSampler(pool=pool,
-                                         roots_per_task=64,
-                                         tasks_per_round=4)
+                    sampler = SRSSampler(pool=pool, roots_per_task=32)
                 else:
                     sampler = sampler_cls(
                         small_chain_partition, ratio=3, pool=pool,
-                        roots_per_task=64, tasks_per_round=4)
+                        roots_per_task=32)
                 estimate = sampler.run(small_chain_query, seed=7,
                                        max_steps=budget)
             assert estimate.steps <= budget, (
@@ -415,8 +412,7 @@ class TestStrictStepBudget:
         for n_workers in (1, 2, 3):
             with WorkerPool(n_workers=n_workers) as pool:
                 estimate = GMLSSSampler(
-                    deep, ratio=3, pool=pool, roots_per_task=16,
-                    tasks_per_round=8).run(
+                    deep, ratio=3, pool=pool, roots_per_task=16).run(
                     small_chain_query, max_steps=budget, seed=5)
             assert estimate.n_roots > 0
             assert estimate.steps <= budget

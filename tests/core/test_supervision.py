@@ -46,11 +46,10 @@ def fingerprint(estimate) -> tuple:
 def run_pooled(sampler_cls, query, partition, pool):
     """Small tasks/rounds: many dispatch points for kills to land on."""
     if sampler_cls is SRSSampler:
-        sampler = SRSSampler(pool=pool, roots_per_task=64,
-                             tasks_per_round=4)
+        sampler = SRSSampler(pool=pool, roots_per_task=32)
     else:
         sampler = sampler_cls(partition, ratio=3, pool=pool,
-                              roots_per_task=64, tasks_per_round=4)
+                              roots_per_task=32)
     return sampler.run(query, seed=5, max_roots=700)
 
 
@@ -73,21 +72,22 @@ class TestRecoveryDeterminism:
         assert plan.fired["pool.dispatch"] == 2
         assert fingerprint(survived) == fingerprint(reference)
 
-    def test_thread_mode_skips_kills_and_completes(
+    def test_inline_mode_never_consults_kills(
             self, small_chain_query, small_chain_partition):
-        """Thread workers share the parent process — there is nothing
-        to SIGKILL, so the schedule is skipped (not counted) and the
-        run completes undisturbed."""
+        """An inline pool runs tasks in the caller and never dispatches,
+        so a kill schedule is never consulted and the run completes
+        undisturbed."""
         with WorkerPool(n_workers=2, pool="inline") as pool:
             reference = run_pooled(SRSSampler, small_chain_query,
                                    small_chain_partition, pool)
         plan = FaultPlan(worker_kills=(2, 5))
         with inject(plan):
-            with WorkerPool(n_workers=2, pool="thread",
+            with WorkerPool(n_workers=2, pool="inline",
                             max_worker_restarts=4) as pool:
                 survived = run_pooled(SRSSampler, small_chain_query,
                                       small_chain_partition, pool)
                 assert pool.worker_restarts == 0
+        assert plan.calls["pool.dispatch"] == 0
         assert plan.fired["pool.dispatch"] == 0
         assert fingerprint(survived) == fingerprint(reference)
 
@@ -203,7 +203,7 @@ class TestBudgets:
             WorkerPool(n_workers=2, task_timeout_seconds=0.0)
 
     def test_kill_worker_rejects_processless_modes(self):
-        with WorkerPool(n_workers=2, pool="thread") as pool:
+        with WorkerPool(n_workers=2, pool="inline") as pool:
             with pytest.raises(ValueError, match="no killable"):
                 pool.kill_worker(0)
 

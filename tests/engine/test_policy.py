@@ -101,19 +101,6 @@ class TestReplaceAndSeeds:
         assert derived.max_steps == 100
         assert policy.seed == 1  # immutable original
 
-    def test_seed_for_zero_is_base_seed(self):
-        policy = ExecutionPolicy(seed=42, max_roots=1)
-        assert policy.seed_for(0) == 42
-
-    def test_seed_for_is_deterministic_and_distinct(self):
-        policy = ExecutionPolicy(seed=42, max_roots=1)
-        seeds = [policy.seed_for(i) for i in range(100)]
-        assert seeds == [policy.seed_for(i) for i in range(100)]
-        assert len(set(seeds)) == 100
-
-    def test_seed_for_none_stays_none(self):
-        assert ExecutionPolicy(max_roots=1).seed_for(3) is None
-
     def test_derive_seed_depends_on_material_not_position(self):
         policy = ExecutionPolicy(max_roots=1, seed=42)
         material = ("gbm", 40, "price", 105.0)
@@ -195,18 +182,17 @@ class TestParallelPolicy:
         policy = ExecutionPolicy(
             max_steps=1000,
             parallel=ParallelPolicy(n_workers=4, roots_per_task=128,
-                                    tasks_per_round=4,
-                                    members_per_task=16, pool="thread"))
+                                    members_per_task=16, pool="inline"))
         restored = ExecutionPolicy.from_dict(policy.to_dict())
         assert restored == policy
-        assert restored.parallel.pool == "thread"
+        assert restored.parallel.pool == "inline"
 
-    def test_thread_mode_and_streaming_round_trip(self):
+    def test_inline_mode_and_streaming_round_trip(self):
         policy = ExecutionPolicy(
             max_steps=1000,
-            parallel=ParallelPolicy(n_workers=2, pool="thread"))
+            parallel=ParallelPolicy(n_workers=2, pool="inline"))
         data = policy.to_dict()
-        assert data["parallel"]["pool"] == "thread"
+        assert data["parallel"]["pool"] == "inline"
         # Pooled rounds always stream; there is no toggle to serialize.
         assert "streamed" not in data["parallel"]
         restored = ExecutionPolicy.from_dict(data)
@@ -241,11 +227,27 @@ class TestParallelPolicy:
     def test_validation_rejects_bad_fields(self):
         for bad in (ParallelPolicy(n_workers=0),
                     ParallelPolicy(roots_per_task=0),
-                    ParallelPolicy(tasks_per_round=0),
                     ParallelPolicy(members_per_task=0),
                     ParallelPolicy(pool="threads")):
             with pytest.raises(ValueError):
+                bad.validate()
+            with pytest.raises(ValueError):
                 ExecutionPolicy(max_steps=1, parallel=bad).validate()
+
+    def test_thread_mode_and_round_knob_are_gone(self):
+        """``pool="thread"`` fails validation, and ``tasks_per_round``
+        is no field: rounds always hold ``DEFAULT_TASKS_PER_ROUND``
+        tasks."""
+        with pytest.raises(ValueError, match="pool"):
+            ParallelPolicy(pool="thread").validate()
+        with pytest.raises(ValueError, match="pool"):
+            ExecutionPolicy(max_steps=1, parallel=ParallelPolicy(
+                pool="thread")).validate()
+        with pytest.raises(TypeError):
+            ParallelPolicy(tasks_per_round=8)
+        assert "tasks_per_round" not in ParallelPolicy().to_dict()
+        with pytest.raises(ValueError, match="unknown ParallelPolicy"):
+            ParallelPolicy.from_dict({"tasks_per_round": 8})
 
     def test_default_n_workers_is_machine_sized(self):
         # None defers to os.cpu_count() at pool construction; results

@@ -644,7 +644,7 @@ class TestConcurrentEngine:
     def test_close_is_idempotent_and_reentrant(self):
         engine = DurabilityEngine(ExecutionPolicy(
             max_roots=50, seed=7,
-            parallel=ParallelPolicy(n_workers=2, pool="thread")))
+            parallel=ParallelPolicy(n_workers=2, pool="inline")))
         pool = engine._get_pool(engine.policy)
         assert pool is not None
         engine.close()
@@ -660,7 +660,7 @@ class TestConcurrentEngine:
 
         engine = DurabilityEngine(ExecutionPolicy(
             max_roots=50, seed=7,
-            parallel=ParallelPolicy(n_workers=2, pool="thread")))
+            parallel=ParallelPolicy(n_workers=2, pool="inline")))
         seen, errors = [], []
 
         def churn(worker_id):
@@ -692,7 +692,7 @@ class TestConcurrentEngine:
 
         engine = DurabilityEngine(ExecutionPolicy(
             max_roots=50, seed=7,
-            parallel=ParallelPolicy(n_workers=2, pool="thread")))
+            parallel=ParallelPolicy(n_workers=2, pool="inline")))
         pools = []
         barrier = threading.Barrier(4)
 
@@ -845,8 +845,8 @@ class TestCurveAwareParallelDeterminism:
         query = DurabilityQuery.threshold(
             walk, RandomWalkProcess.position, beta=10.0, horizon=40)
         signatures = []
-        for mode, n_workers in (("inline", 2), ("thread", 1),
-                                ("thread", 2), ("fork", 2)):
+        for mode, n_workers in (("inline", 2), ("fork", 2),
+                                ("fork", 3)):
             engine = DurabilityEngine(ExecutionPolicy(
                 method="gmlss", num_levels=6, max_roots=1_024, seed=57,
                 trial_steps=2_000,
@@ -867,7 +867,7 @@ class TestCurveAwareParallelDeterminism:
             RandomWalkProcess.position, beta=12.0, horizon=30)
             for i in range(3)]
         signatures = []
-        for mode in ("inline", "thread", "fork"):
+        for mode in ("inline", "fork"):
             engine = DurabilityEngine(ExecutionPolicy(
                 method="gmlss", num_levels=3, max_roots=600, seed=58,
                 parallel=ParallelPolicy(n_workers=2, pool=mode,

@@ -248,9 +248,10 @@ MALFORMED_POLICIES = [
     ({"trial_steps": 2.5}, "trial_steps"),
     ({"parallel": {"n_workers": 1.5}}, "n_workers"),
     ({"parallel": {"roots_per_task": 2.5}}, "roots_per_task"),
-    ({"parallel": {"tasks_per_round": True}}, "tasks_per_round"),
+    ({"parallel": {"tasks_per_round": 8}}, "tasks_per_round"),
     ({"parallel": {"max_worker_restarts": -1}}, "max_worker_restarts"),
     ({"parallel": {"pool": "spawn"}}, "pool"),
+    ({"parallel": {"pool": "thread"}}, "pool"),
     ({"parallel": 5}, "parallel"),
 ]
 

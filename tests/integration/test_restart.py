@@ -4,7 +4,7 @@ Satellite contract of the persistence PR: for one query shape, the
 answer produced by (1) a cold plan search, (2) a store-loaded plan
 after a restart, and (3) a pre-warmed plan must be byte-identical —
 modulo plan provenance, which legitimately differs (``plan_source``:
-search / store / cache) — across inline and threaded pool modes, and
+search / store / cache) — across inline and fork pool modes, and
 over HTTP through server restarts.
 """
 
@@ -62,7 +62,7 @@ class TestByteIdentityMatrix:
         """{pool_mode: (cold_bytes, store_bytes, warmed_bytes)}."""
         results = {}
         base = tmp_path_factory.mktemp("plans")
-        for mode in ("inline", "thread"):
+        for mode in ("inline", "fork"):
             policy = FAST.replace(parallel=ParallelPolicy(
                 n_workers=2, pool=mode))
             path = str(base / f"{mode}.db")
@@ -89,7 +89,7 @@ class TestByteIdentityMatrix:
             results[mode] = (cold, loaded, warmed)
         return results
 
-    @pytest.mark.parametrize("mode", ["inline", "thread"])
+    @pytest.mark.parametrize("mode", ["inline", "fork"])
     def test_store_loaded_answers_match_cold(self, matrix, mode):
         cold, loaded, _ = matrix[mode]
         assert loaded.details["plan_source"] == "store"
@@ -97,7 +97,7 @@ class TestByteIdentityMatrix:
         assert DurabilityEngine._search_steps(loaded.details) == 0
         assert answer_bytes(loaded) == answer_bytes(cold)
 
-    @pytest.mark.parametrize("mode", ["inline", "thread"])
+    @pytest.mark.parametrize("mode", ["inline", "fork"])
     def test_pre_warmed_answers_match_cold(self, matrix, mode):
         cold, _, warmed = matrix[mode]
         assert warmed.details["plan_source"] == "cache"
@@ -107,8 +107,8 @@ class TestByteIdentityMatrix:
 
     def test_pool_mode_does_not_change_the_bytes(self, matrix):
         inline_cold, _, _ = matrix["inline"]
-        thread_cold, _, _ = matrix["thread"]
-        assert answer_bytes(inline_cold) == answer_bytes(thread_cold)
+        fork_cold, _, _ = matrix["fork"]
+        assert answer_bytes(inline_cold) == answer_bytes(fork_cold)
 
 
 class TestHttpRestart:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.core.levels import LevelPartition
-from repro.engine import ExecutionPolicy
+from repro.engine import ExecutionPolicy, ParallelPolicy
 from repro.processes import GBMProcess, RandomWalkProcess
 from repro.serve.protocol import (DEFAULT_Z, PROCESS_FAMILIES,
                                   ProtocolError, build_process,
@@ -126,6 +127,28 @@ class TestParsePolicy:
     def test_full_to_dict_round_trips(self):
         policy = parse_policy(self.BASE.to_dict(), ExecutionPolicy())
         assert policy == self.BASE
+
+    def test_worker_count_bounded_by_cpus(self):
+        """A request's ``parallel`` may ask for up to ``os.cpu_count()``
+        workers (inline here, so nothing forks) or ``None``."""
+        cpus = os.cpu_count() or 1
+        for n_workers in (cpus, None):
+            policy = parse_policy({"parallel": {"n_workers": n_workers,
+                                                "pool": "inline"}},
+                                  self.BASE)
+            assert policy.parallel.n_workers == n_workers
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_policy({"parallel": {"n_workers": cpus + 1,
+                                       "pool": "inline"}}, self.BASE)
+        assert f"n_workers={cpus + 1}" in str(excinfo.value)
+        assert f"{cpus} CPUs" in str(excinfo.value)
+
+    def test_worker_bound_skips_documents_without_parallel(self):
+        """The bound applies to what a request sends; a base policy
+        (the server's or a session's) keeps its own count."""
+        base = self.BASE.replace(parallel=ParallelPolicy(
+            n_workers=(os.cpu_count() or 1) + 1, pool="inline"))
+        assert parse_policy({"seed": 3}, base) == base.replace(seed=3)
 
 
 class TestPartitionAndThresholds:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import threading
 import time
 
@@ -323,6 +324,28 @@ class TestProtocolErrors:
             assert conn.getresponse().status == 200
         finally:
             conn.close()
+
+
+class TestWorkerBound:
+    """One request may not fork more workers than the host has CPUs.
+    Only ``os.cpu_count() + 1`` is ever asked for: were the bound gone,
+    the request would fork that many processes."""
+
+    def test_too_many_workers_is_400_and_builds_no_pool(self):
+        cpus = os.cpu_count() or 1
+        policy = {"parallel": {"n_workers": cpus + 1}}
+        config = ServeConfig(watchdog_interval_seconds=0.05)
+        with ServerThread(policy=DEFAULT_POLICY, config=config) as handle:
+            for path, payload in (
+                    ("/answer", {"query": WALK_DOC, "policy": policy}),
+                    ("/session", {"policy": policy})):
+                status, _, raw = call(handle, "POST", path, payload)
+                assert status == 400, path
+                error = json.loads(raw)["error"]
+                assert error["kind"] == "protocol"
+                assert f"n_workers={cpus + 1}" in error["message"]
+                assert f"{cpus} CPUs" in error["message"]
+            assert handle.server.engine._pool is None
 
 
 class TestBudgetAndPlanErrors:

@@ -73,7 +73,8 @@ class TestProcessConstruction:
         assert isinstance(make_process("volatile-cpp"), ImpulseProcess)
 
     def test_volatile_cpp_active_from_start(self):
-        # Documented deviation: CPP maxima occur early (DESIGN.md).
+        # Deviation from the paper: CPP maxima occur early under its
+        # negative drift, so its impulses are active from the start.
         assert make_process("volatile-cpp").active_after == 0
 
     def test_unknown_model_rejected(self):
