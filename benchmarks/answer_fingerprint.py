@@ -13,9 +13,10 @@ answer bytes (``OTHER`` is the other tree's ``src`` directory):
 Covers ``DurabilityEngine.answer`` (SRS, s-MLSS and g-MLSS on an
 explicit plan, balanced-pilot plans, greedy-searched ``auto``; SRS
 point answers stopped by ``max_roots=250``; SRS, s-MLSS and g-MLSS
-point answers stopped by a relative-error target; and SRS and g-MLSS
-``record_trace`` answers printed as their trace length and last
-point), ``durability_curve`` (SRS, s-MLSS and g-MLSS under a budget;
+point answers stopped by a relative-error target; and ``record_trace``
+answers printed as their trace length and last point: SRS under a
+budget, g-MLSS under a target, s-MLSS under a budget and under a
+target), ``durability_curve`` (SRS, s-MLSS and g-MLSS under a budget;
 s-MLSS and g-MLSS under a relative-error target), fused
 ``answer_batch`` (SRS screening and clustered g-MLSS fleets, each
 under a budget and under a quality target), fused
@@ -146,6 +147,14 @@ def fingerprint() -> list:
                 walk, method="gmlss", partition=plan, max_steps=None,
                 max_roots=6_000, quality=RelativeErrorTarget(0.1),
                 record_trace=True, seed=28)))
+            out.append(trace_line(f"{tag}.walk.smlss_trace", engine.answer(
+                walk, method="smlss", partition=plan, max_steps=None,
+                max_roots=6_000, record_trace=True, seed=39)))
+            out.append(trace_line(
+                f"{tag}.walk.smlss_trace_target", engine.answer(
+                    walk, method="smlss", partition=plan, max_steps=None,
+                    max_roots=6_000, quality=RelativeErrorTarget(0.1),
+                    record_trace=True, seed=40)))
             for method, seed in (("srs", 16), ("smlss", 29), ("gmlss", 17)):
                 out.extend(curve_lines(
                     f"{tag}.curve.{method}", engine.durability_curve(

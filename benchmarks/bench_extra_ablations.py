@@ -1,68 +1,23 @@
 """Ablations beyond the paper's figures.
 
-Three design-choice checks:
+Two design-choice checks:
 
-1. **IS/CE comparator** (Section 2.2): on a Gaussian-step model where
-   importance sampling *is* applicable, CE-tuned IS and MLSS both beat
-   SRS — MLSS matching specialised IS without needing model internals.
-2. **Bootstrap policy**: the conservative (geometric) evaluation
+1. **Bootstrap policy**: the conservative (geometric) evaluation
    schedule keeps bootstrap overhead a small fraction of g-MLSS time
    versus checking after every batch.
-3. **Balanced-growth theory** (Eq. 13): the measured s-MLSS variance
+2. **Balanced-growth theory** (Eq. 13): the measured s-MLSS variance
    under a balanced plan tracks the branching-process prediction.
 """
 
 import pytest
 
-from bench_common import step_cap, write_report
+from bench_common import write_report
 from repro.core.gmlss import GMLSSSampler
-from repro.core.importance import ISSampler, cross_entropy_tilt
 from repro.core.levels import LevelPartition
 from repro.core.quality import RelativeErrorTarget
 from repro.core.smlss import SMLSSSampler
-from repro.core.srs import SRSSampler
 from repro.core.value_functions import DurabilityQuery
 from repro.core.variance import balanced_growth_variance
-from repro.processes.random_walk import GaussianWalkProcess
-
-
-def gaussian_walk_query(threshold=9.0, horizon=25):
-    process = GaussianWalkProcess(drift=0.0, sigma=1.0)
-    return DurabilityQuery.threshold(process, GaussianWalkProcess.position,
-                                     beta=threshold, horizon=horizon)
-
-
-@pytest.mark.benchmark(group="ablations")
-def test_ablation_is_ce_vs_mlss_vs_srs(benchmark):
-    query = gaussian_walk_query()
-    budget = step_cap(400_000)
-
-    def run():
-        tilt = cross_entropy_tilt(query, rounds=4, paths_per_round=400,
-                                  seed=1)
-        # Gaussian steps can cross several levels at once, so only the
-        # general estimator is sound here (s-MLSS would be biased low).
-        results = {
-            "srs": SRSSampler().run(query, max_steps=budget, seed=2),
-            "is-ce": ISSampler(tilt=tilt).run(query, max_steps=budget,
-                                              seed=3),
-            "mlss": GMLSSSampler(LevelPartition([0.33, 0.55, 0.75, 0.9]),
-                                 ratio=3).run(query, max_steps=budget,
-                                              seed=4),
-        }
-        return tilt, results
-
-    tilt, results = benchmark.pedantic(run, rounds=1, iterations=1)
-    lines = [f"CE tilt: {tilt:.3f}"]
-    for name, est in results.items():
-        lines.append(f"{name:6s} tau={est.probability:.6f} "
-                     f"RE={est.relative_error():.3f} steps={est.steps}")
-    write_report("ablation_is_ce",
-                 "Ablation — IS/CE vs MLSS vs SRS (Gaussian walk)", lines)
-    assert results["is-ce"].relative_error() < results[
-        "srs"].relative_error()
-    assert results["mlss"].relative_error() < results[
-        "srs"].relative_error()
 
 
 @pytest.mark.benchmark(group="ablations")

@@ -24,20 +24,24 @@ vectorized/fused substrate *inside every worker*:
 Every workload runs on the inline pool (1 worker, the baseline) and on
 fork pools of 2 and 4 workers; the per-workload speedup is the
 4-worker rate over the 1-worker rate, and all three points feed the
-determinism check.
+determinism check.  Each pool point (and each plan-search row) runs
+``REPEATS`` times with the same seeds, because one ``--quick`` point
+lasts a few tenths of a second and its wall clock swings about 2x on a
+shared host: rows report the median seconds and steps/s plus the raw
+seconds, and the speedups read the medians.
 
 Besides throughput, the machine-independent contracts are *gated* (the
 benchmark fails if they break, whatever the host):
 
-* **determinism** — pooled results byte-identical across worker counts
-  *and* pool modes, inline and fork (fixed task decomposition,
+* **determinism** — pooled results byte-identical across worker counts,
+  pool modes (inline and fork) and repeats (fixed task decomposition,
   task-index-derived seeds);
 * **agreement** — pooled estimates inside joint 99.9% CIs of
   single-process (unpooled) runs (a many-comparison workload may miss
   its binomial false-positive budget, a one-comparison workload never:
   :func:`allowed_outside`);
 * **plan identity** — pool-sharded plan search returns exactly the
-  sequential search's partition and step accounting.
+  sequential search's partition and step accounting, on every repeat.
 
 The speedup targets (>= 3x fused-fleet steps/s at 4 workers, pooled
 plan search faster than the parent) are evaluated only when the host
@@ -54,6 +58,7 @@ import argparse
 import json
 import math
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -80,6 +85,8 @@ WORKER_GRID = (1, 2, 4)
 POOL_GRID = (("inline", 1), ("fork", 2), ("fork", 4))
 SPEEDUP_TARGET = 3.0
 Z999 = critical_value(0.999)
+#: Runs per pool point, all with the same seeds.
+REPEATS = 3
 
 
 def speedup_at_4(rows):
@@ -118,6 +125,39 @@ def timed(fn):
     return result, time.perf_counter() - started
 
 
+def repeated(fn):
+    """``fn`` run ``REPEATS`` times: its results, the median seconds and
+    the raw seconds."""
+    results, raw = zip(*(timed(fn) for _ in range(REPEATS)))
+    return list(results), statistics.median(raw), [round(t, 4) for t in raw]
+
+
+def run_pool_grid(run, steps_of, signature_of):
+    """Answer a sampling workload at every :data:`POOL_GRID` point.
+
+    ``run(pool)`` answers it on ``pool``; each point runs ``REPEATS``
+    times with the same seeds.  Returns the rows (median seconds and
+    steps/s, plus the raw seconds), the last point's result, and whether
+    every run's signature equals the first's, across points and repeats.
+    """
+    rows, signatures = [], []
+    for mode, n_workers in POOL_GRID:
+        with WorkerPool(n_workers=n_workers, pool=mode) as pool:
+            results, seconds, raw = repeated(lambda: run(pool))
+        steps = steps_of(results[0])
+        rows.append({"mode": mode, "n_workers": n_workers,
+                     "seconds": round(seconds, 4), "raw_seconds": raw,
+                     "steps": steps,
+                     "steps_per_second": round(steps / seconds, 1)})
+        signatures.extend(signature_of(result) for result in results)
+    deterministic = all(s == signatures[0] for s in signatures)
+    return rows, results[0], deterministic
+
+
+def total_steps(answers):
+    return sum(answer.steps for answer in answers)
+
+
 def run_srs_workload(quick):
     process = GBMProcess(start_price=100.0, mu=0.0004, sigma=0.012)
     query = DurabilityQuery.threshold(
@@ -126,20 +166,13 @@ def run_srs_workload(quick):
     max_roots = 150_000 if quick else 400_000
 
     sequential = SRSSampler().run(query, max_roots=max_roots, seed=5)
-    rows, signatures = [], []
-    for mode, n_workers in POOL_GRID:
-        with WorkerPool(n_workers=n_workers, pool=mode) as pool:
-            # Large tasks (~30ms of simulation each) so per-task IPC
-            # stays negligible next to the work it ships.
-            estimate, seconds = timed(lambda: SRSSampler(
-                pool=pool, roots_per_task=4096).run(
-                query, max_roots=max_roots, seed=5))
-        rows.append({"mode": mode, "n_workers": n_workers,
-                     "seconds": round(seconds, 4),
-                     "steps": estimate.steps,
-                     "steps_per_second": round(estimate.steps / seconds, 1)})
-        signatures.append(signature([estimate]))
-        last = estimate
+    # Large tasks (~30ms of simulation each) so per-task IPC stays
+    # negligible next to the work it ships.
+    rows, last, deterministic = run_pool_grid(
+        lambda pool: SRSSampler(pool=pool, roots_per_task=4096).run(
+            query, max_roots=max_roots, seed=5),
+        lambda estimate: estimate.steps,
+        lambda estimate: signature([estimate]))
     joint = Z999 * math.sqrt(last.variance + sequential.variance)
     return {
         "workload": "srs",
@@ -147,8 +180,7 @@ def run_srs_workload(quick):
         "max_roots": max_roots,
         "by_workers": rows,
         "speedup_at_4": speedup_at_4(rows),
-        "deterministic_across_workers":
-            all(s == signatures[0] for s in signatures),
+        "deterministic_across_workers": deterministic,
         "comparisons": 1,
         "outside_joint_ci999_vs_sequential":
             int(abs(last.probability - sequential.probability)
@@ -165,20 +197,11 @@ def run_fleet_workload(quick):
 
     sequential = screen_fleet(fused, GBMProcess.price, betas, horizon,
                               max_roots=max_roots, seed=7)
-    rows, signatures = [], []
-    for mode, n_workers in POOL_GRID:
-        with WorkerPool(n_workers=n_workers, pool=mode) as pool:
-            estimates, seconds = timed(lambda: screen_fleet(
-                fused, GBMProcess.price, betas, horizon,
-                max_roots=max_roots, seed=7, pool=pool,
-                members_per_task=8))
-        total_steps = sum(e.steps for e in estimates)
-        rows.append({"mode": mode, "n_workers": n_workers,
-                     "seconds": round(seconds, 4),
-                     "steps": total_steps,
-                     "steps_per_second": round(total_steps / seconds, 1)})
-        signatures.append(signature(estimates))
-        pooled = estimates
+    rows, pooled, deterministic = run_pool_grid(
+        lambda pool: screen_fleet(
+            fused, GBMProcess.price, betas, horizon, max_roots=max_roots,
+            seed=7, pool=pool, members_per_task=8),
+        total_steps, signature)
     disagreements = sum(
         1 for p, s in zip(pooled, sequential)
         if abs(p.probability - s.probability)
@@ -190,8 +213,7 @@ def run_fleet_workload(quick):
         "max_roots_per_entity": max_roots,
         "by_workers": rows,
         "speedup_at_4": speedup_at_4(rows),
-        "deterministic_across_workers":
-            all(s == signatures[0] for s in signatures),
+        "deterministic_across_workers": deterministic,
         "comparisons": n_entities,
         "outside_joint_ci999_vs_sequential": disagreements,
     }
@@ -210,20 +232,11 @@ def run_curve_workload(quick):
 
     sequential = screen_fleet_curves(fused, GBMProcess.price, grids,
                                      horizon, max_roots=max_roots, seed=9)
-    rows, signatures = [], []
-    for mode, n_workers in POOL_GRID:
-        with WorkerPool(n_workers=n_workers, pool=mode) as pool:
-            curves, seconds = timed(lambda: screen_fleet_curves(
-                fused, GBMProcess.price, grids, horizon,
-                max_roots=max_roots, seed=9, pool=pool,
-                members_per_task=4))
-        total_steps = sum(c.steps for c in curves)
-        rows.append({"mode": mode, "n_workers": n_workers,
-                     "seconds": round(seconds, 4),
-                     "steps": total_steps,
-                     "steps_per_second": round(total_steps / seconds, 1)})
-        signatures.append(curve_signature(curves))
-        pooled = curves
+    rows, pooled, deterministic = run_pool_grid(
+        lambda pool: screen_fleet_curves(
+            fused, GBMProcess.price, grids, horizon, max_roots=max_roots,
+            seed=9, pool=pool, members_per_task=4),
+        total_steps, curve_signature)
     disagreements = 0
     for pooled_curve, sequential_curve in zip(pooled, sequential):
         for p, s in zip(pooled_curve.estimates,
@@ -239,8 +252,7 @@ def run_curve_workload(quick):
         "max_roots_per_entity": max_roots,
         "by_workers": rows,
         "speedup_at_4": speedup_at_4(rows),
-        "deterministic_across_workers":
-            all(s == signatures[0] for s in signatures),
+        "deterministic_across_workers": deterministic,
         "comparisons": n_entities * 8,
         "outside_joint_ci999_vs_sequential": disagreements,
     }
@@ -261,18 +273,11 @@ def run_forest_workload(quick):
 
     sequential = GMLSSSampler(partition, ratio=3).run(
         query, max_roots=max_roots, seed=13)
-    rows, signatures = [], []
-    for mode, n_workers in POOL_GRID:
-        with WorkerPool(n_workers=n_workers, pool=mode) as pool:
-            estimate, seconds = timed(lambda: GMLSSSampler(
-                partition, ratio=3, pool=pool).run(
-                query, max_roots=max_roots, seed=13))
-        rows.append({"mode": mode, "n_workers": n_workers,
-                     "seconds": round(seconds, 4),
-                     "steps": estimate.steps,
-                     "steps_per_second": round(estimate.steps / seconds, 1)})
-        signatures.append(signature([estimate]))
-        last = estimate
+    rows, last, deterministic = run_pool_grid(
+        lambda pool: GMLSSSampler(partition, ratio=3, pool=pool).run(
+            query, max_roots=max_roots, seed=13),
+        lambda estimate: estimate.steps,
+        lambda estimate: signature([estimate]))
     joint = Z999 * math.sqrt(last.variance + sequential.variance)
     return {
         "workload": "gmlss_forest",
@@ -281,8 +286,7 @@ def run_forest_workload(quick):
         "max_roots": max_roots,
         "by_workers": rows,
         "speedup_at_4": speedup_at_4(rows),
-        "deterministic_across_workers":
-            all(s == signatures[0] for s in signatures),
+        "deterministic_across_workers": deterministic,
         "comparisons": 1,
         "outside_joint_ci999_vs_sequential":
             int(abs(last.probability - sequential.probability) > joint),
@@ -308,42 +312,50 @@ def run_plan_search_workload(quick):
     trial_steps = 25_000 if quick else 80_000
     pilot_paths = 2_000 if quick else 6_000
 
-    parent, parent_seconds = timed(lambda: adaptive_greedy_partition(
-        query, ratio=3, trial_steps=trial_steps, seed=17))
-    parent_pilot, parent_pilot_seconds = timed(
-        lambda: balanced_growth_partition(
-            query, 4, pilot_paths=pilot_paths, seed=19))
-
-    rows = [{"mode": "parent", "n_workers": 1,
-             "seconds": round(parent_seconds, 4),
-             "pilot_seconds": round(parent_pilot_seconds, 4),
-             "search_steps": parent.search_steps}]
-    with WorkerPool(n_workers=max(WORKER_GRID), pool="fork") as pool:
-        pooled, seconds = timed(lambda: adaptive_greedy_partition(
+    def search(pool=None):
+        """One greedy search and one pilot, each timed; the pilot is
+        timed on its own so its share shows."""
+        result, seconds = timed(lambda: adaptive_greedy_partition(
             query, ratio=3, trial_steps=trial_steps, seed=17, pool=pool))
-        pooled_pilot, pilot_seconds = timed(
-            lambda: balanced_growth_partition(
-                query, 4, pilot_paths=pilot_paths, seed=19, pool=pool))
-    rows.append({"mode": "fork", "n_workers": max(WORKER_GRID),
-                 "seconds": round(seconds, 4),
-                 "pilot_seconds": round(pilot_seconds, 4),
-                 "search_steps": pooled.search_steps})
-    identical = (pooled.partition == parent.partition
-                 and pooled.search_steps == parent.search_steps
-                 and pooled_pilot == parent_pilot)
-    pooled_total = seconds + pilot_seconds
-    parent_total = parent_seconds + parent_pilot_seconds
+        pilot, pilot_seconds = timed(lambda: balanced_growth_partition(
+            query, 4, pilot_paths=pilot_paths, seed=19, pool=pool))
+        return (result.partition, result.search_steps, pilot), \
+            seconds, pilot_seconds
+
+    def row(mode, n_workers, pool=None):
+        runs = [search(pool) for _ in range(REPEATS)]
+        plans, seconds, pilot_seconds = zip(*runs)
+        return plans, {
+            "mode": mode, "n_workers": n_workers,
+            "seconds": round(statistics.median(seconds), 4),
+            "raw_seconds": [round(t, 4) for t in seconds],
+            "pilot_seconds": round(statistics.median(pilot_seconds), 4),
+            "raw_pilot_seconds": [round(t, 4) for t in pilot_seconds],
+            "search_steps": plans[0][1]}
+
+    parent_plans, parent_row = row("parent", 1)
+    with WorkerPool(n_workers=max(WORKER_GRID), pool="fork") as pool:
+        pooled_plans, pooled_row = row("fork", max(WORKER_GRID), pool)
+    rows = [parent_row, pooled_row]
+    parent = parent_plans[0]
+    identical = all(plan == parent for plan in parent_plans + pooled_plans)
+    pooled_total = pooled_row["seconds"] + pooled_row["pilot_seconds"]
+    parent_total = parent_row["seconds"] + parent_row["pilot_seconds"]
     return {
         "workload": "plan_search",
         "query": query.name,
         "trial_steps": trial_steps,
         "pilot_paths": pilot_paths,
-        "greedy_partition": list(parent.partition.boundaries),
+        "greedy_partition": list(parent[0].boundaries),
         "by_workers": rows,
         "speedup_at_4": round(parent_total / pooled_total, 2),
         "plan_identical_to_parent": identical,
         "pooled_faster_than_parent": pooled_total < parent_total,
     }
+
+
+def raw_text(seconds) -> str:
+    return "[" + " ".join(f"{t:.3f}" for t in seconds) + "]"
 
 
 def allowed_outside(comparisons: int) -> int:
@@ -396,6 +408,7 @@ def main(argv=None):
         "cpu_count": cpu_count,
         "worker_grid": list(WORKER_GRID),
         "pool_grid": [list(point) for point in POOL_GRID],
+        "repeats": REPEATS,
         "workloads": workloads,
         "targets": {
             "fused_fleet_speedup_at_4_min": SPEEDUP_TARGET,
@@ -412,14 +425,16 @@ def main(argv=None):
     evaluable_note = ("evaluable" if target_evaluable else
                       "NOT evaluable: fewer cores than the 4-worker "
                       "grid point")
-    lines = [f"host cpus: {cpu_count} (speedup targets {evaluable_note})"]
+    lines = [f"host cpus: {cpu_count} (speedup targets {evaluable_note})",
+             f"each point: median of {REPEATS} runs with the same seeds "
+             f"(raw seconds in brackets)"]
     for workload in sampling:
         lines.append(f"{workload['workload']}:")
         for row in workload["by_workers"]:
             lines.append(
                 f"  {row['mode']:>7}/{row['n_workers']} worker(s) "
                 f"{row['steps_per_second']:>14,.0f} steps/s "
-                f"({row['seconds']:.3f}s)")
+                f"({row['seconds']:.3f}s {raw_text(row['raw_seconds'])})")
         lines.append(
             f"  speedup@4 {workload['speedup_at_4']:.2f}x   "
             f"deterministic: {workload['deterministic_across_workers']}  "
@@ -431,8 +446,10 @@ def main(argv=None):
     for row in plan_search["by_workers"]:
         lines.append(
             f"  {row['mode']:>7}/{row['n_workers']} worker(s) "
-            f"greedy {row['seconds']:.3f}s + pilot "
-            f"{row['pilot_seconds']:.3f}s")
+            f"greedy {row['seconds']:.3f}s "
+            f"{raw_text(row['raw_seconds'])} + pilot "
+            f"{row['pilot_seconds']:.3f}s "
+            f"{raw_text(row['raw_pilot_seconds'])}")
     lines.append(
         f"  speedup@4 {plan_search['speedup_at_4']:.2f}x   "
         f"plan identical to parent: {plan_identical}")

@@ -3,7 +3,7 @@
 A from-scratch reproduction of Gao, Xu, Agarwal and Yang, "Efficiently
 Answering Durability Prediction Queries" (SIGMOD 2021): the MLSS
 samplers (simple and general), level-plan optimization, the baseline
-samplers (SRS, importance sampling), the paper's experimental substrates
+sampler (SRS), the paper's experimental substrates
 (tandem queues, compound Poisson processes, an LSTM-MDN sequence model),
 and a DBMS-embedded query pipeline.
 
@@ -52,11 +52,10 @@ by row at the same cost per path.
 
 from .core import (ConfidenceIntervalTarget, DurabilityCurve,
                    DurabilityEstimate,
-                   DurabilityQuery, GMLSSSampler, ISSampler, LevelPartition,
+                   DurabilityQuery, GMLSSSampler, LevelPartition,
                    NeverTarget, RelativeErrorTarget, SMLSSSampler,
                    SRSSampler, ThresholdValueFunction,
-                   adaptive_greedy_partition, balanced_growth_partition,
-                   cross_entropy_tilt)
+                   adaptive_greedy_partition, balanced_growth_partition)
 from .engine import DurabilityEngine, ExecutionPolicy, PlanCache
 
 __version__ = "1.2.0"
@@ -65,9 +64,9 @@ __all__ = [
     "ConfidenceIntervalTarget", "DurabilityCurve", "DurabilityEngine",
     "DurabilityEstimate", "DurabilityQuery",
     "ExecutionPolicy",
-    "GMLSSSampler", "ISSampler", "LevelPartition", "NeverTarget",
+    "GMLSSSampler", "LevelPartition", "NeverTarget",
     "PlanCache",
     "RelativeErrorTarget", "SMLSSSampler", "SRSSampler",
     "ThresholdValueFunction", "adaptive_greedy_partition",
-    "balanced_growth_partition", "cross_entropy_tilt", "__version__",
+    "balanced_growth_partition", "__version__",
 ]

@@ -12,9 +12,9 @@ from .fleet import (FleetThresholdValue, screen_fleet,
                     screen_fleet_curves, screen_fleet_mlss)
 from .forest import LevelPlanError, VectorizedForestRunner, validate_plan
 from .gmlss import (GMLSSSampler, gmlss_pi_hat_rows, gmlss_pi_hats,
-                    gmlss_point_estimate, gmlss_prefix_estimates)
+                    gmlss_point_estimate, gmlss_prefix_estimates,
+                    make_forest_runner)
 from .greedy import GreedyResult, adaptive_greedy_partition
-from .importance import ISSampler, cross_entropy_tilt
 from .levels import LevelPartition, normalize_ratios, uniform_partition
 from .optimizer import PlanTrial, evaluate_partition, pool_trials
 from .pool import (PooledForestRunner, StepBudgetError, WorkerPool,
@@ -22,8 +22,8 @@ from .pool import (PooledForestRunner, StepBudgetError, WorkerPool,
 from .quality import (ConfidenceIntervalTarget, NeverTarget, QualityTarget,
                       RelativeErrorTarget)
 from .records import ForestAggregate, ForestCohort
-from .smlss import (SMLSSSampler, make_forest_runner,
-                    smlss_prefix_estimates, smlss_prefix_variances)
+from .smlss import (SMLSSSampler, smlss_prefix_estimates,
+                    smlss_prefix_variances)
 from .srs import (SRSSampler, prepare_curve_grid, srs_variance,
                   validate_curve_levels)
 from .value_functions import (TARGET_VALUE, DurabilityQuery,
@@ -40,7 +40,7 @@ __all__ = [
     "DurabilityQuery", "FleetThresholdValue", "ForestAggregate",
     "ForestCohort",
     "GMLSSSampler",
-    "GreedyResult", "ISSampler", "LevelPartition", "LevelPlanError",
+    "GreedyResult", "LevelPartition", "LevelPlanError",
     "NeverTarget", "PlanTrial", "PooledForestRunner", "QualityTarget",
     "RelativeErrorTarget",
     "SMLSSSampler", "SRSSampler", "StepBudgetError",
@@ -50,7 +50,7 @@ __all__ = [
     "adaptive_greedy_partition",
     "balanced_advancement_probability", "balanced_growth_partition",
     "balanced_growth_variance", "batch_values",
-    "bootstrap_variance", "cross_entropy_tilt", "derive_task_seed",
+    "bootstrap_variance", "derive_task_seed",
     "evaluate_partition",
     "gmlss_pi_hat_rows", "gmlss_pi_hats", "gmlss_point_estimate",
     "gmlss_prefix_estimates",

@@ -29,14 +29,22 @@ evaluated on a conservative geometric schedule, following the paper's
 rule of thumb that "sometimes overrunning the simulation a little"
 beats frequent bootstrapping.
 
-There is one pass and one fold.  :func:`gmlss_pi_hat_rows` computes
-Eq. 9 over counter-total rows; the running product of a row is the
-prefix curve (:func:`gmlss_prefix_estimates`), and the point estimate
-is its last entry.  The bootstrap refolds every replicate through the
-same function, so one resampling pass gives every prefix's variance.
+There is one fold.  :func:`gmlss_pi_hat_rows` computes Eq. 9 over
+counter-total rows; the running product of a row is the prefix curve
+(:func:`gmlss_prefix_estimates`), and the point estimate is its last
+entry.  The bootstrap refolds every replicate through the same
+function, so one resampling pass gives every prefix's variance.
+
+This module also holds the one MLSS round loop.
 :meth:`GMLSSSampler.run` and :meth:`GMLSSSampler.run_curve` share one
-round loop that differs only in which levels gate the quality target:
-the point answer is the curve's top level.
+pass that differs only in which levels gate the quality target: the
+point answer is the curve's top level.  Both splitting estimators grow
+the same forest (from :func:`make_forest_runner`), so s-MLSS
+(:class:`~repro.core.smlss.SMLSSSampler`) subclasses
+:class:`GMLSSSampler` and overrides only how the counters fold (Eq. 3
+against Eq. 9), how the variance is estimated (Eq. 5-6 against the
+bootstrap), when the loop checks, how many observations back a level
+and which facts its ``details`` report.
 """
 
 from __future__ import annotations
@@ -50,10 +58,10 @@ import numpy as np
 
 from .bootstrap import bootstrap_variance
 from .estimates import DurabilityCurve, DurabilityEstimate, TracePoint
+from .forest import VectorizedForestRunner
 from .levels import LevelPartition, normalize_ratios
 from .quality import QualityTarget
 from .records import ForestAggregate
-from .smlss import close_runner, level_estimates, make_forest_runner
 from .srs import prepare_curve_grid
 from .value_functions import DurabilityQuery
 
@@ -130,8 +138,46 @@ def gmlss_point_estimate(aggregate: ForestAggregate, ratios: tuple) -> float:
     return gmlss_prefix_estimates(aggregate, ratios)[-1]
 
 
+def _trace_point(aggregate: ForestAggregate, prefixes, variances,
+                 started: float) -> TracePoint:
+    """The top curve level of a pass as a convergence snapshot."""
+    return TracePoint(
+        steps=aggregate.steps, elapsed_seconds=time.perf_counter() - started,
+        probability=prefixes[-1], variance=float(variances[-1]),
+        n_roots=aggregate.n_roots, hits=aggregate.hits)
+
+
+def make_forest_runner(query: DurabilityQuery,
+                       partition: LevelPartition, ratios,
+                       seed: Optional[int],
+                       pool=None,
+                       roots_per_task: Optional[int] = None):
+    """Build the forest runner for one sampler run.
+
+    Without a pool, whole cohorts run through
+    :class:`VectorizedForestRunner` (a NumPy generator, buffered
+    frontiers, and in-place stepping for processes that support
+    ``out=``).  With a :class:`~repro.core.pool.WorkerPool`, cohorts
+    shard over the pool's workers instead, in pipelined rounds
+    (:class:`~repro.core.pool.PooledForestRunner`).  Both runners
+    expose the same ``accumulate`` interface, so samplers are
+    parallelism-agnostic past this point; pooled runners additionally
+    expose ``close()``, which samplers call when a run finishes.
+    """
+    if pool is not None:
+        from .pool import DEFAULT_ROOTS_PER_TASK, PooledForestRunner
+        return PooledForestRunner(
+            pool, query, partition, ratios, seed,
+            roots_per_task=roots_per_task or DEFAULT_ROOTS_PER_TASK)
+    return VectorizedForestRunner(query, partition, ratios,
+                                  np.random.default_rng(seed))
+
+
 class GMLSSSampler:
-    """Batched g-MLSS with bootstrap variance and conservative checks.
+    """Batched g-MLSS with bootstrap variance and conservative checks,
+    and the one MLSS round loop (:class:`~repro.core.smlss.SMLSSSampler`
+    narrows the constructor and overrides only the methods below
+    :meth:`_level_estimates`).
 
     Parameters
     ----------
@@ -149,7 +195,8 @@ class GMLSSSampler:
         ``first_check_roots`` and then every time it grows by
         ``check_growth`` — the "conservative bootstrapping" policy.
     record_trace:
-        Record convergence snapshots (taken at bootstrap evaluations).
+        Record convergence snapshots in ``details["trace"]``, one per
+        check; the last one is the answer.
     pool / roots_per_task:
         With a :class:`~repro.core.pool.WorkerPool`, root trees shard
         over its workers in fixed-size tasks, rounds pipelined
@@ -199,14 +246,14 @@ class GMLSSSampler:
         The quality target is checked at the target level only, so the
         run stops no later than the curve and, when both stop at the
         same root count, answers with the curve's top level byte for
-        byte.  ``details`` carries the level counters, the advancement
-        estimates and the bootstrap's cost.
+        byte.  ``details`` carries the level counters and the
+        estimator's own facts (:meth:`_estimator_details`).
         """
         prepare_curve_grid(self.partition.boundaries + (1.0,), None,
                            quality, max_steps, max_roots)
         trace = [] if self.record_trace else None
         started = time.perf_counter()
-        aggregate, variances, boot_seconds, boot_evals = self._pass(
+        aggregate, variances, eval_seconds, evals = self._pass(
             query, (self.partition.num_levels - 1,), quality, max_steps,
             max_roots, seed, trace)
         details = {
@@ -214,15 +261,13 @@ class GMLSSSampler:
             "ratios": self.ratios[1:],
             "landings": list(aggregate.landings),
             "skips": list(aggregate.skips),
-            "pi_hats": gmlss_pi_hats(aggregate, self.ratios),
-            "bootstrap_seconds": boot_seconds,
-            "bootstrap_evals": boot_evals,
+            **self._estimator_details(aggregate, eval_seconds, evals,
+                                      point=True),
         }
         if trace is not None:
             details["trace"] = trace
-        estimate = level_estimates(
-            self, aggregate, gmlss_prefix_estimates(aggregate, self.ratios),
-            variances, time.perf_counter() - started)[-1]
+        estimate = self._level_estimates(
+            aggregate, variances, time.perf_counter() - started)[-1]
         estimate.details = details
         return estimate
 
@@ -236,12 +281,13 @@ class GMLSSSampler:
 
         The curve levels are the sampler's interior boundaries plus the
         target: one splitting forest yields ``Pr[cross beta_i]`` for
-        every boundary simultaneously via the prefix products of the
-        g-MLSS decomposition (see :func:`gmlss_prefix_estimates`), with
-        per-level variances from the same bootstrap as :meth:`run`.  To
-        answer a grid of raw thresholds, build the partition from the
-        normalized grid and rebase the query onto the largest threshold
-        (the engine's ``durability_curve`` does exactly that).
+        every boundary simultaneously via the prefixes of the fold
+        (for g-MLSS the prefix products of Eq. 8, see
+        :func:`gmlss_prefix_estimates`), with per-level variances from
+        the same evaluation as :meth:`run`.  To answer a grid of raw
+        thresholds, build the partition from the normalized grid and
+        rebase the query onto the largest threshold (the engine's
+        ``durability_curve`` does exactly that).
 
         ``quality`` must hold at every level before the run stops early;
         budgets behave as in :meth:`run`.
@@ -250,61 +296,58 @@ class GMLSSSampler:
             self.partition.boundaries + (1.0,), thresholds, quality,
             max_steps, max_roots)
         started = time.perf_counter()
-        aggregate, variances, _, boot_evals = self._pass(
+        aggregate, variances, eval_seconds, evals = self._pass(
             query, range(len(levels)), quality, max_steps, max_roots, seed,
             None)
         elapsed = time.perf_counter() - started
         return DurabilityCurve(
             thresholds=thresholds, levels=levels,
-            estimates=level_estimates(
-                self, aggregate,
-                gmlss_prefix_estimates(aggregate, self.ratios), variances,
-                elapsed),
+            estimates=self._level_estimates(aggregate, variances, elapsed),
             method=self.method_name, n_roots=aggregate.n_roots,
             steps=aggregate.steps, elapsed_seconds=elapsed,
             details={
                 "partition": self.partition,
                 "ratios": self.ratios[1:],
                 "level_reach": aggregate.level_reach_counts(),
-                "bootstrap_evals": boot_evals,
+                **self._estimator_details(aggregate, eval_seconds, evals,
+                                          point=False),
             },
         )
 
     def _pass(self, query: DurabilityQuery, gated, quality, max_steps,
               max_roots, seed, trace):
-        """The one g-MLSS round loop behind :meth:`run` and
+        """The one MLSS round loop behind :meth:`run` and
         :meth:`run_curve`.
 
         Grows the forest ``batch_roots`` trees at a time until a budget
-        runs out or, at a check on the conservative schedule, ``quality``
-        holds at every curve level index in ``gated``.  Each check
-        bootstraps every prefix once; with a ``trace`` list, it appends
-        one :class:`TracePoint` of the top level.  Returns ``(aggregate,
-        prefix variances, bootstrap seconds, bootstrap evaluations)``;
-        the variances come from the last check when the forest has not
-        grown since, and from one more bootstrap otherwise.
+        runs out or, at a check (scheduled by :meth:`_next_check`),
+        ``quality`` holds at every curve level index in ``gated``.  Each
+        check evaluates every prefix's variance once; with a ``trace``
+        list, it appends one :class:`TracePoint` of the top level.
+        Returns ``(aggregate, prefix variances, variance seconds,
+        variance evaluations)``; the variances come from the last check
+        when the forest has not grown since, and from one more
+        evaluation otherwise, which also ends the trace at the answer.
+        Evaluation ``k`` of a pass gets the seed ``base + k``, where
+        ``base`` is drawn from ``seed``.
         """
-        boot_seed = random.Random(seed).randrange(2 ** 31)
+        base_seed = random.Random(seed).randrange(2 ** 31)
         runner = self._make_runner(query, seed)
         aggregate = ForestAggregate(self.partition.num_levels)
-        boot_seconds = 0.0
-        boot_evals = 0
-        booted_roots = 0
         variances = np.zeros(self.partition.num_levels)
-        next_check = self.first_check_roots
+        eval_seconds = 0.0
+        evals = 0
+        evaluated_roots = 0
+        next_check = self._next_check(quality, trace, None)
         started = time.perf_counter()
 
-        def evaluate_bootstrap():
-            nonlocal boot_seconds, boot_evals, booted_roots
-            boot_started = time.perf_counter()
-            # Called through this module's binding, which benchmarks
-            # rebind to time the bootstrap.
-            result = bootstrap_variance(
-                aggregate, self.ratios, n_boot=self.bootstrap_rounds,
-                seed=boot_seed + boot_evals)
-            boot_seconds += time.perf_counter() - boot_started
-            boot_evals += 1
-            booted_roots = aggregate.n_roots
+        def evaluate_variances():
+            nonlocal eval_seconds, evals, evaluated_roots
+            eval_started = time.perf_counter()
+            result = self._variances(aggregate, base_seed + evals)
+            eval_seconds += time.perf_counter() - eval_started
+            evals += 1
+            evaluated_roots = aggregate.n_roots
             return result
 
         try:
@@ -313,31 +356,71 @@ class GMLSSSampler:
                                         max_roots=max_roots):
                 if aggregate.n_roots == 0:
                     break
-                if quality is None or aggregate.n_roots < next_check:
+                if aggregate.n_roots < next_check:
                     continue
-                prefixes = gmlss_prefix_estimates(aggregate, self.ratios)
-                variances = evaluate_bootstrap()
+                prefixes = self._prefixes(aggregate)
+                variances = evaluate_variances()
                 if trace is not None:
-                    trace.append(TracePoint(
-                        steps=aggregate.steps,
-                        elapsed_seconds=time.perf_counter() - started,
-                        probability=prefixes[-1],
-                        variance=float(variances[-1]),
-                        n_roots=aggregate.n_roots, hits=aggregate.hits,
-                    ))
-                if all(quality.is_met(prefixes[i], variances[i],
-                                      self._level_hits(aggregate, i),
-                                      aggregate.n_roots)
-                       for i in gated):
+                    trace.append(_trace_point(aggregate, prefixes,
+                                              variances, started))
+                if quality is not None and all(
+                        quality.is_met(prefixes[i], variances[i],
+                                       self._level_hits(aggregate, i),
+                                       aggregate.n_roots)
+                        for i in gated):
                     break
-                next_check = max(next_check + 1,
-                                 math.ceil(next_check * self.check_growth))
+                next_check = self._next_check(quality, trace, next_check)
         finally:
-            close_runner(runner)
+            close = getattr(runner, "close", None)
+            if close is not None:
+                close()
 
-        if booted_roots != aggregate.n_roots and aggregate.n_roots > 1:
-            variances = evaluate_bootstrap()
-        return aggregate, variances, boot_seconds, boot_evals
+        if evaluated_roots != aggregate.n_roots:
+            if aggregate.n_roots > 1:
+                variances = evaluate_variances()
+            if trace is not None:
+                trace.append(_trace_point(aggregate, self._prefixes(aggregate),
+                                          variances, started))
+        return aggregate, variances, eval_seconds, evals
+
+    def _level_estimates(self, aggregate: ForestAggregate, variances,
+                         elapsed: float) -> tuple:
+        """One :class:`DurabilityEstimate` per curve level of a pass;
+        the last one is the point answer."""
+        prefixes = self._prefixes(aggregate)
+        return tuple(
+            DurabilityEstimate(
+                probability=prefixes[i], variance=float(variances[i]),
+                n_roots=aggregate.n_roots,
+                hits=self._level_hits(aggregate, i),
+                steps=aggregate.steps, method=self.method_name,
+                elapsed_seconds=elapsed, details={"shared_pass": True},
+            )
+            for i in range(aggregate.num_levels))
+
+    # --- what the estimators differ in -------------------------------
+
+    def _prefixes(self, aggregate: ForestAggregate) -> list:
+        """Every curve level's estimate: Eq. 9's prefix products."""
+        return gmlss_prefix_estimates(aggregate, self.ratios)
+
+    def _variances(self, aggregate: ForestAggregate, seed: int):
+        """Every curve level's variance: the Section 4.2 bootstrap."""
+        # Called through this module's binding, which benchmarks
+        # rebind to time the bootstrap.
+        return bootstrap_variance(aggregate, self.ratios,
+                                  n_boot=self.bootstrap_rounds, seed=seed)
+
+    def _next_check(self, quality: Optional[QualityTarget], trace,
+                    previous: Optional[int]) -> float:
+        """The root count of the check after the one at ``previous``
+        (``None`` before the first): against a quality target only, at
+        ``first_check_roots`` and then every ``check_growth``-fold."""
+        if quality is None:
+            return math.inf
+        if previous is None:
+            return self.first_check_roots
+        return max(previous + 1, math.ceil(previous * self.check_growth))
 
     def _level_hits(self, aggregate: ForestAggregate, index: int) -> int:
         """Observations backing the ``index``-th curve level.
@@ -348,3 +431,13 @@ class GMLSSSampler:
         if index == aggregate.num_levels - 1:
             return aggregate.hits
         return (aggregate.landings[index + 1] + aggregate.skips[index + 1])
+
+    def _estimator_details(self, aggregate: ForestAggregate,
+                           eval_seconds: float, evals: int,
+                           point: bool) -> dict:
+        """The ``details`` facts only this estimator reports: the
+        advancement estimates (point answers only) and the bootstrap's
+        cost."""
+        facts = {"pi_hats": gmlss_pi_hats(aggregate, self.ratios),
+                 "bootstrap_seconds": eval_seconds} if point else {}
+        return dict(facts, bootstrap_evals=evals)

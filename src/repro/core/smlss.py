@@ -17,67 +17,25 @@ produce biased answers — this is the "blind application" the paper
 demonstrates in Table 6, and :class:`SMLSSSampler` flags it via
 ``details["skipping_detected"]``.
 
-There is one pass.  Read level by level, the same counters give every
-boundary-crossing probability (:func:`smlss_prefix_estimates`) and its
-variance (:func:`smlss_prefix_variances`), and the target level is
-Eq. 3 and Eq. 5-6 themselves.  :meth:`SMLSSSampler.run` and
-:meth:`SMLSSSampler.run_curve` share one round loop that differs only
-in which levels gate the quality target: the point answer is the
-curve's top level.
-
-Both MLSS samplers get their forest from :func:`make_forest_runner`:
-one batched :class:`~repro.core.forest.VectorizedForestRunner`, or its
-pooled counterpart when a worker pool is given.
+Read level by level, the same counters give every boundary-crossing
+probability (:func:`smlss_prefix_estimates`) and its variance
+(:func:`smlss_prefix_variances`), and the target level is Eq. 3 and
+Eq. 5-6 themselves.  s-MLSS grows the same forest as g-MLSS, so
+:class:`SMLSSSampler` runs the one MLSS round loop of
+:class:`~repro.core.gmlss.GMLSSSampler` and overrides only the fold,
+the variance, the check schedule, the per-level observation count and
+its ``details`` facts.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from typing import Optional, Sequence
+from typing import Optional
 
-import numpy as np
-
-from .estimates import DurabilityCurve, DurabilityEstimate, TracePoint
-from .forest import VectorizedForestRunner
-from .levels import LevelPartition, normalize_ratios
+from .gmlss import GMLSSSampler
+from .levels import LevelPartition
 from .quality import QualityTarget
 from .records import ForestAggregate
-from .srs import prepare_curve_grid
-from .value_functions import DurabilityQuery
-
-
-def make_forest_runner(query: DurabilityQuery,
-                       partition: LevelPartition, ratios,
-                       seed: Optional[int],
-                       pool=None,
-                       roots_per_task: Optional[int] = None):
-    """Build the forest runner for one sampler run.
-
-    Without a pool, whole cohorts run through
-    :class:`VectorizedForestRunner` (a NumPy generator, buffered
-    frontiers, and in-place stepping for processes that support
-    ``out=``).  With a :class:`~repro.core.pool.WorkerPool`, cohorts
-    shard over the pool's workers instead, in pipelined rounds
-    (:class:`~repro.core.pool.PooledForestRunner`).  Both runners
-    expose the same ``accumulate`` interface, so samplers are
-    parallelism-agnostic past this point; pooled runners additionally
-    expose ``close()``, which samplers call when a run finishes.
-    """
-    if pool is not None:
-        from .pool import DEFAULT_ROOTS_PER_TASK, PooledForestRunner
-        return PooledForestRunner(
-            pool, query, partition, ratios, seed,
-            roots_per_task=roots_per_task or DEFAULT_ROOTS_PER_TASK)
-    return VectorizedForestRunner(query, partition, ratios,
-                                  np.random.default_rng(seed))
-
-
-def close_runner(runner) -> None:
-    """Release a runner's pooled resources, if it holds any."""
-    close = getattr(runner, "close", None)
-    if close is not None:
-        close()
 
 
 def ratio_product(ratios: tuple) -> int:
@@ -134,26 +92,12 @@ def smlss_prefix_variances(aggregate: ForestAggregate,
     return variances
 
 
-def level_estimates(sampler, aggregate: ForestAggregate, prefixes,
-                    variances, elapsed: float) -> tuple:
-    """One :class:`DurabilityEstimate` per curve level of an MLSS pass.
-
-    The last one is the sampler's point answer; ``sampler`` supplies
-    the method name and each level's observation count.
-    """
-    return tuple(
-        DurabilityEstimate(
-            probability=prefixes[i], variance=float(variances[i]),
-            n_roots=aggregate.n_roots,
-            hits=sampler._level_hits(aggregate, i),
-            steps=aggregate.steps, method=sampler.method_name,
-            elapsed_seconds=elapsed, details={"shared_pass": True},
-        )
-        for i in range(aggregate.num_levels))
-
-
-class SMLSSSampler:
+class SMLSSSampler(GMLSSSampler):
     """Batched s-MLSS with budget and quality-target stopping.
+
+    Runs :class:`~repro.core.gmlss.GMLSSSampler`'s round loop with the
+    Eq. 3 fold and the closed-form Eq. 5-6 variance, checked after
+    every batch whenever a quality target or a trace reads the result.
 
     Parameters
     ----------
@@ -180,135 +124,29 @@ class SMLSSSampler:
                  batch_roots: int = 100, record_trace: bool = False,
                  pool=None,
                  roots_per_task: Optional[int] = None):
-        if batch_roots < 1:
-            raise ValueError(f"batch_roots must be >= 1, got {batch_roots}")
-        self.partition = partition
-        self.ratios = normalize_ratios(ratio, partition.num_levels)
-        self.batch_roots = batch_roots
-        self.record_trace = record_trace
-        self.pool = pool
-        self.roots_per_task = roots_per_task
+        super().__init__(partition, ratio, batch_roots=batch_roots,
+                         record_trace=record_trace, pool=pool,
+                         roots_per_task=roots_per_task)
 
-    def _make_runner(self, query: DurabilityQuery, seed: Optional[int]):
-        return make_forest_runner(
-            query, self.partition, self.ratios, seed, pool=self.pool,
-            roots_per_task=self.roots_per_task)
+    def _prefixes(self, aggregate: ForestAggregate) -> list:
+        return smlss_prefix_estimates(aggregate, self.ratios)
 
-    def run(self, query: DurabilityQuery,
-            quality: Optional[QualityTarget] = None,
-            max_steps: Optional[int] = None,
-            max_roots: Optional[int] = None,
-            seed: Optional[int] = None) -> DurabilityEstimate:
-        """The top level of :meth:`run_curve`'s pass, gated on it alone.
+    def _variances(self, aggregate: ForestAggregate, seed: int) -> list:
+        return smlss_prefix_variances(aggregate, self.ratios)
 
-        The quality target is checked at the target level only, so the
-        run stops no later than the curve and, when both stop at the
-        same root count, answers with the curve's top level byte for
-        byte.
-        """
-        prepare_curve_grid(self.partition.boundaries + (1.0,), None,
-                           quality, max_steps, max_roots)
-        trace = [] if self.record_trace else None
-        started = time.perf_counter()
-        aggregate = self._pass(query, (self.partition.num_levels - 1,),
-                               quality, max_steps, max_roots, seed, trace)
-        details = {
-            "partition": self.partition,
-            "ratios": self.ratios[1:],
-            "landings": list(aggregate.landings),
-            "skips": list(aggregate.skips),
-            "skipping_detected": aggregate.total_skips > 0,
-        }
-        if trace is not None:
-            details["trace"] = trace
-        estimate = level_estimates(
-            self, aggregate, smlss_prefix_estimates(aggregate, self.ratios),
-            smlss_prefix_variances(aggregate, self.ratios),
-            time.perf_counter() - started)[-1]
-        estimate.details = details
-        return estimate
-
-    def run_curve(self, query: DurabilityQuery,
-                  thresholds: Optional[Sequence[float]] = None,
-                  quality: Optional[QualityTarget] = None,
-                  max_steps: Optional[int] = None,
-                  max_roots: Optional[int] = None,
-                  seed: Optional[int] = None) -> DurabilityCurve:
-        """Answer the partition's whole boundary grid from one forest.
-
-        The s-MLSS counterpart of :meth:`GMLSSSampler.run_curve`:
-        boundary-crossing probabilities are read off the landing
-        counters level by level (:func:`smlss_prefix_estimates`), valid
-        under the same no-level-skipping assumption as the point
-        estimate.  ``quality`` must hold at every level; like the point
-        answer's, it is checked after every batch.  Budgets behave as
-        in :meth:`run`.
-        """
-        levels, thresholds = prepare_curve_grid(
-            self.partition.boundaries + (1.0,), thresholds, quality,
-            max_steps, max_roots)
-        started = time.perf_counter()
-        aggregate = self._pass(query, range(len(levels)), quality,
-                               max_steps, max_roots, seed, None)
-        elapsed = time.perf_counter() - started
-        return DurabilityCurve(
-            thresholds=thresholds, levels=levels,
-            estimates=level_estimates(
-                self, aggregate,
-                smlss_prefix_estimates(aggregate, self.ratios),
-                smlss_prefix_variances(aggregate, self.ratios), elapsed),
-            method=self.method_name, n_roots=aggregate.n_roots,
-            steps=aggregate.steps, elapsed_seconds=elapsed,
-            details={
-                "partition": self.partition,
-                "ratios": self.ratios[1:],
-                "level_reach": aggregate.level_reach_counts(),
-                "skipping_detected": aggregate.total_skips > 0,
-            },
-        )
-
-    def _pass(self, query: DurabilityQuery, gated, quality, max_steps,
-              max_roots, seed, trace) -> ForestAggregate:
-        """The one s-MLSS round loop behind :meth:`run` and
-        :meth:`run_curve`.
-
-        Grows the forest ``batch_roots`` trees at a time until a budget
-        runs out or, checked after every batch, ``quality`` holds at
-        every curve level index in ``gated``.  With a ``trace`` list,
-        each batch appends one :class:`TracePoint` of the top level.
-        """
-        runner = self._make_runner(query, seed)
-        aggregate = ForestAggregate(self.partition.num_levels)
-        started = time.perf_counter()
-        try:
-            while not runner.accumulate(aggregate, self.batch_roots,
-                                        max_steps=max_steps,
-                                        max_roots=max_roots):
-                if aggregate.n_roots == 0:
-                    break
-                if quality is None and trace is None:
-                    continue
-                prefixes = smlss_prefix_estimates(aggregate, self.ratios)
-                variances = smlss_prefix_variances(aggregate, self.ratios)
-                if trace is not None:
-                    trace.append(TracePoint(
-                        steps=aggregate.steps,
-                        elapsed_seconds=time.perf_counter() - started,
-                        probability=prefixes[-1], variance=variances[-1],
-                        n_roots=aggregate.n_roots, hits=aggregate.hits,
-                    ))
-                if quality is not None and all(
-                        quality.is_met(prefixes[i], variances[i],
-                                       self._level_hits(aggregate, i),
-                                       aggregate.n_roots)
-                        for i in gated):
-                    break
-        finally:
-            close_runner(runner)
-        return aggregate
+    def _next_check(self, quality: Optional[QualityTarget], trace,
+                    previous: Optional[int]) -> float:
+        """After every batch, whenever a target or a trace reads it."""
+        return math.inf if quality is None and trace is None else 0
 
     def _level_hits(self, aggregate: ForestAggregate, index: int) -> int:
-        """Observations backing the ``index``-th curve level."""
+        """Observations backing the ``index``-th curve level: landings
+        in it, or target hits at the last level."""
         if index == aggregate.num_levels - 1:
             return aggregate.hits
         return aggregate.landings[index + 1]
+
+    def _estimator_details(self, aggregate: ForestAggregate,
+                           eval_seconds: float, evals: int,
+                           point: bool) -> dict:
+        return {"skipping_detected": aggregate.total_skips > 0}

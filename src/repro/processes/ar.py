@@ -124,17 +124,6 @@ class ARProcess(ImmutableStateProcess, VectorizedProcess):
         out[:, 0] = values
         return out
 
-    # --- Gaussian-step protocol (used by importance sampling) ---------
-
-    def step_with_noise(self, state: tuple, noise: float) -> tuple:
-        value = noise
-        for phi, past in zip(self.coefficients, state):
-            value += phi * past
-        return (value,) + state[:-1]
-
-    def noise_sigma(self) -> float:
-        return self.sigma
-
     @staticmethod
     def current_value(state: tuple) -> float:
         """Real-valued evaluation ``z`` of a state: the latest value."""

@@ -147,6 +147,7 @@ import copy
 import functools
 import math
 import random
+import types
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -628,6 +629,15 @@ def register_batch_z(scalar_z: Callable, batch_z: Callable) -> Callable:
     """
     _BATCH_Z[getattr(scalar_z, "__func__", scalar_z)] = batch_z
     return batch_z
+
+
+def registered_z_names(process) -> list:
+    """The sorted names of ``process``'s methods (bound or static) that
+    are state evaluations registered with :func:`register_batch_z`."""
+    cls = type(process)
+    return sorted(name for name in dir(cls)
+                  if isinstance(getattr(cls, name, None), types.FunctionType)
+                  and getattr(cls, name) in _BATCH_Z)
 
 
 def resolve_batch_z(z: Callable) -> Callable:

@@ -118,9 +118,7 @@ class GaussianWalkProcess(ImmutableStateProcess, VectorizedProcess):
 
     The continuous-state cousin of :class:`RandomWalkProcess`; its value
     can jump across several levels in one step, which makes it a handy
-    small model for exercising level-skipping (Section 4).  It is also
-    the simplest member of the Gaussian-step family supported by the
-    importance-sampling comparator (:mod:`repro.core.importance`).
+    small model for exercising level-skipping (Section 4).
     """
 
     supports_out = True
@@ -153,15 +151,6 @@ class GaussianWalkProcess(ImmutableStateProcess, VectorizedProcess):
                    rng: np.random.Generator) -> np.ndarray:
         return accumulate_steps(states, rng.normal(
             self.drift, self.sigma, (width, len(states))))
-
-    # --- Gaussian-step protocol (used by importance sampling) ---------
-
-    def step_with_noise(self, state: float, noise: float) -> float:
-        """Advance deterministically given the Gaussian noise draw."""
-        return state + self.drift + noise
-
-    def noise_sigma(self) -> float:
-        return self.sigma
 
     def apply_impulse(self, state: float, magnitude: float) -> float:
         return state + magnitude

@@ -26,8 +26,10 @@ Common request fields (the ``POST`` query routes):
 ``query``
     ``{"process": {"family": ..., "params": {...}}, "beta": 0.9,
     "horizon": 250}`` plus optional ``"z"`` (a value-function name such
-    as ``position`` / ``price`` / ``surplus``; each family has a
-    default) and ``"name"``.  Families: ``random_walk``,
+    as ``position`` / ``price`` / ``surplus``, or a state evaluation the
+    process registers, such as ``markov_chain``'s ``state_value``; each
+    family but ``markov_chain`` and ``impulse`` has a default) and
+    ``"name"``.  Families: ``random_walk``,
     ``gaussian_walk``, ``gbm``, ``ar``, ``markov_chain``,
     ``tandem_queue``, ``cpp``, ``impulse``.
 ``policy``
@@ -37,7 +39,7 @@ Common request fields (the ``POST`` query routes):
     A session id from ``POST /session``; pins the base policy (and its
     derived seed) for plan-cache locality and repeatability.
 ``tenant``
-    Rate-limiting identity (or the ``X-Tenant`` header).
+    Rate-limiting identity, a string (or the ``X-Tenant`` header).
 ``partition``
     Optional explicit level boundaries (list of floats in (0, 1)).
 

@@ -41,6 +41,7 @@ from ..processes import (ARProcess, CompoundPoissonProcess, GBMProcess,
                          GaussianWalkProcess, ImpulseProcess,
                          MarkovChainProcess, RandomWalkProcess,
                          TandemQueueProcess)
+from ..processes.base import registered_z_names
 
 #: Wire-format version; bumped on incompatible protocol changes.
 PROTOCOL_VERSION = 1
@@ -135,9 +136,10 @@ def resolve_z(name: Optional[str], family: str, process) -> object:
     """Resolve a named state evaluation for a process.
 
     ``None`` falls back to the family default; names not in
-    :data:`Z_FUNCTIONS` resolve against the process instance (bound
-    methods like :meth:`MarkovChainProcess.state_value` — correct, but
-    keyed by object identity in the plan cache).
+    :data:`Z_FUNCTIONS` resolve against the process instance, but only
+    to its registered state evaluations (:func:`registered_z_names`,
+    e.g. :meth:`MarkovChainProcess.state_value` — correct, but keyed by
+    object identity in the plan cache).
     """
     if name is None:
         name = DEFAULT_Z.get(family)
@@ -145,15 +147,17 @@ def resolve_z(name: Optional[str], family: str, process) -> object:
             raise ProtocolError(
                 f"query: family {family!r} has no default evaluation; "
                 f"pass \"z\" explicitly")
+    if not isinstance(name, str):
+        raise ProtocolError(f"query: z must be a string, got {name!r}")
     fn = Z_FUNCTIONS.get(name)
     if fn is not None:
         return fn
-    bound = getattr(process, name, None)
-    if callable(bound):
-        return bound
+    own = registered_z_names(process)
+    if name in own:
+        return getattr(process, name)
     raise ProtocolError(
         f"query: unknown evaluation z={name!r}; choose from "
-        f"{sorted(Z_FUNCTIONS)} or a method of the process")
+        f"{sorted(Z_FUNCTIONS)} or, for this process, {own}")
 
 
 def parse_query(data) -> DurabilityQuery:

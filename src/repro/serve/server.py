@@ -130,18 +130,23 @@ class Request:
         self.headers = headers
         self.body = body
 
-    def json(self):
-        """The parsed body; every number in it must be finite and fit
-        in a float."""
+    def json(self) -> dict:
+        """The parsed body, an object (``{}`` when empty); every number
+        in it must be finite and fit in a float."""
         if not self.body:
             return {}
         try:
-            return json.loads(self.body, parse_constant=_reject_constant,
-                              parse_float=_finite_float,
-                              parse_int=_finite_int)
+            document = json.loads(self.body,
+                                  parse_constant=_reject_constant,
+                                  parse_float=_finite_float,
+                                  parse_int=_finite_int)
         except ValueError as exc:
             raise ProtocolError(f"request body is not valid JSON: "
                                 f"{exc}") from None
+        if not isinstance(document, dict):
+            raise ProtocolError(f"request body must be a JSON object, "
+                                f"got {type(document).__name__}")
+        return document
 
     @property
     def keep_alive(self) -> bool:
@@ -676,12 +681,16 @@ class DurabilityServer:
 
     # -- query context -------------------------------------------------
 
-    def _tenant(self, request, body) -> str:
-        tenant = body.get("tenant") or request.headers.get("x-tenant")
+    def _tenant(self, request, body, session=None) -> str:
+        """The body's ``tenant``, else the ``X-Tenant`` header, else the
+        session's tenant, else ``"default"``."""
+        tenant = body.get("tenant")
         if tenant is not None and not isinstance(tenant, str):
             raise ProtocolError(f"tenant must be a string, got "
                                 f"{tenant!r}")
-        return tenant or "default"
+        return (tenant or request.headers.get("x-tenant")
+                or (session.tenant if session is not None else None)
+                or "default")
 
     def _resolve_context(self, request, body) -> tuple:
         """(tenant, effective policy) for a query request."""
@@ -695,9 +704,7 @@ class DurabilityServer:
             session = self.sessions.get(session_id)
             base = session.policy
         policy = parse_policy(body.get("policy"), base)
-        tenant = body.get("tenant") or request.headers.get("x-tenant") \
-            or (session.tenant if session is not None else None)
-        return (tenant or "default"), policy
+        return self._tenant(request, body, session), policy
 
     async def _run_engine(self, fn):
         """Run one engine call on the executor, under the deadline.

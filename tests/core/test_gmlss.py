@@ -12,6 +12,7 @@ from repro.core.records import ForestAggregate
 from repro.core.smlss import SMLSSSampler, smlss_prefix_estimates
 from repro.core.srs import SRSSampler
 from repro.core.value_functions import DurabilityQuery
+from repro.engine import DurabilityEngine, ExecutionPolicy, ParallelPolicy
 from repro.processes.markov_chain import MarkovChainProcess
 from repro.core.analytic import hitting_probability
 
@@ -259,3 +260,70 @@ class TestBenchmarkHooks:
     def test_run_is_defined_on_the_sampler_classes(self):
         assert "run" in GMLSSSampler.__dict__
         assert "run" in SRSSampler.__dict__
+
+
+class TestOneRoundLoop:
+    """s-MLSS runs the g-MLSS round loop and overrides only what the
+    two estimators differ in."""
+
+    def test_smlss_defines_no_loop_of_its_own(self):
+        assert not {"run", "run_curve", "_pass"} & set(SMLSSSampler.__dict__)
+
+    def test_smlss_takes_no_bootstrap_option(self, small_chain_partition):
+        with pytest.raises(TypeError):
+            SMLSSSampler(small_chain_partition, bootstrap_rounds=5)
+
+
+def assert_trace_ends_at_answer(estimate):
+    last = estimate.details["trace"][-1]
+    assert (last.n_roots, last.steps, last.probability, last.variance) \
+        == (estimate.n_roots, estimate.steps, estimate.probability,
+            estimate.variance)
+
+
+class TestTraceEndsAtAnswer:
+    """A budget ends the round loop between checks; the pass then
+    appends one trace point built from the final counters."""
+
+    @pytest.mark.parametrize("sampler_class, points", [
+        (SMLSSSampler, 19), (GMLSSSampler, 1),
+    ])
+    def test_budget_only_trace(self, small_chain_query,
+                               small_chain_partition, sampler_class,
+                               points):
+        """s-MLSS checks after every batch (18 before the 50-root
+        tail); g-MLSS without a target never checks."""
+        estimate = sampler_class(small_chain_partition,
+                                 record_trace=True).run(
+            small_chain_query, max_roots=1_850, seed=39)
+        assert estimate.n_roots == 1_850
+        assert len(estimate.details["trace"]) == points
+        assert_trace_ends_at_answer(estimate)
+
+    def test_target_stop_adds_no_point(self, small_chain_query,
+                                       small_chain_partition):
+        """Stopped at a check, the last point already is the answer:
+        one point per bootstrap, and no final bootstrap."""
+        estimate = GMLSSSampler(small_chain_partition,
+                                record_trace=True).run(
+            small_chain_query, quality=RelativeErrorTarget(0.2),
+            max_roots=10**6, seed=40)
+        assert estimate.n_roots < 10**6
+        assert len(estimate.details["trace"]) \
+            == estimate.details["bootstrap_evals"]
+        assert_trace_ends_at_answer(estimate)
+
+    @pytest.mark.parametrize("method", ["srs", "smlss", "gmlss"])
+    def test_inline_pool_trace(self, small_chain_query,
+                               small_chain_partition, method):
+        """The first 2,048-root pooled round ends a 1,800-root run, so
+        the MLSS traces hold that one point; SRS records every round."""
+        policy = ExecutionPolicy(
+            method=method, max_steps=None, max_roots=1_800, seed=39,
+            record_trace=True,
+            parallel=ParallelPolicy(n_workers=1, pool="inline"))
+        plan = {} if method == "srs" else {"partition": small_chain_partition}
+        with DurabilityEngine(policy) as engine:
+            estimate = engine.answer(small_chain_query, **plan)
+        assert estimate.n_roots == 1_800
+        assert_trace_ends_at_answer(estimate)

@@ -78,22 +78,3 @@ class TestDynamics:
     def test_impulse_hits_latest_value_only(self):
         process = ARProcess([0.5, 0.3])
         assert process.apply_impulse((1.0, 2.0), 5.0) == (6.0, 2.0)
-
-
-class TestGaussianProtocol:
-    def test_step_with_noise_deterministic(self):
-        process = ARProcess([0.5, 0.25], initial_values=[4.0, 8.0])
-        state = process.step_with_noise((4.0, 8.0), 1.0)
-        assert state[0] == pytest.approx(0.5 * 4 + 0.25 * 8 + 1.0)
-
-    def test_noise_sigma(self):
-        assert ARProcess([0.5], sigma=2.5).noise_sigma() == 2.5
-
-    def test_matches_step_under_same_draws(self):
-        process = ARProcess([0.7], sigma=1.3)
-        rng = random.Random(9)
-        stepped = process.step((2.0,), 1, rng)
-        rng = random.Random(9)
-        noise = rng.gauss(0.0, 1.3)
-        assert stepped[0] == pytest.approx(
-            process.step_with_noise((2.0,), noise)[0])

@@ -88,21 +88,6 @@ class TestGaussianWalkProcess:
         with pytest.raises(ValueError, match=f"{param} must be finite"):
             GaussianWalkProcess(**{param: value})
 
-    def test_gaussian_step_protocol(self):
-        process = GaussianWalkProcess(drift=0.1, sigma=2.0, start=1.0)
-        assert process.noise_sigma() == 2.0
-        assert process.step_with_noise(1.0, 0.5) == pytest.approx(1.6)
-
-    def test_step_with_noise_consistent_with_step(self):
-        """step(state) = step_with_noise(state, gauss(0, sigma))."""
-        process = GaussianWalkProcess(drift=0.25, sigma=1.5)
-        rng = random.Random(3)
-        stepped = process.step(0.0, 1, rng)
-        rng = random.Random(3)
-        noise = rng.gauss(0.0, 1.5)
-        assert stepped == pytest.approx(process.step_with_noise(0.0, noise),
-                                        abs=1e-12)
-
     def test_impulse(self):
         process = GaussianWalkProcess()
         assert process.apply_impulse(1.0, 2.5) == 3.5

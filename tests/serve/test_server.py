@@ -57,6 +57,18 @@ def call(handle, method, path, payload=None, headers=None):
         conn.close()
 
 
+def post_raw(handle, path, body: str):
+    """POST a raw body; the status and the parsed response."""
+    conn = http.client.HTTPConnection("127.0.0.1", handle.port,
+                                      timeout=120)
+    try:
+        conn.request("POST", path, body=body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
 class TestByteIdentity:
     """The serving determinism contract: served bytes == in-process
     bytes for the same query + policy + seed."""
@@ -324,6 +336,66 @@ class TestProtocolErrors:
             assert conn.getresponse().status == 200
         finally:
             conn.close()
+
+
+CHAIN_DOC = {"process": {"family": "markov_chain",
+                         "params": {"transition_matrix": [
+                             [0.6, 0.4, 0.0, 0.0], [0.3, 0.3, 0.4, 0.0],
+                             [0.0, 0.3, 0.3, 0.4], [0.0, 0.0, 0.0, 1.0]]}},
+             "beta": 3.0, "horizon": 30}
+
+
+class TestWrongShapeRequests:
+    """Well-formed JSON of the wrong shape is a 400 ``protocol``, never
+    a 500 from deep inside a handler or the engine."""
+
+    @staticmethod
+    def assert_protocol_400(status, document, naming=""):
+        assert status == 400, document
+        assert document["error"]["kind"] == "protocol"
+        assert naming in document["error"]["message"]
+
+    @pytest.mark.parametrize("path", ["/answer", "/answer_batch", "/curve",
+                                      "/curves", "/session", "/config"])
+    @pytest.mark.parametrize("body", ["[1, 2]", '"text"', "7", "null"])
+    def test_non_object_body(self, server, path, body):
+        self.assert_protocol_400(*post_raw(server, path, body),
+                                 naming="object")
+
+    @pytest.mark.parametrize("path,payload", [
+        ("/answer", {"query": WALK_DOC}),
+        ("/answer_batch", {"queries": GAUSS_DOCS[:2]}),
+    ])
+    @pytest.mark.parametrize("tenant", [{"x": 1}, ["a"], 7])
+    def test_non_string_tenant(self, server, path, payload, tenant):
+        status, _, raw = call(server, "POST", path,
+                              dict(payload, tenant=tenant))
+        self.assert_protocol_400(status, json.loads(raw), naming="tenant")
+
+    @pytest.mark.parametrize("z", ["step", "initial_state", "fusion_key",
+                                   "__repr__", "__class__"])
+    def test_z_must_be_a_state_evaluation(self, server, z):
+        """The 400 names what the process does register."""
+        status, _, raw = call(server, "POST", "/answer",
+                              {"query": dict(CHAIN_DOC, z=z)})
+        self.assert_protocol_400(status, json.loads(raw),
+                                 naming="'state_value'")
+
+    @pytest.mark.parametrize("z", [["position"], 5])
+    def test_z_must_be_a_string(self, server, z):
+        status, _, raw = call(server, "POST", "/answer",
+                              {"query": dict(WALK_DOC, z=z)})
+        self.assert_protocol_400(status, json.loads(raw), naming="z must")
+
+    def test_registered_bound_z_answers(self, server):
+        doc = dict(CHAIN_DOC, z="state_value")
+        status, _, raw = call(server, "POST", "/answer", {"query": doc})
+        assert status == 200
+        with DurabilityEngine(DEFAULT_POLICY) as engine:
+            reference = engine.answer(parse_query(doc))
+        assert raw == dumps_canonical(
+            {"ok": True, "result": encode_estimate(reference),
+             "cost_class": "cache_hit"})
 
 
 class TestWorkerBound:
@@ -602,19 +674,8 @@ class TestNonFiniteNumbersAndGrids:
         with ServerThread(policy=self.POLICY) as handle:
             yield handle
 
-    @staticmethod
-    def post_raw(handle, path, body: str):
-        conn = http.client.HTTPConnection("127.0.0.1", handle.port,
-                                          timeout=120)
-        try:
-            conn.request("POST", path, body=body)
-            response = conn.getresponse()
-            return response.status, json.loads(response.read())
-        finally:
-            conn.close()
-
     def assert_protocol_400(self, handle, path, body: str):
-        status, document = self.post_raw(handle, path, body)
+        status, document = post_raw(handle, path, body)
         assert status == 400, document
         assert document["error"]["kind"] == "protocol"
 
@@ -641,14 +702,14 @@ class TestNonFiniteNumbersAndGrids:
 
     def test_unsorted_grid_is_sorted_on_both_routes(self, handle):
         queries = [self.walk(), self.walk(p_up=0.44)]
-        status, unsorted = self.post_raw(handle, "/curves", json.dumps(
+        status, unsorted = post_raw(handle, "/curves", json.dumps(
             {"queries": queries, "thresholds": [9, 3, 6]}))
         assert status == 200
-        status, ordered = self.post_raw(handle, "/curves", json.dumps(
+        status, ordered = post_raw(handle, "/curves", json.dumps(
             {"queries": queries, "thresholds": [3, 6, 9]}))
         assert status == 200
         assert unsorted == ordered
-        status, single = self.post_raw(handle, "/curve", json.dumps(
+        status, single = post_raw(handle, "/curve", json.dumps(
             {"query": self.walk(), "thresholds": [9, 3, 6],
              "stream": False}))
         assert status == 200
