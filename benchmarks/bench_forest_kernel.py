@@ -23,7 +23,14 @@ trees' answers compare in one line.  The gates are hardware-independent:
 * **oracle** — each shape's estimate, pooled over its seeds, lies
   within ``Z_BOUND`` standard errors of the exact hitting probability.
   Fixed budgets stop no run on its own estimate, and a skip-free plan
-  keeps the g-MLSS estimate unbiased.
+  keeps the g-MLSS estimate unbiased;
+* **bootstrap memory** — one bootstrap evaluation traces at most
+  ``BOOT_PEAK_MB`` (``tracemalloc`` peak; NumPy reports its buffers to
+  it, so the reading does not depend on the host) at each of
+  ``BOOT_ROOTS`` roots.  The aggregate is synthetic: ``BOOT_LEVELS``
+  levels, ``BOOT_LIVE_SHARE`` of the roots carrying counters (the share
+  measured on ``rare_mlss`` answers), ``BOOT_REPLICATES`` replicates.
+  The median ms per evaluation is reported beside it, not gated.
 
 It uses the public API only, so it runs unchanged on older trees (point
 ``PYTHONPATH`` at another tree's ``src``).  Run directly
@@ -38,11 +45,15 @@ import json
 import os
 import statistics
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 from bench_common import write_report
-from repro.core import (DurabilityQuery, GMLSSSampler, LevelPartition,
-                        NeverTarget)
+from repro.core import (DurabilityQuery, ForestAggregate, ForestCohort,
+                        GMLSSSampler, LevelPartition, NeverTarget,
+                        bootstrap_variance, normalize_ratios)
 from repro.core.analytic import (hitting_probability,
                                  random_walk_hitting_probability)
 from repro.processes import RandomWalkProcess, birth_death_chain
@@ -74,6 +85,17 @@ QUICK_SEEDS = range(2)
 #: Two-sided z bound of the oracle gate: 24 shapes are compared, so a
 #: correct kernel fails it with probability near 2e-3.
 Z_BOUND = 4.0
+#: The bootstrap section: one evaluation per root count, on a synthetic
+#: aggregate whose live share of roots carry counters.
+BOOT_ROOTS = (700, 5_000, 40_000)
+BOOT_LEVELS = 11
+BOOT_LIVE_SHARE = 0.07
+BOOT_REPLICATES = 200
+BOOT_REPEATS = 5
+#: Gate on one evaluation's traced peak (MB of 2**20 bytes).  A dense
+#: (replicates, roots) multiplicity matrix traced ~122 MB at 40,000
+#: roots; resampling the live roots alone traces ~5 MB.
+BOOT_PEAK_MB = 16.0
 
 
 def shapes(quick: bool) -> list:
@@ -168,6 +190,51 @@ def family_costs(costs: list) -> dict:
     return out
 
 
+def synthetic_aggregate(n_roots: int) -> ForestAggregate:
+    """``BOOT_LEVELS`` levels; ``BOOT_LIVE_SHARE`` of the roots, at
+    random positions, get random counters, and every other root's row
+    is all zeros."""
+    rng = np.random.default_rng(n_roots)
+    live = np.zeros(n_roots, dtype=bool)
+    live[rng.permutation(n_roots)[:round(BOOT_LIVE_SHARE * n_roots)]] = True
+    shape = (n_roots, BOOT_LEVELS)
+    levels = live[:, None] & (np.arange(BOOT_LEVELS) > 0)
+    zeros = np.zeros(n_roots, dtype=np.int64)
+    aggregate = ForestAggregate(BOOT_LEVELS)
+    aggregate.extend(ForestCohort(
+        np.where(levels, rng.integers(0, 4, shape), 0),
+        np.where(levels, rng.integers(0, 2, shape), 0),
+        np.where(levels, rng.integers(0, 6, shape), 0),
+        np.where(live, rng.integers(0, 3, n_roots), 0), zeros, zeros))
+    return aggregate
+
+
+def bootstrap_costs() -> dict:
+    """Per root count: the median ms and the traced peak MB of one
+    bootstrap evaluation."""
+    ratios = normalize_ratios(RATIO, BOOT_LEVELS)
+    out = {}
+    for n_roots in BOOT_ROOTS:
+        aggregate = synthetic_aggregate(n_roots)
+        seconds = []
+        for seed in range(BOOT_REPEATS):
+            started = time.perf_counter()
+            bootstrap_variance(aggregate, ratios, n_boot=BOOT_REPLICATES,
+                               seed=seed)
+            seconds.append(time.perf_counter() - started)
+        tracemalloc.start()
+        try:
+            bootstrap_variance(aggregate, ratios, n_boot=BOOT_REPLICATES,
+                               seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out[str(n_roots)] = {
+            "ms_per_eval": round(1e3 * statistics.median(seconds), 2),
+            "peak_mb": round(peak / 2 ** 20, 2)}
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -185,6 +252,9 @@ def main():
         "reproducible_pass": fingerprint(second) == sha1,
         "oracle_pass": all(value <= Z_BOUND for value in z.values()),
     }
+    boot = bootstrap_costs()
+    gates["bootstrap_memory_pass"] = all(
+        cell["peak_mb"] <= BOOT_PEAK_MB for cell in boot.values())
     results = family_costs(costs + second_costs)
     payload = {
         "benchmark": "forest_kernel",
@@ -197,6 +267,9 @@ def main():
         "answers_sha1": sha1,
         "oracle_abs_z": {name: round(value, 3) for name, value in z.items()},
         "z_bound": Z_BOUND,
+        "bootstrap": {"levels": BOOT_LEVELS, "live_share": BOOT_LIVE_SHARE,
+                      "replicates": BOOT_REPLICATES,
+                      "peak_mb_bound": BOOT_PEAK_MB, "roots": boot},
         "gates": gates,
     }
     RESULT_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True))
@@ -215,6 +288,14 @@ def main():
     lines.append(f"answers sha1: {sha1}")
     lines.append(f"max |z| against the exact oracle (bound {Z_BOUND}): "
                  f"{max(z.values()):.3f}")
+    lines.append(f"one bootstrap evaluation ({BOOT_LEVELS} levels, "
+                 f"{BOOT_LIVE_SHARE:.0%} live roots, {BOOT_REPLICATES} "
+                 f"replicates; ms not gated, peak gated at <= "
+                 f"{BOOT_PEAK_MB:g} MB)")
+    lines.append(f"{'roots':>8}{'ms/eval':>10}{'peak MB':>10}")
+    for n_roots, cell in boot.items():
+        lines.append(f"{int(n_roots):>8,}{cell['ms_per_eval']:>10.2f}"
+                     f"{cell['peak_mb']:>10.2f}")
     lines.append(f"gates: {gates}")
     write_report("forest_kernel", "Splitting-forest g-MLSS answers",
                  lines)

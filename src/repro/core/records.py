@@ -32,7 +32,8 @@ of ``3m + 1`` columns (landings, skips and crossings level by level,
 then hits), exact for counts below ``2**53``.  The paper sums
 independent root trees' counters (Section 3.1) and its bootstrap
 (Section 4.2) resamples them, so a bootstrap replicate's totals are one
-matrix product against that matrix, and nothing is re-simulated.  The
+matrix product against the matrix's live rows (those not all zero;
+:mod:`repro.core.bootstrap`), and nothing is re-simulated.  The
 s-MLSS variance estimator (Eq. 6) needs less: it is the sample variance
 of per-root hit (or landing) counts, which :class:`ForestAggregate`
 keeps as running sums of squares, so both s-MLSS entry points check

@@ -77,6 +77,12 @@ Z_FUNCTIONS = {
     "surplus": CompoundPoissonProcess.surplus,
 }
 
+#: The most bootstrap replicates a request may ask for
+#: (``sampler_options.bootstrap_rounds``), ten times the default: an
+#: answer holds an ``(n_boot, levels)`` array of replicate estimates.
+#: Library callers are not bounded.
+MAX_BOOTSTRAP_ROUNDS = 2_000
+
 #: Default evaluation per family (what a library caller would pick).
 DEFAULT_Z = {
     "random_walk": "position",
@@ -135,10 +141,14 @@ def build_process(spec) -> object:
 def resolve_z(name: Optional[str], family: str, process) -> object:
     """Resolve a named state evaluation for a process.
 
-    ``None`` falls back to the family default; names not in
-    :data:`Z_FUNCTIONS` resolve against the process instance, but only
-    to its registered state evaluations (:func:`registered_z_names`,
-    e.g. :meth:`MarkovChainProcess.state_value` — correct, but keyed by
+    ``None`` falls back to the family default.  A name resolves only to
+    one of the process's registered state evaluations
+    (:func:`registered_z_names`; an ``impulse`` process evaluates its
+    base's states, so its base's names count).  A :data:`Z_FUNCTIONS`
+    name resolves to that shared staticmethod, so a wire query keys the
+    plan cache as an in-process one does; any other registered name
+    resolves against the process instance (e.g.
+    :meth:`MarkovChainProcess.state_value` — correct, but keyed by
     object identity in the plan cache).
     """
     if name is None:
@@ -149,15 +159,19 @@ def resolve_z(name: Optional[str], family: str, process) -> object:
                 f"pass \"z\" explicitly")
     if not isinstance(name, str):
         raise ProtocolError(f"query: z must be a string, got {name!r}")
-    fn = Z_FUNCTIONS.get(name)
-    if fn is not None:
-        return fn
+    evaluated = process
+    while isinstance(evaluated, ImpulseProcess):
+        evaluated = evaluated.base
+    shared = [key for key in registered_z_names(evaluated)
+              if key in Z_FUNCTIONS]
+    if name in shared:
+        return Z_FUNCTIONS[name]
     own = registered_z_names(process)
     if name in own:
         return getattr(process, name)
     raise ProtocolError(
-        f"query: unknown evaluation z={name!r}; choose from "
-        f"{sorted(Z_FUNCTIONS)} or, for this process, {own}")
+        f"query: unknown evaluation z={name!r} for family {family!r}; "
+        f"choose from {sorted(set(shared) | set(own))}")
 
 
 def parse_query(data) -> DurabilityQuery:
@@ -231,7 +245,10 @@ def parse_policy(data, base: ExecutionPolicy) -> ExecutionPolicy:
     A document that carries ``parallel`` may ask for at most
     ``os.cpu_count()`` workers, the count ``n_workers=None`` resolves
     to: every fork worker is a process, and one request must not start
-    more of them than the host has CPUs.
+    more of them than the host has CPUs.  One that carries
+    ``sampler_options`` may ask for at most
+    :data:`MAX_BOOTSTRAP_ROUNDS` bootstrap replicates, whose estimates
+    one answer holds at once.
     """
     if data is None:
         return base
@@ -253,6 +270,12 @@ def parse_policy(data, base: ExecutionPolicy) -> ExecutionPolicy:
             raise ProtocolError(
                 f"policy: parallel n_workers={n_workers} exceeds the "
                 f"host's {cpus} CPUs; ask for at most {cpus}, or null")
+    if "sampler_options" in data and policy.sampler_options:
+        rounds = policy.sampler_options.get("bootstrap_rounds", 0)
+        if rounds > MAX_BOOTSTRAP_ROUNDS:
+            raise ProtocolError(
+                f"policy: sampler_options bootstrap_rounds={rounds} "
+                f"exceeds the bound of {MAX_BOOTSTRAP_ROUNDS}")
     return policy
 
 

@@ -1,16 +1,18 @@
 """Tests for the bootstrap variance estimator (Section 4.2)."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.core import bootstrap as bootstrap_module
 from repro.core.bootstrap import bootstrap_variance
 from repro.core.forest import VectorizedForestRunner
 from repro.core.gmlss import (gmlss_pi_hat_rows, gmlss_point_estimate,
                               gmlss_prefix_estimates)
 from repro.core.levels import LevelPartition, normalize_ratios
-from repro.core.records import ForestAggregate, ForestCohort
+from repro.core.records import ForestAggregate, ForestCohort, counter_columns
 
 from ..helpers import make_cohort
 
@@ -53,6 +55,63 @@ def replicate_prefixes(aggregate, ratios, n_boot, seed):
             zeros, zeros))
         replicates[b] = gmlss_prefix_estimates(resampled, ratios)
     return replicates
+
+
+def dense_resample_counts(rng, n_boot, n_roots):
+    """Multiplicity matrix of a block of resamples over *every* root.
+
+    Row ``b`` counts how often each root was drawn in replicate ``b``:
+    one ``bincount`` over ``n_boot * n_roots`` cells, as ``float64``.
+    """
+    indices = rng.integers(0, n_roots, size=(n_boot, n_roots))
+    indices += np.arange(n_boot, dtype=np.int64)[:, None] * n_roots
+    counts = np.bincount(indices.ravel(), minlength=n_boot * n_roots)
+    return counts.reshape(n_boot, n_roots).astype(np.float64)
+
+
+def dense_bootstrap_variance(aggregate, ratios, n_boot=200, seed=None):
+    """The bootstrap as a dense fold: each chunk of replicates is a
+    ``(block, n_roots)`` multiplicity matrix times every root's row.
+
+    The reference :func:`bootstrap_variance`'s live-root resampling is
+    pinned to byte for byte, with its own chunking (4,000,000 cells).
+    """
+    m = aggregate.num_levels
+    n_roots = aggregate.n_roots
+    if n_roots < 2:
+        return np.zeros(m, dtype=np.float64)
+    if n_boot < 2:
+        raise ValueError(f"n_boot must be >= 2, got {n_boot}")
+    rows = aggregate.per_root_rows()
+    rng = np.random.default_rng(seed)
+    estimates = np.empty((n_boot, m), dtype=np.float64)
+    chunk = max(1, 4_000_000 // n_roots)
+    for start in range(0, n_boot, chunk):
+        block = min(chunk, n_boot - start)
+        counts = dense_resample_counts(rng, block, n_roots)
+        estimates[start:start + block] = np.cumprod(gmlss_pi_hat_rows(
+            *counter_columns(counts @ rows, m), float(n_roots), ratios),
+            axis=1)
+    return estimates.var(axis=0)
+
+
+def sparse_aggregate(n_roots, num_levels, live_share, seed):
+    """A synthetic aggregate in which only ``round(live_share *
+    n_roots)`` roots, at random positions, get random counters (which
+    may still be all zero); every other root's row is all zeros."""
+    rng = np.random.default_rng(seed)
+    chosen = np.zeros(n_roots, dtype=bool)
+    chosen[rng.permutation(n_roots)[:round(live_share * n_roots)]] = True
+    shape = (n_roots, num_levels)
+    levels = chosen[:, None] & (np.arange(num_levels) > 0)
+    aggregate = ForestAggregate(num_levels)
+    aggregate.extend(make_cohort(
+        num_levels, n=n_roots,
+        hits=np.where(chosen, rng.integers(0, 3, n_roots), 0),
+        landings=np.where(levels, rng.integers(0, 4, shape), 0),
+        skips=np.where(levels, rng.integers(0, 2, shape), 0),
+        crossings=np.where(levels, rng.integers(0, 6, shape), 0)))
+    return aggregate
 
 
 class TestVectorizedReplicateFold:
@@ -170,3 +229,97 @@ class TestBootstrapAgainstRepeatedRuns:
         # Same order of magnitude is the contract (one run's bootstrap
         # cannot match the ensemble exactly).
         assert booted == pytest.approx(empirical, rel=0.9)
+
+
+class TestLiveRootResampling:
+    """Resampling only the roots whose counter row is not all zeros, in
+    small chunks, keeps the bytes of the dense fold over every root."""
+
+    N_BOOT = 50
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("live_share", [0, 0.01, 0.1, 1])
+    @pytest.mark.parametrize("num_levels", [1, 2, 5, 11])
+    @pytest.mark.parametrize("n_roots", [2, 3, 17, 200, 701, 5_000, 33_333])
+    def test_bytes_equal_dense_fold(self, monkeypatch, n_roots, num_levels,
+                                    live_share, seed):
+        aggregate = sparse_aggregate(n_roots, num_levels, live_share, seed)
+        ratios = normalize_ratios(3, num_levels)
+        expected = dense_bootstrap_variance(
+            aggregate, ratios, n_boot=self.N_BOOT, seed=seed).tobytes()
+        # The default chunk, chunks of 7 replicates (7 does not divide
+        # N_BOOT) and chunks smaller than one replicate's n_roots draws.
+        for cells in (bootstrap_module._CHUNK_CELLS, 7 * n_roots,
+                      n_roots - 1):
+            monkeypatch.setattr(bootstrap_module, "_CHUNK_CELLS", cells)
+            assert bootstrap_variance(
+                aggregate, ratios, n_boot=self.N_BOOT,
+                seed=seed).tobytes() == expected, cells
+
+    def test_one_live_root(self):
+        aggregate = ForestAggregate(3)
+        aggregate.extend(make_cohort(
+            3, n=500, hits=np.arange(500) == 123,
+            landings=np.where(np.arange(500)[:, None] == 123, [0, 2, 1], 0),
+            crossings=np.where(np.arange(500)[:, None] == 123,
+                               [0, 4, 3], 0)))
+        ratios = normalize_ratios(3, 3)
+        variances = bootstrap_variance(aggregate, ratios, seed=8)
+        assert variances[-1] > 0.0
+        assert variances.tobytes() == dense_bootstrap_variance(
+            aggregate, ratios, seed=8).tobytes()
+
+    def test_no_live_root_gives_zeros(self):
+        aggregate = ForestAggregate(4)
+        aggregate.extend(make_cohort(4, n=300))
+        ratios = normalize_ratios(3, 4)
+        variances = bootstrap_variance(aggregate, ratios, seed=2)
+        assert variances.dtype == np.float64
+        assert variances.tolist() == [0.0] * 4
+        assert variances.tobytes() == dense_bootstrap_variance(
+            aggregate, ratios, seed=2).tobytes()
+
+    def test_no_live_root_still_checks_n_boot(self):
+        aggregate = ForestAggregate(2)
+        aggregate.extend(make_cohort(2, n=2))
+        with pytest.raises(ValueError, match="n_boot"):
+            bootstrap_variance(aggregate, (1, 3), n_boot=1)
+
+    def test_one_root_gives_zeros_before_checking_n_boot(self):
+        aggregate = ForestAggregate(2)
+        aggregate.extend(make_cohort(2, n=1, hits=1, landings=[0, 1]))
+        assert bootstrap_variance(aggregate, (1, 3), n_boot=1,
+                                  seed=0).tolist() == [0.0, 0.0]
+
+
+class TestChunkedDrawStream:
+    """The chunking rests on one NumPy fact: a bounded-integer fill takes
+    one 32-bit word per value from the bit generator's buffered stream,
+    so the values drawn do not depend on how the calls are split.  A
+    NumPy release that breaks this fails here first."""
+
+    @pytest.mark.parametrize("n", [7, 700, 12_345, 2 ** 20 + 3])
+    def test_one_block_equals_row_calls_and_one_flat_call(self, n):
+        blocks = 3
+        block = np.random.default_rng(21).integers(0, n, size=(blocks, n))
+        rng = np.random.default_rng(21)
+        rows = np.stack([rng.integers(0, n, size=n) for _ in range(blocks)])
+        flat = np.random.default_rng(21).integers(0, n, size=blocks * n)
+        assert np.array_equal(block, rows)
+        assert np.array_equal(block.ravel(), flat)
+
+
+class TestBootstrapMemory:
+    def test_one_evaluation_traces_under_16_mb(self):
+        """40,000 roots, 11 levels, 7% live (the share on rare-event
+        answers), 200 replicates: a dense multiplicity matrix over every
+        root traced about 122 MB here."""
+        aggregate = sparse_aggregate(40_000, 11, 0.07, seed=3)
+        ratios = normalize_ratios(3, 11)
+        tracemalloc.start()
+        try:
+            bootstrap_variance(aggregate, ratios, n_boot=200, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"

@@ -10,7 +10,8 @@ import pytest
 from repro.core.levels import LevelPartition
 from repro.engine import ExecutionPolicy, ParallelPolicy
 from repro.processes import GBMProcess, RandomWalkProcess
-from repro.serve.protocol import (DEFAULT_Z, PROCESS_FAMILIES,
+from repro.serve.protocol import (DEFAULT_Z, MAX_BOOTSTRAP_ROUNDS,
+                                  PROCESS_FAMILIES, Z_FUNCTIONS,
                                   ProtocolError, build_process,
                                   curve_events, dumps_canonical,
                                   encode_estimate, error_body, jsonable,
@@ -18,6 +19,17 @@ from repro.serve.protocol import (DEFAULT_Z, PROCESS_FAMILIES,
                                   parse_query, parse_thresholds)
 
 WALK = {"family": "random_walk", "params": {"p_up": 0.55}}
+
+#: Constructor parameters of every family that takes scalars only.
+SCALAR_PARAMS = {
+    "random_walk": {"p_up": 0.55},
+    "gaussian_walk": {"drift": 0.1, "sigma": 1.0},
+    "gbm": {"start_price": 100.0, "mu": 0.01, "sigma": 0.1},
+    "ar": {"coefficients": [0.5, 0.2], "sigma": 1.0},
+    "tandem_queue": {"arrival_rate": 0.4, "mean_service1": 0.5,
+                     "mean_service2": 0.7},
+    "cpp": {"initial_surplus": 10.0, "premium_rate": 1.5},
+}
 
 
 class _Opaque:
@@ -27,16 +39,7 @@ class _Opaque:
 
 class TestBuildProcess:
     def test_builds_each_scalar_family(self):
-        specs = {
-            "random_walk": {"p_up": 0.55},
-            "gaussian_walk": {"drift": 0.1, "sigma": 1.0},
-            "gbm": {"start_price": 100.0, "mu": 0.01, "sigma": 0.1},
-            "ar": {"coefficients": [0.5, 0.2], "sigma": 1.0},
-            "tandem_queue": {"arrival_rate": 0.4, "mean_service1": 0.5,
-                             "mean_service2": 0.7},
-            "cpp": {"initial_surplus": 10.0, "premium_rate": 1.5},
-        }
-        for family, params in specs.items():
+        for family, params in SCALAR_PARAMS.items():
             process = build_process({"family": family, "params": params})
             assert isinstance(process, PROCESS_FAMILIES[family])
 
@@ -98,10 +101,46 @@ class TestParseQuery:
             parse_query({"process": WALK, "z": "altitude",
                          "beta": 4.0, "horizon": 60})
 
+    @pytest.mark.parametrize("family,params,z", [
+        ("random_walk", {"p_up": 0.55}, "queue1_length"),
+        ("markov_chain", {"transition_matrix": [[0.5, 0.5], [0.0, 1.0]]},
+         "queue2_length"),
+        ("ar", {"coefficients": [0.5], "sigma": 1.0}, "position"),
+        ("gbm", {"start_price": 50.0, "mu": 0.0, "sigma": 0.2},
+         "surplus"),
+    ])
+    def test_other_familys_z_is_rejected(self, family, params, z):
+        with pytest.raises(ProtocolError, match=f"for family '{family}'"):
+            parse_query({"process": {"family": family, "params": params},
+                         "z": z, "beta": 4.0, "horizon": 60})
+
+    def test_shared_z_keeps_its_plan_cache_identity(self):
+        """A family that registers a shared name resolves to the shared
+        staticmethod: ``gaussian_walk`` (its own ``position``) and an
+        ``impulse`` wrapper, by its base, key plans as before."""
+        gauss = {"family": "gaussian_walk",
+                 "params": {"drift": 0.1, "sigma": 1.0}}
+        impulse = {"family": "impulse",
+                   "params": {"base": WALK, "impulse": -5.0,
+                              "probability": 0.01, "active_after": 40}}
+        for process, z in ((gauss, None), (gauss, "position"),
+                           (impulse, "position")):
+            doc = {"process": process, "beta": 4.0, "horizon": 60}
+            if z is not None:
+                doc["z"] = z
+            assert parse_query(doc).value_function.z \
+                is RandomWalkProcess.position
+
     def test_every_default_z_resolves(self):
+        """Each family's default is a shared evaluation the family
+        registers, so a query without ``z`` resolves to it."""
+        assert set(DEFAULT_Z) <= set(SCALAR_PARAMS)
         for family, name in DEFAULT_Z.items():
-            assert name  # and the registry agrees it exists
-        assert set(DEFAULT_Z) <= set(PROCESS_FAMILIES)
+            query = parse_query({
+                "process": {"family": family,
+                            "params": SCALAR_PARAMS[family]},
+                "beta": 4.0, "horizon": 60})
+            assert query.value_function.z is Z_FUNCTIONS[name], family
 
 
 class TestParsePolicy:
@@ -149,6 +188,28 @@ class TestParsePolicy:
         base = self.BASE.replace(parallel=ParallelPolicy(
             n_workers=(os.cpu_count() or 1) + 1, pool="inline"))
         assert parse_policy({"seed": 3}, base) == base.replace(seed=3)
+
+
+    def test_bootstrap_rounds_bounded(self):
+        for rounds in (2, MAX_BOOTSTRAP_ROUNDS):
+            policy = parse_policy(
+                {"sampler_options": {"bootstrap_rounds": rounds}},
+                self.BASE)
+            assert policy.sampler_options == {"bootstrap_rounds": rounds}
+        for rounds in (MAX_BOOTSTRAP_ROUNDS + 1, 10 ** 12):
+            with pytest.raises(ProtocolError) as excinfo:
+                parse_policy({"sampler_options": {
+                    "bootstrap_rounds": rounds}}, self.BASE)
+            assert f"bootstrap_rounds={rounds}" in str(excinfo.value)
+            assert f"bound of {MAX_BOOTSTRAP_ROUNDS}" in str(excinfo.value)
+
+    def test_bootstrap_bound_is_wire_only(self):
+        """Library policies and a base policy that a document without
+        ``sampler_options`` leaves alone keep their own count."""
+        base = self.BASE.replace(
+            sampler_options={"bootstrap_rounds": 10 ** 6}).validate()
+        assert parse_policy({"seed": 3}, base) == base.replace(seed=3)
+        assert parse_policy(None, base) is base
 
 
 class TestPartitionAndThresholds:

@@ -398,6 +398,45 @@ class TestWrongShapeRequests:
              "cost_class": "cache_hit"})
 
 
+IMPULSE_WALK_DOC = {
+    "process": {"family": "impulse",
+                "params": {"base": WALK_DOC["process"], "impulse": -2.0,
+                           "probability": 0.05, "active_after": 20}},
+    "beta": 6.0, "horizon": 80}
+
+
+class TestCrossFamilyZ:
+    """A shared evaluation name answers only for a process family that
+    registers it: elsewhere it is a 400 ``protocol`` naming what the
+    family accepts, not a 500 or another family's evaluation."""
+
+    @pytest.mark.parametrize("doc,z,accepted", [
+        (WALK_DOC, "queue1_length", "['position']"),
+        (CHAIN_DOC, "queue2_length", "['state_index', 'state_value']"),
+        ({"process": {"family": "ar",
+                      "params": {"coefficients": [0.5, 0.2],
+                                 "sigma": 1.0}},
+          "beta": 3.0, "horizon": 30}, "position", "['current_value']"),
+    ])
+    def test_other_familys_z_is_400(self, server, doc, z, accepted):
+        status, _, raw = call(server, "POST", "/answer",
+                              {"query": dict(doc, z=z)})
+        TestWrongShapeRequests.assert_protocol_400(
+            status, json.loads(raw), naming=f"choose from {accepted}")
+
+    @pytest.mark.parametrize("doc", [
+        GAUSS_DOCS[0], dict(GAUSS_DOCS[0], z="position"),
+        dict(IMPULSE_WALK_DOC, z="position")])
+    def test_own_z_answers_as_in_process(self, server, doc):
+        status, _, raw = call(server, "POST", "/answer", {"query": doc})
+        assert status == 200
+        with DurabilityEngine(DEFAULT_POLICY) as engine:
+            reference = engine.answer(parse_query(doc))
+        assert raw == dumps_canonical(
+            {"ok": True, "result": encode_estimate(reference),
+             "cost_class": "cache_hit"})
+
+
 class TestWorkerBound:
     """One request may not fork more workers than the host has CPUs.
     Only ``os.cpu_count() + 1`` is ever asked for: were the bound gone,
@@ -418,6 +457,34 @@ class TestWorkerBound:
                 assert f"n_workers={cpus + 1}" in error["message"]
                 assert f"{cpus} CPUs" in error["message"]
             assert handle.server.engine._pool is None
+
+
+class TestBootstrapRoundsBound:
+    """One request may ask for at most 2,000 bootstrap replicates, ten
+    times the default; 10**12 once failed allocating 36 TiB of replicate
+    estimates as a 500."""
+
+    @staticmethod
+    def request(rounds):
+        return {"query": WALK_DOC, "partition": [0.5],
+                "policy": {"method": "gmlss", "max_roots": 300, "seed": 4,
+                           "sampler_options": {"bootstrap_rounds": rounds}}}
+
+    @pytest.mark.parametrize("rounds", [2_001, 10 ** 12])
+    def test_more_rounds_is_400(self, server, rounds):
+        status, _, raw = call(server, "POST", "/answer",
+                              self.request(rounds))
+        TestWrongShapeRequests.assert_protocol_400(
+            status, json.loads(raw),
+            naming=f"bootstrap_rounds={rounds} exceeds the bound of 2000")
+
+    def test_bound_itself_answers(self, server):
+        status, _, raw = call(server, "POST", "/answer",
+                              self.request(2_000))
+        assert status == 200
+        result = json.loads(raw)["result"]
+        assert result["method"] == "gmlss"
+        assert result["n_roots"] == 300
 
 
 class TestBudgetAndPlanErrors:
