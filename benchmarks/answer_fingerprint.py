@@ -19,7 +19,10 @@ budget, g-MLSS under a target, s-MLSS under a budget and under a
 target), ``durability_curve`` (SRS, s-MLSS and g-MLSS under a budget;
 s-MLSS and g-MLSS under a relative-error target), fused
 ``answer_batch`` (SRS screening and clustered g-MLSS fleets, each
-under a budget and under a quality target), fused
+under a budget and under a quality target, and the target-stopped
+g-MLSS fleet again with the check-schedule ``sampler_options``
+``first_check_roots`` and ``check_growth``, so the pool check below
+also shows them reaching the fleet's slice workers), fused
 ``durability_curves`` under a budget and under a relative-error
 target, and all of it again over an inline pool and a 2-worker fork
 pool.  It also covers the SRS paths no natively batched fleet
@@ -181,6 +184,12 @@ def fingerprint() -> list:
                     fleet, method="gmlss", num_levels=3, max_steps=None,
                     quality=target, seed=32)):
                 out.append(line(f"{tag}.batch.gmlss_target.{i}", estimate))
+            for i, estimate in enumerate(engine.answer_batch(
+                    fleet, method="gmlss", num_levels=3, max_steps=None,
+                    quality=target, seed=32,
+                    sampler_options={"first_check_roots": 20,
+                                     "check_growth": 3.0})):
+                out.append(line(f"{tag}.batch.gmlss_options.{i}", estimate))
             for i, curve in enumerate(engine.durability_curves(
                     fleet, [6, 8, 10], method="srs", seed=20)):
                 out.extend(curve_lines(f"{tag}.curves.{i}", curve))

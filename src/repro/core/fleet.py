@@ -24,15 +24,22 @@ This module screens whole fleets through **one** frontier built on
   trees grow inside **one fused splitting forest** (a
   :class:`~repro.core.forest.VectorizedForestRunner` whose process is
   the fused batch and whose value function normalizes each row by its
-  owner's threshold) under a shared normalized level partition.  Root
+  owner's threshold) under a shared normalized level partition.  The
+  forest grows in the one MLSS round loop,
+  :meth:`~repro.core.gmlss.GMLSSSampler._pass`, which keeps one
+  aggregate per member (a single query is a fleet of one), checks each
+  member on the sampler's schedule with the sampler's bootstrap seeds,
+  and reads the same options as a single g-MLSS answer.  Root
   allocation is **variance-directed** by default: each round's cohort
   gives every unmet member a root count sized from its *measured*
   bootstrap variance via
   :meth:`~repro.core.quality.QualityTarget.projected_roots`, so
   converged members stop consuming roots while hard members keep
-  splitting (``adaptive=False`` restores the uniform
-  everyone-rides-until-all-met allocation).  Per-member counters fold
-  into per-member g-MLSS estimates exactly as separate forests would.
+  splitting (``adaptive=False`` keeps the uniform
+  everyone-rides-until-all-met allocation, the benchmark baseline).
+  Per-member counters fold into per-member g-MLSS estimates exactly as
+  separate forests would; a one-member screen with ``adaptive=False``
+  equals :meth:`~repro.core.gmlss.GMLSSSampler.run` byte for byte.
 
 Per-entity estimates are plain SRS / g-MLSS — each row (or root tree)
 is an ordinary independent sample of its owner, so probabilities,
@@ -52,9 +59,10 @@ to their target in many rounds while easy members stop immediately.
 When ``adaptive=True`` (the default) each member's next round is sized
 toward *its* remaining need: the target's
 :meth:`~repro.core.quality.QualityTarget.projected_roots` plug-in when
-available, doubling otherwise, always within
-``[batch_roots, max_round_roots]``.  Projections are advisory — the
-stopping decision is always ``is_met`` on real counters.
+available, doubling otherwise, always within ``[batch_roots,
+DEFAULT_MAX_ROUND_ROOTS]`` (:func:`~repro.core.srs.grow_round`).
+Projections are advisory — the stopping decision is always ``is_met``
+on real counters.
 
 Parallelism
 -----------
@@ -71,7 +79,6 @@ distribution, like any two seedings).
 from __future__ import annotations
 
 import dataclasses
-import random
 import time
 from typing import Optional, Sequence
 
@@ -79,14 +86,11 @@ import numpy as np
 
 from ..processes.base import FusedBatch, batch_z_values
 from .estimates import DurabilityEstimate
-from .levels import LevelPartition, normalize_ratios
+from .levels import LevelPartition
 from .pool import DEFAULT_MEMBERS_PER_TASK, FleetWork, derive_task_seed
 from .quality import QualityTarget
-from .records import ForestAggregate
-from .srs import FleetRows, build_srs_curve, grow_round, run_rows
+from .srs import FleetRows, build_srs_curve, run_rows
 from .value_functions import TARGET_VALUE, batch_values, threshold_grid
-
-DEFAULT_MAX_ROUND_ROOTS = 8192
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +178,6 @@ def screen_fleet_curves(fused: FusedBatch, z, grids, horizon: int,
                         batch_roots: int = 500,
                         seed: Optional[int] = None,
                         adaptive: bool = True,
-                        max_round_roots: int = DEFAULT_MAX_ROUND_ROOTS,
                         pool=None,
                         members_per_task: int = DEFAULT_MEMBERS_PER_TASK
                         ) -> list:
@@ -214,10 +217,10 @@ def screen_fleet_curves(fused: FusedBatch, z, grids, horizon: int,
     seed:
         Seed of the NumPy generator driving the fused frontier (pooled
         runs derive one per member slice).
-    adaptive / max_round_roots:
+    adaptive:
         Grow each unmet member's next round toward its quality target
         (see the module docstring) instead of crawling in fixed
-        batches; ``max_round_roots`` caps a single round.
+        batches.
     pool / members_per_task:
         Shard the fleet into fixed member slices over a
         :class:`~repro.core.pool.WorkerPool`; results are invariant
@@ -236,7 +239,7 @@ def screen_fleet_curves(fused: FusedBatch, z, grids, horizon: int,
             mode="curves", processes=fused.members, z=z, horizon=horizon,
             grids=tuple(grids), quality=quality, max_steps=max_steps,
             max_roots=max_roots, batch_roots=batch_roots,
-            adaptive=adaptive, max_round_roots=max_round_roots)
+            adaptive=adaptive)
         counts, n_paths, steps = [None] * k, [0] * k, [0] * k
         rounds = 0
         results = _run_fleet_pooled(pool, work, tasks)
@@ -250,8 +253,7 @@ def screen_fleet_curves(fused: FusedBatch, z, grids, horizon: int,
     else:
         counts, n_paths, steps, rounds = run_rows(
             FleetRows(fused, z, grids), horizon, np.random.default_rng(seed),
-            quality, max_steps, max_roots, batch_roots, adaptive,
-            max_round_roots)
+            quality, max_steps, max_roots, batch_roots, adaptive)
 
     elapsed = time.perf_counter() - started
     curves = []
@@ -273,7 +275,6 @@ def screen_fleet(fused: FusedBatch, z, betas: Sequence[float], horizon: int,
                  batch_roots: int = 500,
                  seed: Optional[int] = None,
                  adaptive: bool = True,
-                 max_round_roots: int = DEFAULT_MAX_ROUND_ROOTS,
                  pool=None,
                  members_per_task: int = DEFAULT_MEMBERS_PER_TASK) -> list:
     """SRS-answer ``Pr[z >= beta_i within horizon]`` for every member.
@@ -291,8 +292,8 @@ def screen_fleet(fused: FusedBatch, z, betas: Sequence[float], horizon: int,
     curves = screen_fleet_curves(
         fused, z, [(beta,) for beta in betas], horizon, quality=quality,
         max_steps=max_steps, max_roots=max_roots, batch_roots=batch_roots,
-        seed=seed, adaptive=adaptive, max_round_roots=max_round_roots,
-        pool=pool, members_per_task=members_per_task)
+        seed=seed, adaptive=adaptive, pool=pool,
+        members_per_task=members_per_task)
     return [dataclasses.replace(curve.estimates[0], details=curve.details)
             for curve in curves]
 
@@ -382,211 +383,24 @@ class _FleetQuery:
         return float(batch_values(self.value_function, rows, 0).max())
 
 
-#: First per-member root count at which the MLSS stopping rule (and
-#: its bootstrap) is evaluated; later checks grow geometrically.
-_FIRST_CHECK_ROOTS = 200
+def _mlss_rows(sampler, fused: FusedBatch, z, betas, horizon: int,
+               quality, max_steps, max_roots, seed: Optional[int],
+               adaptive: bool) -> list:
+    """Grow one fused splitting forest in ``sampler``'s round loop.
 
-
-def _mlss_members(fused: FusedBatch, z, betas, partition: LevelPartition,
-                  ratio, horizon: int, quality, max_steps, max_roots,
-                  batch_roots: int, bootstrap_rounds: int,
-                  seed: Optional[int], adaptive: bool = True,
-                  max_round_roots: int = DEFAULT_MAX_ROUND_ROOTS) -> list:
-    """Grow one fused splitting forest; per-member g-MLSS folds.
-
-    With ``adaptive=True`` each round's cohort is composed per member:
-    an unmet member contributes a root run sized by
-    :meth:`~repro.core.quality.QualityTarget.projected_roots` fed its
-    *measured* bootstrap variance (doubling when no projection is
-    available), clamped to ``[batch_roots, max_round_roots]``; met
-    members (and members out of budget) contribute nothing.  The
-    cohort's state rows come from
-    :meth:`~repro.processes.base.FusedBatch.initial_states_for`, laid
-    out as contiguous owner runs, and each run's rows of the cohort's
-    counters fold into its owner's aggregate — so every member's
-    aggregate is exactly what its own forest would have produced, only
-    the interleaving of draws differs.
-
-    With ``adaptive=False`` root trees are allocated *uniformly*
-    (``batch_roots`` per member per round) and every member keeps
-    riding the shared frontier until the whole slice stops — the
-    pre-variance-directed behaviour, kept as the benchmark baseline.
-
-    Returns one ``(probability, variance, n_roots, hits, steps)``
-    tuple per member.
+    Every member is a forest of the loop (see
+    :meth:`~repro.core.gmlss.GMLSSSampler._pass`), gated on the top
+    level, so each member's counters fold into its own g-MLSS estimate
+    exactly as its own forest's would.  Returns one ``(probability,
+    variance, n_roots, hits, steps)`` tuple per member.
     """
-    from .forest import VectorizedForestRunner
-    from .gmlss import gmlss_point_estimate
-
-    k = fused.n_members
-    ratios = normalize_ratios(ratio, partition.num_levels)
-    value_fn = FleetThresholdValue(z, betas)
-    query = _FleetQuery(fused, value_fn, horizon)
-    runner = VectorizedForestRunner(query, partition, ratios,
-                                    np.random.default_rng(seed))
-    aggregates = [ForestAggregate(partition.num_levels) for _ in range(k)]
-    boot_base = random.Random(seed).randrange(2 ** 31)
-
-    if adaptive:
-        checked = _mlss_grow_adaptive(fused, runner, aggregates, quality,
-                                      max_steps, max_roots, batch_roots,
-                                      max_round_roots, bootstrap_rounds,
-                                      boot_base, ratios)
-    else:
-        checked = _mlss_grow_uniform(runner, aggregates, quality,
-                                     max_steps, max_roots, batch_roots,
-                                     bootstrap_rounds, boot_base, ratios)
-
-    rows = []
-    for member, aggregate in enumerate(aggregates):
-        probability = gmlss_point_estimate(aggregate, ratios)
-        # Report the bootstrap variance from the member's *last stopping
-        # check* when the aggregate has not grown since: a member that
-        # stopped because its target was met must report the draw that
-        # justified stopping, or borderline members flip to "unmet" on a
-        # fresh resample of the identical aggregate.
-        stored = checked.get(member)
-        if aggregate.n_roots <= 1:
-            variance = 0.0
-        elif stored is not None and stored[0] == aggregate.n_roots:
-            variance = stored[1]
-        else:
-            variance = _member_variance(aggregate, ratios, bootstrap_rounds,
-                                        boot_base + 7919 * member)
-        rows.append((float(probability), float(variance),
-                     aggregate.n_roots, aggregate.hits, aggregate.steps))
-    return rows
-
-
-def _member_variance(aggregate: ForestAggregate, ratios,
-                     bootstrap_rounds: int, seed: int) -> float:
-    """A member's g-MLSS variance: the top prefix of its bootstrap."""
-    from .bootstrap import bootstrap_variance
-
-    return float(bootstrap_variance(
-        aggregate, ratios, n_boot=bootstrap_rounds,
-        seed=seed % (2 ** 31))[-1])
-
-
-def _mlss_grow_uniform(runner, aggregates, quality, max_steps, max_roots,
-                       batch_roots: int, bootstrap_rounds: int,
-                       boot_base: int, ratios) -> dict:
-    """Uniform allocation: ``batch_roots`` per member until all stop.
-
-    Returns each member's last stopping-check bootstrap, as
-    ``{member: (n_roots_at_check, variance)}`` — the caller reports the
-    checked variance when the aggregate has not grown since.
-    """
-    from .gmlss import gmlss_point_estimate
-
-    checked = {}
-    next_check = _FIRST_CHECK_ROOTS
-    evaluations = 0
-    while True:
-        per_member = batch_roots
-        if max_roots is not None:
-            per_member = min(per_member,
-                             max_roots - aggregates[0].n_roots)
-        if max_steps is not None and all(
-                aggregate.steps >= max_steps for aggregate in aggregates):
-            break
-        if per_member <= 0:
-            break
-        # FusedBatch.initial_states spreads a cohort of per_member * k
-        # roots as contiguous equal runs per member, so root j belongs
-        # to member j // per_member.
-        cohort = runner.run_cohort(per_member * len(aggregates))
-        for member, aggregate in enumerate(aggregates):
-            aggregate.extend(
-                cohort.rows(member * per_member, (member + 1) * per_member))
-        if quality is not None and aggregates[0].n_roots >= next_check:
-            evaluations += 1
-
-            def _is_met(member, aggregate):
-                variance = _member_variance(
-                    aggregate, ratios, bootstrap_rounds,
-                    boot_base + 7919 * member + evaluations)
-                checked[member] = (aggregate.n_roots, variance)
-                return quality.is_met(
-                    gmlss_point_estimate(aggregate, ratios), variance,
-                    aggregate.hits, aggregate.n_roots)
-
-            if all(_is_met(member, aggregate)
-                   for member, aggregate in enumerate(aggregates)):
-                break
-            next_check = max(next_check + 1, int(next_check * 1.5))
-    return checked
-
-
-def _mlss_grow_adaptive(fused: FusedBatch, runner, aggregates, quality,
-                        max_steps, max_roots, batch_roots: int,
-                        max_round_roots: int, bootstrap_rounds: int,
-                        boot_base: int, ratios) -> dict:
-    """Variance-directed allocation: per-member rounds, checks, growth.
-
-    Returns each member's last stopping-check bootstrap, as
-    ``{member: (n_roots_at_check, variance)}`` — the caller reports the
-    checked variance when the aggregate has not grown since (a met
-    member's aggregate never grows after the check that met it).
-    """
-    from .gmlss import gmlss_point_estimate
-
-    checked = {}
-    k = len(aggregates)
-    done = np.zeros(k, dtype=bool)
-    round_roots = np.full(k, batch_roots, dtype=np.int64)
-    next_check = np.full(k, _FIRST_CHECK_ROOTS, dtype=np.int64)
-    evaluations = np.zeros(k, dtype=np.int64)
-
-    while not done.all():
-        counts = np.where(done, 0, round_roots)
-        for member in range(k):
-            if counts[member] == 0:
-                continue
-            if max_roots is not None:
-                counts[member] = min(
-                    counts[member],
-                    max(max_roots - aggregates[member].n_roots, 0))
-            if max_steps is not None \
-                    and aggregates[member].steps >= max_steps:
-                counts[member] = 0
-        done |= counts == 0
-        if done.all():
-            break
-        cohort = runner.run_cohort(
-            int(counts.sum()),
-            initial_states=fused.initial_states_for(counts))
-        ends = np.cumsum(counts)
-        for member, aggregate in enumerate(aggregates):
-            aggregate.extend(
-                cohort.rows(ends[member] - counts[member], ends[member]))
-        if quality is None:
-            continue
-        for member in range(k):
-            if done[member]:
-                continue
-            aggregate = aggregates[member]
-            if aggregate.n_roots < next_check[member]:
-                continue
-            evaluations[member] += 1
-            probability = gmlss_point_estimate(aggregate, ratios)
-            variance = _member_variance(
-                aggregate, ratios, bootstrap_rounds,
-                boot_base + 7919 * member + int(evaluations[member]))
-            checked[member] = (aggregate.n_roots, variance)
-            if quality.is_met(probability, variance, aggregate.hits,
-                              aggregate.n_roots):
-                done[member] = True
-                continue
-            next_check[member] = max(next_check[member] + 1,
-                                     int(next_check[member] * 1.5))
-            round_roots[member] = grow_round(
-                quality.projected_roots(probability, aggregate.hits,
-                                        aggregate.n_roots,
-                                        variance=variance),
-                aggregate.n_roots, int(round_roots[member]), batch_roots,
-                max_round_roots)
-    return checked
+    query = _FleetQuery(fused, FleetThresholdValue(z, betas), horizon)
+    aggregates, variances, _, _ = sampler._pass(
+        query, (sampler.partition.num_levels - 1,), quality, max_steps,
+        max_roots, seed, None, members=fused.n_members, adaptive=adaptive)
+    return [(sampler._prefixes(aggregate)[-1], float(variance[-1]),
+             aggregate.n_roots, aggregate.hits, aggregate.steps)
+            for aggregate, variance in zip(aggregates, variances)]
 
 
 def screen_fleet_mlss(fused: FusedBatch, z, betas: Sequence[float],
@@ -596,9 +410,10 @@ def screen_fleet_mlss(fused: FusedBatch, z, betas: Sequence[float],
                       max_roots: Optional[int] = None,
                       batch_roots: int = 100,
                       bootstrap_rounds: int = 200,
+                      first_check_roots: int = 200,
+                      check_growth: float = 1.5,
                       seed: Optional[int] = None,
                       adaptive: bool = True,
-                      max_round_roots: int = DEFAULT_MAX_ROUND_ROOTS,
                       pool=None,
                       members_per_task: int = DEFAULT_MEMBERS_PER_TASK
                       ) -> list:
@@ -613,14 +428,20 @@ def screen_fleet_mlss(fused: FusedBatch, z, betas: Sequence[float],
     each cluster under its own pruned plan).  ``max_roots`` counts
     root trees *per member*.
 
+    The forest grows in :class:`~repro.core.gmlss.GMLSSSampler`'s round
+    loop, built from ``ratio``, ``batch_roots``, ``bootstrap_rounds``,
+    ``first_check_roots`` and ``check_growth``: each member is checked
+    on the sampler's schedule with the sampler's bootstrap seeds, so a
+    one-member screen with ``adaptive=False`` answers exactly as
+    :meth:`~repro.core.gmlss.GMLSSSampler.run` on the member's query.
     ``adaptive`` (default) makes root allocation variance-directed:
     each unmet member's next round is sized by its quality target's
     :meth:`~repro.core.quality.QualityTarget.projected_roots` fed the
-    member's measured bootstrap variance, within
-    ``[batch_roots, max_round_roots]``, and members that meet their
-    target stop consuming roots.  ``adaptive=False`` restores uniform
-    allocation (``batch_roots`` per member per round, everyone riding
-    until the whole fleet stops — the hardest member's demand bounds
+    member's measured bootstrap variance, within ``[batch_roots,
+    DEFAULT_MAX_ROUND_ROOTS]``, and members that meet their target stop
+    consuming roots.  ``adaptive=False`` keeps uniform allocation
+    (``batch_roots`` per member per round, every member riding until
+    all meet the target together — the hardest member's demand bounds
     the run).  Either way estimates are per-member g-MLSS with
     bootstrap variances, exchangeable with per-entity forests.
 
@@ -636,20 +457,23 @@ def screen_fleet_mlss(fused: FusedBatch, z, betas: Sequence[float],
     betas = tuple(float(b) for b in betas)
     if len(betas) != k:
         raise ValueError(f"{len(betas)} thresholds for {k} fleet members")
-    # Fail fast on an unusable plan before any worker sees it.
+    # Fail fast on an unusable plan or option before any worker sees it.
     from .forest import validate_plan
+    from .gmlss import GMLSSSampler
     validate_plan(_FleetQuery(fused, FleetThresholdValue(z, betas),
                               horizon), partition)
+    sampler = GMLSSSampler(partition, ratio, batch_roots=batch_roots,
+                           bootstrap_rounds=bootstrap_rounds,
+                           first_check_roots=first_check_roots,
+                           check_growth=check_growth)
     started = time.perf_counter()
 
     if pool is not None and k > 1:
         tasks = _slice_tasks(k, members_per_task, seed)
         work = FleetWork(
             mode="mlss", processes=fused.members, z=z, horizon=horizon,
-            betas=betas, partition=partition, ratio=ratio,
-            quality=quality, max_steps=max_steps, max_roots=max_roots,
-            batch_roots=batch_roots, bootstrap_rounds=bootstrap_rounds,
-            adaptive=adaptive, max_round_roots=max_round_roots)
+            betas=betas, sampler=sampler, quality=quality,
+            max_steps=max_steps, max_roots=max_roots, adaptive=adaptive)
         rows = [None] * k
         results = _run_fleet_pooled(pool, work, tasks)
         try:
@@ -658,10 +482,8 @@ def screen_fleet_mlss(fused: FusedBatch, z, betas: Sequence[float],
         finally:
             results.close()
     else:
-        rows = _mlss_members(
-            fused, z, betas, partition, ratio, horizon, quality,
-            max_steps, max_roots, batch_roots, bootstrap_rounds, seed,
-            adaptive=adaptive, max_round_roots=max_round_roots)
+        rows = _mlss_rows(sampler, fused, z, betas, horizon, quality,
+                          max_steps, max_roots, seed, adaptive)
 
     elapsed = time.perf_counter() - started
     estimates = []

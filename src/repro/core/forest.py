@@ -270,8 +270,8 @@ class VectorizedForestRunner:
 
         ``initial_states`` overrides the process's default time-0
         cohort with an explicit state array (one row per root, in root
-        order) — the hook the fused fleet pass uses to compose a
-        cohort with *non-uniform* per-member root counts
+        order) — the hook :meth:`accumulate` uses to compose a fused
+        fleet's cohort with *non-uniform* per-member root counts
         (:meth:`~repro.processes.base.FusedBatch.initial_states_for`).
         """
         if n_roots < 0:
@@ -332,24 +332,38 @@ class VectorizedForestRunner:
         return _fold_events(n_roots, m, roots, born, levels, ages,
                             end_roots, horizon - end_since)
 
-    def accumulate(self, aggregate, batch_roots: int,
-                   max_steps=None, max_roots=None) -> bool:
-        """Fold up to ``batch_roots`` more trees into ``aggregate``.
+    def accumulate(self, aggregates, sizes, max_steps=None,
+                   max_roots=None) -> list:
+        """Fold up to ``sizes[j]`` more trees into ``aggregates[j]``.
 
-        Budgets are enforced at cohort granularity: every started tree
-        runs to completion (truncating would bias the counters), so
-        ``max_steps`` can overshoot by at most one cohort.  Returns True
-        once a budget is exhausted.
+        The members' trees run as one cohort: with one member, of the
+        process's own initial states; with more, of the fused batch's
+        owner runs (:meth:`~repro.processes.base.FusedBatch.
+        initial_states_for`), each run folding into its owner's
+        aggregate.  Budgets are per member and enforced at cohort
+        granularity: every started tree runs to completion (truncating
+        would bias the counters), so ``max_steps`` can overshoot by at
+        most one cohort.  Returns, per member, whether its budget is
+        exhausted (a member given no trees counts as exhausted).
         """
-        cohort = batch_roots
-        if max_roots is not None:
-            cohort = min(cohort, max_roots - aggregate.n_roots)
-        if max_steps is not None and aggregate.steps >= max_steps:
-            return True
-        if cohort <= 0:
-            return True
-        aggregate.extend(self.run_cohort(cohort))
-        return ((max_roots is not None
-                 and aggregate.n_roots >= max_roots)
+        counts = []
+        for aggregate, size in zip(aggregates, sizes):
+            if max_roots is not None:
+                size = min(size, max_roots - aggregate.n_roots)
+            if max_steps is not None and aggregate.steps >= max_steps:
+                size = 0
+            counts.append(max(size, 0))
+        if sum(counts):
+            cohort = self.run_cohort(
+                sum(counts), initial_states=None if len(counts) == 1
+                else self.process.initial_states_for(counts))
+            start = 0
+            for aggregate, count in zip(aggregates, counts):
+                aggregate.extend(cohort.rows(start, start + count))
+                start += count
+        return [count == 0
+                or (max_roots is not None
+                    and aggregate.n_roots >= max_roots)
                 or (max_steps is not None
-                    and aggregate.steps >= max_steps))
+                    and aggregate.steps >= max_steps)
+                for aggregate, count in zip(aggregates, counts)]

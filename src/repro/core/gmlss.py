@@ -35,9 +35,19 @@ counter-total rows; the running product of a row is the prefix curve
 entry.  The bootstrap refolds every replicate through the same
 function, so one resampling pass gives every prefix's variance.
 
-This module also holds the one MLSS round loop.
-:meth:`GMLSSSampler.run` and :meth:`GMLSSSampler.run_curve` share one
-pass that differs only in which levels gate the quality target: the
+This module also holds the one MLSS round loop,
+:meth:`GMLSSSampler._pass`.  It grows one forest per member: a query
+is a fleet of one, and a fused g-MLSS fleet
+(:func:`~repro.core.fleet.screen_fleet_mlss`, unpooled and in each
+pooled member slice) runs the same loop over its members, each with
+its own aggregate, check schedule and bootstrap seeds, and member 0
+drawing a single answer's seeds.  So one set of options
+(``batch_roots``, ``bootstrap_rounds``, ``first_check_roots``,
+``check_growth``) means the same on both paths, and a one-member
+screen with uniform allocation equals :meth:`GMLSSSampler.run`.  Only
+fleets size rounds from their measured variance (``adaptive``).
+:meth:`GMLSSSampler.run` and :meth:`GMLSSSampler.run_curve` share the
+pass and differ only in which levels gate the quality target: the
 point answer is the curve's top level.  Both splitting estimators grow
 the same forest (from :func:`make_forest_runner`), so s-MLSS
 (:class:`~repro.core.smlss.SMLSSSampler`) subclasses
@@ -62,7 +72,7 @@ from .forest import VectorizedForestRunner
 from .levels import LevelPartition, normalize_ratios
 from .quality import QualityTarget
 from .records import ForestAggregate
-from .srs import prepare_curve_grid
+from .srs import grow_round, prepare_curve_grid
 from .value_functions import DurabilityQuery
 
 
@@ -159,10 +169,11 @@ def make_forest_runner(query: DurabilityQuery,
     frontiers, and in-place stepping for processes that support
     ``out=``).  With a :class:`~repro.core.pool.WorkerPool`, cohorts
     shard over the pool's workers instead, in pipelined rounds
-    (:class:`~repro.core.pool.PooledForestRunner`).  Both runners
-    expose the same ``accumulate`` interface, so samplers are
-    parallelism-agnostic past this point; pooled runners additionally
-    expose ``close()``, which samplers call when a run finishes.
+    (:class:`~repro.core.pool.PooledForestRunner`, one member only).
+    Both runners expose the same ``accumulate(aggregates, sizes, ...)``
+    interface, so the round loop is parallelism-agnostic past this
+    point; pooled runners additionally expose ``close()``, which the
+    loop calls when a run finishes.
     """
     if pool is not None:
         from .pool import DEFAULT_ROOTS_PER_TASK, PooledForestRunner
@@ -177,7 +188,8 @@ class GMLSSSampler:
     """Batched g-MLSS with bootstrap variance and conservative checks,
     and the one MLSS round loop (:class:`~repro.core.smlss.SMLSSSampler`
     narrows the constructor and overrides only the methods below
-    :meth:`_level_estimates`).
+    :meth:`_level_estimates`; fused g-MLSS fleets run the loop over
+    their members with these same options).
 
     Parameters
     ----------
@@ -253,7 +265,7 @@ class GMLSSSampler:
                            quality, max_steps, max_roots)
         trace = [] if self.record_trace else None
         started = time.perf_counter()
-        aggregate, variances, eval_seconds, evals = self._pass(
+        (aggregate,), (variances,), eval_seconds, (evals,) = self._pass(
             query, (self.partition.num_levels - 1,), quality, max_steps,
             max_roots, seed, trace)
         details = {
@@ -296,7 +308,7 @@ class GMLSSSampler:
             self.partition.boundaries + (1.0,), thresholds, quality,
             max_steps, max_roots)
         started = time.perf_counter()
-        aggregate, variances, eval_seconds, evals = self._pass(
+        (aggregate,), (variances,), eval_seconds, (evals,) = self._pass(
             query, range(len(levels)), quality, max_steps, max_roots, seed,
             None)
         elapsed = time.perf_counter() - started
@@ -314,74 +326,112 @@ class GMLSSSampler:
             },
         )
 
-    def _pass(self, query: DurabilityQuery, gated, quality, max_steps,
-              max_roots, seed, trace):
-        """The one MLSS round loop behind :meth:`run` and
-        :meth:`run_curve`.
+    def _pass(self, query, gated, quality, max_steps, max_roots, seed,
+              trace, members: int = 1, adaptive: bool = False):
+        """The one MLSS round loop, behind :meth:`run`,
+        :meth:`run_curve` and every fused g-MLSS fleet
+        (:func:`~repro.core.fleet.screen_fleet_mlss`).
 
-        Grows the forest ``batch_roots`` trees at a time until a budget
-        runs out or, at a check (scheduled by :meth:`_next_check`),
-        ``quality`` holds at every curve level index in ``gated``.  Each
-        check evaluates every prefix's variance once; with a ``trace``
-        list, it appends one :class:`TracePoint` of the top level.
-        Returns ``(aggregate, prefix variances, variance seconds,
-        variance evaluations)``; the variances come from the last check
-        when the forest has not grown since, and from one more
+        Grows one forest per member (more than one only for a fleet,
+        whose ``query`` steps a :class:`~repro.processes.base.
+        FusedBatch`), every round one cohort of the riding members'
+        trees, until each member's budget runs out or, at one of its
+        checks (scheduled by :meth:`_next_check` on its own root count),
+        ``quality`` holds at every curve level index in ``gated``.  The
+        round that exhausts a member's budget is not checked.  Members
+        ride ``batch_roots`` trees a round, and all of them until every
+        one meets the target at once; with ``adaptive`` a member that
+        meets it stops riding, and one that misses it grows its next
+        rounds toward the target's projection
+        (:func:`~repro.core.srs.grow_round`).
+
+        Each check evaluates every prefix's variance once; with a
+        ``trace`` list (one member), it appends one :class:`TracePoint`
+        of the top level.  A member's variances come from its last check
+        when its forest has not grown since, and from one more
         evaluation otherwise, which also ends the trace at the answer.
-        Evaluation ``k`` of a pass gets the seed ``base + k``, where
-        ``base`` is drawn from ``seed``.
+        Evaluation ``e`` of member ``j`` gets the seed ``base_j + e``,
+        where ``base_j`` is the ``j``-th draw of ``random.Random(seed)``,
+        so member 0 draws the seeds of a single answer.  Returns
+        ``(aggregates, variances, variance seconds, evaluations)``, one
+        entry per member but for the seconds.
         """
-        base_seed = random.Random(seed).randrange(2 ** 31)
+        draws = random.Random(seed)
+        bases = [draws.randrange(2 ** 31) for _ in range(members)]
         runner = self._make_runner(query, seed)
-        aggregate = ForestAggregate(self.partition.num_levels)
-        variances = np.zeros(self.partition.num_levels)
+        m = self.partition.num_levels
+        aggregates = [ForestAggregate(m) for _ in range(members)]
+        variances = [np.zeros(m)] * members
+        evals = [0] * members
+        checked = [0] * members  # each member's roots at its last check
+        sizes = [self.batch_roots] * members
+        next_check = [self._next_check(quality, trace, None)] * members
+        exhausted = [False] * members
+        met = [False] * members
         eval_seconds = 0.0
-        evals = 0
-        evaluated_roots = 0
-        next_check = self._next_check(quality, trace, None)
         started = time.perf_counter()
 
-        def evaluate_variances():
-            nonlocal eval_seconds, evals, evaluated_roots
+        def evaluate(member):
+            nonlocal eval_seconds
+            aggregate = aggregates[member]
             eval_started = time.perf_counter()
-            result = self._variances(aggregate, base_seed + evals)
+            variances[member] = self._variances(
+                aggregate, bases[member] + evals[member])
             eval_seconds += time.perf_counter() - eval_started
-            evals += 1
-            evaluated_roots = aggregate.n_roots
-            return result
+            evals[member] += 1
+            checked[member] = aggregate.n_roots
 
         try:
-            while not runner.accumulate(aggregate, self.batch_roots,
-                                        max_steps=max_steps,
-                                        max_roots=max_roots):
-                if aggregate.n_roots == 0:
-                    break
-                if aggregate.n_roots < next_check:
-                    continue
-                prefixes = self._prefixes(aggregate)
-                variances = evaluate_variances()
-                if trace is not None:
-                    trace.append(_trace_point(aggregate, prefixes,
-                                              variances, started))
-                if quality is not None and all(
-                        quality.is_met(prefixes[i], variances[i],
+            while not all(out or ok for out, ok in zip(exhausted, met)):
+                riding = [not (out or (adaptive and ok))
+                          for out, ok in zip(exhausted, met)]
+                spent = runner.accumulate(
+                    aggregates,
+                    [size if ride else 0 for size, ride in zip(sizes, riding)],
+                    max_steps=max_steps, max_roots=max_roots)
+                for member, aggregate in enumerate(aggregates):
+                    if not riding[member]:
+                        continue
+                    met[member] = False
+                    exhausted[member] = spent[member]
+                    if spent[member] or aggregate.n_roots < next_check[member]:
+                        continue
+                    prefixes = self._prefixes(aggregate)
+                    evaluate(member)
+                    checked_variances = variances[member]
+                    if trace is not None:
+                        trace.append(_trace_point(aggregate, prefixes,
+                                                  checked_variances,
+                                                  started))
+                    met[member] = quality is not None and all(
+                        quality.is_met(prefixes[i], checked_variances[i],
                                        self._level_hits(aggregate, i),
                                        aggregate.n_roots)
-                        for i in gated):
-                    break
-                next_check = self._next_check(quality, trace, next_check)
+                        for i in gated)
+                    next_check[member] = self._next_check(
+                        quality, trace, next_check[member])
+                    if adaptive and not met[member]:
+                        sizes[member] = grow_round(
+                            quality.projected_roots(
+                                prefixes[-1], aggregate.hits,
+                                aggregate.n_roots,
+                                variance=float(checked_variances[-1])),
+                            aggregate.n_roots, sizes[member],
+                            self.batch_roots)
         finally:
             close = getattr(runner, "close", None)
             if close is not None:
                 close()
 
-        if evaluated_roots != aggregate.n_roots:
+        for member, aggregate in enumerate(aggregates):
+            if checked[member] == aggregate.n_roots:
+                continue
             if aggregate.n_roots > 1:
-                variances = evaluate_variances()
+                evaluate(member)
             if trace is not None:
                 trace.append(_trace_point(aggregate, self._prefixes(aggregate),
-                                          variances, started))
-        return aggregate, variances, eval_seconds, evals
+                                          variances[member], started))
+        return aggregates, variances, eval_seconds, evals
 
     def _level_estimates(self, aggregate: ForestAggregate, variances,
                          elapsed: float) -> tuple:

@@ -37,10 +37,10 @@ persistent:
   only, never results.  The inline pool runs a task only when its
   result is collected, so speculation never executes there.
 * :class:`PooledForestRunner` — a drop-in implementation of the
-  ``accumulate`` contract of :class:`~repro.core.forest.
-  VectorizedForestRunner`, so the g-MLSS / s-MLSS samplers (point
-  *and* curve passes) run pooled without changing a line of their
-  stopping logic.
+  one-member ``accumulate`` contract of :class:`~repro.core.forest.
+  VectorizedForestRunner`, so the one MLSS round loop (g-MLSS and
+  s-MLSS, point *and* curve passes) runs pooled without changing a
+  line of its stopping logic.
 
 Determinism
 -----------
@@ -238,8 +238,8 @@ class FleetWork:
 
     ``mode`` selects the pass: ``"curves"`` (per-member threshold
     *grids*, SRS; a one-threshold screen is the one-level grid) or
-    ``"mlss"`` (fused splitting forest with a shared normalized
-    partition).
+    ``"mlss"`` (fused splitting forest under ``sampler``'s shared
+    normalized partition, grown by its round loop).
     """
 
     mode: str
@@ -248,15 +248,12 @@ class FleetWork:
     horizon: int
     betas: tuple = ()
     grids: tuple = ()
-    partition: object = None
-    ratio: object = 3
+    sampler: object = None
     quality: object = None
     max_steps: Optional[int] = None
     max_roots: Optional[int] = None
     batch_roots: int = 500
     adaptive: bool = True
-    max_round_roots: int = 8192
-    bootstrap_rounds: int = 200
 
 
 @dataclass(frozen=True)
@@ -361,16 +358,12 @@ def _run_fleet_task(spec: FleetWork, payload):
         return run_rows(
             FleetRows(fused, spec.z, spec.grids[lo:hi]), spec.horizon,
             np.random.default_rng(seed), spec.quality, spec.max_steps,
-            spec.max_roots, spec.batch_roots, spec.adaptive,
-            spec.max_round_roots)
+            spec.max_roots, spec.batch_roots, spec.adaptive)
     if spec.mode == "mlss":
-        rows = fleet._mlss_members(
-            fused, spec.z, spec.betas[lo:hi], spec.partition, spec.ratio,
-            spec.horizon, spec.quality, spec.max_steps, spec.max_roots,
-            spec.batch_roots, spec.bootstrap_rounds, seed,
-            adaptive=spec.adaptive,
-            max_round_roots=spec.max_round_roots)
-        return rows
+        return fleet._mlss_rows(
+            spec.sampler, fused, spec.z, spec.betas[lo:hi], spec.horizon,
+            spec.quality, spec.max_steps, spec.max_roots, seed,
+            spec.adaptive)
     raise ValueError(f"unknown fleet mode {spec.mode!r}")
 
 
@@ -1085,10 +1078,12 @@ class WorkerPool:
 class PooledForestRunner:
     """Splitting-forest simulation sharded over a :class:`WorkerPool`.
 
-    Implements the same ``accumulate(aggregate, batch_roots, ...)``
-    contract as :class:`~repro.core.forest.VectorizedForestRunner`, so
-    the MLSS samplers' stopping rules, bootstrap schedules and curve
-    folds run unmodified on top of it.  Each round expands to at least
+    Implements the same ``accumulate(aggregates, sizes, ...)`` contract
+    as :class:`~repro.core.forest.VectorizedForestRunner` for one
+    member (fused fleets pool by member slice instead, each slice
+    running the vectorized runner), so the MLSS round loop's stopping
+    rules, bootstrap schedules and curve folds run unmodified on top of
+    it.  Each round expands to at least
     :data:`DEFAULT_TASKS_PER_ROUND` tasks of ``roots_per_task`` root
     trees; task
     seeds derive from the task index (:func:`derive_task_seed`) and
@@ -1139,9 +1134,15 @@ class PooledForestRunner:
         return max(batch_roots,
                    self.roots_per_task * DEFAULT_TASKS_PER_ROUND)
 
-    def accumulate(self, aggregate, batch_roots: int,
-                   max_steps=None, max_roots=None) -> bool:
-        """Fold one pooled round of root trees into ``aggregate``."""
+    def accumulate(self, aggregates, sizes, max_steps=None,
+                   max_roots=None) -> list:
+        """Fold one pooled round of root trees into the one member's
+        aggregate; returns ``[budget exhausted]``."""
+        (aggregate,), (batch_roots,) = aggregates, sizes
+        return [self._round(aggregate, batch_roots, max_steps, max_roots)]
+
+    def _round(self, aggregate, batch_roots: int, max_steps,
+               max_roots) -> bool:
         cohort = self._base_cohort(batch_roots)
         if max_roots is not None:
             cohort = min(cohort, max_roots - aggregate.n_roots)

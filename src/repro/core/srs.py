@@ -339,15 +339,20 @@ def advance_rows(rows, cohort, horizon: int, rng) -> tuple:
     return topped, steps, best
 
 
-def grow_round(projected, n_observed: int, size: int, batch_roots: int,
-               max_round_roots: int) -> int:
+#: The largest adaptive round a member grows to (:func:`grow_round`).
+DEFAULT_MAX_ROUND_ROOTS = 8192
+
+
+def grow_round(projected, n_observed: int, size: int,
+               batch_roots: int) -> int:
     """A member's next adaptive round size after ``n_observed`` roots:
     the ``projected`` shortfall within ``[batch_roots,
-    max_round_roots]``, or without a projection twice ``size``."""
+    DEFAULT_MAX_ROUND_ROOTS]``, or without a projection twice ``size``
+    (at most the same cap)."""
     if projected is None:
-        return min(size * 2, max_round_roots)
+        return min(size * 2, DEFAULT_MAX_ROUND_ROOTS)
     return int(min(max(projected - n_observed, batch_roots),
-                   max_round_roots))
+                   DEFAULT_MAX_ROUND_ROOTS))
 
 
 def unmet_levels(quality: QualityTarget, counts, n_paths: int) -> list:
@@ -360,7 +365,6 @@ def unmet_levels(quality: QualityTarget, counts, n_paths: int) -> list:
 
 def run_rows(rows, horizon: int, rng, quality, max_steps, max_roots,
              batch_roots: int, adaptive: bool = False,
-             max_round_roots: Optional[int] = None,
              on_round=None) -> tuple:
     """Stopping-rule rounds of :func:`advance_rows` until every member stops.
 
@@ -438,7 +442,7 @@ def run_rows(rows, horizon: int, rng, quality, max_steps, max_roots,
                 projections = [p for p in projections if p is not None]
                 sizes[member] = grow_round(
                     max(projections) if projections else None, n,
-                    sizes[member], batch_roots, max_round_roots)
+                    sizes[member], batch_roots)
     return counts, n_paths, steps, rounds
 
 

@@ -72,7 +72,12 @@ def _check_ratio(ratio) -> None:
 
 #: The ``sampler_options`` keys: what each value must be, and its check.
 #: They tune one sampler or fleet pass and have no policy field of their
-#: own; each pass reads only the keys it takes.
+#: own; each pass reads only the keys it takes.  SRS answers and curves,
+#: s-MLSS answers and curves, and fused SRS fleets and fleet curves read
+#: ``batch_roots``.  g-MLSS answers and curves read ``batch_roots``,
+#: ``bootstrap_rounds``, ``first_check_roots`` and ``check_growth``;
+#: fused g-MLSS fleets run the same round loop and read those four plus
+#: the fleet-only ``adaptive`` and ``cluster_tolerance``.
 SAMPLER_OPTIONS = {
     "batch_roots": ("an integer >= 1",
                     lambda value: _is_int(value) and value >= 1),
@@ -261,9 +266,12 @@ class ExecutionPolicy:
         under the worker count.
     sampler_options:
         Tunables of the sampler or fleet pass, keyed by the names in
-        :data:`SAMPLER_OPTIONS` (for example ``batch_roots``, or
-        ``adaptive`` for fused g-MLSS fleets).  Each pass reads only
-        the keys it takes.
+        :data:`SAMPLER_OPTIONS`.  Each pass reads only the keys it
+        takes: SRS and s-MLSS passes (fused SRS fleets included) read
+        ``batch_roots``; g-MLSS answers and curves read
+        ``batch_roots``, ``bootstrap_rounds``, ``first_check_roots``
+        and ``check_growth``; fused g-MLSS fleets read those four plus
+        ``adaptive`` and ``cluster_tolerance``.
     """
 
     method: str = "auto"

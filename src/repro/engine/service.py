@@ -66,7 +66,9 @@ from .cache import PlanCache, _callable_identity, grid_plan_kind
 from .policy import ExecutionPolicy
 
 #: The ``sampler_options`` keys each sampler class takes (see
-#: :data:`repro.engine.policy.SAMPLER_OPTIONS`).
+#: :data:`repro.engine.policy.SAMPLER_OPTIONS`).  Fused g-MLSS fleets
+#: read the g-MLSS keys plus ``adaptive`` and ``cluster_tolerance``;
+#: fused SRS fleets and fleet curves read ``batch_roots``.
 _SAMPLER_OPTION_KEYS = {
     SRSSampler: ("batch_roots",),
     SMLSSSampler: ("batch_roots",),
@@ -934,12 +936,17 @@ class DurabilityEngine:
         plan with ``policy.num_levels`` levels, pruned against only
         *its* worst member — so a member far below the fleet's worst
         keeps its lower ladder instead of inheriting a stripped shared
-        plan.  Plans only change efficiency, never bias (Proposition
-        2), so clustering is always sound.  Root allocation inside each
-        forest is variance-directed per member
-        (``sampler_options["adaptive"]``, default True).  Clusters
-        whose plan degenerates (a member already at/above a boundary's
-        reach) fall back to per-process answers.
+        plan.  On processes that move one level at a time a plan changes
+        only efficiency; on processes that skip levels Eq. 9 is
+        measurably biased and its bias depends on the plan (see
+        :mod:`repro.core.gmlss`), so there a member's cluster can move
+        its answer by more than noise.  Each forest grows in the g-MLSS
+        round loop and reads the same ``sampler_options`` as a single
+        g-MLSS answer, plus the fleet-only ``adaptive``
+        (variance-directed allocation per member, default True) and
+        ``cluster_tolerance``.  Clusters whose plan degenerates (a
+        member already at/above a boundary's reach) fall back to
+        per-process answers.
         """
         fleet = [queries[index] for index in members]
         betas = [query.value_function.beta for query in fleet]
@@ -973,9 +980,9 @@ class DurabilityEngine:
                     ratio=policy.ratio, quality=policy.quality,
                     max_steps=policy.max_steps,
                     max_roots=policy.max_roots, seed=seed,
-                    **_sampler_options(policy, ("batch_roots",
-                                                "bootstrap_rounds",
-                                                "adaptive")),
+                    **_sampler_options(
+                        policy, _SAMPLER_OPTION_KEYS[GMLSSSampler]
+                        + ("adaptive",)),
                     **self._fleet_pool_options(policy))
             except LevelPlanError:
                 self._answer_by_process(queries, results,

@@ -7,11 +7,22 @@ random numbers in the same order as the query's own run and must return
 the same answer exactly — probability, variance, roots, hits and steps —
 for every fusible family, under root and step budgets alike.  A
 block-stepped kernel must keep this property.
+
+The MLSS side holds the same way: every splitting forest grows in one
+round loop (:meth:`repro.core.gmlss.GMLSSSampler._pass`), so a
+one-member fused g-MLSS screen with uniform allocation checks on the
+sampler's schedule with the sampler's bootstrap seeds and equals
+:meth:`~repro.core.gmlss.GMLSSSampler.run` exactly, stopped by a
+budget or by a quality target.
 """
 
 import pytest
 
-from repro.core.fleet import screen_fleet, screen_fleet_curves
+from repro.core.fleet import (screen_fleet, screen_fleet_curves,
+                              screen_fleet_mlss)
+from repro.core.gmlss import GMLSSSampler
+from repro.core.levels import LevelPartition
+from repro.core.quality import RelativeErrorTarget
 from repro.core.srs import SRSSampler
 from repro.core.value_functions import DurabilityQuery
 from repro.engine import DurabilityEngine, ExecutionPolicy, ParallelPolicy
@@ -77,6 +88,47 @@ class TestFleetOfOne:
             horizon, seed=seed, **budget)[0]
         assert [answer(e) for e in fused.estimates] \
             == [answer(e) for e in alone.estimates]
+
+
+#: (family, process, z, beta, horizon) whose start lies below every
+#: boundary of ``MLSS_PLAN``.
+MLSS_FAMILIES = [
+    ("random_walk", RandomWalkProcess(p_up=0.35, p_down=0.45),
+     RandomWalkProcess.position, 12.0, 60),
+    ("gaussian_walk", GaussianWalkProcess(drift=0.05, sigma=1.0),
+     GaussianWalkProcess.position, 14.0, 50),
+    ("markov_chain", birth_death_chain(n=13, p_up=0.25, p_down=0.35,
+                                       start=0),
+     MarkovChainProcess.state_index, 12.0, 60),
+]
+MLSS_PLAN = LevelPartition([4 / 12, 8 / 12])
+MLSS_STOPS = {
+    "max_roots": {"max_roots": 3_000},
+    "max_steps": {"max_steps": 60_000},
+    "target": {"quality": RelativeErrorTarget(0.1), "max_roots": 20_000},
+    "target_tuned": {"quality": RelativeErrorTarget(0.1),
+                     "max_roots": 20_000, "first_check_roots": 20,
+                     "check_growth": 3.0},
+}
+
+
+@pytest.mark.parametrize("family,process,z,beta,horizon", MLSS_FAMILIES,
+                         ids=[family[0] for family in MLSS_FAMILIES])
+@pytest.mark.parametrize("stop", MLSS_STOPS.values(), ids=MLSS_STOPS.keys())
+def test_gmlss_answer_is_a_one_member_screen(family, process, z, beta,
+                                             horizon, stop):
+    stop = dict(stop)
+    options = {key: stop.pop(key) for key in ("first_check_roots",
+                                               "check_growth")
+               if key in stop}
+    query = DurabilityQuery.threshold(process, z, beta=beta,
+                                      horizon=horizon)
+    alone = GMLSSSampler(MLSS_PLAN, ratio=3, **options).run(
+        query, seed=7, **stop)
+    fused = screen_fleet_mlss(FusedBatch([process]), z, [beta], MLSS_PLAN,
+                              horizon, ratio=3, seed=7, adaptive=False,
+                              **options, **stop)[0]
+    assert answer(fused) == answer(alone)
 
 
 def assert_plain_numbers(estimate) -> None:

@@ -966,6 +966,37 @@ class TestSamplerOptions:
         assert (tuned.probability, tuned.variance, tuned.steps) == \
             (plain.probability, plain.variance, plain.steps)
 
+    @pytest.mark.parametrize("parallel", [
+        None, ParallelPolicy(n_workers=1, pool="inline",
+                             members_per_task=2, roots_per_task=10)],
+        ids=["direct", "inline"])
+    def test_check_schedule_moves_single_and_fused_answers(self, parallel):
+        """A single g-MLSS answer and a fused g-MLSS fleet grow their
+        forests in one round loop, so the check-schedule options move
+        both, also inside the pool's member slices.  (A pooled round
+        holds at least 8 tasks of ``roots_per_task`` roots; at the
+        default 256 the single answer's first 2,048-root round would
+        pass every early check point of either schedule.)"""
+        fleet = [DurabilityQuery.threshold(
+            RandomWalkProcess(p_up=0.30 + 0.01 * i, p_down=0.45),
+            RandomWalkProcess.position, beta=10.0 + i % 3, horizon=60)
+            for i in range(4)]
+        policy = ExecutionPolicy(method="gmlss", num_levels=3,
+                                 quality=RelativeErrorTarget(0.2),
+                                 seed=32, parallel=parallel)
+        tuned = {"first_check_roots": 20, "check_growth": 3.0}
+
+        def answers(**overrides):
+            with DurabilityEngine(policy) as engine:
+                single = engine.answer(fleet[0], **overrides)
+                fused = engine.answer_batch(fleet, **overrides)
+            assert all(e.details.get("fused") for e in fused)
+            return [(e.probability, e.variance, e.n_roots, e.hits, e.steps)
+                    for e in [single] + fused]
+
+        plain, moved = answers(), answers(sampler_options=tuned)
+        assert all(a != b for a, b in zip(plain, moved))
+
     @pytest.mark.parametrize("options", [
         {"bogus": 1}, 5, {"batch_roots": 0}, {"backend": "scalar"},
     ])
