@@ -16,8 +16,10 @@ point answers stopped by ``max_roots=250``; SRS, s-MLSS and g-MLSS
 point answers stopped by a relative-error target; and ``record_trace``
 answers printed as their trace length and last point: SRS under a
 budget, g-MLSS under a target, s-MLSS under a budget and under a
-target), ``durability_curve`` (SRS, s-MLSS and g-MLSS under a budget;
-s-MLSS and g-MLSS under a relative-error target), fused
+target, plus the root count of every g-MLSS trace point, so a change
+in where the checks fall shows as a diff), ``durability_curve`` (SRS,
+s-MLSS and g-MLSS under a budget; s-MLSS and g-MLSS under a
+relative-error target), fused
 ``answer_batch`` (SRS screening and clustered g-MLSS fleets, each
 under a budget and under a quality target, and the target-stopped
 g-MLSS fleet again with the check-schedule ``sampler_options``
@@ -103,6 +105,11 @@ def trace_line(label: str, estimate) -> str:
             f"{last.variance!r} {last.n_roots} {last.hits} {last.steps}")
 
 
+def trace_roots_line(label: str, estimate) -> str:
+    return " ".join([label] + [str(point.n_roots)
+                               for point in estimate.details["trace"]])
+
+
 def fingerprint() -> list:
     out = []
     walk = walk_query(0.35, 12.0)
@@ -146,10 +153,13 @@ def fingerprint() -> list:
             out.append(trace_line(f"{tag}.walk.srs_trace", engine.answer(
                 walk, method="srs", max_steps=None, max_roots=1_800,
                 record_trace=True, seed=24)))
-            out.append(trace_line(f"{tag}.walk.gmlss_trace", engine.answer(
+            traced = engine.answer(
                 walk, method="gmlss", partition=plan, max_steps=None,
                 max_roots=6_000, quality=RelativeErrorTarget(0.1),
-                record_trace=True, seed=28)))
+                record_trace=True, seed=28)
+            out.append(trace_line(f"{tag}.walk.gmlss_trace", traced))
+            out.append(trace_roots_line(f"{tag}.walk.gmlss_trace_roots",
+                                        traced))
             out.append(trace_line(f"{tag}.walk.smlss_trace", engine.answer(
                 walk, method="smlss", partition=plan, max_steps=None,
                 max_roots=6_000, record_trace=True, seed=39)))

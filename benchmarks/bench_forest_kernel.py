@@ -32,6 +32,18 @@ trees' answers compare in one line.  The gates are hardware-independent:
   measured on ``rare_mlss`` answers), ``BOOT_REPLICATES`` replicates.
   The median ms per evaluation is reported beside it, not gated.
 
+A ``stopped`` section is reported and never gated: every shape's
+answers under ``RelativeErrorTarget(STOP_TARGET)`` (and ``rare_mlss``'s
+step budget) over ``STOP_SEEDS``, with per family the median ms, mean
+steps and roots per answer, the share of 95% intervals that cover the
+exact answer, and how many answers lie beyond 3, 4 and 5 of their own
+bootstrap standard errors from it (``rare_mlss`` fails a run on one
+beyond 5).  A target-stopped answer's |z| has a heavier tail than a
+normal one, and this section shows it.  The full run's 125 seeds give
+3,000 answers, about 5 of them beyond 4; such a count varies like a
+Poisson one, so telling two trees' tails apart takes tens of thousands
+of answers (call ``stopped_answers`` on more seeds).
+
 It uses the public API only, so it runs unchanged on older trees (point
 ``PYTHONPATH`` at another tree's ``src``).  Run directly
 (``python benchmarks/bench_forest_kernel.py [--quick]``); CI uses
@@ -53,7 +65,8 @@ import numpy as np
 from bench_common import write_report
 from repro.core import (DurabilityQuery, ForestAggregate, ForestCohort,
                         GMLSSSampler, LevelPartition, NeverTarget,
-                        bootstrap_variance, normalize_ratios)
+                        RelativeErrorTarget, bootstrap_variance,
+                        normalize_ratios)
 from repro.core.analytic import (hitting_probability,
                                  random_walk_hitting_probability)
 from repro.processes import RandomWalkProcess, birth_death_chain
@@ -96,6 +109,15 @@ BOOT_REPEATS = 5
 #: (replicates, roots) multiplicity matrix traced ~122 MB at 40,000
 #: roots; resampling the live roots alone traces ~5 MB.
 BOOT_PEAK_MB = 16.0
+#: The stopped section: ``rare_mlss``'s relative-error target and step
+#: budget, on seeds the fixed-budget passes do not use.
+STOP_TARGET = 0.2
+STOP_MAX_STEPS = 50_000_000
+STOP_SEEDS = range(100, 225)
+QUICK_STOP_SEEDS = range(100, 103)
+#: Normal two-sided 95% quantile, and the |z| tail thresholds counted.
+Z95 = 1.959964
+Z_TAILS = (3, 4, 5)
 
 
 def shapes(quick: bool) -> list:
@@ -190,6 +212,46 @@ def family_costs(costs: list) -> dict:
     return out
 
 
+def stopped_answers(cases: list, seeds) -> list:
+    """Every shape at every seed under the relative-error target; one
+    ``(family, ms, steps, n_roots, z)`` row per answer, with ``z`` the
+    answer's distance from the exact one in its own standard errors."""
+    quality = RelativeErrorTarget(STOP_TARGET)
+    rows = []
+    for family, _, query, beta, exact in cases:
+        sampler = GMLSSSampler(lattice_plan(beta), ratio=RATIO)
+        for seed in seeds:
+            started = time.perf_counter()
+            estimate = sampler.run(query, quality=quality,
+                                   max_steps=STOP_MAX_STEPS, seed=seed)
+            wall = time.perf_counter() - started
+            error = estimate.variance ** 0.5
+            miss = estimate.probability - exact
+            z = (miss / error if error > 0
+                 else (0.0 if miss == 0 else float("inf")))
+            rows.append((family, 1e3 * wall, estimate.steps,
+                         estimate.n_roots, z))
+    return rows
+
+
+def stopped_summary(rows: list) -> dict:
+    out = {}
+    for family in sorted({row[0] for row in rows}) + ["all"]:
+        cell = [row for row in rows if family in ("all", row[0])]
+        z = [row[4] for row in cell]
+        out[family] = {
+            "answers": len(cell),
+            "ms_p50": round(statistics.median(row[1] for row in cell), 2),
+            "mean_steps": round(statistics.fmean(row[2] for row in cell)),
+            "mean_roots": round(statistics.fmean(row[3] for row in cell)),
+            "coverage95": round(sum(abs(v) <= Z95 for v in z) / len(z), 4),
+            "beyond": {str(t): sum(abs(v) > t for v in z) for t in Z_TAILS},
+            "min_z": round(min(z), 3),
+            "max_z": round(max(z), 3),
+        }
+    return out
+
+
 def synthetic_aggregate(n_roots: int) -> ForestAggregate:
     """``BOOT_LEVELS`` levels; ``BOOT_LIVE_SHARE`` of the roots, at
     random positions, get random counters, and every other root's row
@@ -243,6 +305,7 @@ def main():
     cases = shapes(args.quick)
     max_roots = QUICK_MAX_ROOTS if args.quick else MAX_ROOTS
     seeds = QUICK_SEEDS if args.quick else SEEDS
+    stop_seeds = QUICK_STOP_SEEDS if args.quick else STOP_SEEDS
 
     first, costs = run_pass(cases, max_roots, seeds)
     second, second_costs = run_pass(cases, max_roots, seeds)
@@ -256,6 +319,7 @@ def main():
     gates["bootstrap_memory_pass"] = all(
         cell["peak_mb"] <= BOOT_PEAK_MB for cell in boot.values())
     results = family_costs(costs + second_costs)
+    stopped = stopped_summary(stopped_answers(cases, stop_seeds))
     payload = {
         "benchmark": "forest_kernel",
         "cpu_count": os.cpu_count(),
@@ -270,6 +334,10 @@ def main():
         "bootstrap": {"levels": BOOT_LEVELS, "live_share": BOOT_LIVE_SHARE,
                       "replicates": BOOT_REPLICATES,
                       "peak_mb_bound": BOOT_PEAK_MB, "roots": boot},
+        "stopped": {"relative_error": STOP_TARGET,
+                    "max_steps": STOP_MAX_STEPS,
+                    "seeds": [stop_seeds.start, stop_seeds.stop - 1],
+                    "families": stopped},
         "gates": gates,
     }
     RESULT_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True))
@@ -296,6 +364,20 @@ def main():
     for n_roots, cell in boot.items():
         lines.append(f"{int(n_roots):>8,}{cell['ms_per_eval']:>10.2f}"
                      f"{cell['peak_mb']:>10.2f}")
+    lines.append(f"stopped at relative error {STOP_TARGET} (budget "
+                 f"{STOP_MAX_STEPS:,} steps), seeds {stop_seeds.start}-"
+                 f"{stop_seeds.stop - 1}; reported, not gated")
+    lines.append(f"{'family':<8}{'answers':>9}{'ms p50':>9}{'steps':>11}"
+                 f"{'roots':>8}{'cover95':>9}"
+                 + "".join(f"{f'|z|>{t}':>7}" for t in Z_TAILS)
+                 + f"{'min z':>8}{'max z':>8}")
+    for family, cell in stopped.items():
+        lines.append(
+            f"{family:<8}{cell['answers']:>9}{cell['ms_p50']:>9.2f}"
+            f"{cell['mean_steps']:>11,}{cell['mean_roots']:>8,}"
+            f"{cell['coverage95']:>9.3f}"
+            + "".join(f"{cell['beyond'][str(t)]:>7}" for t in Z_TAILS)
+            + f"{cell['min_z']:>8.2f}{cell['max_z']:>8.2f}")
     lines.append(f"gates: {gates}")
     write_report("forest_kernel", "Splitting-forest g-MLSS answers",
                  lines)

@@ -21,34 +21,26 @@ per-level variances, whose last entry is the point estimate's.
 Only *live* roots — those whose counter row is not all zeros — can
 change a replicate's totals, and on rare events they are few (about 7%
 of the resampled roots on perfbench ``rare_mlss``).  So the bootstrap
-gathers the live rows once, draws the replicates' root indices in
-chunks of at most :data:`_CHUNK_CELLS` draws, drops the draws that land
-on dead roots, and counts each replicate's draws of each live root into
-a ``(block, k)`` multiplicity matrix for the ``k`` live roots (one
-``bincount``).  A chunk's replicate totals are one matrix product
-against the live rows, and the fold runs over all of the chunk's
-replicate rows at once.  No Python loop runs per replicate, and memory
-stays a few MB at any ``n_roots``.  The index draw itself (every draw
-is needed for the stream below) sets the floor of the cost.  Dropping
-the dead draws costs one pass over every draw plus a few ns per kept
-one, so the fewer roots are live the more it saves: with 7% live an
-evaluation takes about 0.6x the time of a dense fold over every root's
-row, and with nearly every root live (a first boundary most paths
-cross) about 1.5x.
+draws only the live roots' multiplicities.  A replicate resamples
+``n`` roots uniformly with replacement; with ``k`` of them live, the
+number of its draws that land on a live root is ``Binomial(n, k / n)``,
+and given that number each such draw is uniform over the live roots.
+So one vectorized ``binomial`` call draws every replicate's live count,
+and the live draws themselves are uniform indices into the ``k`` live
+rows, counted into a ``(block, k)`` multiplicity matrix in chunks of
+about :data:`_CHUNK_CELLS` draws (one ``bincount``).  That is exactly
+the law of a resample over every root restricted to the live ones, at
+``O(n_boot * k)`` draws instead of ``O(n_boot * n)``.  A chunk's
+replicate totals are one matrix product against the live rows, and the
+fold runs over all of the chunk's replicate rows at once.  No Python
+loop runs per replicate, and memory stays a few MB at any ``n_roots``.
 
-The variances are the same bytes as those of a dense fold over every
-root's row, for three reasons:
-
-1. The draws are the same.  NumPy's bounded-integer fill takes one
-   32-bit word per value, rejections included, from the bit
-   generator's buffered stream, so the stream is the same however the
-   ``integers`` calls are split into chunks
-   (``tests/core/test_bootstrap.py`` pins this).
-2. Replicate totals are sums of integer-valued ``float64`` products
-   below ``2**53``.  They are exact in any order, and dropping all-zero
-   rows leaves them unchanged.
-3. The fold, the ``cumprod`` and ``estimates.var(axis=0)`` see the same
-   ``(n_boot, m)`` matrix in the same row order.
+The variances do not depend on the chunking: the live counts are drawn
+in one call before any index, NumPy's bounded-integer fill takes one
+32-bit word per value from the bit generator's buffered stream however
+the ``integers`` calls are split (``tests/core/test_bootstrap.py`` pins
+this), and replicate totals are sums of integer-valued ``float64``
+products below ``2**53``, exact in any order.
 """
 
 from __future__ import annotations
@@ -59,17 +51,32 @@ import numpy as np
 
 from .records import ForestAggregate, counter_columns
 
-#: Bound on one resampling chunk (drawn root indices): replicates are
-#: drawn ``_CHUNK_CELLS // n_roots`` at a time (at least one), so a
-#: chunk's index block stays ~2 MB of ``int64``.
+#: Bound on one resampling chunk (live-root draws): replicates are drawn
+#: ``_CHUNK_CELLS // k`` at a time for ``k`` live roots (at least one),
+#: so a chunk's index and multiplicity blocks stay ~2 MB of ``int64``.
 _CHUNK_CELLS = 1 << 18
 
 
-def _replicate_chunks(n_boot: int, n_roots: int):
-    """Replicate-row chunk sizes bounding one chunk's index draws."""
-    chunk = max(1, _CHUNK_CELLS // max(n_roots, 1))
+def live_multiplicities(rng: np.random.Generator, n_roots: int, k: int,
+                        n_boot: int):
+    """Each replicate's draw counts of the ``k`` live roots among
+    ``n_roots``, in chunks: yields ``(start, counts)`` with ``counts``
+    a ``(block, k)`` ``int64`` matrix for replicates ``start ..
+    start + block - 1``.
+
+    Row ``b`` has the law of the live columns of a multinomial resample
+    of ``n_roots`` draws over every root: its total is ``Binomial(n_roots,
+    k / n_roots)`` (one call for every replicate, before any index), and
+    each of those draws is uniform over the live roots.
+    """
+    landed = rng.binomial(n_roots, k / n_roots, size=n_boot)
+    chunk = max(1, _CHUNK_CELLS // k)
     for start in range(0, n_boot, chunk):
-        yield start, min(chunk, n_boot - start)
+        per_row = landed[start:start + chunk]
+        block = len(per_row)
+        cells = (np.repeat(np.arange(block, dtype=np.int64) * k, per_row)
+                 + rng.integers(0, k, size=int(per_row.sum())))
+        yield start, np.bincount(cells, minlength=block * k).reshape(block, k)
 
 
 def bootstrap_variance(aggregate: ForestAggregate, ratios: tuple,
@@ -104,20 +111,13 @@ def bootstrap_variance(aggregate: ForestAggregate, ratios: tuple,
         raise ValueError(f"n_boot must be >= 2, got {n_boot}")
 
     rows = aggregate.per_root_rows()
-    live = rows.any(axis=1)
-    compact = rows[live]
-    k = len(compact)
-    if k == 0:
+    compact = rows[rows.any(axis=1)]
+    if not len(compact):
         return np.zeros(m, dtype=np.float64)
-    slots = np.cumsum(live) - 1  # a live root's row in ``compact``
-    rng = np.random.default_rng(seed)
     estimates = np.empty((n_boot, m), dtype=np.float64)
-    for start, block in _replicate_chunks(n_boot, n_roots):
-        drawn = rng.integers(0, n_roots, size=block * n_roots)
-        kept = np.flatnonzero(live[drawn])
-        cells = kept // n_roots * k + slots[drawn[kept]]
-        counts = np.bincount(cells, minlength=block * k).reshape(block, k)
-        estimates[start:start + block] = np.cumprod(gmlss_pi_hat_rows(
+    for start, counts in live_multiplicities(
+            np.random.default_rng(seed), n_roots, len(compact), n_boot):
+        estimates[start:start + len(counts)] = np.cumprod(gmlss_pi_hat_rows(
             *counter_columns(counts @ compact, m), float(n_roots), ratios),
             axis=1)
     return estimates.var(axis=0)

@@ -440,10 +440,11 @@ def screen_fleet_mlss(fused: FusedBatch, z, betas: Sequence[float],
     member's measured bootstrap variance, within ``[batch_roots,
     DEFAULT_MAX_ROUND_ROOTS]``, and members that meet their target stop
     consuming roots.  ``adaptive=False`` keeps uniform allocation
-    (``batch_roots`` per member per round, every member riding until
-    all meet the target together — the hardest member's demand bounds
-    the run).  Either way estimates are per-member g-MLSS with
-    bootstrap variances, exchangeable with per-entity forests.
+    (every member riding until all meet the target together, each
+    round running straight to the members' next check — the hardest
+    member's demand bounds the run).  Either way estimates are
+    per-member g-MLSS with bootstrap variances, exchangeable with
+    per-entity forests.
 
     With a pool the fleet shards into fixed member slices, each slice
     growing its own fused forest on a worker with adaptive allocation

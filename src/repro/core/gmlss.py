@@ -72,7 +72,7 @@ from .forest import VectorizedForestRunner
 from .levels import LevelPartition, normalize_ratios
 from .quality import QualityTarget
 from .records import ForestAggregate
-from .srs import grow_round, prepare_curve_grid
+from .srs import DEFAULT_MAX_ROUND_ROOTS, grow_round, prepare_curve_grid
 from .value_functions import DurabilityQuery
 
 
@@ -199,7 +199,10 @@ class GMLSSSampler:
         Fixed splitting ratio or per-level ratios (g-MLSS supports a
         dynamic ratio, Section 4.1).
     batch_roots:
-        Root trees between budget checks.
+        The round granularity: every round grows a whole number of
+        cohorts of ``batch_roots`` root trees, so a check falls at the
+        first multiple of ``batch_roots`` at or past its scheduled root
+        count.
     bootstrap_rounds:
         Bootstrap resamples per variance evaluation (paper's ``N``).
     first_check_roots / check_growth:
@@ -338,18 +341,27 @@ class GMLSSSampler:
         trees, until each member's budget runs out or, at one of its
         checks (scheduled by :meth:`_next_check` on its own root count),
         ``quality`` holds at every curve level index in ``gated``.  The
-        round that exhausts a member's budget is not checked.  Members
-        ride ``batch_roots`` trees a round, and all of them until every
-        one meets the target at once; with ``adaptive`` a member that
-        meets it stops riding, and one that misses it grows its next
-        rounds toward the target's projection
-        (:func:`~repro.core.srs.grow_round`).
+        round that exhausts a member's budget is not checked.
+
+        Rounds grow whole cohorts of ``batch_roots`` trees.  Without
+        ``adaptive`` every member rides until all of them meet the
+        target at once, each round running straight to the member's
+        next check (:meth:`_round_roots`), at most
+        ``DEFAULT_MAX_ROUND_ROOTS`` trees over the riding members (but
+        ``batch_roots`` each): the checks fall where ``batch_roots``
+        rounds would put them, at a fraction of the rounds.  With
+        ``adaptive`` a member that meets the target stops riding, and
+        one that misses it grows its next rounds toward the target's
+        projection (:func:`~repro.core.srs.grow_round`).
 
         Each check evaluates every prefix's variance once; with a
         ``trace`` list (one member), it appends one :class:`TracePoint`
-        of the top level.  A member's variances come from its last check
-        when its forest has not grown since, and from one more
-        evaluation otherwise, which also ends the trace at the answer.
+        of the top level.  Without ``adaptive``, once a due member
+        misses the target the round's later due members are not
+        evaluated (nobody would read them) but their schedules advance.
+        A member's variances come from its last check when its forest
+        has not grown since, and from one more evaluation otherwise,
+        which also ends the trace at the answer.
         Evaluation ``e`` of member ``j`` gets the seed ``base_j + e``,
         where ``base_j`` is the ``j``-th draw of ``random.Random(seed)``,
         so member 0 draws the seeds of a single answer.  Returns
@@ -385,16 +397,26 @@ class GMLSSSampler:
             while not all(out or ok for out, ok in zip(exhausted, met)):
                 riding = [not (out or (adaptive and ok))
                           for out, ok in zip(exhausted, met)]
+                if not adaptive:
+                    most = DEFAULT_MAX_ROUND_ROOTS // (self.batch_roots
+                                                       * sum(riding))
+                    sizes = [self._round_roots(aggregate, due, max_steps, most)
+                             for aggregate, due in zip(aggregates, next_check)]
                 spent = runner.accumulate(
                     aggregates,
                     [size if ride else 0 for size, ride in zip(sizes, riding)],
                     max_steps=max_steps, max_roots=max_roots)
+                missed = False
                 for member, aggregate in enumerate(aggregates):
                     if not riding[member]:
                         continue
                     met[member] = False
                     exhausted[member] = spent[member]
                     if spent[member] or aggregate.n_roots < next_check[member]:
+                        continue
+                    next_check[member] = self._next_check(
+                        quality, trace, next_check[member])
+                    if missed and not adaptive:
                         continue
                     prefixes = self._prefixes(aggregate)
                     evaluate(member)
@@ -408,8 +430,7 @@ class GMLSSSampler:
                                        self._level_hits(aggregate, i),
                                        aggregate.n_roots)
                         for i in gated)
-                    next_check[member] = self._next_check(
-                        quality, trace, next_check[member])
+                    missed = missed or not met[member]
                     if adaptive and not met[member]:
                         sizes[member] = grow_round(
                             quality.projected_roots(
@@ -432,6 +453,25 @@ class GMLSSSampler:
                 trace.append(_trace_point(aggregate, self._prefixes(aggregate),
                                           variances[member], started))
         return aggregates, variances, eval_seconds, evals
+
+    def _round_roots(self, aggregate: ForestAggregate, next_check,
+                     max_steps: Optional[int], most: int) -> int:
+        """A uniform round's trees for one member: whole cohorts of
+        ``batch_roots`` up to its check at ``next_check`` roots, at most
+        ``most`` of them, and under ``max_steps`` no more than
+        :meth:`~repro.core.records.ForestAggregate.roots_funded`
+        rounded up to whole cohorts.  Always one cohort at least (so
+        one before any step was measured), and exactly one with no
+        check ahead."""
+        batch = self.batch_roots
+        if next_check == math.inf:
+            return batch
+        cohorts = min(math.ceil((next_check - aggregate.n_roots) / batch),
+                      most)
+        if max_steps is not None:
+            funded = aggregate.roots_funded(max_steps, math.inf)
+            cohorts = min(cohorts, math.ceil(funded / batch))
+        return max(cohorts, 1) * batch
 
     def _level_estimates(self, aggregate: ForestAggregate, variances,
                          elapsed: float) -> tuple:

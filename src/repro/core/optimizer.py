@@ -96,11 +96,8 @@ def evaluate_partition(query: DurabilityQuery, partition: LevelPartition,
         # budget overshoot stays at roughly one cohort; before any
         # measurement, assume a root tree costs about two horizons
         # (splitting roughly doubles the root path's own cost).
-        if aggregate.n_roots:
-            cost = aggregate.steps / aggregate.n_roots
-        else:
-            cost = 2.0 * query.horizon
-        cohort = int((trial_steps - aggregate.steps) / cost) + 1
+        cohort = int(aggregate.roots_funded(trial_steps,
+                                            2.0 * query.horizon)) + 1
         cohort = max(1, min(cohort, 1024))
         aggregate.extend(runner.run_cohort(cohort))
 

@@ -1130,20 +1130,18 @@ class PooledForestRunner:
         self._handle = pool.register(work)
         self._rounds = RoundPipeline(pool, self._handle)
 
-    def _base_cohort(self, batch_roots: int) -> int:
-        return max(batch_roots,
-                   self.roots_per_task * DEFAULT_TASKS_PER_ROUND)
+    def _base_cohort(self, size: int) -> int:
+        return max(size, self.roots_per_task * DEFAULT_TASKS_PER_ROUND)
 
     def accumulate(self, aggregates, sizes, max_steps=None,
                    max_roots=None) -> list:
         """Fold one pooled round of root trees into the one member's
         aggregate; returns ``[budget exhausted]``."""
-        (aggregate,), (batch_roots,) = aggregates, sizes
-        return [self._round(aggregate, batch_roots, max_steps, max_roots)]
+        (aggregate,), (size,) = aggregates, sizes
+        return [self._round(aggregate, size, max_steps, max_roots)]
 
-    def _round(self, aggregate, batch_roots: int, max_steps,
-               max_roots) -> bool:
-        cohort = self._base_cohort(batch_roots)
+    def _round(self, aggregate, size: int, max_steps, max_roots) -> bool:
+        cohort = self._base_cohort(size)
         if max_roots is not None:
             cohort = min(cohort, max_roots - aggregate.n_roots)
         step_budget = None
@@ -1165,11 +1163,9 @@ class PooledForestRunner:
             # costs about two horizons), and cut no more tasks than
             # the budget funds with one worst-case tree each; the
             # per-task caps below make the budget strict regardless.
-            if aggregate.n_roots:
-                cost = aggregate.steps / aggregate.n_roots
-            else:
-                cost = 2.0 * self.query.horizon
-            cohort = min(cohort, max(int(step_budget / cost), 1),
+            funded = aggregate.roots_funded(max_steps,
+                                            2.0 * self.query.horizon)
+            cohort = min(cohort, max(int(funded), 1),
                          fundable * self.roots_per_task)
         if cohort <= 0:
             return True
@@ -1178,7 +1174,7 @@ class PooledForestRunner:
             step_budget)
         predicted = None
         if step_budget is None:
-            ahead = self._base_cohort(batch_roots)
+            ahead = self._base_cohort(size)
             if max_roots is not None:
                 ahead = min(ahead,
                             max_roots - (aggregate.n_roots + cohort))

@@ -181,6 +181,13 @@ class ForestAggregate:
         # Suffix sum: reaching level j implies reaching every i <= j.
         return np.cumsum(counts[::-1])[::-1].tolist()
 
+    def roots_funded(self, max_steps: int, cold_cost: float) -> float:
+        """How many more root trees the steps left under ``max_steps``
+        fund at this forest's measured steps per root (``cold_cost``
+        steps per root before any step was measured); not rounded."""
+        cost = self.steps / self.n_roots if self.steps else cold_cost
+        return (max_steps - self.steps) / cost
+
     def per_root_rows(self) -> np.ndarray:
         """The ``(n_roots, 3 * num_levels + 1)`` per-root matrix (a view),
         laid out as :func:`counter_columns` reads it."""

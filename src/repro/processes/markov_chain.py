@@ -78,6 +78,18 @@ class MarkovChainProcess(ImmutableStateProcess, VectorizedProcess):
             self._cumulative.append(cum)
         self._cumulative_array = np.asarray(self._cumulative)
         self._value_array = np.asarray(self.values, dtype=np.float64)
+        # The batched step compares ``u`` in [0, 1) only with the
+        # cumulative entries strictly inside (0, 1): every ``u`` passes
+        # an entry <= 0 (counted once per state in ``_passed``) and none
+        # passes an entry >= 1.  ``_inside`` holds each state's inner
+        # entries, padded with 2.0, which no ``u`` passes either.
+        cumulative = self._cumulative_array
+        inside = (cumulative > 0.0) & (cumulative < 1.0)
+        self._passed = np.count_nonzero(cumulative <= 0.0, axis=1)
+        self._inside = np.full((n, int(inside.sum(axis=1).max())), 2.0)
+        for state, row in enumerate(cumulative):
+            inner = row[inside[state]]
+            self._inside[state, :len(inner)] = inner
 
     @property
     def num_states(self) -> int:
@@ -95,10 +107,11 @@ class MarkovChainProcess(ImmutableStateProcess, VectorizedProcess):
     def step_batch(self, states: np.ndarray, t: int,
                    rng: np.random.Generator) -> np.ndarray:
         # Row-wise bisect_right over the cumulative transition rows:
-        # count the cumulative entries <= u, exactly as the scalar step.
-        rows = self._cumulative_array[states]
+        # count the cumulative entries <= u, exactly as the scalar step,
+        # comparing ``u`` only with the entries it can fall either side of.
         u = rng.random(len(states))
-        return (rows <= u[:, None]).sum(axis=1)
+        return self._passed[states] + (self._inside[states]
+                                       <= u[:, None]).sum(axis=1)
 
     def state_value(self, state: int) -> float:
         """Real-valued evaluation ``z`` of a state."""
@@ -152,10 +165,17 @@ class MarkovChainProcess(ImmutableStateProcess, VectorizedProcess):
         return float(state)
 
 
-register_batch_z(
-    MarkovChainProcess.state_value,
-    lambda self, states: self._value_array[
-        scalar_state_column(states).astype(np.intp)])
+def _state_values(chain: MarkovChainProcess, states) -> np.ndarray:
+    """Batch ``state_value``: a 1-D integer state array indexes the
+    value table directly; fused and fallback layouts go through
+    :func:`scalar_state_column`."""
+    states = np.asarray(states)
+    if states.ndim != 1 or states.dtype.kind not in "iu":
+        states = scalar_state_column(states).astype(np.intp)
+    return chain._value_array[states]
+
+
+register_batch_z(MarkovChainProcess.state_value, _state_values)
 register_batch_z(MarkovChainProcess.state_index, scalar_state_column)
 
 

@@ -1,5 +1,6 @@
 """Tests for the bootstrap variance estimator (Section 4.2)."""
 
+import math
 import random
 import tracemalloc
 
@@ -15,6 +16,9 @@ from repro.core.levels import LevelPartition, normalize_ratios
 from repro.core.records import ForestAggregate, ForestCohort, counter_columns
 
 from ..helpers import make_cohort
+
+#: The 0.999 quantile of a chi-square with 20 degrees of freedom.
+CHI2_20_999 = 45.315
 
 
 def srs_like_aggregate(hit_flags):
@@ -36,23 +40,31 @@ def chain_aggregate(query, partition, n_roots, seed):
 def replicate_prefixes(aggregate, ratios, n_boot, seed):
     """Each bootstrap replicate refolded the slow way.
 
-    Replays the bootstrap's resampling stream, rebuilds every resampled
-    forest from the drawn roots' rows of :meth:`ForestAggregate.
-    per_root_matrices`, folds it into a fresh aggregate and through
+    Replays the bootstrap's thinned resampling stream -- one
+    ``binomial`` call for every replicate's count of draws that land on
+    a live root, then each replicate's live-root indices in turn --
+    rebuilds every resampled forest from the drawn live roots' rows of
+    :meth:`ForestAggregate.per_root_matrices` plus all-zero rows for the
+    draws on dead roots, and folds it into a fresh aggregate and through
     :func:`gmlss_prefix_estimates`.  Returns the ``(n_boot, m)``
     replicate prefixes.
     """
     rng = np.random.default_rng(seed)
+    n_roots = aggregate.n_roots
     landings, skips, crossings, hits = (
         matrix.astype(np.int64) for matrix in aggregate.per_root_matrices())
-    zeros = np.zeros(aggregate.n_roots, dtype=np.int64)
+    live = np.flatnonzero(aggregate.per_root_rows().any(axis=1))
+    landed = rng.binomial(n_roots, len(live) / n_roots, size=n_boot)
     replicates = np.empty((n_boot, aggregate.num_levels))
     for b in range(n_boot):
-        drawn = rng.integers(0, aggregate.n_roots, size=aggregate.n_roots)
+        drawn = live[rng.integers(0, len(live), size=landed[b])]
+        zeros = np.zeros(len(drawn), dtype=np.int64)
         resampled = ForestAggregate(aggregate.num_levels)
         resampled.extend(ForestCohort(
             landings[drawn], skips[drawn], crossings[drawn], hits[drawn],
             zeros, zeros))
+        resampled.extend(make_cohort(aggregate.num_levels,
+                                     n=n_roots - landed[b]))
         replicates[b] = gmlss_prefix_estimates(resampled, ratios)
     return replicates
 
@@ -73,8 +85,9 @@ def dense_bootstrap_variance(aggregate, ratios, n_boot=200, seed=None):
     """The bootstrap as a dense fold: each chunk of replicates is a
     ``(block, n_roots)`` multiplicity matrix times every root's row.
 
-    The reference :func:`bootstrap_variance`'s live-root resampling is
-    pinned to byte for byte, with its own chunking (4,000,000 cells).
+    The reference law: :func:`bootstrap_variance` draws only the live
+    roots' multiplicities, and its mean over seeds must match this
+    one's (its own chunking: 4,000,000 cells).
     """
     m = aggregate.num_levels
     n_roots = aggregate.n_roots
@@ -232,8 +245,10 @@ class TestBootstrapAgainstRepeatedRuns:
 
 
 class TestLiveRootResampling:
-    """Resampling only the roots whose counter row is not all zeros, in
-    small chunks, keeps the bytes of the dense fold over every root."""
+    """Only the live roots -- those whose counter row is not all zeros --
+    are resampled: their multiplicities follow the dense resample's law,
+    the bytes do not depend on the chunking, and the variances agree in
+    mean with the dense fold over every root."""
 
     N_BOOT = 50
 
@@ -241,20 +256,61 @@ class TestLiveRootResampling:
     @pytest.mark.parametrize("live_share", [0, 0.01, 0.1, 1])
     @pytest.mark.parametrize("num_levels", [1, 2, 5, 11])
     @pytest.mark.parametrize("n_roots", [2, 3, 17, 200, 701, 5_000, 33_333])
-    def test_bytes_equal_dense_fold(self, monkeypatch, n_roots, num_levels,
-                                    live_share, seed):
+    def test_bytes_equal_across_chunk_sizes(self, monkeypatch, n_roots,
+                                            num_levels, live_share, seed):
         aggregate = sparse_aggregate(n_roots, num_levels, live_share, seed)
         ratios = normalize_ratios(3, num_levels)
-        expected = dense_bootstrap_variance(
-            aggregate, ratios, n_boot=self.N_BOOT, seed=seed).tobytes()
-        # The default chunk, chunks of 7 replicates (7 does not divide
-        # N_BOOT) and chunks smaller than one replicate's n_roots draws.
-        for cells in (bootstrap_module._CHUNK_CELLS, 7 * n_roots,
-                      n_roots - 1):
+        expected = bootstrap_variance(aggregate, ratios, n_boot=self.N_BOOT,
+                                      seed=seed).tobytes()
+        live = max(1, int(aggregate.per_root_rows().any(axis=1).sum()))
+        # Chunks of 7 replicates (7 does not divide N_BOOT), and of one
+        # replicate when a chunk holds fewer than one replicate's draws.
+        for cells in (7 * live, live - 1):
             monkeypatch.setattr(bootstrap_module, "_CHUNK_CELLS", cells)
             assert bootstrap_variance(
                 aggregate, ratios, n_boot=self.N_BOOT,
                 seed=seed).tobytes() == expected, cells
+
+    def test_multiplicities_follow_the_dense_law(self):
+        """n = 5 roots, 2 live: a replicate's draws of the two live roots
+        are the first two cells of a Multinomial(5; 1/5, 1/5, 3/5).
+        A chi-square over all 21 outcomes at a fixed seed, against the
+        chi-square(20) 0.999 quantile."""
+        replicates = 100_000
+        counts = np.concatenate([block for _, block in
+                                 bootstrap_module.live_multiplicities(
+                                     np.random.default_rng(7), 5, 2,
+                                     replicates)])
+        assert counts.shape == (replicates, 2)
+        outcomes = [(a, b) for a in range(6) for b in range(6 - a)]
+        observed = np.array([np.count_nonzero(
+            (counts[:, 0] == a) & (counts[:, 1] == b)) for a, b in outcomes])
+        assert observed.sum() == replicates
+        expected = replicates * np.array([
+            math.comb(5, a) * math.comb(5 - a, b)
+            * 0.2 ** (a + b) * 0.6 ** (5 - a - b)
+            for a, b in outcomes])
+        assert expected.sum() == pytest.approx(replicates)
+        statistic = float(((observed - expected) ** 2 / expected).sum())
+        assert statistic < CHI2_20_999
+
+    def test_mean_variance_matches_dense_fold(self):
+        """Over 300 seeds each, the mean variance of every prefix lies
+        within 4 standard errors of the dense fold's mean."""
+        aggregate = sparse_aggregate(200, 5, 0.1, seed=4)
+        ratios = normalize_ratios(3, 5)
+        seeds = range(300)
+        thinned = np.array([bootstrap_variance(
+            aggregate, ratios, n_boot=self.N_BOOT, seed=seed)
+            for seed in seeds])
+        dense = np.array([dense_bootstrap_variance(
+            aggregate, ratios, n_boot=self.N_BOOT, seed=seed)
+            for seed in seeds])
+        error = np.sqrt((thinned.var(axis=0, ddof=1)
+                         + dense.var(axis=0, ddof=1)) / len(seeds))
+        assert (error > 0).all()
+        assert (np.abs(thinned.mean(axis=0) - dense.mean(axis=0))
+                <= 4 * error).all()
 
     def test_one_live_root(self):
         aggregate = ForestAggregate(3)
@@ -266,8 +322,8 @@ class TestLiveRootResampling:
         ratios = normalize_ratios(3, 3)
         variances = bootstrap_variance(aggregate, ratios, seed=8)
         assert variances[-1] > 0.0
-        assert variances.tobytes() == dense_bootstrap_variance(
-            aggregate, ratios, seed=8).tobytes()
+        assert variances.tolist() == replicate_prefixes(
+            aggregate, ratios, 200, seed=8).var(axis=0).tolist()
 
     def test_no_live_root_gives_zeros(self):
         aggregate = ForestAggregate(4)
@@ -295,8 +351,9 @@ class TestLiveRootResampling:
 class TestChunkedDrawStream:
     """The chunking rests on one NumPy fact: a bounded-integer fill takes
     one 32-bit word per value from the bit generator's buffered stream,
-    so the values drawn do not depend on how the calls are split.  A
-    NumPy release that breaks this fails here first."""
+    so the values drawn do not depend on how the calls are split, also
+    after a ``binomial`` call.  A NumPy release that breaks this fails
+    here first."""
 
     @pytest.mark.parametrize("n", [7, 700, 12_345, 2 ** 20 + 3])
     def test_one_block_equals_row_calls_and_one_flat_call(self, n):
@@ -307,6 +364,17 @@ class TestChunkedDrawStream:
         flat = np.random.default_rng(21).integers(0, n, size=blocks * n)
         assert np.array_equal(block, rows)
         assert np.array_equal(block.ravel(), flat)
+
+    @pytest.mark.parametrize("n", [7, 700, 12_345])
+    def test_split_after_binomial(self, n):
+        first = np.random.default_rng(5)
+        first.binomial(n, 0.3, size=9)
+        whole = first.integers(0, n, size=3 * n)
+        second = np.random.default_rng(5)
+        second.binomial(n, 0.3, size=9)
+        parts = np.concatenate([second.integers(0, n, size=size)
+                                for size in (n - 1, 1, 2 * n)])
+        assert np.array_equal(whole, parts)
 
 
 class TestBootstrapMemory:

@@ -1,5 +1,7 @@
 """Tests for the g-MLSS sampler and estimator (Eq. 9, 10)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,10 @@ from repro.core.levels import LevelPartition, normalize_ratios
 from repro.core.quality import RelativeErrorTarget
 from repro.core.records import ForestAggregate
 from repro.core.smlss import SMLSSSampler, smlss_prefix_estimates
-from repro.core.srs import SRSSampler
+from repro.core.srs import DEFAULT_MAX_ROUND_ROOTS, SRSSampler
 from repro.core.value_functions import DurabilityQuery
 from repro.engine import DurabilityEngine, ExecutionPolicy, ParallelPolicy
+from repro.processes import RandomWalkProcess, fuse_processes
 from repro.processes.markov_chain import MarkovChainProcess
 from repro.core.analytic import hitting_probability
 
@@ -327,3 +330,106 @@ class TestTraceEndsAtAnswer:
             estimate = engine.answer(small_chain_query, **plan)
         assert estimate.n_roots == 1_800
         assert_trace_ends_at_answer(estimate)
+
+
+def check_schedule(batch_roots=100, first_check_roots=200, check_growth=1.5):
+    """The root counts at which ``batch_roots`` rounds reach each check:
+    the first multiple of ``batch_roots`` at or past the scheduled count,
+    and at least one round after the previous check."""
+    n_roots, due = 0, first_check_roots
+    while True:
+        n_roots = max(n_roots + batch_roots,
+                      math.ceil(due / batch_roots) * batch_roots)
+        yield n_roots
+        due = max(due + 1, math.ceil(due * check_growth))
+
+
+@pytest.fixture
+def cohort_sizes(monkeypatch):
+    """Every ``run_cohort`` call's root count, in call order."""
+    sizes = []
+    original = VectorizedForestRunner.run_cohort
+
+    def counting(self, n_roots, initial_states=None):
+        sizes.append(n_roots)
+        return original(self, n_roots, initial_states)
+
+    monkeypatch.setattr(VectorizedForestRunner, "run_cohort", counting)
+    return sizes
+
+
+SCHEDULE_OPTIONS = [
+    {},
+    {"first_check_roots": 20, "check_growth": 3.0},
+    {"batch_roots": 70},
+    {"batch_roots": 50, "first_check_roots": 130, "check_growth": 1.2},
+]
+
+
+class TestRoundRule:
+    """Uniform rounds run straight to the next check in whole
+    ``batch_roots`` cohorts, so the stopping rule runs at the root
+    counts ``batch_roots`` rounds reach, one cohort per check."""
+
+    @staticmethod
+    def stopped(partition, query, options, seed):
+        """The trace points' root counts of a target-stopped answer."""
+        estimate = GMLSSSampler(partition, record_trace=True,
+                                **options).run(
+            query, quality=RelativeErrorTarget(0.1), max_roots=10 ** 6,
+            seed=seed)
+        assert estimate.n_roots < 10 ** 6
+        return [point.n_roots for point in estimate.details["trace"]]
+
+    @pytest.mark.parametrize("options", SCHEDULE_OPTIONS)
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_checks_fall_on_the_batch_schedule(
+            self, small_chain_query, small_chain_partition, options, seed):
+        checks = self.stopped(small_chain_partition, small_chain_query,
+                              options, seed)
+        schedule = check_schedule(**options)
+        assert len(checks) >= 3
+        assert checks == [next(schedule) for _ in checks]
+
+    @pytest.mark.parametrize("options", SCHEDULE_OPTIONS)
+    def test_one_cohort_per_check(self, small_chain_query,
+                                  small_chain_partition, options,
+                                  cohort_sizes):
+        checks = self.stopped(small_chain_partition, small_chain_query,
+                              options, seed=5)
+        assert cohort_sizes == [after - before for before, after
+                                in zip([0] + checks, checks)]
+
+    def test_budget_overshoot_within_one_cohort(self, small_chain_query,
+                                                small_chain_partition,
+                                                cohort_sizes):
+        """A step budget ends the run between far-apart checks: the last
+        round is trimmed to what the budget funds, so the overshoot
+        stays within one ``batch_roots`` cohort of worst-case trees."""
+        sampler = GMLSSSampler(small_chain_partition, first_check_roots=5_000)
+        worst = small_chain_query.horizon * sum(np.cumprod(sampler.ratios))
+        for seed, max_steps in ((6, 200_000), (7, 450_000), (8, 1_000_000)):
+            estimate = sampler.run(small_chain_query,
+                                   quality=RelativeErrorTarget(0.01),
+                                   max_steps=max_steps, seed=seed)
+            assert max_steps <= estimate.steps \
+                <= max_steps + sampler.batch_roots * worst
+        assert max(cohort_sizes) > sampler.batch_roots
+
+    @pytest.mark.parametrize("batch_roots", [100, 3_000])
+    def test_fused_uniform_round_capped(self, batch_roots, cohort_sizes):
+        from repro.core.fleet import screen_fleet_mlss
+        walks = [RandomWalkProcess(p_up=p_up, p_down=0.45)
+                 for p_up in (0.3, 0.32, 0.34, 0.36)]
+        screen_fleet_mlss(
+            fuse_processes(walks), RandomWalkProcess.position, [10.0] * 4,
+            LevelPartition([0.4, 0.7]), horizon=40,
+            quality=RelativeErrorTarget(0.01), max_roots=12_000,
+            batch_roots=batch_roots, first_check_roots=5_000,
+            adaptive=False, seed=9)
+        # Each member's check is 5,000 roots away: the round stops at the
+        # cap, or at one cohort per member when that alone is more.
+        assert max(cohort_sizes) <= max(DEFAULT_MAX_ROUND_ROOTS,
+                                        4 * batch_roots)
+        assert max(cohort_sizes) == max(
+            DEFAULT_MAX_ROUND_ROOTS // (4 * batch_roots), 1) * 4 * batch_roots

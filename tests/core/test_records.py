@@ -67,6 +67,15 @@ class TestForestAggregate:
         agg.extend(make_cohort(2, hits=5))
         assert agg.hit_count_variance() == 0.0
 
+    def test_roots_funded_at_measured_cost(self):
+        agg = ForestAggregate(2)
+        # Nothing measured yet: the cold cost prices every tree.
+        assert agg.roots_funded(1_000, 50.0) == 20.0
+        agg.extend(make_cohort(2, n=4, steps=[10, 30, 20, 20]))
+        # 20 steps per root measured, 920 steps left.
+        assert agg.roots_funded(1_000, 50.0) == 46.0
+        assert agg.roots_funded(60, 50.0) == -1.0
+
     def test_per_root_matrices_shapes(self):
         agg = ForestAggregate(4)
         agg.extend(make_cohort(4, n=5))

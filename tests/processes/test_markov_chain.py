@@ -5,9 +5,11 @@ import random
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.processes.base import simulate_path
+from repro.processes.base import resolve_batch_z, simulate_path
 from repro.processes.markov_chain import MarkovChainProcess, birth_death_chain
 
 
@@ -113,3 +115,88 @@ class TestBirthDeathChain:
         params = {"n": 5, "p_up": 0.3, "p_down": 0.3, param: value}
         with pytest.raises(ValueError):
             birth_death_chain(**params)
+
+
+class _FixedUniforms:
+    """A stand-in generator whose ``random(n)`` returns given ``u``."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u
+
+
+class _ScalarUniform:
+    """A stand-in ``random.Random`` whose ``random()`` returns ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@st.composite
+def stochastic_rows(draw, n):
+    """One row: exactly one 1.0 entry, or weights with zeros, scaled to
+    sum to one."""
+    if draw(st.booleans()):
+        row = [0.0] * n
+        row[draw(st.integers(0, n - 1))] = 1.0
+        return row
+    weights = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.001, 1.0)), min_size=n,
+        max_size=n).filter(lambda w: sum(w) > 0))
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+@st.composite
+def chain_steps(draw):
+    n = draw(st.integers(1, 8))
+    matrix = [draw(stochastic_rows(n)) for _ in range(n)]
+    rows = draw(st.integers(1, 40))
+    states = draw(st.lists(st.integers(0, n - 1), min_size=rows,
+                           max_size=rows))
+    # Ties: u equal to one of the chain's own cumulative entries.
+    ties = sorted({value for row in np.cumsum(matrix, axis=1)
+                   for value in row if 0.0 <= value < 1.0})
+    u = draw(st.lists(st.one_of(
+        st.just(0.0), st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from(ties or [0.0])), min_size=rows, max_size=rows))
+    return matrix, np.asarray(states, dtype=np.int64), u
+
+
+class TestBatchStep:
+    """``step_batch`` compares ``u`` only with each state's cumulative
+    entries strictly inside (0, 1); its successors must equal the
+    dense count of every cumulative entry <= ``u``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain_steps())
+    def test_equals_dense_compare(self, case):
+        matrix, states, u = case
+        chain = MarkovChainProcess(matrix)
+        dense = (chain._cumulative_array[states]
+                 <= np.asarray(u)[:, None]).sum(axis=1)
+        successors = chain.step_batch(states, 1, _FixedUniforms(u))
+        assert successors.dtype == dense.dtype
+        assert successors.tolist() == dense.tolist()
+        assert successors.tolist() == [
+            chain.step(int(state), 1, _ScalarUniform(value))
+            for state, value in zip(states, u)]
+
+    def test_birth_death_compares_two_entries_per_state(self):
+        chain = birth_death_chain(16, p_up=0.25, p_down=0.4)
+        assert chain._inside.shape == (16, 2)
+
+    def test_state_values_gather_any_layout(self):
+        chain = MarkovChainProcess([[0.5, 0.5], [0.0, 1.0]],
+                                   values=[-2.0, 7.5])
+        batch_z = resolve_batch_z(chain.state_value)
+        for states in (np.array([1, 0, 1]), np.array([1, 0, 1], np.int32),
+                       np.array([[1, 3], [0, 3], [1, 0]]),
+                       np.array([1, 0, 1], dtype=object)):
+            assert batch_z(states).tolist() == [7.5, -2.0, 7.5]
