@@ -159,7 +159,8 @@ def bench_plan_cache():
         },
         "repeat_call": {
             "seconds": round(second_seconds, 4),
-            "search_steps": second.details["plan_search"]["search_steps"],
+            "search_steps": DurabilityEngine._search_steps(
+                second.details),
             "plan_cache": second.details["plan_cache"],
         },
         "search_steps_saved":

@@ -49,10 +49,8 @@ def main() -> None:
     print("  ", auto.summary(), "\n")
 
     again = engine.answer(query, seed=4)
-    search = again.details["plan_search"]
     print(f"4. Asked again: plan cache {again.details['plan_cache']} "
-          f"(search steps {search['search_steps']}, "
-          f"plan {search['partition']})")
+          f"(plan from {again.details['plan_origin']}, no search)")
     print("  ", again.summary(), "\n")
 
     print(f"At the same budget, MLSS cut the standard error from "

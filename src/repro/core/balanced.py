@@ -14,6 +14,12 @@ so the benchmarks can build MLSS-BAL plans reproducibly:
    the customary light-tail assumption behind importance splitting;
 3. place boundaries so consecutive survival values form a geometric
    ladder from 1 down to the (estimated) target probability.
+
+The plan build is a pure function of the query, the level count, the
+grid and the seed: it neither reads nor writes a plan cache.
+Memoizing plans across queries is
+:func:`repro.engine.service.resolve_plan`'s job, which runs the pilot
+only when its cache lookup misses.
 """
 
 from __future__ import annotations
@@ -176,22 +182,14 @@ def hybrid_survival(maxima: Sequence[float],
 def balanced_growth_partition(query: DurabilityQuery, num_levels: int,
                               pilot_paths: int = 2000,
                               seed: Optional[int] = None,
-                              plan_cache=None,
                               pool=None,
-                              grid=None,
-                              cache_kind=None) -> LevelPartition:
+                              grid=None) -> LevelPartition:
     """Build an (approximately) balanced-growth plan with ``m`` levels.
 
     This is the automated stand-in for the paper's manually tuned
     MLSS-BAL plans; the pilot cost is *not* charged to the estimate, as
     in the paper's Figure 13 protocol ("we do not charge the cost of
     manual tuning to running MLSS-BAL").
-
-    ``plan_cache`` (a :class:`repro.engine.PlanCache` or compatible) is
-    consulted before the pilot runs — a hit skips the pilot entirely —
-    and updated afterwards, keyed separately per ``num_levels`` (or
-    under an explicit ``cache_kind``, which grid-shaped callers use so
-    curve plans never collide with point plans).
 
     ``grid`` makes the plan *curve-aware*: a strictly ascending tuple
     of normalized threshold levels (each in ``(0, 1)``) that must
@@ -217,12 +215,6 @@ def balanced_growth_partition(query: DurabilityQuery, num_levels: int,
     grid = tuple(float(g) for g in grid) if grid is not None else None
     if num_levels == 1 and not grid:
         return LevelPartition()
-    if cache_kind is None:
-        cache_kind = ("balanced", num_levels)
-    if plan_cache is not None:
-        entry = plan_cache.get(query, kind=cache_kind)
-        if entry is not None:
-            return entry.partition
     maxima = pilot_max_values(query, n_paths=pilot_paths, seed=seed,
                               pool=pool)
     try:
@@ -241,7 +233,4 @@ def balanced_growth_partition(query: DurabilityQuery, num_levels: int,
         boundaries = balanced_boundaries_from_survival(survival,
                                                        num_levels)
     initial_value = query.initial_value()
-    plan = LevelPartition(b for b in boundaries if b > initial_value)
-    if plan_cache is not None:
-        plan_cache.put(query, plan, kind=cache_kind)
-    return plan
+    return LevelPartition(b for b in boundaries if b > initial_value)

@@ -12,12 +12,10 @@ The search stops as soon as a round fails to improve the evaluation
 score (more levels would only add splitting overhead) or when
 ``max_rounds`` is reached.
 
-The search can also run *curve-aware*: given a mandatory normalized
-threshold ``grid`` (the read-out boundaries of a ``durability_curve``
-pass), the grid seeds the plan and the search only places refinement
-boundaries around it — scoring the grid-only plan first as the
-baseline — so one searched plan serves the whole grid instead of a
-single-threshold plan being stretched across it.
+The search is a pure function of the query, its knobs and the seed:
+it neither reads nor writes a plan cache.  Memoizing plans across
+queries is :func:`repro.engine.service.resolve_plan`'s job, which
+runs the search only when its cache lookup misses.
 """
 
 from __future__ import annotations
@@ -53,8 +51,6 @@ class GreedyResult:
     search_steps: int = 0
     pooled_estimate: float = 0.0
     pooled_roots: int = 0
-    #: True when the plan came from a PlanCache hit (no search was run).
-    from_cache: bool = False
 
     @property
     def num_rounds(self) -> int:
@@ -90,10 +86,7 @@ def adaptive_greedy_partition(query: DurabilityQuery, ratio=3,
                               candidates_per_round: int = 5,
                               max_rounds: int = 10,
                               seed: Optional[int] = None,
-                              plan_cache=None,
-                              pool=None,
-                              grid=None,
-                              cache_kind=None) -> GreedyResult:
+                              pool=None) -> GreedyResult:
     """Algorithm 1: search for a (near-)optimal partition plan.
 
     Parameters
@@ -110,12 +103,6 @@ def adaptive_greedy_partition(query: DurabilityQuery, ratio=3,
         Number of candidate boundaries generated per round.
     max_rounds:
         Hard cap on rounds (each successful round adds one boundary).
-    plan_cache:
-        Optional :class:`repro.engine.PlanCache` (or anything with its
-        ``get``/``put`` interface).  On a hit the cached plan is
-        returned immediately with ``from_cache=True`` and zero search
-        steps; on a miss the search runs and its result is stored for
-        the next equivalent query.
     pool:
         Optional :class:`~repro.core.pool.WorkerPool`: each round's
         candidate trials — independent fixed-budget simulations, the
@@ -125,33 +112,9 @@ def adaptive_greedy_partition(query: DurabilityQuery, ratio=3,
         :func:`~repro.core.pool.derive_task_seed`) in both the pooled
         and parent-only paths, so for a fixed ``seed`` the pooled
         search returns exactly the plan the parent-only search would.
-    grid:
-        Mandatory normalized boundaries (a curve's read-out levels,
-        each in ``(0, 1)``, strictly ascending, above the initial
-        value): they seed the plan, a baseline trial scores the
-        grid-only plan, and the search only *adds* refinement
-        boundaries around them — the returned partition always
-        contains the grid verbatim.
-    cache_kind:
-        Overrides the plan-cache kind (default ``"greedy"``); the
-        curve-aware engine path passes a grid-shaped kind so curve
-        plans never collide with point plans.
     """
-    kind = cache_kind if cache_kind is not None else "greedy"
-    if plan_cache is not None:
-        entry = plan_cache.get(query, kind=kind)
-        if entry is not None:
-            return GreedyResult(
-                partition=entry.partition, best_score=entry.score,
-                rounds=[], search_steps=0,
-                pooled_estimate=0.0, pooled_roots=0, from_cache=True,
-            )
     initial_value = query.initial_value()
-    plan = LevelPartition(grid) if grid else LevelPartition()
-    if plan.boundaries and plan.boundaries[0] <= initial_value:
-        raise ValueError(
-            f"grid boundary {plan.boundaries[0]} does not exceed the "
-            f"initial state's value {initial_value}")
+    plan = LevelPartition()
     best_score = float("inf")
     v_lo, v_hi = 0.0, 1.0
     rounds = []
@@ -162,27 +125,6 @@ def adaptive_greedy_partition(query: DurabilityQuery, ratio=3,
         handle = pool.register(PlanSearchWork(
             query=query, ratio=ratio, trial_steps=trial_steps))
     try:
-        if plan.boundaries:
-            # Baseline trial: score the mandatory grid-only plan so a
-            # refinement is only accepted when it actually improves on
-            # serving the grid as-is.
-            baseline_seed = derive_task_seed(seed, trial_index,
-                                             salt="plan")
-            trial_index += 1
-            if handle is not None:
-                baseline = pool.run_tasks(handle, [
-                    ("trial", plan.boundaries, baseline_seed)])[0]
-            else:
-                baseline = evaluate_partition(
-                    query, plan, ratio=ratio, trial_steps=trial_steps,
-                    seed=baseline_seed)
-            search_steps += baseline.steps
-            best_score = baseline.eval_score
-            rounds.append(GreedyRound(
-                focus=(v_lo, v_hi), candidates=[], trials=[baseline],
-                chosen=None, best_score=baseline.eval_score))
-            v_lo, v_hi = _obstacle_interval(plan, baseline,
-                                            initial_value)
         for _ in range(max_rounds):
             candidates = candidate_boundaries(
                 v_lo, v_hi, candidates_per_round, plan.boundaries,
@@ -241,14 +183,11 @@ def adaptive_greedy_partition(query: DurabilityQuery, ratio=3,
 
     pooled, pooled_roots, _ = pool_trials(
         [t for rnd in rounds for t in rnd.trials])
-    result = GreedyResult(
+    return GreedyResult(
         partition=plan, best_score=best_score, rounds=rounds,
         search_steps=search_steps, pooled_estimate=pooled,
         pooled_roots=pooled_roots,
     )
-    if plan_cache is not None:
-        plan_cache.put(query, plan, kind=kind, score=best_score)
-    return result
 
 
 def _obstacle_interval(plan: LevelPartition, trial: PlanTrial,

@@ -33,6 +33,13 @@ before use.
 Eviction is LRU with a bounded entry count; ``hits``/``misses``/
 ``evictions`` counters make cache effectiveness (and capacity
 pressure) observable (:meth:`PlanCache.stats`).
+
+The plan searches know nothing of this cache: the engine's
+:func:`~repro.engine.service.resolve_plan` is its only reader and
+writer, with one :meth:`PlanCache.get` per answer and one
+:meth:`PlanCache.put` per search, whose ``origin`` labels the entry
+for good.  Admission control only probes membership
+(``key_for(query, kind) in cache``), which moves no counter.
 """
 
 from __future__ import annotations
@@ -139,12 +146,14 @@ class CachedPlan:
     #: entry's lifetime guarantees a reused address can never alias an
     #: old key — id-based keys are identity-based, not address-based.
     pins: tuple = field(default=(), repr=False)
-    #: Where the plan came from: ``"search"`` (found by this process's
-    #: own plan search), ``"store"`` (hydrated from a persistent
+    #: Where the plan came from, fixed when the entry is created:
+    #: ``"search"`` (found by this process's own plan search on an
+    #: answer's cache miss), ``"store"`` (hydrated from a persistent
     #: :class:`~repro.db.plan_store.PlanStore`), or ``"warmed"``
-    #: (pre-computed by the proactive :class:`~repro.forecast.warmer.
-    #: PlanWarmer` before any query needed it).  Surfaces through
-    #: ``details["plan_source"]`` / ``details["plan_origin"]``.
+    #: (searched by :meth:`~repro.engine.service.DurabilityEngine.
+    #: warm_plan`, the proactive warmer's entry point, before any query
+    #: needed it).  Surfaces through ``details["plan_source"]`` /
+    #: ``details["plan_origin"]``.
     origin: str = "search"
 
 
@@ -271,18 +280,6 @@ class PlanCache:
                           score=entry.score, pins=entry.pins,
                           origin=entry.origin)
 
-    def peek(self, query: DurabilityQuery,
-             kind: object = "greedy") -> Optional[CachedPlan]:
-        """The raw entry for a query shape, without counters or LRU.
-
-        Provenance introspection only (e.g. "did that hit come from
-        the persistent store?"): no hit/miss accounting, no recency
-        update, no re-pruning.
-        """
-        key = self.key_for(query, kind)
-        with self._lock:
-            return self._entries.get(key)
-
     def put(self, query: DurabilityQuery, partition: LevelPartition,
             kind: object = "greedy", score: float = math.inf,
             origin: str = "search") -> None:
@@ -304,23 +301,6 @@ class PlanCache:
                 self.evictions += 1
         if self.store is not None:
             self.store.save(key, partition, score=score)
-
-    def retag(self, query: DurabilityQuery, kind: object = "greedy",
-              origin: str = "warmed") -> bool:
-        """Relabel an entry's provenance in place (no counters).
-
-        Used by the proactive warmer: a plan it computed went through
-        the ordinary search-then-:meth:`put` path (``origin
-        "search"``), but future hits should be attributable to warming.
-        Returns False when the shape is not cached.
-        """
-        key = self.key_for(query, kind)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False
-            entry.origin = origin
-            return True
 
     # ------------------------------------------------------------------
     # Introspection

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import threading
 from typing import Optional, Sequence
 
@@ -100,9 +101,9 @@ def plan_kind(num_levels: Optional[int], grid=None):
     pilots are per-level-count, greedy plans share one kind, and a
     read-out ``grid`` wraps either in a grid-shaped kind
     (:func:`~repro.engine.cache.grid_plan_kind`).  Shared by
-    :func:`resolve_plan`, the engine's provenance introspection and
-    the proactive warmer, so "which cache entry would this query use?"
-    has exactly one answer.
+    :func:`resolve_plan`, the engine's warmer entry point and
+    admission control's warm-plan probe, so "which cache entry would
+    this query use?" has exactly one answer.
     """
     base = "greedy" if num_levels is None else ("balanced", num_levels)
     return grid_plan_kind(base, grid) if grid else base
@@ -115,66 +116,90 @@ def resolve_plan(query: DurabilityQuery,
                  seed: Optional[int],
                  plan_cache: Optional[PlanCache] = None,
                  pool=None,
-                 grid=None):
-    """Choose the level plan: explicit > cached > balanced pilot > greedy.
+                 grid=None,
+                 origin: str = "search"):
+    """Choose the level plan: explicit > grid > cached > balanced > greedy.
 
-    The single source of truth for plan precedence.  Returns
-    ``(partition, search_details_or_None, cache_status_or_None,
-    cache_origin_or_None)``; ``cache_status`` is ``"hit"``/``"miss"``
-    when a plan cache participated, and ``cache_origin`` reports where
-    a hit entry came from (``"search"``, ``"store"``, ``"warmed"`` —
-    see :attr:`~repro.engine.cache.CachedPlan.origin`).  With ``pool``
-    (a :class:`~repro.core.pool.WorkerPool`), pilot simulations
-    (balanced-growth pilots and greedy candidate trials) shard over its
-    workers and — because trial and pilot seeds are structural — return
-    exactly the plan the parent-only search would.
+    The single source of truth for plan precedence, and the only code
+    that reads or writes a :class:`PlanCache`: one
+    :meth:`~PlanCache.get` under :func:`plan_kind`, a search only on a
+    miss (the balanced pilot with ``num_levels``, else the greedy
+    search; both are pure functions), then one :meth:`~PlanCache.put`
+    whose ``origin`` (``"search"``, or ``"warmed"`` from
+    :meth:`DurabilityEngine.warm_plan`) labels the entry for good.
+    Returns ``(partition, details)``: the plan and its provenance,
+    built from that one lookup, for the answer's ``details``:
 
-    ``grid`` makes the resolution *curve-aware*: a strictly ascending
-    tuple of normalized threshold levels that must appear verbatim in
-    the plan (a ``durability_curve``'s read-out boundaries).  The
-    balanced pilot distributes its remaining boundaries into the
-    survival gaps between grid levels; the greedy search seeds its
-    plan with the grid and only adds refinements that beat serving the
-    grid as-is.  Curve-aware plans are cached under grid-shaped keys
-    (:func:`~repro.engine.cache.grid_plan_kind`), so they never
+    * ``plan_source`` — ``"explicit"``, ``"grid"``, ``"curve_aware"``,
+      ``"search"``, ``"cache"``, or ``"store"`` (a hit on an entry
+      hydrated from a persistent store);
+    * ``plan_cache`` — ``"hit"`` or ``"miss"`` when a cache took part;
+    * ``plan_origin`` — the serving entry's
+      :attr:`~repro.engine.cache.CachedPlan.origin`, on a hit;
+    * ``plan_search`` — the greedy search's cost and plan, when one ran.
+
+    With ``pool`` (a :class:`~repro.core.pool.WorkerPool`), pilot
+    simulations (balanced-growth pilots and greedy candidate trials)
+    shard over its workers and — because trial and pilot seeds are
+    structural — return exactly the plan the parent-only search would.
+
+    ``grid`` makes the resolution a curve's: the strictly ascending
+    interior read-out levels of a ``durability_curve`` grid, each of
+    which must exceed the initial state's value
+    (:class:`UnservableGridError` otherwise).  When ``num_levels``
+    asks for no more levels than the grid provides, the grid *is* the
+    plan; otherwise the balanced pilot distributes the remaining
+    boundaries into the survival gaps between grid levels, and the
+    plan is cached under a grid-shaped kind, so curve plans never
     collide with point plans.
     """
     initial_value = query.initial_value()
     if partition is not None:
-        return partition.pruned_above(initial_value), None, None, None
-    grid = tuple(float(g) for g in grid) if grid else None
-    hits_before = plan_cache.hits if plan_cache is not None else 0
+        return (partition.pruned_above(initial_value),
+                {"plan_source": "explicit"})
+    source = None
+    if grid is not None:
+        grid = tuple(float(level) for level in grid)
+        blocked = [level for level in grid if level <= initial_value]
+        if blocked:
+            raise UnservableGridError(
+                f"grid levels {blocked} (thresholds over the largest) do "
+                f"not exceed the initial state's value "
+                f"{initial_value:.4g}; MLSS boundaries must exceed it — "
+                f"drop those thresholds or use method='srs'")
+        if num_levels is None or num_levels <= len(grid) + 1:
+            return LevelPartition(grid), {"plan_source": "grid"}
+        source = "curve_aware"
+    kind = plan_kind(num_levels, grid)
+    entry = plan_cache.get(query, kind) if plan_cache is not None else None
+    if entry is not None:
+        hit_source = "store" if entry.origin == "store" else "cache"
+        return entry.partition, {"plan_source": source or hit_source,
+                                 "plan_cache": "hit",
+                                 "plan_origin": entry.origin}
+    details = {"plan_source": source or "search"}
+    score = math.inf
     if num_levels is not None:
         plan = balanced_growth_partition(
             query, num_levels,
             pilot_paths=max(trial_steps // query.horizon, 200),
-            seed=seed, plan_cache=plan_cache, pool=pool, grid=grid,
-            cache_kind=(grid_plan_kind(("balanced", num_levels), grid)
-                        if grid else None))
-        search_details = None
+            seed=seed, pool=pool, grid=grid)
     else:
         result = adaptive_greedy_partition(
             query, ratio=ratio, trial_steps=trial_steps, seed=seed,
-            plan_cache=plan_cache, pool=pool, grid=grid,
-            cache_kind=(grid_plan_kind("greedy", grid)
-                        if grid else None))
-        plan = result.partition
-        search_details = {
+            pool=pool)
+        plan, score = result.partition, result.best_score
+        details["plan_search"] = {
             "search_steps": result.search_steps,
             "search_rounds": result.num_rounds,
             "pooled_estimate": result.pooled_estimate,
             "pooled_roots": result.pooled_roots,
             "partition": result.partition,
-            "from_cache": result.from_cache,
         }
-    cache_status = None
-    cache_origin = None
     if plan_cache is not None:
-        cache_status = "hit" if plan_cache.hits > hits_before else "miss"
-        entry = plan_cache.peek(query, plan_kind(num_levels, grid))
-        if entry is not None:
-            cache_origin = entry.origin
-    return plan, search_details, cache_status, cache_origin
+        plan_cache.put(query, plan, kind=kind, score=score, origin=origin)
+        details["plan_cache"] = "miss"
+    return plan, details
 
 
 class DurabilityEngine:
@@ -211,8 +236,9 @@ class DurabilityEngine:
         query answered, tagged with the measured plan-search cost, so
         forecasters can predict tomorrow's shapes and the
         :class:`~repro.forecast.warmer.PlanWarmer` can rank them.
-        Nested internal calls (batch cohorts answering through
-        ``durability_curve``) are not double-counted.
+        Batch members answer through the same implementations as
+        single calls, never through the public entry points, so each
+        query is one arrival, recorded where the caller entered.
     """
 
     def __init__(self, policy: Optional[ExecutionPolicy] = None,
@@ -227,11 +253,6 @@ class DurabilityEngine:
         # PlanCache locks its LRU); pool creation/teardown must not
         # race or two pools could be built and one leak its workers.
         self._pool_lock = threading.Lock()
-        # Re-entrancy guard for workload recording: answer_batch
-        # cohorts answer through durability_curve / answer, but an
-        # arrival must be logged once, at the entry point the caller
-        # used.  Thread-local, because one engine serves many threads.
-        self._recording = threading.local()
 
     # ------------------------------------------------------------------
     # Policy plumbing
@@ -252,34 +273,18 @@ class DurabilityEngine:
     # Workload recording
     # ------------------------------------------------------------------
 
-    def _record_start(self) -> bool:
-        """Claim the arrival-recording slot for this entry point.
-
-        Returns True when this call is the outermost public entry
-        point and a workload log is attached — exactly the calls that
-        should append arrival records.  Cohort internals that re-enter
-        ``answer``/``durability_curve`` find the slot taken and stay
-        silent, so one user-visible query is one arrival.
-        """
-        if self.workload_log is None:
-            return False
-        if getattr(self._recording, "active", False):
-            return False
-        self._recording.active = True
-        return True
-
-    def _record_end(self) -> None:
-        self._recording.active = False
-
     @staticmethod
     def _search_steps(details) -> int:
         """Measured plan-search cost carried by an estimate's details."""
         search = (details or {}).get("plan_search") or {}
         return int(search.get("search_steps", 0) or 0)
 
-    def _record_arrival(self, query, grid=None, details=None) -> None:
-        self.workload_log.record(
-            query, grid=grid, search_steps=self._search_steps(details))
+    def _record_arrival(self, query, details, grid=None) -> None:
+        """One workload-log arrival (if a log is attached), tagged with
+        the answer's measured plan-search cost."""
+        if self.workload_log is not None:
+            self.workload_log.record(
+                query, grid=grid, search_steps=self._search_steps(details))
 
     # ------------------------------------------------------------------
     # Worker-pool lifecycle
@@ -364,19 +369,28 @@ class DurabilityEngine:
         preference.
         """
         policy = self._resolve_policy(policy, overrides)
-        recording = self._record_start()
-        try:
-            sampler, extra = self._build_sampler(query, policy, partition)
-            estimate = sampler.run(
-                query, quality=policy.quality, max_steps=policy.max_steps,
-                max_roots=policy.max_roots, seed=policy.seed)
-            estimate.details.update(extra)
-            if recording:
-                self._record_arrival(query, details=estimate.details)
-            return estimate
-        finally:
-            if recording:
-                self._record_end()
+        estimate = self._answer_impl(query, policy, partition)
+        self._record_arrival(query, estimate.details)
+        return estimate
+
+    def _answer_impl(self, query: DurabilityQuery, policy: ExecutionPolicy,
+                     partition: Optional[LevelPartition] = None
+                     ) -> DurabilityEstimate:
+        """The point answer behind :meth:`answer` and batch members
+        (resolved policy, no workload recording): one construction path
+        for every method, with the plan and its provenance from
+        :func:`resolve_plan`."""
+        if policy.method == "srs":
+            sampler, provenance = self._make_sampler(SRSSampler, policy), {}
+        else:
+            plan, provenance = self._resolve_plan(query, partition, policy)
+            sampler = self._make_sampler(self._mlss_class(policy.method),
+                                         policy, plan, ratio=policy.ratio)
+        estimate = sampler.run(
+            query, quality=policy.quality, max_steps=policy.max_steps,
+            max_roots=policy.max_roots, seed=policy.seed)
+        estimate.details.update(provenance)
+        return estimate
 
     def _make_sampler(self, sampler_class, policy: ExecutionPolicy,
                       *args, **kwargs):
@@ -399,44 +413,12 @@ class DurabilityEngine:
     def _mlss_class(method: str):
         return SMLSSSampler if method == "smlss" else GMLSSSampler
 
-    def _build_sampler(self, query: DurabilityQuery,
-                       policy: ExecutionPolicy,
-                       partition: Optional[LevelPartition]):
-        """One construction path for every method.
-
-        Returns ``(sampler, extra_details)`` — resolves the plan and
-        picks the sampler class, so no per-method branch repeats the
-        boilerplate.
-        """
-        if policy.method == "srs":
-            return self._make_sampler(SRSSampler, policy), {}
-
-        plan, search_details, cache_status, cache_origin = \
-            self._resolve_plan(query, partition, policy)
-        extra = {}
-        if search_details is not None:
-            extra["plan_search"] = search_details
-        if cache_status is not None:
-            extra["plan_cache"] = cache_status
-        if partition is not None:
-            extra["plan_source"] = "explicit"
-        elif cache_status == "hit":
-            # A hit on a store-hydrated entry is the persistence layer
-            # paying off — report it as its own source so restarts are
-            # observable; warmed/search-born entries stay "cache".
-            extra["plan_source"] = ("store" if cache_origin == "store"
-                                    else "cache")
-            extra["plan_origin"] = cache_origin
-        else:
-            extra["plan_source"] = "search"
-        sampler = self._make_sampler(self._mlss_class(policy.method),
-                                     policy, plan, ratio=policy.ratio)
-        return sampler, extra
-
     def _resolve_plan(self, query: DurabilityQuery,
                       partition: Optional[LevelPartition],
-                      policy: ExecutionPolicy):
-        """Plan precedence from :func:`resolve_plan`, plus the cache.
+                      policy: ExecutionPolicy, grid=None,
+                      origin: str = "search"):
+        """:func:`resolve_plan` under the policy, with the engine's
+        cache (unless ``use_plan_cache`` is off) and pool.
 
         With :attr:`ExecutionPolicy.parallel` set, plan search (greedy
         candidate trials, balanced pilots) shards over the engine's
@@ -447,7 +429,7 @@ class DurabilityEngine:
         return resolve_plan(
             query, partition, policy.num_levels, policy.ratio,
             policy.trial_steps, policy.seed, plan_cache=cache,
-            pool=self._get_pool(policy))
+            pool=self._get_pool(policy), grid=grid, origin=origin)
 
     def warm_plan(self, query: DurabilityQuery,
                   policy: Optional[ExecutionPolicy] = None,
@@ -456,16 +438,17 @@ class DurabilityEngine:
 
         The proactive warmer's entry point: runs exactly the plan
         resolution a future :meth:`answer` (or, with ``thresholds``, a
-        curve-aware :meth:`durability_curve`) would run — same policy,
-        same seed, same cache kind — so the warmed plan is the very
-        plan the on-path search would have found, and the later answer
-        is byte-identical to the cold-search one.  A freshly learned
-        plan is retagged ``origin="warmed"`` (and, with a persistent
-        store attached to the cache, written through).
+        :meth:`durability_curve`) would run — same policy, same seed,
+        same cache kind, same grid rules — so the warmed plan is the
+        very plan the on-path search would have found, and the later
+        answer is byte-identical to the cold-search one.  A plan it
+        searches enters the cache with ``origin="warmed"`` (and, with a
+        persistent store attached to the cache, is written through).
 
         Returns a report dict: ``warmable`` (False for SRS policies,
-        disabled caches, grids that need no search), ``cache_status``,
-        ``origin``, ``search_steps`` spent, and the cache ``kind``.
+        disabled caches, grids that need no search or that MLSS cannot
+        serve), ``cache_status``, ``origin``, ``search_steps`` spent,
+        and the cache ``kind``.
         """
         policy = self._resolve_policy(policy, overrides)
         if policy.method == "srs":
@@ -474,39 +457,31 @@ class DurabilityEngine:
         if not policy.use_plan_cache:
             return {"warmable": False, "reason": "plan_cache_disabled",
                     "search_steps": 0}
-        target = query
         grid = None
         if thresholds:
             betas, levels = threshold_grid(thresholds)
-            target = query.with_threshold(betas[-1])
-            initial_value = target.initial_value()
-            if any(level <= initial_value and level < 1.0
-                   for level in levels):
-                return {"warmable": False, "reason": "unservable_grid",
-                        "search_steps": 0}
-            interior = tuple(levels[:-1])
-            if (policy.num_levels is None
-                    or policy.num_levels <= len(interior) + 1):
-                # The read-out grid *is* the plan — nothing to search,
-                # nothing worth persisting.
-                return {"warmable": False, "reason": "grid_is_plan",
-                        "search_steps": 0}
-            grid = interior
-        kind = plan_kind(policy.num_levels, grid)
-        _, search_details, cache_status, origin = resolve_plan(
-            target, None, policy.num_levels, policy.ratio,
-            policy.trial_steps, policy.seed, plan_cache=self.plan_cache,
-            pool=self._get_pool(policy), grid=grid)
-        search_steps = (search_details or {}).get("search_steps", 0)
-        if cache_status == "miss":
-            self.plan_cache.retag(target, kind, "warmed")
-            origin = "warmed"
-            if search_details is None:
-                # Balanced pilots are not step-metered; charge the
-                # trial budget so sweep accounting stays conservative.
-                search_steps = policy.trial_steps
-        return {"warmable": True, "kind": kind,
-                "cache_status": cache_status, "origin": origin,
+            query, grid = query.with_threshold(betas[-1]), levels[:-1]
+        try:
+            _, provenance = self._resolve_plan(query, None, policy,
+                                               grid=grid, origin="warmed")
+        except UnservableGridError:
+            return {"warmable": False, "reason": "unservable_grid",
+                    "search_steps": 0}
+        if provenance["plan_source"] == "grid":
+            # The read-out grid *is* the plan — nothing to search,
+            # nothing worth persisting.
+            return {"warmable": False, "reason": "grid_is_plan",
+                    "search_steps": 0}
+        cache_status = provenance["plan_cache"]
+        search = provenance.get("plan_search")
+        search_steps = search["search_steps"] if search else 0
+        if cache_status == "miss" and search is None:
+            # Balanced pilots are not step-metered; charge the trial
+            # budget so sweep accounting stays conservative.
+            search_steps = policy.trial_steps
+        return {"warmable": True, "kind": plan_kind(policy.num_levels, grid),
+                "cache_status": cache_status,
+                "origin": provenance.get("plan_origin", "warmed"),
                 "search_steps": int(search_steps)}
 
     # ------------------------------------------------------------------
@@ -536,21 +511,14 @@ class DurabilityEngine:
         curve passes.
         """
         policy = self._resolve_policy(policy, overrides)
-        recording = self._record_start()
-        try:
-            curve = self._curve_impl(query, thresholds, policy)
-            if recording:
-                self._record_arrival(query, grid=curve.thresholds,
-                                     details=curve.details)
-            return curve
-        finally:
-            if recording:
-                self._record_end()
+        curve = self._curve_impl(query, thresholds, policy)
+        self._record_arrival(query, curve.details, grid=curve.thresholds)
+        return curve
 
     def _curve_impl(self, query: DurabilityQuery, thresholds,
                     policy: ExecutionPolicy) -> DurabilityCurve:
-        """The curve pass behind :meth:`durability_curve` (resolved
-        policy, no workload recording)."""
+        """The curve pass behind :meth:`durability_curve` and batch
+        members (resolved policy, no workload recording)."""
         if not isinstance(query.value_function, ThresholdValueFunction):
             raise TypeError(
                 "durability_curve needs a threshold query (value_function "
@@ -559,58 +527,29 @@ class DurabilityEngine:
             )
         betas, levels = threshold_grid(thresholds)
         base_query = query.with_threshold(betas[-1])
-
         if policy.method == "srs":
-            curve = self._make_sampler(SRSSampler, policy).run_curve(
+            return self._make_sampler(SRSSampler, policy).run_curve(
                 base_query, levels, thresholds=betas,
                 quality=policy.quality, max_steps=policy.max_steps,
                 max_roots=policy.max_roots, seed=policy.seed)
+        # The interior grid levels are the plan, unless the policy asks
+        # for more levels than they provide: then resolve_plan builds a
+        # curve-aware plan around them, so every read-out level stays a
+        # boundary.
+        interior = levels[:-1]
+        partition, provenance = self._resolve_plan(base_query, None, policy,
+                                                   grid=interior)
+        sampler = self._make_sampler(self._mlss_class(policy.method),
+                                     policy, partition, ratio=policy.ratio)
+        if partition.boundaries != interior:
+            curve = self._run_refined_curve(sampler, base_query, betas,
+                                            levels, policy)
         else:
-            initial_value = base_query.initial_value()
-            blocked = [beta for beta, level in zip(betas, levels)
-                       if level <= initial_value and level < 1.0]
-            if blocked:
-                raise UnservableGridError(
-                    f"thresholds {blocked} normalize to at most the "
-                    f"initial state's value {initial_value:.4g}; MLSS "
-                    f"boundaries must exceed it — drop them or use "
-                    f"method='srs'"
-                )
-            interior = tuple(levels[:-1])
-            partition = LevelPartition(interior)
-            plan_source = "grid"
-            cache_status = None
-            cache_origin = None
-            if (policy.num_levels is not None
-                    and policy.num_levels > len(interior) + 1):
-                # Curve-aware plan: the policy asks for more levels than
-                # the read-out grid alone provides, so the balanced
-                # pilot places the extra boundaries into the survival
-                # gaps *between* grid levels (grid-shaped cache keys —
-                # see resolve_plan).  The grid itself always survives,
-                # so every read-out level stays a boundary.
-                cache = self.plan_cache if policy.use_plan_cache else None
-                partition, _, cache_status, cache_origin = resolve_plan(
-                    base_query, None, policy.num_levels, policy.ratio,
-                    policy.trial_steps, policy.seed, plan_cache=cache,
-                    pool=self._get_pool(policy), grid=interior)
-                plan_source = "curve_aware"
-            sampler = self._make_sampler(self._mlss_class(policy.method),
-                                         policy, partition,
-                                         ratio=policy.ratio)
-            if partition.boundaries != interior:
-                curve = self._run_refined_curve(sampler, base_query,
-                                                betas, levels, policy)
-            else:
-                curve = sampler.run_curve(
-                    base_query, thresholds=betas, quality=policy.quality,
-                    max_steps=policy.max_steps,
-                    max_roots=policy.max_roots, seed=policy.seed)
-            curve.details["plan_source"] = plan_source
-            if cache_status is not None:
-                curve.details["plan_cache"] = cache_status
-            if cache_status == "hit" and cache_origin is not None:
-                curve.details["plan_origin"] = cache_origin
+            curve = sampler.run_curve(
+                base_query, thresholds=betas, quality=policy.quality,
+                max_steps=policy.max_steps, max_roots=policy.max_roots,
+                seed=policy.seed)
+        curve.details.update(provenance)
         return curve
 
     def _run_refined_curve(self, sampler, base_query, betas, levels,
@@ -766,20 +705,6 @@ class DurabilityEngine:
         """
         policy = self._resolve_policy(policy, overrides)
         queries = list(queries)
-        recording = self._record_start()
-        try:
-            results = self._answer_batch_impl(queries, policy)
-            if recording:
-                for query, estimate in zip(queries, results):
-                    self._record_arrival(
-                        query, details=getattr(estimate, "details", None))
-            return results
-        finally:
-            if recording:
-                self._record_end()
-
-    def _answer_batch_impl(self, queries, policy) -> list:
-        """Cohort grouping + dispatch behind :meth:`answer_batch`."""
         results: list = [None] * len(queries)
 
         groups: dict = {}
@@ -813,13 +738,15 @@ class DurabilityEngine:
                 # regroup per process object (the pre-fusion cohorts).
                 self._answer_by_process(queries, results, members, policy,
                                         cohort_ids)
+        for query, estimate in zip(queries, results):
+            self._record_arrival(query, estimate.details)
         return results
 
     def _answer_single(self, queries, results, index, policy) -> None:
         query = queries[index]
         member_policy = policy.replace(
             seed=policy.derive_seed(self._seed_material(query)))
-        results[index] = self.answer(query, policy=member_policy)
+        results[index] = self._answer_impl(query, member_policy)
 
     @staticmethod
     def _can_fuse(policy: ExecutionPolicy) -> bool:
@@ -875,8 +802,7 @@ class DurabilityEngine:
             (self._seed_material(lead.with_threshold(max(betas))),
              tuple(sorted(betas)))))
         try:
-            curve = self.durability_curve(
-                lead, sorted(betas), policy=cohort_policy)
+            curve = self._curve_impl(lead, sorted(betas), cohort_policy)
         except UnservableGridError:
             # MLSS grids that straddle the initial value fall back to
             # individual answers (which surface each member's own
@@ -1052,21 +978,6 @@ class DurabilityEngine:
                     f"got {type(query.value_function).__name__})"
                 )
         grids = self._normalize_curve_grids(queries, thresholds)
-        recording = self._record_start()
-        try:
-            results = self._curves_impl(queries, grids, policy)
-            if recording:
-                for query, grid, curve in zip(queries, grids, results):
-                    self._record_arrival(
-                        query, grid=grid,
-                        details=getattr(curve, "details", None))
-            return results
-        finally:
-            if recording:
-                self._record_end()
-
-    def _curves_impl(self, queries, grids, policy) -> list:
-        """Fused-vs-single dispatch behind :meth:`durability_curves`."""
         results: list = [None] * len(queries)
 
         groups: dict = {}
@@ -1084,6 +995,8 @@ class DurabilityEngine:
                 for index in members:
                     self._curve_single(queries, grids, results, index,
                                        policy)
+        for query, grid, curve in zip(queries, grids, results):
+            self._record_arrival(query, curve.details, grid=grid)
         return results
 
     def _curve_single(self, queries, grids, results, index,
@@ -1092,8 +1005,8 @@ class DurabilityEngine:
         member_policy = policy.replace(seed=policy.derive_seed(
             (self._seed_material(query.with_threshold(grids[index][-1])),
              grids[index])))
-        results[index] = self.durability_curve(query, grids[index],
-                                               policy=member_policy)
+        results[index] = self._curve_impl(query, grids[index],
+                                          member_policy)
 
     def _curves_fleet(self, queries, grids, results, members, policy,
                       cohort_id) -> None:

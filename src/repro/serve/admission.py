@@ -43,6 +43,7 @@ from typing import Callable, Optional, Sequence
 
 from ..engine.cache import PlanCache
 from ..engine.policy import ExecutionPolicy
+from ..engine.service import plan_kind
 from .config import ServeConfig
 
 #: Request classes, cheapest first.
@@ -160,10 +161,9 @@ def _plan_is_warm(query, policy: ExecutionPolicy,
     hit/miss counters move, no entries are touched.)"""
     if not policy.use_plan_cache or plan_cache is None:
         return False
-    kind = ("balanced", policy.num_levels) \
-        if policy.num_levels is not None else "greedy"
     try:
-        return plan_cache.key_for(query, kind) in plan_cache
+        return plan_cache.key_for(query, plan_kind(policy.num_levels)) \
+            in plan_cache
     except Exception:
         return False  # unprobeable shapes admit conservatively as cold
 

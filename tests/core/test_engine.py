@@ -23,10 +23,11 @@ def answer_once(query, partition=None, **fields):
 
 def plan_without_cache(query, partition, num_levels, ratio, trial_steps,
                        seed):
-    """The plan and search details, without a plan cache."""
-    plan, search_details, _, _ = resolve_plan(
+    """The plan and its search details (None when no search ran),
+    without a plan cache."""
+    plan, details = resolve_plan(
         query, partition, num_levels, ratio, trial_steps, seed)
-    return plan, search_details
+    return plan, details.get("plan_search")
 
 
 class TestAnswerDurabilityQuery:

@@ -130,23 +130,9 @@ class TestEnginePlanSearchRouting:
 
 
 class TestCurveAwarePlanSearchPooling:
-    """Curve-aware (grid-seeded) plan search pooled vs parent."""
+    """Curve-aware (grid-seeded) balanced plans, pooled vs parent."""
 
     GRID = (4.0 / 12.0, 8.0 / 12.0)
-
-    @pytest.mark.parametrize("mode,n_workers", POOL_CONFIGS)
-    def test_pooled_greedy_grid_search_matches_parent(
-            self, mode, n_workers, small_chain_query):
-        parent = adaptive_greedy_partition(
-            small_chain_query, ratio=3, trial_steps=8_000, seed=13,
-            grid=self.GRID)
-        with WorkerPool(n_workers=n_workers, pool=mode) as pool:
-            pooled = adaptive_greedy_partition(
-                small_chain_query, ratio=3, trial_steps=8_000, seed=13,
-                grid=self.GRID, pool=pool)
-        assert pooled.partition == parent.partition
-        assert pooled.best_score == parent.best_score
-        assert pooled.search_steps == parent.search_steps
 
     @pytest.mark.parametrize("mode,n_workers", POOL_CONFIGS)
     def test_pooled_balanced_grid_build_matches_parent(
@@ -159,12 +145,6 @@ class TestCurveAwarePlanSearchPooling:
                 small_chain_query, num_levels=5, pilot_paths=1_200,
                 seed=17, grid=self.GRID, pool=pool)
         assert pooled.boundaries == parent.boundaries
-
-    def test_greedy_grid_plan_contains_grid(self, small_chain_query):
-        result = adaptive_greedy_partition(
-            small_chain_query, ratio=3, trial_steps=6_000, seed=19,
-            grid=self.GRID)
-        assert set(self.GRID) <= set(result.partition.boundaries)
 
     def test_balanced_grid_plan_contains_grid(self, small_chain_query):
         partition = balanced_growth_partition(

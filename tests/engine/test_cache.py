@@ -264,28 +264,20 @@ class TestOrigins:
         cache.put(query, LevelPartition([0.5]), origin="warmed")
         assert cache.get(query).origin == "warmed"
 
-    def test_peek_does_not_touch_counters_or_recency(self):
+    def test_membership_probe_does_not_touch_counters_or_recency(self):
         cache = PlanCache(max_entries=2)
         old, new = walk_query(beta=20.0), walk_query(beta=40.0)
         cache.put(old, LevelPartition([0.5]))
         cache.put(new, LevelPartition([0.5]))
         before = cache.stats()
-        assert cache.peek(old) is not None
-        assert cache.peek(walk_query(beta=80.0)) is None
+        assert cache.key_for(old) in cache
+        assert cache.key_for(walk_query(beta=80.0)) not in cache
         assert cache.stats() == before
-        # peek must not refresh LRU position: "old" is still evicted
-        # first.
+        # A probe must not refresh LRU position: "old" is still
+        # evicted first.
         cache.put(walk_query(beta=80.0), LevelPartition([0.5]))
-        assert cache.peek(old) is None
-        assert cache.peek(new) is not None
-
-    def test_retag_relabels_in_place(self):
-        cache = PlanCache()
-        query = walk_query()
-        cache.put(query, LevelPartition([0.5]))
-        assert cache.retag(query, origin="warmed")
-        assert cache.peek(query).origin == "warmed"
-        assert not cache.retag(walk_query(beta=40.0))
+        assert cache.key_for(old) not in cache
+        assert cache.key_for(new) in cache
 
     def test_get_preserves_origin_through_repruning(self):
         cache = PlanCache()
@@ -328,13 +320,14 @@ class TestStoreIntegration:
                                    score=4.0)
         fresh = PlanCache(store=store)
         assert len(fresh) == 1
-        entry = fresh.peek(walk_query())
-        assert entry.origin == "store"
-        assert entry.partition == LevelPartition([0.5])
-        assert entry.score == 4.0
+        assert fresh.key_for(walk_query()) in fresh
         # Hydration is not a hit: counters start clean.
         assert fresh.stats()["hits"] == 0
         assert fresh.stats()["misses"] == 0
+        entry = fresh.get(walk_query())
+        assert entry.origin == "store"
+        assert entry.partition == LevelPartition([0.5])
+        assert entry.score == 4.0
 
     def test_hydration_respects_capacity_keeping_recent(self):
         store = self._store()
@@ -346,5 +339,5 @@ class TestStoreIntegration:
         assert len(small) == 2
         assert small.evictions == 0  # overflow during hydration is free
         # The most recently saved plans survive at the MRU end.
-        assert small.peek(walk_query(beta=betas[-1])) is not None
-        assert small.peek(walk_query(beta=betas[0])) is None
+        assert small.key_for(walk_query(beta=betas[-1])) in small
+        assert small.key_for(walk_query(beta=betas[0])) not in small

@@ -60,10 +60,11 @@ class TestAnswer:
         assert first.details["plan_cache"] == "miss"
         assert first.details["plan_search"]["search_steps"] > 0
         assert second.details["plan_cache"] == "hit"
-        assert second.details["plan_search"]["search_steps"] == 0
-        assert second.details["plan_search"]["from_cache"]
-        assert (second.details["plan_search"]["partition"]
-                == first.details["plan_search"]["partition"])
+        # No search ran, so none is reported; the served plan is the
+        # searched one, so the same seed gives the same answer.
+        assert "plan_search" not in second.details
+        assert (second.probability, second.n_roots, second.steps) == \
+            (first.probability, first.n_roots, first.steps)
         assert engine.cache_stats()["hits"] == 1
 
     def test_plan_cache_can_be_disabled(self, walk_query):
