@@ -26,8 +26,11 @@ g-MLSS fleet again with the check-schedule ``sampler_options``
 ``first_check_roots`` and ``check_growth``, so the pool check below
 also shows them reaching the fleet's slice workers), fused
 ``durability_curves`` under a budget and under a relative-error
-target, and all of it again over an inline pool and a 2-worker fork
-pool.  It also covers the SRS paths no natively batched fleet
+target, a fused fleet of eight birth-death chains (SRS
+``answer_batch`` under a budget and under a relative-error target, SRS
+``durability_curves`` and a g-MLSS ``answer_batch``), and all of it
+again over an inline pool and a 2-worker fork pool.  It also covers
+the SRS paths no natively batched fleet
 reaches: point and curve answers of a process that defines only
 ``step`` (it runs inside ``ScalarFallback``), an SRS answer under a
 value function that is not a threshold, an ``answer_batch`` whose
@@ -53,8 +56,9 @@ from repro import DurabilityEngine, DurabilityQuery, ExecutionPolicy
 from repro.core.levels import LevelPartition
 from repro.core.quality import RelativeErrorTarget
 from repro.engine import ParallelPolicy
-from repro.processes import (GaussianWalkProcess, RandomWalkProcess,
-                             StochasticProcess, birth_death_chain)
+from repro.processes import (GaussianWalkProcess, MarkovChainProcess,
+                             RandomWalkProcess, StochasticProcess,
+                             birth_death_chain)
 
 
 class StepOnlyWalk(StochasticProcess):
@@ -235,6 +239,24 @@ def fingerprint() -> list:
                 GaussianWalkProcess(drift=0.05, sigma=1.0),
                 GaussianWalkProcess.position, beta=14.0, horizon=50)
             answer(f"{tag}.gauss.auto", gauss, seed=21)
+
+            chains = [DurabilityQuery.threshold(
+                birth_death_chain(n=13, p_up=0.22 + 0.02 * i, p_down=0.35),
+                MarkovChainProcess.state_index, beta=8.0 + i % 3,
+                horizon=60) for i in range(8)]
+            for i, estimate in enumerate(engine.answer_batch(
+                    chains, method="srs", seed=41)):
+                out.append(line(f"{tag}.chains.srs.{i}", estimate))
+            for i, estimate in enumerate(engine.answer_batch(
+                    chains, method="srs", max_steps=None, quality=target,
+                    seed=42)):
+                out.append(line(f"{tag}.chains.srs_target.{i}", estimate))
+            for i, curve in enumerate(engine.durability_curves(
+                    chains, [4, 6, 8], method="srs", seed=43)):
+                out.extend(curve_lines(f"{tag}.chains.curves.{i}", curve))
+            for i, estimate in enumerate(engine.answer_batch(
+                    chains, method="gmlss", num_levels=3, seed=44)):
+                out.append(line(f"{tag}.chains.gmlss.{i}", estimate))
     return out
 
 

@@ -41,9 +41,14 @@ the runner classifies in *z-space*: it compares raw ``z`` with the
 least floats whose scores reach each edge
 (:meth:`~repro.core.value_functions.ThresholdValueFunction.
 z_boundaries`), which gives exactly the levels of the score
-``min(z / beta, 1)`` with no divide and no clip per step.  Other value
-functions are classified on their scores.  Either way a NaN score is
-no hit and lands on the top interior level.
+``min(z / beta, 1)`` with no divide and no clip per step.  When the
+process reports ``z`` at every state
+(:meth:`~repro.processes.base.VectorizedProcess.z_by_state`: a Markov
+chain under its own ``state_value`` or ``state_index``), every state
+is classified once and each step looks its levels up by state, with
+no ``z`` and no search.  Other value functions are classified on their
+scores.  Either way a NaN score is no hit and lands on the top
+interior level (reported ``z`` values are finite).
 
 The runner keeps its live frontier in preallocated,
 geometrically-grown buffers (:class:`_Frontier`) and steps processes
@@ -256,11 +261,17 @@ class VectorizedForestRunner:
         # target.  A score's level is the number of edges at or below it,
         # so level m is a hit.
         edges = partition.boundaries + (TARGET_VALUE,)
+        self._state_levels = None
         if isinstance(value_fn, ThresholdValueFunction):
             batch_z = resolve_batch_z(value_fn.z)
             self._score = lambda states, t: np.asarray(batch_z(states),
                                                        dtype=np.float64)
             self._edges = value_fn.z_boundaries(edges)
+            z_by_state = self.process.z_by_state(value_fn.z)
+            if z_by_state is not None:
+                # States index a table of z: classify every state once.
+                self._state_levels = self._edges.searchsorted(z_by_state,
+                                                              "right")
         else:
             self._score = functools.partial(batch_values, value_fn)
             self._edges = np.asarray(edges, dtype=np.float64)
@@ -280,6 +291,7 @@ class VectorizedForestRunner:
         horizon = self.query.horizon
         m = self.partition.num_levels
         score, classify = self._score, self._edges.searchsorted
+        state_levels = self._state_levels
         ratios, rng = self._ratios, self.rng
         frontier = _Frontier(process, n_roots, initial_states=initial_states)
         empty = np.zeros(0, dtype=np.int64)
@@ -293,8 +305,11 @@ class VectorizedForestRunner:
                 break
             states = frontier.advance(t, rng)
             roots, born, since = frontier.live_meta()
-            scores = score(states, t)
-            levels = classify(scores, "right")
+            if state_levels is None:
+                scores = score(states, t)
+                levels = classify(scores, "right")
+            else:
+                levels = state_levels[states]
             event = levels > born
             rows = event.nonzero()[0]
             if not rows.size:
@@ -302,7 +317,8 @@ class VectorizedForestRunner:
             level = levels[rows]
             split = level < m
             n_split = np.count_nonzero(split)
-            if n_split < rows.size and np.isnan(scores[rows]).any():
+            if (n_split < rows.size and state_levels is None
+                    and np.isnan(scores[rows]).any()):
                 # NaN sorts past the target edge, but a NaN score is no
                 # hit: it lands on the top interior level.
                 levels[np.isnan(scores)] = m - 1

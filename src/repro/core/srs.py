@@ -213,12 +213,16 @@ class FleetRows:
     Each round's owners, tops and member parameters are gathered once
     and stay row-aligned outside the state array, so the kernel steps a
     contiguous core buffer in place; :meth:`retire` filters them
-    together and tallies retired rows per owner.
+    together and tallies retired rows per owner.  A family on the
+    owner-indexed route (``fused.owner_tables``, Markov chains) has no
+    row parameters: its rows step by their owners.
     """
 
     def __init__(self, fused, z, grids):
         self.fused = fused
         self.lead = fused.members[0]
+        if fused.owner_tables is not None:
+            self.step = self.step_by_owner
         self.block = (self.step_block
                       if getattr(self.lead, "fused_step_block", None)
                       else None)
@@ -242,6 +246,11 @@ class FleetRows:
 
     def step(self, states, t, rng):
         return self.lead.fused_step_batch(self.params, states, t, rng,
+                                          out=states)
+
+    def step_by_owner(self, states, t, rng):
+        return self.lead.fused_owner_step(self.fused.owner_tables,
+                                          self.owners, states, t, rng,
                                           out=states)
 
     def step_block(self, states, t, width, rng):

@@ -42,6 +42,8 @@ a default and accepts per call (plus keyword overrides)::
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -212,7 +214,11 @@ class DurabilityEngine:
     streams; creation/teardown single-flighted under ``_pool_lock``,
     so concurrent first calls build exactly one pool and
     :meth:`close` is idempotent and safe against in-progress
-    ``_get_pool`` calls).  Estimates themselves are per-call values —
+    ``_get_pool`` calls).  A pooled call holds its pool from entry to
+    return, so a call asking for another ``parallel`` config replaces
+    the engine's pool without closing it under answers in flight: a
+    replaced pool closes when its last holder returns.  Estimates
+    themselves are per-call values —
     nothing is shared between two in-flight ``answer`` calls beyond
     those two structures.
 
@@ -253,6 +259,9 @@ class DurabilityEngine:
         # PlanCache locks its LRU); pool creation/teardown must not
         # race or two pools could be built and one leak its workers.
         self._pool_lock = threading.Lock()
+        # Calls holding each pool, and the pool this thread's call holds.
+        self._pool_holders = collections.Counter()
+        self._held = threading.local()
 
     # ------------------------------------------------------------------
     # Policy plumbing
@@ -296,28 +305,64 @@ class DurabilityEngine:
         Created on first parallel call and reused across queries —
         that persistence (workers, registered substrates) is the whole
         point of the pool.  A policy asking for a different worker
-        count or pool mode replaces it.
+        count or pool mode replaces it.  Inside a call that holds a
+        pool (:meth:`_holding_pool`) it is that pool.
         """
-        parallel = policy.parallel
-        if parallel is None:
+        if policy.parallel is None:
             return None
+        held = getattr(self._held, "pool", None)
+        if held is not None:
+            return held
+        with self._pool_lock:
+            return self._current_pool(policy.parallel)
+
+    def _current_pool(self, parallel) -> WorkerPool:
+        """The pool for ``parallel``, replacing the current one if its
+        config differs (call under ``_pool_lock``).  A replaced pool
+        closes now unless calls hold it; then the last one closes it."""
         config = (parallel.n_workers, parallel.pool,
                   parallel.max_worker_restarts, parallel.task_retry_limit,
                   parallel.task_timeout_seconds)
-        with self._pool_lock:
-            if self._pool is not None and (self._pool.closed
-                                           or self._pool_config != config):
+        if self._pool is not None and (self._pool.closed
+                                       or self._pool_config != config):
+            if not self._pool_holders[self._pool]:
                 self._pool.close()
-                self._pool = None
-                self._pool_config = None
-            if self._pool is None:
-                self._pool = WorkerPool(
-                    n_workers=parallel.n_workers, pool=parallel.pool,
-                    max_worker_restarts=parallel.max_worker_restarts,
-                    task_retry_limit=parallel.task_retry_limit,
-                    task_timeout_seconds=parallel.task_timeout_seconds)
-                self._pool_config = config
-            return self._pool
+            self._pool = None
+            self._pool_config = None
+        if self._pool is None:
+            self._pool = WorkerPool(
+                n_workers=parallel.n_workers, pool=parallel.pool,
+                max_worker_restarts=parallel.max_worker_restarts,
+                task_retry_limit=parallel.task_retry_limit,
+                task_timeout_seconds=parallel.task_timeout_seconds)
+            self._pool_config = config
+        return self._pool
+
+    @contextlib.contextmanager
+    def _holding_pool(self, policy: ExecutionPolicy):
+        """Hold the policy's pool for one whole public call.
+
+        Every :meth:`_get_pool` of the call returns the held pool, and
+        the pool stays open until the call returns, even if another
+        call replaces it meanwhile.
+        """
+        if policy.parallel is None:
+            yield
+            return
+        with self._pool_lock:
+            pool = self._current_pool(policy.parallel)
+            self._pool_holders[pool] += 1
+        self._held.pool = pool
+        try:
+            yield
+        finally:
+            self._held.pool = None
+            with self._pool_lock:
+                self._pool_holders[pool] -= 1
+                if not self._pool_holders[pool]:
+                    del self._pool_holders[pool]
+                    if pool is not self._pool:
+                        pool.close()
 
     def close(self) -> None:
         """Shut down the engine's worker pool (idempotent).
@@ -369,7 +414,8 @@ class DurabilityEngine:
         preference.
         """
         policy = self._resolve_policy(policy, overrides)
-        estimate = self._answer_impl(query, policy, partition)
+        with self._holding_pool(policy):
+            estimate = self._answer_impl(query, policy, partition)
         self._record_arrival(query, estimate.details)
         return estimate
 
@@ -462,8 +508,9 @@ class DurabilityEngine:
             betas, levels = threshold_grid(thresholds)
             query, grid = query.with_threshold(betas[-1]), levels[:-1]
         try:
-            _, provenance = self._resolve_plan(query, None, policy,
-                                               grid=grid, origin="warmed")
+            with self._holding_pool(policy):
+                _, provenance = self._resolve_plan(
+                    query, None, policy, grid=grid, origin="warmed")
         except UnservableGridError:
             return {"warmable": False, "reason": "unservable_grid",
                     "search_steps": 0}
@@ -511,7 +558,8 @@ class DurabilityEngine:
         curve passes.
         """
         policy = self._resolve_policy(policy, overrides)
-        curve = self._curve_impl(query, thresholds, policy)
+        with self._holding_pool(policy):
+            curve = self._curve_impl(query, thresholds, policy)
         self._record_arrival(query, curve.details, grid=curve.thresholds)
         return curve
 
@@ -705,39 +753,40 @@ class DurabilityEngine:
         """
         policy = self._resolve_policy(policy, overrides)
         queries = list(queries)
-        results: list = [None] * len(queries)
+        with self._holding_pool(policy):
+            results: list = [None] * len(queries)
 
-        groups: dict = {}
-        for index, query in enumerate(queries):
-            key = self._cohort_key(query)
-            if key is None:
-                self._answer_single(queries, results, index, policy)
-                continue
-            groups.setdefault(key, []).append(index)
-
-        # One id per actual shared pass (curve or fused frontier), so
-        # details["cohort_id"] uniquely attributes simulation work.
-        cohort_ids = itertools.count()
-        for members in groups.values():
-            if len(members) < 2:
-                for index in members:
+            groups: dict = {}
+            for index, query in enumerate(queries):
+                key = self._cohort_key(query)
+                if key is None:
                     self._answer_single(queries, results, index, policy)
-                continue
-            distinct = {id(queries[index].process) for index in members}
-            if len(distinct) == 1:
-                self._answer_cohort(queries, results, members, policy,
-                                    next(cohort_ids))
-            elif self._can_fuse(policy):
-                self._answer_fleet(queries, results, members, policy,
-                                   next(cohort_ids))
-            elif self._can_fuse_mlss(policy):
-                self._answer_fleet_mlss(queries, results, members, policy,
-                                        cohort_ids)
-            else:
-                # Same family but fusion unavailable for this policy:
-                # regroup per process object (the pre-fusion cohorts).
-                self._answer_by_process(queries, results, members, policy,
-                                        cohort_ids)
+                    continue
+                groups.setdefault(key, []).append(index)
+
+            # One id per actual shared pass (curve or fused frontier), so
+            # details["cohort_id"] uniquely attributes simulation work.
+            cohort_ids = itertools.count()
+            for members in groups.values():
+                if len(members) < 2:
+                    for index in members:
+                        self._answer_single(queries, results, index, policy)
+                    continue
+                distinct = {id(queries[index].process) for index in members}
+                if len(distinct) == 1:
+                    self._answer_cohort(queries, results, members, policy,
+                                        next(cohort_ids))
+                elif self._can_fuse(policy):
+                    self._answer_fleet(queries, results, members, policy,
+                                       next(cohort_ids))
+                elif self._can_fuse_mlss(policy):
+                    self._answer_fleet_mlss(queries, results, members, policy,
+                                            cohort_ids)
+                else:
+                    # Same family but fusion unavailable for this policy:
+                    # regroup per process object (the pre-fusion cohorts).
+                    self._answer_by_process(queries, results, members, policy,
+                                            cohort_ids)
         for query, estimate in zip(queries, results):
             self._record_arrival(query, estimate.details)
         return results
@@ -978,23 +1027,24 @@ class DurabilityEngine:
                     f"got {type(query.value_function).__name__})"
                 )
         grids = self._normalize_curve_grids(queries, thresholds)
-        results: list = [None] * len(queries)
+        with self._holding_pool(policy):
+            results: list = [None] * len(queries)
 
-        groups: dict = {}
-        for index, query in enumerate(queries):
-            groups.setdefault(self._cohort_key(query), []).append(index)
+            groups: dict = {}
+            for index, query in enumerate(queries):
+                groups.setdefault(self._cohort_key(query), []).append(index)
 
-        cohort_ids = itertools.count()
-        for members in groups.values():
-            distinct = {id(queries[index].process) for index in members}
-            if (len(members) >= 2 and len(distinct) == len(members)
-                    and self._can_fuse(policy)):
-                self._curves_fleet(queries, grids, results, members,
-                                   policy, next(cohort_ids))
-            else:
-                for index in members:
-                    self._curve_single(queries, grids, results, index,
-                                       policy)
+            cohort_ids = itertools.count()
+            for members in groups.values():
+                distinct = {id(queries[index].process) for index in members}
+                if (len(members) >= 2 and len(distinct) == len(members)
+                        and self._can_fuse(policy)):
+                    self._curves_fleet(queries, grids, results, members,
+                                       policy, next(cohort_ids))
+                else:
+                    for index in members:
+                        self._curve_single(queries, grids, results, index,
+                                           policy)
         for query, grid, curve in zip(queries, grids, results):
             self._record_arrival(query, curve.details, grid=grid)
         return results

@@ -84,8 +84,18 @@ A process opts into fusion by implementing three hooks:
   :meth:`FusedBatch.step_batch` gathers per-member parameters by owner
   on every call; long-running passes gather once via
   :meth:`FusedBatch.row_params` and filter the rows and parameters
-  together (see :mod:`repro.core.fleet`), keeping per-step work free
-  of repeated indexing.
+  together (see :class:`repro.core.srs.FleetRows`), keeping per-step
+  work free of repeated indexing.
+
+A family whose parameters are whole per-state tables takes the
+*owner-indexed* route instead (Markov chains): ``fusion_params()``
+returns an empty dict, so rows carry no parameters, and the family
+defines ``fused_owner_tables(members)``, which :class:`FusedBatch`
+calls once to stack every member's tables, and
+``fused_owner_step(tables, owners, states, t, rng, out=None)``, which
+steps each row by a lookup at ``(owner, state)`` in them.
+:meth:`FusedBatch.step_batch` and ``FleetRows`` pass the rows' owners;
+retiring a row then filters nothing but its owner.
 
 Because the owner column rides inside the state array, row selection,
 :func:`numpy.repeat` replication and in-place stepping all work
@@ -127,8 +137,9 @@ RandomWalkProcess       ``step``    native               yes              yes
 GaussianWalkProcess     ``step``    native               yes              yes
 GBMProcess              ``step``    native               yes              no
 ARProcess               ``step``    native               yes (per order)  no
-MarkovChainProcess      ``step``    native               yes (per state-  no
-                                                         space size)
+MarkovChainProcess      ``step``    native (per-state    yes (per state-  no
+                                    columns)             space size; by
+                                                         owner, state)
 TandemQueueProcess      ``step``    native (Gillespie)   yes              no
 CompoundPoissonProcess  ``step``    native (Poisson      yes              no
                                     sums)
@@ -311,6 +322,17 @@ class VectorizedProcess(abc.ABC):
         return np.repeat(states[np.asarray(indices)],
                          np.asarray(counts), axis=0)
 
+    def z_by_state(self, z) -> np.ndarray | None:
+        """The values of ``z`` at states ``0 .. n-1``, when this
+        process's state arrays are 1-D arrays of those indices and
+        ``z``'s batch form is a gather from these values; ``None`` (the
+        default) otherwise.
+
+        A caller that classifies states by ``z`` can then classify each
+        state once and look levels up by state.
+        """
+        return None
+
     def apply_impulse_batch(self, states: np.ndarray, rows,
                             magnitudes) -> None:
         """Apply impulses to selected rows of a state array, in place.
@@ -487,7 +509,8 @@ class FusedBatch(VectorizedProcess):
     one ``step_batch`` call advances rows belonging to every member,
     with per-member parameters (drift, volatility, rates, ...)
     broadcast per row by indexing the stacked parameter arrays with the
-    owner column.
+    owner column, or, for a family on the owner-indexed route
+    (:attr:`owner_tables`), looked up at each row's owner and state.
 
     Cost accounting is unchanged: one fused ``step_batch`` over ``n``
     rows still counts as ``n`` invocations of ``g`` — fusion removes
@@ -523,6 +546,10 @@ class FusedBatch(VectorizedProcess):
             name: np.asarray([params[name] for params in per_member])
             for name in per_member[0]
         }
+        owner_tables = getattr(self._lead, "fused_owner_tables", None)
+        #: The fleet's tables on the owner-indexed route, else ``None``.
+        self.owner_tables = (None if owner_tables is None
+                             else owner_tables(members))
         rows = [np.asarray(member.initial_states(1),
                            dtype=np.float64).reshape(1, -1)
                 for member in members]
@@ -577,16 +604,20 @@ class FusedBatch(VectorizedProcess):
     def step_batch(self, states: np.ndarray, t: int,
                    rng: np.random.Generator,
                    out: np.ndarray | None = None) -> np.ndarray:
-        row_params = self.row_params(self.owners_of(states))
+        owners = self.owners_of(states)
         core = states[:, :-1]
-        if out is not None:
-            self._lead.fused_step_batch(row_params, core, t, rng,
-                                        out=out[:, :-1])
-            if out is not states:
-                out[:, -1] = states[:, -1]
-            return out
-        new_core = self._lead.fused_step_batch(row_params, core, t, rng)
-        return np.concatenate([new_core, states[:, -1:]], axis=1)
+        new_core = None if out is None else out[:, :-1]
+        if self.owner_tables is None:
+            new_core = self._lead.fused_step_batch(
+                self.row_params(owners), core, t, rng, out=new_core)
+        else:
+            new_core = self._lead.fused_owner_step(
+                self.owner_tables, owners, core, t, rng, out=new_core)
+        if out is None:
+            return np.concatenate([new_core, states[:, -1:]], axis=1)
+        if out is not states:
+            out[:, -1] = states[:, -1]
+        return out
 
     def apply_impulse_batch(self, states: np.ndarray, rows,
                             magnitudes) -> None:

@@ -5,6 +5,15 @@ are the backbone of our validation strategy: their durability-query
 answers can be computed *exactly* by dynamic programming
 (:func:`repro.core.analytic.hitting_probability`), so every sampler in
 the library is tested against closed-form ground truth.
+
+The batched kernels work by state.  ``step_batch`` is a row-wise
+``bisect_right`` laid out by column (:func:`_column_tables`): one
+gather of each state's count of entries at or below 0, then one gather
+and compare per inner cumulative column, two on a birth-death chain.
+A fused fleet runs the same kernel over its members' stacked tables at
+``owner * n + state``, and :meth:`MarkovChainProcess.z_by_state` lets
+the splitting forest classify every state once instead of scoring rows
+at every step.
 """
 
 from __future__ import annotations
@@ -78,18 +87,7 @@ class MarkovChainProcess(ImmutableStateProcess, VectorizedProcess):
             self._cumulative.append(cum)
         self._cumulative_array = np.asarray(self._cumulative)
         self._value_array = np.asarray(self.values, dtype=np.float64)
-        # The batched step compares ``u`` in [0, 1) only with the
-        # cumulative entries strictly inside (0, 1): every ``u`` passes
-        # an entry <= 0 (counted once per state in ``_passed``) and none
-        # passes an entry >= 1.  ``_inside`` holds each state's inner
-        # entries, padded with 2.0, which no ``u`` passes either.
-        cumulative = self._cumulative_array
-        inside = (cumulative > 0.0) & (cumulative < 1.0)
-        self._passed = np.count_nonzero(cumulative <= 0.0, axis=1)
-        self._inside = np.full((n, int(inside.sum(axis=1).max())), 2.0)
-        for state, row in enumerate(cumulative):
-            inner = row[inside[state]]
-            self._inside[state, :len(inner)] = inner
+        self._passed, self._columns = _column_tables(self._cumulative_array)
 
     @property
     def num_states(self) -> int:
@@ -106,46 +104,68 @@ class MarkovChainProcess(ImmutableStateProcess, VectorizedProcess):
 
     def step_batch(self, states: np.ndarray, t: int,
                    rng: np.random.Generator) -> np.ndarray:
-        # Row-wise bisect_right over the cumulative transition rows:
-        # count the cumulative entries <= u, exactly as the scalar step,
-        # comparing ``u`` only with the entries it can fall either side of.
-        u = rng.random(len(states))
-        return self._passed[states] + (self._inside[states]
-                                       <= u[:, None]).sum(axis=1)
+        # Row-wise bisect_right over the cumulative transition rows,
+        # exactly as the scalar step, one inner column at a time.
+        return _successors(self._passed, self._columns, states,
+                           rng.random(len(states)))
 
     def state_value(self, state: int) -> float:
         """Real-valued evaluation ``z`` of a state."""
         return self.values[state]
+
+    def z_by_state(self, z):
+        """``z`` at states ``0 .. n-1`` when ``z`` is this chain's own
+        :meth:`state_value` or the shared :meth:`state_index`, else
+        ``None``: the values the registered batch forms gather."""
+        if (getattr(z, "__func__", None) is MarkovChainProcess.state_value
+                and z.__self__ is self):
+            return self._value_array
+        if z is MarkovChainProcess.state_index:
+            return np.arange(self.num_states, dtype=np.float64)
+        return None
 
     # --- fusion hooks -------------------------------------------------
 
     def fusion_key(self):
         """Chains over equally-sized state spaces fuse.
 
-        The state-space size is the only *shape* the stacked parameter
-        tensor depends on; the transition probabilities themselves are
-        per-member data (``fusion_params``).  Per-state ``values`` stay
-        member-local: a fused fleet scores rows through a shared ``z``
-        (e.g. :meth:`state_index`), not per-member value tables.
+        The state-space size is the only *shape* the fleet's tables
+        depend on; the transition probabilities themselves are
+        per-member data (:meth:`fused_owner_tables`).  Per-state
+        ``values`` stay member-local: a fused fleet scores rows through
+        a shared ``z`` (e.g. :meth:`state_index`), not per-member value
+        tables.
         """
         return ("markov_chain", self.num_states)
 
     def fusion_params(self) -> dict:
-        # One (n, n) cumulative-row matrix per member; FusedBatch
-        # stacks them into a (k, n, n) tensor and gathers (rows, n, n)
-        # slices by owner.
-        return {"cumulative": self._cumulative_array}
+        # No per-row parameters: a fused chain fleet takes the
+        # owner-indexed route (fused_owner_tables / fused_owner_step).
+        return {}
 
     @staticmethod
-    def fused_step_batch(row_params, states, t, rng, out=None):
-        indices = states[:, 0].astype(np.intp)
-        # row_params["cumulative"][i] is row i's member's full matrix;
-        # select each row's *current-state* cumulative row, then
-        # bisect exactly as the unfused batched step.
-        cumulative = row_params["cumulative"][
-            np.arange(len(indices)), indices]
-        u = rng.random(len(indices))
-        successors = (cumulative <= u[:, None]).sum(axis=1)
+    def fused_owner_tables(members) -> tuple:
+        """The fleet's column tables, indexed by ``owner * n + state``.
+
+        Member ``k``'s cumulative rows are rows ``k * n .. k * n + n - 1``
+        of one stacked table, laid out by :func:`_column_tables` as a
+        single chain's are; its column count is the widest member's, the
+        others padded with 2.0.
+        """
+        return (members[0].num_states, *_column_tables(np.concatenate(
+            [member._cumulative_array for member in members])))
+
+    @staticmethod
+    def fused_owner_step(tables, owners, states, t, rng, out=None):
+        """The column kernel over the fleet's tables: row ``i`` of the
+        ``(rows, 1)`` core ``states`` steps as its owner's chain would
+        step it, drawing the same ``u``, so its successor is the same
+        integer."""
+        n, passed, columns = tables
+        index = owners * n
+        index += states[:, 0].astype(np.intp)
+        successors = _successors(passed, columns, index,
+                                 rng.random(len(index)))
         if out is None:
             out = states.copy()
         out[:, 0] = successors
@@ -163,6 +183,38 @@ class MarkovChainProcess(ImmutableStateProcess, VectorizedProcess):
         mapping.
         """
         return float(state)
+
+
+def _column_tables(cumulative: np.ndarray) -> tuple:
+    """``(passed, columns)``: rows of cumulative transition entries laid
+    out for a row-wise ``bisect_right`` of ``u`` in [0, 1).
+
+    Every such ``u`` passes an entry <= 0 and no entry >= 1, so row
+    ``i``'s successor is ``passed[i]``, its count of entries <= 0, plus
+    the number of its entries strictly inside (0, 1) at or below ``u``.
+    ``columns[j][i]`` is row ``i``'s ``j``-th inner entry, padded with
+    2.0, which no ``u`` passes either: one contiguous array per column,
+    as many as the widest row has inner entries (two on a birth-death
+    chain).
+    """
+    inside = (cumulative > 0.0) & (cumulative < 1.0)
+    widths = inside.sum(axis=1)
+    rows, _ = np.nonzero(inside)
+    # Each inner entry's rank within its row.
+    ranks = np.arange(len(rows)) - np.repeat(np.cumsum(widths) - widths,
+                                             widths)
+    columns = np.full((int(widths.max()), len(cumulative)), 2.0)
+    columns[ranks, rows] = cumulative[inside]
+    return (np.count_nonzero(cumulative <= 0.0, axis=1), tuple(columns))
+
+
+def _successors(passed, columns, index, u) -> np.ndarray:
+    """The successors of the table rows ``index`` under uniforms ``u``:
+    ``passed[index]`` plus one for every inner column entry <= ``u``."""
+    successors = passed[index]
+    for column in columns:
+        successors += column[index] <= u
+    return successors
 
 
 def _state_values(chain: MarkovChainProcess, states) -> np.ndarray:

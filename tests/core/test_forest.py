@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.fleet import FleetThresholdValue, _FleetQuery
 from repro.core.forest import LevelPlanError, VectorizedForestRunner
@@ -23,7 +23,7 @@ from repro.core.value_functions import (DurabilityQuery,
 from repro.processes import (GaussianWalkProcess, RandomWalkProcess,
                              fuse_processes)
 from repro.processes.base import VectorizedProcess
-from repro.processes.markov_chain import birth_death_chain
+from repro.processes.markov_chain import MarkovChainProcess, birth_death_chain
 
 from ..helpers import ScriptedProcess, identity_z, reference_forest_cohort
 
@@ -327,3 +327,50 @@ def test_z_space_classification_at_every_edge(beta, bounds, ratio, seed):
     query = DurabilityQuery(process=TableProcess(table), value_function=f,
                             horizon=horizon)
     assert_same_counters(query, LevelPartition(bounds), ratio, seed, 40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(beta=st.floats(min_value=0.5, max_value=25.0),
+       bounds=st.lists(st.floats(min_value=0.01, max_value=0.99),
+                       max_size=4, unique=True),
+       by_index=st.booleans(),
+       ratio=st.integers(min_value=1, max_value=3),
+       seed=st.integers(min_value=0, max_value=2 ** 32),
+       data=st.data())
+def test_per_state_levels_equal_scored_levels(beta, bounds, by_index, ratio,
+                                              seed, data):
+    """A chain under its own ``state_value`` (values negative, repeated,
+    unordered, on every z-space edge and beside it) or ``state_index``
+    is classified by a per-state level table: every state's level is
+    its score's level, and cohorts equal the value-space reference."""
+    bounds = sorted(bounds)
+    edges = ThresholdValueFunction(identity_z, beta).z_boundaries(
+        bounds + [1.0])
+    on_edges = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                               np.nextafter(edges, np.inf)]).tolist()
+    values = data.draw(st.lists(
+        st.one_of(st.sampled_from([-4.0, 0.0] + on_edges),
+                  st.floats(min_value=-20.0, max_value=20.0)),
+        min_size=2, max_size=9))
+    n = len(values)
+    chain = MarkovChainProcess([[1.0 / n] * n] * n,
+                               start=int(np.argmin(values)), values=values)
+    z = MarkovChainProcess.state_index if by_index else chain.state_value
+    query = DurabilityQuery.threshold(chain, z, beta=beta, horizon=12)
+    initial = query.initial_value()
+    assume(initial < 1.0)
+    bounds = [b for b in bounds if b > initial]
+    runner = make_runner(query, bounds, ratio)
+    f = query.value_function
+    assert runner._state_levels.tolist() == [
+        sum(f(state, 0) >= edge for edge in bounds + [1.0])
+        for state in range(n)]
+    assert_same_counters(query, LevelPartition(bounds), ratio, seed, 30)
+
+
+def test_other_evaluations_keep_the_scored_path():
+    chain = birth_death_chain(n=5, p_up=0.3, p_down=0.3)
+    twin = birth_death_chain(n=5, p_up=0.3, p_down=0.3)
+    for z in (twin.state_value, identity_z):
+        query = DurabilityQuery.threshold(chain, z, beta=4.0, horizon=10)
+        assert make_runner(query, [0.5], 2)._state_levels is None

@@ -260,9 +260,38 @@ class TestBenchmarkHooks:
         assert curve.details["bootstrap_evals"] >= 2
         assert len(calls) == curve.details["bootstrap_evals"]
 
+    def test_chain_answer_steps_once_per_forest_time_step(
+            self, monkeypatch, small_chain_query, small_chain_partition):
+        """perfbench counts kernel calls and rows by rebinding
+        ``MarkovChainProcess.step_batch``: a chain answer classifying
+        by state still steps through it, once per forest time step and
+        once per simulated step of a path."""
+        from repro.core import forest as forest_module
+
+        calls, time_steps = [], []
+        step_batch = MarkovChainProcess.__dict__["step_batch"]
+        advance = forest_module._Frontier.advance
+
+        def counting_step(process, states, *args, **kwargs):
+            calls.append(len(states))
+            return step_batch(process, states, *args, **kwargs)
+
+        def counting_advance(frontier, t, rng):
+            time_steps.append(t)
+            return advance(frontier, t, rng)
+
+        monkeypatch.setattr(MarkovChainProcess, "step_batch", counting_step)
+        monkeypatch.setattr(forest_module._Frontier, "advance",
+                            counting_advance)
+        estimate = GMLSSSampler(small_chain_partition, ratio=3).run(
+            small_chain_query, max_roots=700, seed=5)
+        assert calls and len(calls) == len(time_steps)
+        assert sum(calls) == estimate.steps
+
     def test_run_is_defined_on_the_sampler_classes(self):
         assert "run" in GMLSSSampler.__dict__
         assert "run" in SRSSampler.__dict__
+        assert "step_batch" in MarkovChainProcess.__dict__
 
 
 class TestOneRoundLoop:

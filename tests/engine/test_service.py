@@ -688,6 +688,63 @@ class TestConcurrentEngine:
         # a concurrent close(); none is left open after the final close.
         assert all(pool.closed for pool in seen)
 
+    def test_replaced_pool_fails_no_answer_in_flight(self, walk_query):
+        # Thread A answers 400,000 SRS roots on a 2-worker inline pool;
+        # while it is between rounds, thread B asks the same engine for
+        # 3 workers, which replaces the pool.  A must finish on the pool
+        # it started with, with the bytes it has alone.
+        import threading
+
+        from repro.core.quality import QualityTarget
+
+        started, answered = threading.Event(), threading.Event()
+
+        class PausesOnce(QualityTarget):
+            """Never met; the first check waits until B has answered."""
+
+            def is_met(self, probability, variance, hits, n_roots):
+                if not started.is_set():
+                    started.set()
+                    answered.wait(timeout=60)
+                return False
+
+            def describe(self):
+                return "never met, pauses once"
+
+        def policy(n_workers):
+            return ExecutionPolicy(
+                method="srs", max_roots=400_000, seed=21,
+                quality=PausesOnce(),
+                parallel=ParallelPolicy(n_workers=n_workers, pool="inline"))
+
+        engine = DurabilityEngine()
+        outcomes, errors, pools = {}, [], []
+
+        def run(name, n_workers):
+            try:
+                outcomes[name] = engine.answer(walk_query,
+                                               policy(n_workers))
+            except Exception as exc:  # pragma: no cover - the regression
+                errors.append(exc)
+
+        a = threading.Thread(target=run, args=("a", 2))
+        a.start()
+        assert started.wait(timeout=60)
+        pools.append(engine._pool)
+        run("b", 3)
+        answered.set()
+        a.join()
+        assert not errors
+        assert pools[0].n_workers == 2 and pools[0].closed
+        assert engine._pool.n_workers == 3 and not engine._pool.closed
+        engine.close()
+        with DurabilityEngine() as alone:
+            expected = alone.answer(walk_query, policy(2))
+        for name in ("a", "b"):
+            assert outcomes[name].n_roots == 400_000
+            assert (outcomes[name].probability, outcomes[name].steps) == (
+                expected.probability, expected.steps)
+
     def test_concurrent_first_calls_build_exactly_one_pool(self):
         import threading
 

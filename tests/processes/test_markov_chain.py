@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.processes.base import resolve_batch_z, simulate_path
+from repro.core.srs import FleetRows
+from repro.processes.base import FusedBatch, resolve_batch_z, simulate_path
 from repro.processes.markov_chain import MarkovChainProcess, birth_death_chain
 
 
@@ -153,6 +154,17 @@ def stochastic_rows(draw, n):
     return [w / total for w in weights]
 
 
+def tied_uniforms(draw, matrices, rows):
+    """``rows`` uniforms in [0, 1), many of them equal to one of the
+    matrices' own cumulative entries."""
+    ties = sorted({value for matrix in matrices
+                   for row in np.cumsum(matrix, axis=1)
+                   for value in row if 0.0 <= value < 1.0})
+    return draw(st.lists(st.one_of(
+        st.just(0.0), st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from(ties or [0.0])), min_size=rows, max_size=rows))
+
+
 @st.composite
 def chain_steps(draw):
     n = draw(st.integers(1, 8))
@@ -160,13 +172,24 @@ def chain_steps(draw):
     rows = draw(st.integers(1, 40))
     states = draw(st.lists(st.integers(0, n - 1), min_size=rows,
                            max_size=rows))
-    # Ties: u equal to one of the chain's own cumulative entries.
-    ties = sorted({value for row in np.cumsum(matrix, axis=1)
-                   for value in row if 0.0 <= value < 1.0})
-    u = draw(st.lists(st.one_of(
-        st.just(0.0), st.floats(0.0, 1.0, exclude_max=True),
-        st.sampled_from(ties or [0.0])), min_size=rows, max_size=rows))
-    return matrix, np.asarray(states, dtype=np.int64), u
+    return (matrix, np.asarray(states, dtype=np.int64),
+            tied_uniforms(draw, [matrix], rows))
+
+
+@st.composite
+def fused_chain_steps(draw):
+    """1-5 chains over one state space, one row count per member, each
+    row's state and its tied uniform."""
+    n = draw(st.integers(1, 8))
+    matrices = [[draw(stochastic_rows(n)) for _ in range(n)]
+                for _ in range(draw(st.integers(1, 5)))]
+    counts = draw(st.lists(st.integers(0, 12), min_size=len(matrices),
+                           max_size=len(matrices)).filter(any))
+    rows = sum(counts)
+    states = draw(st.lists(st.integers(0, n - 1), min_size=rows,
+                           max_size=rows))
+    return (matrices, counts, np.asarray(states, dtype=np.int64),
+            np.asarray(tied_uniforms(draw, matrices, rows)))
 
 
 class TestBatchStep:
@@ -188,9 +211,40 @@ class TestBatchStep:
             chain.step(int(state), 1, _ScalarUniform(value))
             for state, value in zip(states, u)]
 
+    @settings(max_examples=200, deadline=None)
+    @given(fused_chain_steps())
+    def test_fused_step_equals_each_members_step(self, case):
+        """Fused rows step by (owner, state) in the stacked tables, in
+        ``FusedBatch.step_batch`` (owners in any order) and in
+        ``FleetRows`` (owners in runs): each row's successor is its
+        owner's own ``step_batch`` successor under the same ``u``."""
+        matrices, counts, states, u = case
+        members = [MarkovChainProcess(matrix) for matrix in matrices]
+        owners = np.repeat(np.arange(len(members)), counts)
+        expected = np.empty(len(states), dtype=np.int64)
+        for owner, member in enumerate(members):
+            rows = owners == owner
+            expected[rows] = member.step_batch(states[rows], 1,
+                                               _FixedUniforms(u[rows]))
+        fused = FusedBatch(members)
+        order = np.random.default_rng(len(states)).permutation(len(states))
+        rows = np.column_stack([states, owners]).astype(np.float64)[order]
+        stepped = fused.step_batch(rows, 1, _FixedUniforms(u[order]))
+        assert stepped[:, 1].tolist() == owners[order].tolist()
+        assert stepped[:, 0].tolist() == expected[order].tolist()
+        fleet = FleetRows(fused, MarkovChainProcess.state_index,
+                          [(1.0,)] * len(members))
+        core, _, _ = fleet.start(counts)
+        core[:, 0] = states
+        assert fleet.step(core, 1, _FixedUniforms(u)).tolist() == [
+            [float(state)] for state in expected]
+
     def test_birth_death_compares_two_entries_per_state(self):
         chain = birth_death_chain(16, p_up=0.25, p_down=0.4)
-        assert chain._inside.shape == (16, 2)
+        assert len(chain._columns) == 2
+        for column in chain._columns:
+            assert column.shape == (16,)
+            assert column.flags.c_contiguous
 
     def test_state_values_gather_any_layout(self):
         chain = MarkovChainProcess([[0.5, 0.5], [0.0, 1.0]],
